@@ -70,38 +70,85 @@ let used_blocks space slot =
   in
   walk (Sh.blocks_base slot) []
 
-(* Pack a length-prefixed range of simulated memory, streaming page runs
+(* Pack a length-prefixed range of simulated memory, copying page runs
    straight into the wire buffer (same wire format as [pack_bytes]). *)
 let pack_mem space p addr len =
-  Pk.pack_raw p ~len (fun buf -> As.add_to_buffer space ~addr ~len buf)
+  Pk.pack_raw p ~len (fun buf pos -> As.load_into space ~addr ~len buf ~pos)
 
-let pack_slot space packing p (th : Thread.t) slot =
+(* What one slot puts on the wire, read from the slot chain before any
+   byte is packed, so the image can be sized up front. *)
+type slot_body =
+  | Whole (* Full_slots: the slot verbatim *)
+  | Stack_tail of int (* Blocks_only stack slot: the live region from sp *)
+  | Blocks of (int * int) list (* Blocks_only data slot: used (offset, size) *)
+
+type slot_plan = {
+  slot : int;
+  size : int;
+  body : slot_body;
+}
+
+let plan_slot space packing (th : Thread.t) slot =
   let size = Sh.read_size space slot in
+  let body =
+    match packing with
+    | Full_slots -> Whole
+    | Blocks_only ->
+      (match Sh.read_kind space slot with
+       | Sh.Stack ->
+         (* Only the live region [sp, stack top) is meaningful. *)
+         let sp = th.ctx.Interp.sp in
+         if sp < slot + Sh.size_of_header || sp > slot + size then
+           failwith (Printf.sprintf "Migration: stack pointer 0x%x outside stack slot" sp);
+         Stack_tail sp
+       | Sh.Data -> Blocks (used_blocks space slot))
+  in
+  { slot; size; body }
+
+let plan space packing (th : Thread.t) =
+  List.map (plan_slot space packing th) (Sh.chain_to_list space ~head:th.slots_head)
+
+(* Wire sizes, word by word as [pack_descriptor] and [pack_slot] emit
+   them. *)
+let descriptor_size (th : Thread.t) =
+  (8 * (9 + Array.length th.ctx.Interp.regs)) + (16 * Hashtbl.length th.registry)
+
+let slot_size { slot; size; body } =
+  16
+  +
+  match body with
+  | Whole -> 8 + size
+  | Stack_tail sp -> 8 + Sh.size_of_header + 24 + (slot + size - sp)
+  | Blocks blocks ->
+    List.fold_left
+      (fun acc (_, bsize) -> acc + 16 + bsize)
+      (8 + Sh.size_of_header + 16)
+      blocks
+
+let planned_size th plans =
+  List.fold_left (fun acc plan -> acc + slot_size plan) (descriptor_size th + 8) plans
+
+let image_size ~space ~packing th = planned_size th (plan space packing th)
+
+let pack_slot space p { slot; size; body } =
   Pk.pack_int p slot;
   Pk.pack_int p size;
-  match packing with
-  | Full_slots -> pack_mem space p slot size
-  | Blocks_only ->
+  match body with
+  | Whole -> pack_mem space p slot size
+  | Stack_tail sp ->
     (* Header verbatim (carries the chain links and kind). *)
     pack_mem space p slot Sh.size_of_header;
-    (match Sh.read_kind space slot with
-     | Sh.Stack ->
-       (* Only the live region [sp, stack top) is meaningful. *)
-       let sp = th.ctx.Interp.sp in
-       let top = slot + size in
-       if sp < slot + Sh.size_of_header || sp > top then
-         failwith (Printf.sprintf "Migration: stack pointer 0x%x outside stack slot" sp);
-       Pk.pack_int p 1; (* tag: stack payload *)
-       Pk.pack_int p (sp - slot);
-       pack_mem space p sp (top - sp)
-     | Sh.Data ->
-       Pk.pack_int p 0; (* tag: block list *)
-       let blocks = used_blocks space slot in
-       Pk.pack_list p
-         (fun (off, bsize) ->
-            Pk.pack_int p off;
-            pack_mem space p (slot + off) bsize)
-         blocks)
+    Pk.pack_int p 1; (* tag: stack payload *)
+    Pk.pack_int p (sp - slot);
+    pack_mem space p sp (slot + size - sp)
+  | Blocks blocks ->
+    pack_mem space p slot Sh.size_of_header;
+    Pk.pack_int p 0; (* tag: block list *)
+    Pk.pack_list p
+      (fun (off, bsize) ->
+         Pk.pack_int p off;
+         pack_mem space p (slot + off) bsize)
+      blocks
 
 (* Rebuild the free blocks of a data slot from the gaps between its used
    blocks, relinking the per-slot free list. *)
@@ -166,35 +213,34 @@ let unpack_slot space u =
 let pack ?(obs = Obs.Collector.null) ?(node = 0) ~geometry ~cost ~space ~packing
     (th : Thread.t) =
   ignore geometry;
-  let slots = Sh.chain_to_list space ~head:th.slots_head in
-  let p = Pk.packer () in
+  let plans = plan space packing th in
+  let p = Pk.packer ~size:(planned_size th plans) () in
   pack_descriptor p th;
-  Pk.pack_int p (List.length slots);
+  Pk.pack_int p (List.length plans);
   List.iter
-    (fun slot ->
+    (fun plan ->
        let before = Pk.packed_size p in
-       pack_slot space packing p th slot;
+       pack_slot space p plan;
        if Obs.Collector.enabled obs then
          Obs.Collector.emit obs ~node
            (Obs.Event.Pack_slot
-              { tid = th.Thread.id; slot; bytes = Pk.packed_size p - before }))
-    slots;
+              { tid = th.Thread.id; slot = plan.slot; bytes = Pk.packed_size p - before }))
+    plans;
   (* Free the source memory: the slots stay owned by the thread (bitmaps
      untouched), but their pages leave this node. *)
   let munmap_total = ref 0. in
   List.iter
-    (fun slot ->
-       let size = Sh.read_size space slot in
+    (fun { slot; size; _ } ->
        As.munmap space ~addr:slot ~size;
        munmap_total := !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
-    slots;
+    plans;
   let buffer = Pk.contents p in
   let pack_cost =
     cost.Cm.context_switch (* freeze *)
     +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
     +. !munmap_total
   in
-  { buffer; pack_cost; slots = List.length slots }
+  { buffer; pack_cost; slots = List.length plans }
 
 (* ===== two-phase (fault-hardened) wire protocol =====
 
@@ -268,8 +314,12 @@ let parse_verdict b =
   | v -> Some v
   | exception Invalid_argument _ -> None
 
+(* Exact size of a transfer message: three words, the ranges and the
+   length-prefixed image. *)
+let transfer_size ~ranges ~buffer = 40 + (16 * List.length ranges) + Bytes.length buffer
+
 let transfer_message ~tid ~ranges ~buffer =
-  let p = Pk.packer () in
+  let p = Pk.packer ~size:(transfer_size ~ranges ~buffer) () in
   Pk.pack_int p transfer_magic;
   Pk.pack_int p tid;
   Pk.pack_int p (Pk.checksum buffer);
@@ -612,7 +662,7 @@ let parse_group_verdict b =
   | exception Invalid_argument _ -> None
 
 let group_transfer_message ~gid ~ranges ~buffer =
-  let p = Pk.packer () in
+  let p = Pk.packer ~size:(transfer_size ~ranges ~buffer) () in
   Pk.pack_int p group_transfer_magic;
   Pk.pack_int p gid;
   Pk.pack_int p (Pk.checksum buffer);

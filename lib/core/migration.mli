@@ -39,6 +39,14 @@ val pack :
   Thread.t ->
   packed
 
+(** [image_size ~space ~packing thread] is the length of the buffer
+    {!pack} would produce for [thread] now, computed from the descriptor
+    and the slot chain without packing. [pack] sizes its wire buffer with
+    it, so the image is built in one allocation and handed over without
+    a copy. *)
+val image_size :
+  space:Pm2_vmem.Address_space.t -> packing:packing -> Thread.t -> int
+
 (** [unpack ~geometry ~cost ~space thread buffer] maps every packed slot at
     its original address in [space], restores the contents, and overwrites
     [thread]'s descriptor fields (context, slot list head, registered

@@ -54,7 +54,8 @@ let pack ~geometry ~cost ~space ~mgr (th : Thread.t) =
   Pk.pack_list p (fun (k, a) -> Pk.pack_int p k; Pk.pack_int p a) cells;
   Pk.pack_int p base;
   Pk.pack_int p size;
-  Pk.pack_bytes p (As.load_bytes space sp (base + size - sp));
+  let live = base + size - sp in
+  Pk.pack_raw p ~len:live (fun buf pos -> As.load_into space ~addr:sp ~len:live buf ~pos);
   (* The source gives the slot back to its node: the thread does not keep
      iso-address ownership under this scheme. *)
   Slot_manager.release_exn mgr (Slot.index geometry base);
@@ -84,7 +85,7 @@ let unpack ~geometry ~cost ~space ~mgr (th : Thread.t) buffer =
   in
   let old_base = Pk.unpack_int u in
   let old_size = Pk.unpack_int u in
-  let live = Pk.unpack_bytes u in
+  let live, live_pos, live_len = Pk.unpack_view u in
   (* A fresh stack slot from the destination node — first-fit, so with any
      non-degenerate distribution this is a different virtual address. *)
   let index =
@@ -102,7 +103,7 @@ let unpack ~geometry ~cost ~space ~mgr (th : Thread.t) buffer =
   let delta = new_base - old_base in
   let in_old a = a >= old_base && a <= old_base + old_size in
   let rebase a = if in_old a then a + delta else a in
-  As.store_bytes space (old_sp + delta) live;
+  As.store_sub space (old_sp + delta) live ~pos:live_pos ~len:live_len;
   th.Thread.ctx <- { Interp.regs; pc; sp = old_sp + delta; fp = rebase old_fp };
   th.Thread.slots_head <- new_base;
   th.Thread.stack_slot <- new_base;

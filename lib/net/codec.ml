@@ -29,7 +29,9 @@ let version_name = function V1 -> "v1" | V2 -> "v2" | V3 -> "v3"
 let trace_flag = 8
 
 let frame ?trace version payload =
-  let p = Packet.packer () in
+  (* Magic, version, the optional trace pair, the payload length. *)
+  let header = if trace = None then 24 else 40 in
+  let p = Packet.packer ~size:(header + Bytes.length payload) () in
   Packet.pack_int p frame_magic;
   (match trace with
    | None -> Packet.pack_int p (version_to_int version)
@@ -160,8 +162,8 @@ let encode_range p space ~addr ~size =
       if r.data then begin
         data_pages := !data_pages + r.pages;
         let len = r.pages * Layout.page_size in
-        Packet.pack_unprefixed p ~len (fun buf ->
-            As.add_to_buffer space ~addr:!pos ~len buf)
+        Packet.pack_unprefixed p ~len (fun buf at ->
+            As.load_into space ~addr:!pos ~len buf ~pos:at)
       end
       else zero_pages := !zero_pages + r.pages;
       pos := !pos + (r.pages * Layout.page_size))
@@ -262,8 +264,8 @@ let encode_delta_range p space ~addr ~size ~known =
        | Data ->
          data_pages := !data_pages + pages;
          let len = pages * Layout.page_size in
-         Packet.pack_unprefixed p ~len (fun buf ->
-             As.add_to_buffer space ~addr:!pos ~len buf));
+         Packet.pack_unprefixed p ~len (fun buf at ->
+             As.load_into space ~addr:!pos ~len buf ~pos:at));
       pos := !pos + (pages * Layout.page_size))
     runs;
   (!data_pages, !zero_pages, !cached_pages)

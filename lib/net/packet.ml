@@ -1,23 +1,53 @@
-type packer = Buffer.t
+(* The wire buffer is a growable [Bytes.t] written in place. A caller
+   that knows the final size passes it as [?size]: the buffer is then
+   allocated once and [contents] hands it over without a copy. *)
+type packer = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+}
 
-let packer () = Buffer.create 256
+let packer ?(size = 256) () = { buf = Bytes.create (max size 0); len = 0 }
 
-let pack_int p v = Buffer.add_int64_le p (Int64.of_int v)
+(* Make room for [n] more bytes, doubling so a run of appends stays
+   linear; returns the write position. *)
+let reserve p n =
+  let pos = p.len in
+  let need = pos + n in
+  if need > Bytes.length p.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length p.buf)) in
+    Bytes.blit p.buf 0 buf 0 pos;
+    p.buf <- buf
+  end;
+  p.len <- need;
+  pos
 
-let pack_float p v = Buffer.add_int64_le p (Int64.bits_of_float v)
+let pack_int p v =
+  let pos = reserve p 8 in
+  Bytes.set_int64_le p.buf pos (Int64.of_int v)
+
+let pack_float p v =
+  let pos = reserve p 8 in
+  Bytes.set_int64_le p.buf pos (Int64.bits_of_float v)
 
 let pack_bytes p b =
-  pack_int p (Bytes.length b);
-  Buffer.add_bytes p b
+  let len = Bytes.length b in
+  pack_int p len;
+  Bytes.blit b 0 p.buf (reserve p len) len
 
-let pack_string p s = pack_bytes p (Bytes.of_string s)
+let pack_string p s =
+  let len = String.length s in
+  pack_int p len;
+  Bytes.blit_string s 0 p.buf (reserve p len) len
+
+let pack_unprefixed p ~len write =
+  if len < 0 then invalid_arg "Packet.pack_unprefixed: negative length";
+  let pos = reserve p len in
+  write p.buf pos
 
 let pack_raw p ~len write =
+  if len < 0 then invalid_arg "Packet.pack_raw: negative length";
   pack_int p len;
-  let before = Buffer.length p in
-  write p;
-  if Buffer.length p - before <> len then
-    invalid_arg "Packet.pack_raw: writer produced a different length"
+  pack_unprefixed p ~len write
 
 let pack_list p f l =
   pack_int p (List.length l);
@@ -30,26 +60,16 @@ let unzigzag z = (z lsr 1) lxor (- (z land 1))
 
 let pack_varint p v =
   let z = ref (zigzag v) in
-  let continue = ref true in
-  while !continue do
-    let b = !z land 0x7f in
-    z := !z lsr 7;
-    if !z = 0 then begin
-      Buffer.add_char p (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char p (Char.chr (b lor 0x80))
-  done
+  while !z lsr 7 <> 0 do
+    Bytes.unsafe_set p.buf (reserve p 1) (Char.unsafe_chr (!z land 0x7f lor 0x80));
+    z := !z lsr 7
+  done;
+  Bytes.unsafe_set p.buf (reserve p 1) (Char.unsafe_chr !z)
 
-let pack_unprefixed p ~len write =
-  let before = Buffer.length p in
-  write p;
-  if Buffer.length p - before <> len then
-    invalid_arg "Packet.pack_unprefixed: writer produced a different length"
+let packed_size p = p.len
 
-let packed_size p = Buffer.length p
-
-let contents p = Buffer.to_bytes p
+let contents p =
+  if p.len = Bytes.length p.buf then p.buf else Bytes.sub p.buf 0 p.len
 
 type unpacker = {
   data : Bytes.t;
@@ -119,8 +139,8 @@ let remaining u = Bytes.length u.data - u.pos
    integrity checks (reliable delivery, migration transfer). *)
 let checksum b =
   let h = ref 0xcbf29ce484222325L in
-  Bytes.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    b;
+  for i = 0 to Bytes.length b - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
   Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)

@@ -10,7 +10,11 @@
 
 type packer
 
-val packer : unit -> packer
+(** [packer ?size ()] is an empty wire buffer with room for [size] bytes
+    (default 256). It grows by doubling when full. A caller that knows
+    the exact final size passes it: the buffer is then allocated once and
+    {!contents} returns it without a copy. *)
+val packer : ?size:int -> unit -> packer
 
 val pack_int : packer -> int -> unit
 (** 8 bytes, little-endian. *)
@@ -26,13 +30,13 @@ val pack_list : packer -> ('a -> unit) -> 'a list -> unit
 (** Length-prefixed list; elements packed by the callback. *)
 
 (** [pack_raw p ~len write] packs a length-prefixed block of exactly [len]
-    bytes produced by [write] appending directly to the wire buffer — the
-    zero-copy variant of {!pack_bytes} used by the migration packer to
-    stream simulated memory onto the wire without an intermediate copy.
-    The wire format is identical to [pack_bytes].
-    @raise Invalid_argument if [write] appends a different number of
-    bytes. *)
-val pack_raw : packer -> len:int -> (Buffer.t -> unit) -> unit
+    bytes: it reserves the region and calls [write buf pos], which must
+    fill [buf.[pos .. pos+len-1]]. This is the zero-copy variant of
+    {!pack_bytes}. The migration packer uses it to copy simulated memory
+    straight onto the wire. The wire format is identical to [pack_bytes].
+    The region starts uninitialised; [write] must not touch bytes outside
+    it. @raise Invalid_argument if [len] is negative. *)
+val pack_raw : packer -> len:int -> (Bytes.t -> int -> unit) -> unit
 
 (** [pack_varint p v] packs [v] as a zigzag-folded LEB128 varint: the
     sign bit moves to bit 0, then 7 bits per wire byte, high bit set on
@@ -41,15 +45,17 @@ val pack_raw : packer -> len:int -> (Buffer.t -> unit) -> unit
     codec ({!Codec}). *)
 val pack_varint : packer -> int -> unit
 
-(** [pack_unprefixed p ~len write] appends exactly [len] bytes produced
-    by [write] with {e no} length prefix — for codec layers that already
-    know the length from their own framing (e.g. fixed-size page images).
-    @raise Invalid_argument if [write] appends a different number of
-    bytes. *)
-val pack_unprefixed : packer -> len:int -> (Buffer.t -> unit) -> unit
+(** [pack_unprefixed p ~len write] is {!pack_raw} with {e no} length
+    prefix — for codec layers that already know the length from their
+    own framing (e.g. fixed-size page images).
+    @raise Invalid_argument if [len] is negative. *)
+val pack_unprefixed : packer -> len:int -> (Bytes.t -> int -> unit) -> unit
 
 val packed_size : packer -> int
 
+(** [contents p] is the packed bytes. When the buffer is exactly full (an
+    exact [?size] hint) it is returned as is, with no copy; later packs
+    into [p] reallocate, so the result is never written again. *)
 val contents : packer -> Bytes.t
 
 (** {1 Unpacking} *)

@@ -117,7 +117,7 @@ let train_retransmits t = t.train_retransmits
    sequence number as well as the payload, so a bit-flip anywhere in the
    frame makes the receiver discard it (and retransmission recovers). *)
 let frame ~magic inner =
-  let p = Packet.packer () in
+  let p = Packet.packer ~size:(24 + Bytes.length inner) () in
   Packet.pack_int p magic;
   Packet.pack_int p (Packet.checksum inner);
   Packet.pack_bytes p inner;
@@ -136,7 +136,7 @@ let parse_frame b =
   | v -> v
 
 let data_frame ~seq payload =
-  let p = Packet.packer () in
+  let p = Packet.packer ~size:(16 + Bytes.length payload) () in
   Packet.pack_int p seq;
   Packet.pack_bytes p payload;
   frame ~magic:data_magic (Packet.contents p)
@@ -313,11 +313,11 @@ let forget_node t ~node =
    fragments keep their historic size (and transfer time). The receiver
    detects it by the 16 bytes left after the payload. *)
 let frag_frame ?trace ~train ~idx ~nfrags payload ~pos ~len () =
-  let p = Packet.packer () in
+  let p = Packet.packer ~size:(32 + len + if trace = None then 0 else 16) () in
   Packet.pack_int p train;
   Packet.pack_int p idx;
   Packet.pack_int p nfrags;
-  Packet.pack_raw p ~len (fun buf -> Buffer.add_subbytes buf payload pos len);
+  Packet.pack_raw p ~len (fun buf at -> Bytes.blit payload pos buf at len);
   (match trace with
    | None -> ()
    | Some (tid, parent) ->

@@ -146,34 +146,42 @@ let resident_pages t = t.resident
 
 let mmap_calls t = t.mmap_calls
 
+(* Page [p], found in the table as [bytes], becomes the cached page;
+   an untouched one gets its zero-filled buffer first. *)
+let[@inline] materialise t p bytes =
+  let bytes =
+    if bytes != untouched then bytes
+    else begin
+      let fresh = Bytes.make Layout.page_size '\000' in
+      Hashtbl.replace t.pages p fresh;
+      t.resident <- t.resident + 1;
+      fresh
+    end
+  in
+  t.last_page <- p;
+  t.last_bytes <- bytes;
+  bytes
+
 let page t what a =
   let p = Layout.page_of_addr a in
   if p = t.last_page then t.last_bytes
   else
     match Hashtbl.find_opt t.pages p with
-    | Some bytes ->
-      let bytes =
-        if bytes != untouched then bytes
-        else begin
-          let fresh = Bytes.make Layout.page_size '\000' in
-          Hashtbl.replace t.pages p fresh;
-          t.resident <- t.resident + 1;
-          fresh
-        end
-      in
-      t.last_page <- p;
-      t.last_bytes <- bytes;
-      bytes
+    | Some bytes -> materialise t p bytes
     | None -> segv t a what
 
-(* The store-path twin of [page]: same lookup, plus the dirty mark. *)
-let wpage t what a =
-  let p = Layout.page_of_addr a in
+(* The dirty mark of a store to page [p]: stamp the current epoch and
+   drop the page's hash memo. *)
+let[@inline] mark_dirty t p =
   if p <> t.last_dirty then begin
     Hashtbl.replace t.dirty p t.epoch;
     Hashtbl.remove t.hash_memo p;
     t.last_dirty <- p
-  end;
+  end
+
+(* The store-path twin of [page]: same lookup, plus the dirty mark. *)
+let wpage t what a =
+  mark_dirty t (Layout.page_of_addr a);
   page t what a
 
 let page_dirty t a = Hashtbl.mem t.dirty (Layout.page_of_addr a)
@@ -200,23 +208,41 @@ let dirty_in_epoch t ~addr ~size =
     !n
   end
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* [len] bytes of [b] from [pos] are all zero. Unchecked reads, so the
+   caller guarantees the range lies inside [b]. Four words per step, then
+   the odd tail bytes: this scan runs over every zero chunk a migration
+   unpacks, and a bounds-checked word loop ran about 3x slower. *)
+let is_zero_sub b ~pos ~len =
+  let stop = pos + len in
+  let i = ref pos and zero = ref true in
+  while !zero && !i + 32 <= stop do
+    let j = !i in
+    if Int64.logor
+         (Int64.logor (get64u b j) (get64u b (j + 8)))
+         (Int64.logor (get64u b (j + 16)) (get64u b (j + 24)))
+       <> 0L
+    then zero := false;
+    i := j + 32
+  done;
+  while !zero && !i < stop do
+    if Bytes.unsafe_get b !i <> '\000' then zero := false;
+    incr i
+  done;
+  !zero
+
 let page_is_zero t a =
   let p = Layout.page_of_addr a in
-  if not (Hashtbl.mem t.dirty p) then begin
-    (* Never stored to since mapping: still the zero fill from [mmap].
-       Probe the mapping so an unmapped page faults like any access, but
-       leave an untouched page unallocated. *)
-    if not (Hashtbl.mem t.pages p) then segv t a "is_zero";
-    true
-  end
-  else begin
-    let bytes = page t "is_zero" a in
-    let words = Layout.page_size / 8 in
-    let rec scan i =
-      i >= words || (Bytes.get_int64_le bytes (i * 8) = 0L && scan (i + 1))
-    in
-    scan 0
-  end
+  match Hashtbl.find_opt t.pages p with
+  | None -> segv t a "is_zero"
+  | Some bytes ->
+    (* Untouched, or never stored to since mapping: still the zero fill
+       from [mmap]. A dirty page is scanned, so a store of zeros reads as
+       zero. *)
+    bytes == untouched
+    || (not (Hashtbl.mem t.dirty p))
+    || is_zero_sub bytes ~pos:0 ~len:Layout.page_size
 
 (* Splitmix64 finalizer: FNV-1a alone mixes low bits poorly for 8-byte
    word input; the finalizer spreads every input bit over the whole
@@ -238,12 +264,19 @@ let page_bytes_hash bytes =
   done;
   Int64.to_int (Int64.logand (splitmix_mix !h) 0x3FFFFFFFFFFFFFFFL)
 
+let zero_page_hash = page_bytes_hash (Bytes.make Layout.page_size '\000')
+
 let page_hash t a =
   let p = Layout.page_of_addr a in
   match Hashtbl.find_opt t.hash_memo p with
   | Some h -> h
   | None ->
-    let h = page_bytes_hash (page t "page_hash" a) in
+    let h =
+      match Hashtbl.find_opt t.pages p with
+      | None -> segv t a "page_hash"
+      | Some bytes when bytes == untouched -> zero_page_hash
+      | Some bytes -> page_bytes_hash bytes
+    in
     Hashtbl.replace t.hash_memo p h;
     (* Force the next store onto [wpage]'s slow path, which removes the
        memo entry of whichever page it hits (see the field comment). *)
@@ -319,6 +352,10 @@ let store_bytes t a b =
     pos := !pos + chunk
   done
 
+(* A chunk of zeros stored into an untouched page leaves it unallocated:
+   the page already reads as zero. It still takes the dirty mark, so
+   epochs, the v2 manifest and the v3 hashes see the store. The check
+   runs only when the one-entry page cache misses. *)
 let store_sub t a b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Address_space.store_sub";
@@ -327,20 +364,39 @@ let store_sub t a b ~pos ~len =
     let addr = a + !done_ in
     let off = addr land (Layout.page_size - 1) in
     let chunk = min (len - !done_) (Layout.page_size - off) in
-    let p = wpage t "store" addr in
-    Bytes.blit b (pos + !done_) p off chunk;
+    let src = pos + !done_ in
+    let p = Layout.page_of_addr addr in
+    mark_dirty t p;
+    if p = t.last_page then Bytes.blit b src t.last_bytes off chunk
+    else begin
+      match Hashtbl.find_opt t.pages p with
+      | None -> segv t addr "store"
+      | Some bytes when bytes == untouched && is_zero_sub b ~pos:src ~len:chunk -> ()
+      | Some bytes -> Bytes.blit b src (materialise t p bytes) off chunk
+    end;
     done_ := !done_ + chunk
   done
 
-let add_to_buffer t ~addr ~len buf =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
+(* Reads from an untouched page write zeros into [dst] and leave the
+   page unallocated; the check runs only when the page cache misses. *)
+let load_into t ~addr ~len dst ~pos =
+  if pos < 0 || len < 0 || pos + len > Bytes.length dst then
+    invalid_arg "Address_space.load_into";
+  let done_ = ref 0 in
+  while !done_ < len do
+    let a = addr + !done_ in
     let off = a land (Layout.page_size - 1) in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
-    let p = page t "load" a in
-    Buffer.add_subbytes buf p off chunk;
-    pos := !pos + chunk
+    let chunk = min (len - !done_) (Layout.page_size - off) in
+    let at = pos + !done_ in
+    let p = Layout.page_of_addr a in
+    if p = t.last_page then Bytes.blit t.last_bytes off dst at chunk
+    else begin
+      match Hashtbl.find_opt t.pages p with
+      | None -> segv t a "load"
+      | Some bytes when bytes == untouched -> Bytes.fill dst at chunk '\000'
+      | Some bytes -> Bytes.blit (materialise t p bytes) off dst at chunk
+    end;
+    done_ := !done_ + chunk
   done
 
 let load_string t a len = Bytes.to_string (load_bytes t a len)

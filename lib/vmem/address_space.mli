@@ -102,8 +102,8 @@ val dirty_in_epoch : t -> addr:addr -> size:int -> int
 
 val page_is_zero : t -> addr -> bool
 (** [page_is_zero t a] is [true] iff the mapped page containing [a] is
-    currently all-zero. Clean pages answer without reading memory; dirty
-    pages are scanned word-wise (a store of zeros is re-detected as zero,
+    currently all-zero. Clean and untouched pages answer without reading
+    memory or allocating; other dirty pages are scanned word-wise (a store of zeros is re-detected as zero,
     so the manifest stays content-accurate, not merely
     history-accurate). @raise Segfault if the page is unmapped. *)
 
@@ -157,13 +157,19 @@ val store_bytes : t -> addr -> Bytes.t -> unit
 (** [store_sub t addr b ~pos ~len] writes [b[pos .. pos+len-1]] at [addr]
     without materialising the sub-range — the zero-copy counterpart of
     [store_bytes] for unpacking length-prefixed views straight off the
-    wire. @raise Invalid_argument if [pos]/[len] fall outside [b]. *)
+    wire. A page-sized or smaller run of zeros stored into an untouched
+    page leaves it unallocated; the page still counts as stored to
+    ({!page_dirty}, access epochs, hash memo).
+    @raise Invalid_argument if [pos]/[len] fall outside [b]. *)
 val store_sub : t -> addr -> Bytes.t -> pos:int -> len:int -> unit
 
-(** [add_to_buffer t ~addr ~len buf] appends the range to [buf] page run
-    by page run, with no intermediate [Bytes.t] — the zero-copy packing
-    path of a migration. @raise Segfault on unmapped access. *)
-val add_to_buffer : t -> addr:addr -> len:int -> Buffer.t -> unit
+(** [load_into t ~addr ~len dst ~pos] copies the range into
+    [dst.[pos .. pos+len-1]] page run by page run — the zero-copy packing
+    path of a migration. An untouched page ({!resident_pages}) reads as
+    zeros and stays unallocated.
+    @raise Segfault on unmapped access.
+    @raise Invalid_argument if the region falls outside [dst]. *)
+val load_into : t -> addr:addr -> len:int -> Bytes.t -> pos:int -> unit
 
 val load_string : t -> addr -> int -> string
 

@@ -180,6 +180,88 @@ let test_null_hop_independent_of_slot_size () =
   Alcotest.(check int) "a 1 MB slot hop allocates what a 64 KB one does" small large;
   Alcotest.(check bool) (Printf.sprintf "%d pages allocated" small) true (small <= 2)
 
+(* [pack] allocates its wire buffer from [image_size]; a wire-format
+   change that forgets the sizer shows here, not as a silent copy. *)
+let test_image_size_exact packing () =
+  let c = cluster ~packing () in
+  let th = Cluster.host_thread c ~node:0 in
+  (* A stack tail, a data slot of chained blocks, one block spanning
+     several slots, and a registered pointer in the descriptor. *)
+  ignore (furnish c th);
+  ignore (Option.get (Iso_heap.isomalloc (Cluster.host_env c 0) th (3 * 65536)));
+  ignore (Thread.register_ptr th th.Thread.ctx.Interp.sp);
+  let expected =
+    Migration.image_size ~space:(Cluster.node_space c 0) ~packing th
+  in
+  Cluster.host_migrate c th ~dest:1;
+  Alcotest.(check int) "precomputed size = packed length" expected
+    (List.hd (Cluster.migrations c)).Cluster.bytes
+
+(* The sum of a chain's values, read through [space]. *)
+let chain_sum space head =
+  let rec walk a acc =
+    if a = 0 then acc else walk (As.load_word space (a + 8)) (acc + As.load_word space a)
+  in
+  walk head 0
+
+let test_untouched_memory_across_hop () =
+  let pg = Layout.page_size in
+  let c = cluster () in
+  let th = Cluster.host_thread c ~node:0 in
+  let src = Cluster.node_space c 0 and dst = Cluster.node_space c 1 in
+  let head = furnish c th in
+  let big_size = 40 * pg in
+  let big = Option.get (Iso_heap.isomalloc (Cluster.host_env c 0) th big_size) in
+  (* Pages inside the block, clear of its boundary tags: never written. *)
+  let lo = Layout.addr_of_page (Layout.page_of_addr big + 2) in
+  let hi = Layout.addr_of_page (Layout.page_of_addr (big + big_size) - 2) in
+  let interior = List.init ((hi - lo) / pg) (fun i -> lo + (i * pg)) in
+  List.iter
+    (fun a -> Alcotest.(check bool) "interior never written" false (As.page_dirty src a))
+    interior;
+  let sum = chain_sum src head in
+  let geometry = Cluster.geometry c and cost = Pm2_sim.Cost_model.default in
+  let image = Migration.image_size ~space:src ~packing:Migration.Blocks_only th in
+  let before = Gc.allocated_bytes () in
+  let packed =
+    Migration.pack ~geometry ~cost ~space:src ~packing:Migration.Blocks_only th
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "one exact-size image" image (Bytes.length packed.Migration.buffer);
+  Alcotest.(check bool)
+    (Printf.sprintf "packing allocated %.0f bytes for a %d-byte image" allocated image)
+    true
+    (allocated < float_of_int (image + (8 * pg)));
+  As.advance_epoch dst;
+  let mapped0 = As.mapped_pages dst and resident0 = As.resident_pages dst in
+  ignore (Migration.unpack ~geometry ~cost ~space:dst th packed.Migration.buffer);
+  let mapped = As.mapped_pages dst - mapped0 in
+  let resident = As.resident_pages dst - resident0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d mapped pages allocated; %d untouched" resident mapped
+       (List.length interior))
+    true
+    (mapped - resident >= List.length interior);
+  (* The store bookkeeping matches a space where the zeros were really
+     written. *)
+  let reference = As.create ~node:1 () in
+  As.mmap reference ~addr:lo ~size:(hi - lo);
+  As.advance_epoch reference;
+  As.fill reference ~addr:lo ~size:(hi - lo) 0;
+  List.iter
+    (fun a ->
+      let name what = Printf.sprintf "%s at 0x%x" what a in
+      Alcotest.(check bool) (name "dirty") (As.page_dirty reference a) (As.page_dirty dst a);
+      Alcotest.(check bool) (name "zero") (As.page_is_zero reference a) (As.page_is_zero dst a);
+      Alcotest.(check int) (name "hash") (As.page_hash reference a) (As.page_hash dst a))
+    interior;
+  Alcotest.(check int) "epoch heat"
+    (As.dirty_in_epoch reference ~addr:lo ~size:(hi - lo))
+    (As.dirty_in_epoch dst ~addr:lo ~size:(hi - lo));
+  Alcotest.(check int) "the checks allocate nothing" resident
+    (As.resident_pages dst - resident0);
+  Alcotest.(check int) "list checksum after the hop" sum (chain_sum dst head)
+
 (* -- relocation (legacy scheme) unit behaviour -- *)
 
 let test_relocation_moves_stack () =
@@ -344,6 +426,12 @@ let tests =
     Alcotest.test_case "null-thread wire size" `Quick test_null_thread_wire_size;
     Alcotest.test_case "null hop independent of slot size" `Quick
       test_null_hop_independent_of_slot_size;
+    Alcotest.test_case "image size exact (blocks-only)" `Quick
+      (test_image_size_exact Migration.Blocks_only);
+    Alcotest.test_case "image size exact (full slots)" `Quick
+      (test_image_size_exact Migration.Full_slots);
+    Alcotest.test_case "untouched memory stays unallocated across a hop" `Quick
+      test_untouched_memory_across_hop;
     Alcotest.test_case "relocation moves the stack" `Quick test_relocation_moves_stack;
     Alcotest.test_case "relocation patches registered pointers" `Quick
       test_relocation_patches_registered;

@@ -47,6 +47,109 @@ let prop_packet_ints =
        let u = Pk.unpacker (Pk.contents p) in
        Pk.unpack_list u (fun () -> Pk.unpack_int u) = l && Pk.remaining u = 0)
 
+(* A reference encoder over [Buffer.t], written independently of
+   [Packet]: every packing primitive must emit exactly these bytes. *)
+type pack_op =
+  | Int of int
+  | Float of float
+  | Bytes_ of string
+  | String_ of string
+  | Varint of int
+  | Raw of string
+  | Unprefixed of string
+  | Ints of int list
+
+let ref_encode ops =
+  let b = Buffer.create 16 in
+  let int v = Buffer.add_int64_le b (Int64.of_int v) in
+  let rec varint z =
+    if z lsr 7 = 0 then Buffer.add_char b (Char.chr z)
+    else begin
+      Buffer.add_char b (Char.chr (z land 0x7f lor 0x80));
+      varint (z lsr 7)
+    end
+  in
+  List.iter
+    (function
+      | Int v -> int v
+      | Float f -> Buffer.add_int64_le b (Int64.bits_of_float f)
+      | Bytes_ s | String_ s | Raw s ->
+        int (String.length s);
+        Buffer.add_string b s
+      | Varint v -> varint ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+      | Unprefixed s -> Buffer.add_string b s
+      | Ints l ->
+        int (List.length l);
+        List.iter int l)
+    ops;
+  Buffer.to_bytes b
+
+let pack_ops p ops =
+  let blit s buf pos = Bytes.blit_string s 0 buf pos (String.length s) in
+  List.iter
+    (function
+      | Int v -> Pk.pack_int p v
+      | Float f -> Pk.pack_float p f
+      | Bytes_ s -> Pk.pack_bytes p (Bytes.of_string s)
+      | String_ s -> Pk.pack_string p s
+      | Varint v -> Pk.pack_varint p v
+      | Raw s -> Pk.pack_raw p ~len:(String.length s) (blit s)
+      | Unprefixed s -> Pk.pack_unprefixed p ~len:(String.length s) (blit s)
+      | Ints l -> Pk.pack_list p (Pk.pack_int p) l)
+    ops
+
+let gen_pack_op =
+  let open QCheck2.Gen in
+  let str = string_size (int_range 0 600) in
+  oneof
+    [
+      map (fun v -> Int v) int;
+      map (fun f -> Float f) float;
+      map (fun s -> Bytes_ s) str;
+      map (fun s -> String_ s) str;
+      map (fun v -> Varint v) int;
+      map (fun s -> Raw s) str;
+      map (fun s -> Unprefixed s) str;
+      map (fun l -> Ints l) (list_size (int_range 0 40) int);
+    ]
+
+(* Hint 0: none; 1: too small (half the final size); 2: exact. *)
+let prop_packer_matches_reference =
+  QCheck2.Test.make ~name:"packer emits the reference encoding under any size hint"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 0 2) (list_size (int_range 0 30) gen_pack_op))
+    (fun (hint, ops) ->
+      let expected = ref_encode ops in
+      let n = Bytes.length expected in
+      let p =
+        match hint with
+        | 0 -> Pk.packer ()
+        | 1 -> Pk.packer ~size:(n / 2) ()
+        | _ -> Pk.packer ~size:n ()
+      in
+      pack_ops p ops;
+      Pk.packed_size p = n && Bytes.equal (Pk.contents p) expected)
+
+let test_packer_exact_hint_no_copy () =
+  let p = Pk.packer ~size:16 () in
+  Pk.pack_int p 1;
+  Pk.pack_int p 2;
+  let c = Pk.contents p in
+  Alcotest.(check bool) "exactly full: handed over, not copied" true (c == Pk.contents p);
+  Pk.pack_int p 3;
+  Alcotest.(check int) "packing after contents grows" 24 (Pk.packed_size p);
+  Alcotest.(check int) "earlier contents unchanged" 16 (Bytes.length c)
+
+(* FNV-1a 64 folded to 62 bits: the published test vectors, and a fixed
+   4 KB buffer pinned so any change to the fold shows. *)
+let test_checksum_golden () =
+  let ck s = Pk.checksum (Bytes.of_string s) in
+  Alcotest.(check int) "empty" 0x0bf29ce484222325 (ck "");
+  Alcotest.(check int) "a" 0x2f63dc4c8601ec8c (ck "a");
+  Alcotest.(check int) "foobar" 0x05944171f73967e8 (ck "foobar");
+  let b = Bytes.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+  Alcotest.(check int) "4 KB pattern" 0x182d801461094325 (Pk.checksum b)
+
 (* -- Network -- *)
 
 let make () =
@@ -153,6 +256,10 @@ let tests =
     Alcotest.test_case "packet sizes" `Quick test_packet_sizes;
     Alcotest.test_case "packet truncation" `Quick test_packet_truncated;
     QCheck_alcotest.to_alcotest prop_packet_ints;
+    QCheck_alcotest.to_alcotest prop_packer_matches_reference;
+    Alcotest.test_case "exact hint hands the buffer over" `Quick
+      test_packer_exact_hint_no_copy;
+    Alcotest.test_case "checksum golden values" `Quick test_checksum_golden;
     Alcotest.test_case "delivery time model" `Quick test_send_delivery_time;
     Alcotest.test_case "self send" `Quick test_self_send;
     Alcotest.test_case "traffic statistics" `Quick test_stats;

@@ -111,6 +111,51 @@ let test_untouched_pages_unallocated () =
   Alcotest.(check int) "unmapping frees the stored page" 1 (As.resident_pages sp);
   Alcotest.(check int) "twelve pages stay mapped" 12 (As.mapped_pages sp)
 
+(* Page-run copies against untouched pages: reads produce zeros and
+   stores of zeros record the store, and neither allocates. *)
+let test_untouched_page_runs () =
+  let pg = Layout.page_size in
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:(8 * pg);
+  As.advance_epoch sp;
+  let dst = Bytes.make (3 * pg) 'x' in
+  As.load_into sp ~addr:(0x10000 + 100) ~len:(2 * pg) dst ~pos:5;
+  Alcotest.(check bool) "zeros copied out" true
+    (Bytes.for_all (( = ) '\000') (Bytes.sub dst 5 (2 * pg)));
+  Alcotest.(check char) "bytes around the region untouched" 'x' (Bytes.get dst 4);
+  Alcotest.(check int) "reading untouched pages allocates nothing" 0 (As.resident_pages sp);
+  let zeros = Bytes.make (2 * pg) '\000' in
+  As.store_sub sp 0x12000 zeros ~pos:0 ~len:(2 * pg);
+  Alcotest.(check int) "storing zeros allocates nothing" 0 (As.resident_pages sp);
+  (* The same store on a reference space that materialises the pages. *)
+  let ref_sp = space () in
+  As.mmap ref_sp ~addr:0x10000 ~size:(8 * pg);
+  As.advance_epoch ref_sp;
+  As.fill ref_sp ~addr:0x12000 ~size:(2 * pg) 0;
+  List.iter
+    (fun a ->
+      let name what = Printf.sprintf "%s at 0x%x" what a in
+      Alcotest.(check bool) (name "dirty") (As.page_dirty ref_sp a) (As.page_dirty sp a);
+      Alcotest.(check bool) (name "zero") (As.page_is_zero ref_sp a) (As.page_is_zero sp a);
+      Alcotest.(check int) (name "hash") (As.page_hash ref_sp a) (As.page_hash sp a))
+    [ 0x11000; 0x12000; 0x13000 ];
+  Alcotest.(check int) "epoch heat"
+    (As.dirty_in_epoch ref_sp ~addr:0x10000 ~size:(8 * pg))
+    (As.dirty_in_epoch sp ~addr:0x10000 ~size:(8 * pg));
+  Alcotest.(check int) "the checks allocate nothing" 0 (As.resident_pages sp);
+  (* Non-zero bytes allocate exactly the page they land on; zeros stored
+     over a live page (the cached one) overwrite it. *)
+  let data = Bytes.make 16 '\007' in
+  As.store_sub sp 0x14ff8 data ~pos:0 ~len:8;
+  Alcotest.(check int) "a non-zero store allocates its page" 1 (As.resident_pages sp);
+  As.store_sub sp 0x14ff8 zeros ~pos:0 ~len:8;
+  Alcotest.(check int) "zeros over a live page are written" 0 (As.load_word sp 0x14ff8);
+  Alcotest.(check bool) "and the page reads as zero" true (As.page_is_zero sp 0x14000);
+  Alcotest.(check bool) "unmapped store faults" true
+    (match As.store_sub sp 0x30000 zeros ~pos:0 ~len:8 with
+     | () -> false
+     | exception As.Segfault _ -> true)
+
 let test_remap_after_munmap () =
   let sp = space () in
   As.mmap sp ~addr:0x10000 ~size:4096;
@@ -181,6 +226,7 @@ let tests =
     Alcotest.test_case "munmap partial" `Quick test_munmap;
     Alcotest.test_case "untouched pages stay unallocated" `Quick
       test_untouched_pages_unallocated;
+    Alcotest.test_case "page runs over untouched pages" `Quick test_untouched_page_runs;
     Alcotest.test_case "remap zero-fills" `Quick test_remap_after_munmap;
     Alcotest.test_case "bytes roundtrip across pages" `Quick test_bytes_roundtrip;
     Alcotest.test_case "range_mapped" `Quick test_range_mapped;
