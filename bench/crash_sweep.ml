@@ -69,17 +69,22 @@ let summarize t name (c, makespan) ~identical =
     (Cluster.live_threads c)
     (match identical with None -> "-" | Some true -> "yes" | Some false -> "NO")
 
+(* [output_identical] is recorded only for scenarios that compared
+   their output against a fault-free run ([~identical:(Some _)]). *)
 let record_scenario ~name ~params (c, makespan) ~identical =
   Report.record ~suite:"crash-recovery" ~name ~params
-    [
-      ("makespan_us", makespan);
-      ("checkpoints", float_of_int (Cluster.checkpoints c));
-      ("restored", float_of_int (Cluster.restored_threads c));
-      ("lost", float_of_int (List.length (Cluster.lost_threads c)));
-      ("stranded", float_of_int (Cluster.stranded_threads c));
-      ("live_at_end", float_of_int (Cluster.live_threads c));
-      ("output_identical", match identical with Some true -> 1. | _ -> 0.);
-    ]
+    ([
+       ("makespan_us", makespan);
+       ("checkpoints", float_of_int (Cluster.checkpoints c));
+       ("restored", float_of_int (Cluster.restored_threads c));
+       ("lost", float_of_int (List.length (Cluster.lost_threads c)));
+       ("stranded", float_of_int (Cluster.stranded_threads c));
+       ("live_at_end", float_of_int (Cluster.live_threads c));
+     ]
+     @
+     match identical with
+     | Some b -> [ ("output_identical", if b then 1. else 0.) ]
+     | None -> [])
 
 (* A guest with the access pattern checkpointing is built for: a block of
    iso pages written once up front, then a long compute phase dirtying

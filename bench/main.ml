@@ -11,7 +11,7 @@
 
    Experiment ids: e-figs f11-small f11-large t-migration
    t-migration-payload t-migration-batch t-migration-delta t-mvm
-   t-trace-overhead t-negotiation t-crash-sweep t-parallel
+   t-trace-overhead t-negotiation t-crash-sweep
    a-distribution a-packing a-slotcache a-pointers a-slotsize a-allocator
    bechamel perf-smoke *)
 
@@ -49,9 +49,6 @@ let experiments =
     ( "t-trace-overhead",
       "causal tracing: off byte-identical, on < 5% host, heat-driven placement",
       Trace_overhead.run );
-    ( "t-parallel",
-      "multicore cluster: byte-identical parity matrix + wall-clock speedup",
-      Parallel_bench.run );
     ("fault-sweep", "robustness: seeded fault sweep over pingpong", Fault_sweep.run);
     ( "t-crash-sweep",
       "crash recovery: checkpointed failover, mid-flight crash, double crash, degradation",

@@ -17,12 +17,7 @@
    blocks engine must beat the step interpreter by at least 5x host
    ns/instruction on the loop-heavy guest and the three engines must
    agree byte-for-byte on every virtual-time output of the parity
-   workload. For "parallel" (the multicore cluster) the differential
-   matrix must be byte-identical across domain counts unconditionally,
-   and the 8-node compute workload must show at least a 2.5x wall-clock
-   speedup whenever the host has as many cores as the run has domains
-   (a smaller host records the honest number without failing).
-   `--require-suite NAME` (repeatable)
+   workload. `--require-suite NAME` (repeatable)
    additionally fails if no entry of suite NAME is present — the @ci
    alias uses it to pin both migration suites into the trajectory. *)
 
@@ -155,25 +150,6 @@ let check_known_suite ~suite ~name metrics =
     ignore (get "wire_bytes");
     if get "migrations" < 1. then
       fail "%s/%s: parity workload never migrated" suite name
-  | "parallel", "parity" ->
-    if get "identical" <> 1. then
-      fail
-        "%s/%s: a domains>1 run diverged from the sequential virtual outputs"
-        suite name;
-    if get "scenarios" < 4. then
-      fail "%s/%s: differential matrix shrank to %.0f scenarios" suite name
-        (get "scenarios")
-  | "parallel", "speedup" ->
-    (* Parity is unconditional; the wall-clock bar only binds when the
-       host actually has the cores the domains are meant to occupy —
-       a single-core container records the honest number instead. *)
-    if get "identical" <> 1. then
-      fail "%s/%s: compute workload diverged between domain counts" suite name;
-    ignore (get "wall_seq_s");
-    ignore (get "wall_par_s");
-    if get "host_cores" >= get "domains" && get "speedup" < 2.5 then
-      fail "%s/%s: %.2fx wall-clock speedup below the 2.5x bar on a %.0f-core host"
-        suite name (get "speedup") (get "host_cores")
   | "trace-overhead", "telemetry-placement" ->
     if get "heat_imbalance_access" >= get "heat_imbalance_load" then
       fail "%s/%s: access-imbalance did not beat the load policy on node heat" suite

@@ -3,8 +3,8 @@
    Launches the daemon (argv.(1) is the pm2simd executable), connects two
    clients — A drives the cluster, A and B both subscribe — and scripts
    submit → run → fan-out check → checkpoint → migrate → query-metrics →
-   inject-faults → error paths → shutdown, printing a deterministic
-   transcript that dune diffs against daemon_e2e.expected. *)
+   inject-faults → error paths → slow subscriber → shutdown, printing a
+   deterministic transcript that dune diffs against daemon_e2e.expected. *)
 
 module P = Pm2_svc.Protocol
 module S = Pm2_svc.Session
@@ -64,6 +64,32 @@ let read_line c =
          go ())
   in
   go ()
+
+(* Read until the daemon closes the connection, giving up after 10 s
+   of silence; returns whether it closed and the number of event frames
+   that arrived first. *)
+let drain_events c =
+  let bytes = Bytes.create 65536 in
+  let rec go () =
+    match Unix.select [ c.fd ] [] [] 10. with
+    | [], _, _ -> false
+    | _ -> (
+      match Unix.read c.fd bytes 0 65536 with
+      | 0 -> true
+      | n ->
+        Buffer.add_subbytes c.buf bytes 0 n;
+        go ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+  in
+  let closed = go () in
+  List.iter
+    (fun line ->
+      match P.decode_frame line with
+      | Ok (P.Event _) -> c.events <- c.events + 1
+      | _ -> ())
+    (String.split_on_char '\n' (Buffer.contents c.buf));
+  Buffer.clear c.buf;
+  (closed, c.events)
 
 let rec recv c ~id =
   let line = read_line c in
@@ -229,6 +255,32 @@ let () =
   (match recv a ~id:0 with
    | Error e -> Printf.printf "wrong version -> %s\n" (P.err_kind_to_string e.P.kind)
    | Ok _ -> die "wrong version accepted");
+
+  (* C subscribes and never reads. A long run streams far more than the
+     daemon's 4 MiB frame bound to both subscribers: A keeps draining,
+     C's queue passes the bound and the daemon disconnects it. *)
+  let c = connect sock in
+  (match ok c P.Subscribe with
+   | P.Subscribed _ -> print_endline "subscribed: C, which never reads"
+   | _ -> die "subscribe: wrong reply");
+  let a_before = a.events in
+  (match ok a (P.Submit { S.entry = "pingpong"; arg = 2000; node = 0 }) with
+   | P.Submitted _ -> print_endline "submitted long pingpong: ok"
+   | _ -> die "submit: wrong reply");
+  (match ok a (P.Run { until = None }) with
+   | P.Ran { live; _ } -> Printf.printf "run: quiescent, live %d\n" live
+   | _ -> die "run: wrong reply");
+  (match ok a P.Query_status with
+   | P.Status _ -> ()
+   | _ -> die "status: wrong reply");
+  let a_seen = a.events - a_before in
+  let closed, c_seen = drain_events c in
+  Unix.close c.fd;
+  Printf.printf "slow subscriber: disconnected before the stream ended: %s\n"
+    (yes (closed && c_seen > 0 && c_seen < a_seen));
+  (match ok a P.Query_status with
+   | P.Status st -> Printf.printf "fast subscriber: still served, live %d\n" st.P.s_live
+   | _ -> die "status: wrong reply");
 
   (match ok a P.Shutdown with
    | P.Bye -> print_endline "shutdown: bye"

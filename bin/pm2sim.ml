@@ -143,17 +143,6 @@ let engine_arg =
               the default). All engines produce byte-identical output; \
               only host-side speed differs.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"OCaml domains driving the cluster. $(b,1) (the default) is \
-              the plain sequential engine; $(b,N > 1) runs one worker \
-              domain per extra core under the barrier-synchronized \
-              superstep scheduler. Virtual outputs (guest prints, \
-              makespans, wire bytes, migration stats) are byte-identical \
-              for every N; only host wall-clock changes.")
-
 let faults_conv =
   let parse s =
     match Pm2_fault.Plan.spec_of_string s with
@@ -305,7 +294,7 @@ let setup_obs ?trace_stream ?metrics_interval ?flight_recorder cluster ~trace_js
     Option.iter (fun m -> if metrics then print_string (Pm2_obs.Metrics.report m)) registry
 
 let config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
-    ~checkpoint_interval ~engine ~domains =
+    ~checkpoint_interval ~engine =
   {
     (Cluster.default_config ~nodes:(max nodes 2)) with
     Cluster.scheme;
@@ -316,7 +305,6 @@ let config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
     tracing;
     checkpoint_interval = max 0. checkpoint_interval;
     engine_kind = engine;
-    domains = max 1 domains;
   }
 
 (* -- run -- *)
@@ -333,7 +321,7 @@ let run_cmd =
   in
   let run entry arg nodes scheme distribution slot_size timed trace_json metrics faults
       seed trace trace_stream metrics_interval flight_recorder delta checkpoint_interval
-      engine domains =
+      engine =
     if metrics_interval <> None && trace_stream = None then
       Error (`Msg "--metrics-interval needs --trace-stream")
     else begin
@@ -343,7 +331,7 @@ let run_cmd =
         Session.create
           ~config:
             (config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
-               ~checkpoint_interval ~engine ~domains)
+               ~checkpoint_interval ~engine)
           ~program ()
       in
       (* The batch command is a thin client of the service control plane;
@@ -372,7 +360,6 @@ let run_cmd =
           report_recovery st;
           finish_obs ();
           Cluster.check_invariants (Session.cluster session);
-          (* Parks and joins worker domains when --domains > 1. *)
           Session.shutdown session;
           Ok ())
     end
@@ -384,8 +371,7 @@ let run_cmd =
         (const run $ entry_arg $ arg_arg $ nodes_arg $ scheme_arg $ distribution_arg
          $ slot_size_arg $ timed_arg $ trace_json_arg $ metrics_arg $ faults_arg
          $ seed_arg $ trace_arg $ trace_stream_arg $ metrics_interval_arg
-         $ flight_recorder_arg $ delta_arg $ checkpoint_interval_arg $ engine_arg
-         $ domains_arg))
+         $ flight_recorder_arg $ delta_arg $ checkpoint_interval_arg $ engine_arg))
 
 (* -- balance -- *)
 

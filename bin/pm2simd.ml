@@ -8,7 +8,9 @@
    requests are served incrementally in bounded event slices so the
    daemon stays responsive while the simulation advances. When nothing is
    outstanding the loop blocks in select — an idle daemon burns no host
-   CPU.
+   CPU. Frames are bounded in both directions: a client that sends a
+   longer line, or lets more than that many bytes of replies and events
+   queue up unread, is disconnected.
 
      pm2simd --socket /tmp/pm2.sock --nodes 4 --faults loss=0.05 *)
 
@@ -25,7 +27,10 @@ let slice_events = 512
 type client = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  mutable out : string; (* bytes queued for this client *)
+  mutable out : Bytes.t; (* queued bytes are out[out_pos, out_len) *)
+  mutable out_pos : int;
+  mutable out_len : int;
+  mutable over_cap : bool; (* queued past [max_frame]; dropped by [serve] *)
   mutable subs : int list; (* session subscription ids owned here *)
   mutable run_id : int option; (* id of an in-flight run-to-quiescence *)
 }
@@ -38,7 +43,39 @@ type daemon = {
   mutable stopping : bool;
 }
 
-let enqueue c line = c.out <- c.out ^ line ^ "\n"
+(* Bound on a single frame; a client that exceeds it is protocol-broken
+   and gets dropped (there is no line to correlate an error reply to).
+   The same bound caps the bytes queued for a client that does not read. *)
+let max_frame = 4 * 1024 * 1024
+
+let queued c = c.out_len - c.out_pos
+
+(* Append in place, so each queued byte is copied O(1) times. The live
+   region moves to the front only once at least as many bytes have been
+   sent as remain queued, which pays for the move; otherwise the buffer
+   doubles. A client over the cap stops queueing here and is dropped by
+   the select loop, never from inside an event sink or a table walk. *)
+let enqueue c line =
+  let n = String.length line + 1 in
+  if c.over_cap then ()
+  else if queued c + n > max_frame then c.over_cap <- true
+  else begin
+    if c.out_len + n > Bytes.length c.out then begin
+      let live = queued c in
+      if c.out_pos >= live && live + n <= Bytes.length c.out then
+        Bytes.blit c.out c.out_pos c.out 0 live
+      else begin
+        let grown = Bytes.create (max (live + n) (2 * Bytes.length c.out)) in
+        Bytes.blit c.out c.out_pos grown 0 live;
+        c.out <- grown
+      end;
+      c.out_pos <- 0;
+      c.out_len <- live
+    end;
+    Bytes.blit_string line 0 c.out c.out_len (n - 1);
+    Bytes.set c.out (c.out_len + n - 1) '\n';
+    c.out_len <- c.out_len + n
+  end
 
 let reply c ~id result = enqueue c (Protocol.encode_reply ~id result)
 
@@ -106,10 +143,6 @@ let handle_line d c line =
     | Ok (id, req) -> handle_request d c ~id req
     | Error (id, err) -> reply c ~id (Error err)
 
-(* Bound on a single frame; a client that exceeds it is protocol-broken
-   and gets dropped (there is no line to correlate an error reply to). *)
-let max_frame = 4 * 1024 * 1024
-
 let feed d c bytes len =
   Buffer.add_subbytes c.inbuf bytes 0 len;
   let data = Buffer.contents c.inbuf in
@@ -136,10 +169,15 @@ let read_client d c =
   | exception Unix.Unix_error (_, _, _) -> drop_client d c
 
 let write_client d c =
-  let len = String.length c.out in
+  let len = queued c in
   if len > 0 then
-    match Unix.single_write_substring c.fd c.out 0 len with
-    | written -> c.out <- String.sub c.out written (len - written)
+    match Unix.single_write c.fd c.out c.out_pos len with
+    | written ->
+      c.out_pos <- c.out_pos + written;
+      if c.out_pos = c.out_len then begin
+        c.out_pos <- 0;
+        c.out_len <- 0
+      end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> drop_client d c
 
@@ -148,7 +186,16 @@ let accept_client d =
   | fd, _ ->
     Unix.set_nonblock fd;
     Hashtbl.replace d.clients fd
-      { fd; inbuf = Buffer.create 256; out = ""; subs = []; run_id = None }
+      {
+        fd;
+        inbuf = Buffer.create 256;
+        out = Bytes.empty;
+        out_pos = 0;
+        out_len = 0;
+        over_cap = false;
+        subs = [];
+        run_id = None;
+      }
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
 
 (* Advance the shared cluster one slice and complete any run requests
@@ -181,8 +228,10 @@ let serve d =
   while not !finished do
     if !stop_signal then begin_shutdown d;
     let clients = Hashtbl.fold (fun _ c acc -> c :: acc) d.clients [] in
+    let slow, clients = List.partition (fun c -> c.over_cap) clients in
+    List.iter (drop_client d) slow;
     let running = List.exists (fun c -> c.run_id <> None) clients in
-    if d.stopping && not (List.exists (fun c -> c.out <> "") clients) then
+    if d.stopping && not (List.exists (fun c -> queued c > 0) clients) then
       finished := true
     else begin
       let reads =
@@ -190,7 +239,7 @@ let serve d =
         @ List.map (fun c -> c.fd) clients
       in
       let writes =
-        List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) clients
+        List.filter_map (fun c -> if queued c > 0 then Some c.fd else None) clients
       in
       let timeout = if running && not d.stopping then 0. else -1. in
       match Unix.select reads writes [] timeout with
@@ -300,16 +349,6 @@ let engine_arg =
     & opt engine_conv Pm2_mvm.Engine.Blocks
     & info [ "engine" ] ~docv:"ENGINE" ~doc:"MVM execution engine: $(b,step), $(b,threaded) or $(b,blocks).")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"OCaml domains driving the resident cluster ($(b,1) = \
-              sequential; $(b,N > 1) = barrier-synchronized superstep \
-              scheduler with byte-identical virtual outputs). Run slices \
-              align to superstep barriers, so clients are serviced between \
-              quantum batches, never inside one.")
-
 let trace_arg =
   Arg.(
     value & flag
@@ -317,7 +356,7 @@ let trace_arg =
         ~doc:"Enable causal migration tracing (span events appear on the \
               subscription stream).")
 
-let main socket nodes scheme faults seed delta checkpoint_interval engine domains trace =
+let main socket nodes scheme faults seed delta checkpoint_interval engine trace =
   let config =
     {
       (Cluster.default_config ~nodes:(max nodes 2)) with
@@ -327,7 +366,6 @@ let main socket nodes scheme faults seed delta checkpoint_interval engine domain
       tracing = trace;
       checkpoint_interval = max 0. checkpoint_interval;
       engine_kind = engine;
-      domains = max 1 domains;
     }
   in
   let session = Session.create ~config () in
@@ -367,6 +405,6 @@ let cmd =
     (Cmd.info "pm2simd" ~doc)
     Term.(
       const main $ socket_arg $ nodes_arg $ scheme_arg $ faults_arg $ seed_arg
-      $ delta_arg $ checkpoint_interval_arg $ engine_arg $ domains_arg $ trace_arg)
+      $ delta_arg $ checkpoint_interval_arg $ engine_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

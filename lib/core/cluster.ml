@@ -63,14 +63,6 @@ type config = {
          (basic-block closure compilation, the default). All three
          produce byte-identical virtual-time outputs; only host-side
          ns/instruction differs. *)
-  domains : int;
-      (* OCaml domains driving the cluster. 1 (the default) is the
-         historic sequential engine. N > 1 runs a coordinator plus
-         N - 1 workers under the barrier-synchronized superstep
-         scheduler: node quanta whose events share a virtual instant
-         are precomputed in parallel, then every event commits
-         sequentially in (time, seq) order — so all virtual-time
-         outputs stay byte-identical to domains = 1. *)
 }
 
 let default_config ~nodes =
@@ -95,7 +87,6 @@ let default_config ~nodes =
     net_max_attempts = 12;
     net_backoff_cap = 6;
     engine_kind = Pm2_mvm.Engine.Blocks;
-    domains = 1;
   }
 
 type migration_record = {
@@ -148,18 +139,6 @@ type lost_record = {
   l_reason : string;
 }
 
-(* A speculative quantum segment computed on a worker domain: the
-   result of the first [Mvm_engine.run] call of a node tick, consumed
-   at sequential commit time. The thread identity and fuel are kept so
-   a commit that would diverge from the speculation trips a hard
-   failure instead of silently corrupting determinism. *)
-type precomputed = {
-  p_th : Thread.t;
-  p_fuel : int;
-  p_outcome : Interp.outcome;
-  p_steps : int;
-}
-
 type t = {
   config : config;
   geometry : Slot.t;
@@ -169,12 +148,9 @@ type t = {
   trace : Trace.t;
   obs : Obs.Collector.t;
   program : Program.t;
-  execs : Mvm_engine.t array;
-      (* one MVM execution engine per node. Engines hold no per-thread
-         state; at domains = 1 every entry is the same shared instance
-         (the historic layout). At domains > 1 each node gets its own,
-         because the Blocks engine memoizes compiled closures — the
-         cache must be domain-confined during parallel precompute. *)
+  exec : Mvm_engine.t;
+      (* the MVM execution engine, shared by every node: engines hold
+         no per-thread state *)
   nodes : Node.t array;
   neg : Negotiation.t;
   threads : (int, Thread.t) Hashtbl.t;
@@ -224,19 +200,11 @@ type t = {
   mutable checkpoint_count : int;
   mutable restored_count : int;
   mutable lost : lost_record list; (* newest first *)
-  (* -- parallel superstep scheduler (domains > 1) -- *)
-  mutable pool : Domain_pool.t option; (* created on first parallel run *)
-  tick_index : (int, int) Hashtbl.t;
-      (* engine seq -> node id for every armed tick: how the superstep
-         loop recognises which head events are node quanta it may
-         precompute in parallel *)
-  pre : precomputed option array; (* per-node speculative segment *)
 }
 
 let create (config : config) program =
   if config.nodes <= 0 then invalid_arg "Cluster.create: nodes <= 0";
   if config.quantum <= 0 then invalid_arg "Cluster.create: quantum <= 0";
-  if config.domains <= 0 then invalid_arg "Cluster.create: domains <= 0";
   let geometry = Slot.make ~slot_size:config.slot_size in
   let engine = Engine.create () in
   let trace = Trace.create () in
@@ -293,12 +261,7 @@ let create (config : config) program =
     trace;
     obs;
     program;
-    execs =
-      (if config.domains > 1 then
-         Array.init config.nodes (fun _ -> Mvm_engine.create config.engine_kind program)
-       else
-         let shared = Mvm_engine.create config.engine_kind program in
-         Array.make config.nodes shared);
+    exec = Mvm_engine.create config.engine_kind program;
     nodes;
     neg =
       Negotiation.create ~obs ~faults:config.faults ~geometry
@@ -346,9 +309,6 @@ let create (config : config) program =
     checkpoint_count = 0;
     restored_count = 0;
     lost = [];
-    pool = None;
-    tick_index = Hashtbl.create 16;
-    pre = Array.make config.nodes None;
   }
 
 let config t = t.config
@@ -651,22 +611,11 @@ let rec enqueue t (th : Thread.t) =
 and schedule_tick t node ~delay =
   if not node.Node.tick_scheduled then begin
     node.Node.tick_scheduled <- true;
-    if t.config.domains > 1 then begin
-      (* Register the event's seq so the superstep loop can recognise
-         this head event as a node quantum it may precompute. *)
-      let seq = Engine.next_seq t.engine in
-      node.Node.tick_seq <- seq;
-      Hashtbl.replace t.tick_index seq node.Node.id
-    end;
     Engine.schedule_after t.engine ~delay (fun () -> tick t node)
   end
 
 and tick t node =
   node.Node.tick_scheduled <- false;
-  if node.Node.tick_seq >= 0 then begin
-    Hashtbl.remove t.tick_index node.Node.tick_seq;
-    node.Node.tick_seq <- -1
-  end;
   if not (Dlist.is_empty node.Node.queue) then begin
     let th = Dlist.pop_front node.Node.queue in
     th.Thread.state <- Thread.Running;
@@ -690,13 +639,6 @@ and run_quantum t node (th : Thread.t) =
      itself never cooperates. *)
   match th.Thread.pending_migration with
   | Some dest when dest <> node.Node.id ->
-    (* A stale speculative segment here would mean a same-instant event
-       set a pending migration the precompute pass could not see — the
-       eligibility rules exclude that, so trip rather than trust it. *)
-    if t.pre.(node.Node.id) <> None then begin
-      t.pre.(node.Node.id) <- None;
-      failwith "Cluster: parallel determinism violation (migration raced a precomputed quantum)"
-    end;
     th.Thread.pending_migration <- None;
     start_migration t node th ~dest;
     Left
@@ -717,19 +659,7 @@ and run_quantum t node (th : Thread.t) =
       if budget <= 0 then Requeue
       else begin
         let outcome, steps =
-          (* Commit a speculative segment if the parallel phase left
-             one for this node; it covers exactly the first full-fuel
-             call of the quantum. A mismatch in thread or fuel means
-             the speculation diverged from the deterministic order —
-             hard-fail, never guess. *)
-          match t.pre.(node.Node.id) with
-          | Some p ->
-            t.pre.(node.Node.id) <- None;
-            if p.p_th != th || p.p_fuel <> budget then
-              failwith "Cluster: parallel determinism violation (precomputed quantum mismatch)";
-            (p.p_outcome, p.p_steps)
-          | None ->
-            Mvm_engine.run t.execs.(node.Node.id) th.Thread.ctx node.Node.space ~fuel:budget
+          Mvm_engine.run t.exec th.Thread.ctx node.Node.space ~fuel:budget
         in
         for _ = 1 to steps do
           Node.charge node cost.Cm.instr_cost
@@ -2376,154 +2306,19 @@ let checkpoint_now t =
     (threads t);
   t.checkpoint_count - before
 
-(* ===== the parallel superstep driver (domains > 1) =====
-
-   The event heap's (time, seq) order fully determines every
-   virtual-time output, so parallelism may only be spent where it
-   cannot be observed: the first [Mvm_engine.run] segment of a node
-   quantum touches nothing but the running thread's context and its
-   node's address space, and no other event at the same virtual
-   instant reads either —
-
-   - at most one tick per node is ever in flight ([tick_scheduled]),
-     so same-instant quanta are on distinct nodes;
-   - same-instant tick commits only push to the BACK of run queues
-     (semaphore V, join release, spawn), never pop another node's
-     front, so the thread a speculation ran is the thread the commit
-     pops;
-   - [Sys_migrate_thread] only targets same-node victims, and every
-     other setter of [pending_migration] (balancer, service requests,
-     recovery) is a non-tick event, which by construction terminates
-     the claimed prefix — a precomputed thread cannot acquire a
-     pending migration mid-batch;
-   - packet deliveries, negotiations and crashes are non-tick events:
-     they commit strictly before (lower seq) or after (higher seq) the
-     claimed batch, exactly as the sequential engine orders them.
-
-   So each superstep claims the maximal prefix of same-instant tick
-   events, speculatively runs their MVM segments across the domain
-   pool, then commits every claimed event sequentially in (time, seq)
-   order — replaying charges, dispatch and observability identically
-   to [domains = 1]. Divergence from the speculation is impossible by
-   the argument above, and hard-fails if it ever happens anyway. *)
-
-let ensure_pool t =
-  match t.pool with
-  | Some p -> p
-  | None ->
-    let p =
-      Domain_pool.create ~domains:t.config.domains
-        ~worker_init:Obs.Collector.set_domain_slot ()
-    in
-    Obs.Collector.set_domain_buffers t.obs ~slots:(t.config.domains - 1);
-    t.pool <- Some p;
-    p
-
-let shutdown_domains t =
-  match t.pool with
-  | None -> ()
-  | Some p ->
-    Domain_pool.shutdown p;
-    Obs.Collector.clear_domain_buffers t.obs;
-    t.pool <- None
-
-(* One superstep: commit the next event if it is not a quantum, else
-   claim-precompute-commit the whole same-instant quantum batch.
-   Returns the number of events committed; 0 means drained (or the
-   next event lies beyond [until]). *)
-let superstep t pool ~until =
-  match Engine.peek_next t.engine with
-  | None -> 0
-  | Some (at, _) when (match until with Some u -> at > u | None -> false) -> 0
-  | Some (_, head_seq) ->
-    if not (Hashtbl.mem t.tick_index head_seq) then begin
-      ignore (Engine.step t.engine);
-      1
-    end
-    else begin
-      let batch =
-        Engine.take_batch t.engine ~pred:(fun s -> Hashtbl.mem t.tick_index s)
-      in
-      (* Parallel phase: speculate the first full-fuel MVM segment of
-         every eligible quantum. Skipping a member is always safe —
-         the commit falls back to running it inline. *)
-      let tasks =
-        List.filter_map
-          (fun (s, _) ->
-            let node = t.nodes.(Hashtbl.find t.tick_index s) in
-            match Dlist.peek_front node.Node.queue with
-            | Some th
-              when th.Thread.pending_migration = None
-                   && not (Thread.is_exited th) ->
-              let fuel = t.config.quantum in
-              Some
-                (fun () ->
-                  let outcome, steps =
-                    Mvm_engine.run t.execs.(node.Node.id) th.Thread.ctx
-                      node.Node.space ~fuel
-                  in
-                  t.pre.(node.Node.id) <-
-                    Some { p_th = th; p_fuel = fuel; p_outcome = outcome; p_steps = steps })
-            | _ -> None)
-          batch
-      in
-      Domain_pool.run_batch pool tasks;
-      (* Barrier: merge worker-side observability deterministically,
-         then commit every claimed event in exact (time, seq) order. *)
-      ignore (Obs.Collector.drain_domain_buffers t.obs);
-      List.iter (fun (_, run) -> run ()) batch;
-      List.length batch
-    end
-
-let run_parallel ?until t =
-  let pool = ensure_pool t in
-  let budget = ref 200_000_000 in
-  let running = ref true in
-  while !running do
-    let n = superstep t pool ~until in
-    if n = 0 then running := false
-    else begin
-      budget := !budget - n;
-      if !budget < 0 then failwith "Engine.run: max_events exceeded"
-    end
-  done;
-  (* Settle the clock for the drained / beyond-horizon cases exactly as
-     the sequential engine does. *)
-  ignore (Engine.run ?until t.engine);
-  Engine.now t.engine
-
 let run ?until t =
-  let r =
-    if t.config.domains > 1 then run_parallel ?until t
-    else Engine.run ?until t.engine
-  in
+  let r = Engine.run ?until t.engine in
   (* End of run externalizes whatever buffered output survived. *)
   flush_all_outbufs t;
   r
 
-(* Bounded stepping for the service tier. In parallel mode slices
-   align to superstep barriers: a quantum batch commits whole, so the
-   count may overshoot [max_events] by at most one batch — clients are
-   serviced between barriers, never between a batch's commits. *)
+(* Bounded stepping for the service tier. *)
 let step_events t ~max_events =
-  if max_events <= 0 then 0
-  else if t.config.domains > 1 then begin
-    let pool = ensure_pool t in
-    let ran = ref 0 in
-    let running = ref true in
-    while !running && !ran < max_events do
-      let n = superstep t pool ~until:None in
-      if n = 0 then running := false else ran := !ran + n
-    done;
-    !ran
-  end
-  else begin
-    let ran = ref 0 in
-    while !ran < max_events && Engine.step t.engine do
-      incr ran
-    done;
-    !ran
-  end
+  let ran = ref 0 in
+  while !ran < max_events && Engine.step t.engine do
+    incr ran
+  done;
+  !ran
 
 (* -- host-mode helpers -- *)
 

@@ -57,13 +57,6 @@ type config = {
          [Blocks] (basic-block closure compilation — the default). All
          three produce byte-identical virtual-time outputs; only host
          ns/instruction differs. See DESIGN §15 *)
-  domains : int;
-      (* OCaml domains driving the cluster. 1 (the default) is the
-         historic sequential engine. N > 1 runs the barrier-synchronized
-         superstep scheduler: same-instant node quanta are precomputed
-         in parallel on a pool of N - 1 worker domains, then every event
-         commits sequentially in (time, seq) order — all virtual-time
-         outputs stay byte-identical to [domains = 1]. See DESIGN §17 *)
 }
 
 val default_config : nodes:int -> config
@@ -196,24 +189,14 @@ val create_barrier : t -> participants:int -> int
 
 (** [run ?until t] drives the event engine until quiescence (all threads
     exited or blocked forever) or until the given virtual time. Returns
-    the final virtual time. With [config.domains > 1] this is the
-    barrier-synchronized superstep scheduler; outputs are byte-identical
-    either way. *)
+    the final virtual time. *)
 val run : ?until:float -> t -> float
 
 (** [step_events t ~max_events] commits at most [max_events] events (the
-    service tier's bounded slice). In parallel mode slices align to
-    superstep barriers: a same-instant quantum batch commits whole, so
-    the returned count may overshoot [max_events] by at most one batch.
-    Returns 0 when the engine is drained. *)
+    service tier's bounded slice). Any slicing commits the same events
+    in the same order as one {!run}. Returns 0 when the engine is
+    drained. *)
 val step_events : t -> max_events:int -> int
-
-(** Join the worker-domain pool of a parallel cluster (no-op at
-    [domains = 1] or before the first parallel run). Idempotent; a
-    later [run] transparently re-creates the pool. Long-lived hosts —
-    the daemon, benches — should call this when a cluster is retired
-    rather than leak blocked domains. *)
-val shutdown_domains : t -> unit
 
 (** {1 Host-mode allocation (tests and benches)}
 

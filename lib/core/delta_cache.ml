@@ -32,11 +32,6 @@ type t = {
   mutable total_bytes : int;
   mutable clock : int;
   on_evict : tid:int -> bytes:int -> unit;
-  guard : Pm2_util.Domain_guard.t;
-      (* images and peer hash-knowledge are plain hashtables: exactly
-         one domain may own them. Under the parallel scheduler every
-         update happens on the coordinator (commit phase); the guard
-         turns an accidental worker-side touch into a hard failure *)
 }
 
 let create ?(on_evict = fun ~tid:_ ~bytes:_ -> ()) ~budget () =
@@ -48,7 +43,6 @@ let create ?(on_evict = fun ~tid:_ ~bytes:_ -> ()) ~budget () =
     total_bytes = 0;
     clock = 0;
     on_evict;
-    guard = Pm2_util.Domain_guard.create ~name:"Delta_cache";
   }
 
 let enabled t = t.budget > 0
@@ -98,7 +92,6 @@ let enforce_budget t =
   evict ()
 
 let retain t ~tid pages =
-  Pm2_util.Domain_guard.check t.guard;
   if not (enabled t) then ()
   else begin
     drop_image t ~tid;
@@ -118,7 +111,6 @@ let retain t ~tid pages =
   end
 
 let unpin t ~tid =
-  Pm2_util.Domain_guard.check t.guard;
   (match Hashtbl.find_opt t.images tid with
    | Some img ->
      img.pinned <- false;
@@ -127,7 +119,6 @@ let unpin t ~tid =
   enforce_budget t
 
 let lookup_page t ~tid ~addr =
-  Pm2_util.Domain_guard.check t.guard;
   match Hashtbl.find_opt t.images tid with
   | None -> None
   | Some img ->
@@ -135,7 +126,6 @@ let lookup_page t ~tid ~addr =
     Hashtbl.find_opt img.pages addr
 
 let record_knowledge t ~tid ~peer pages =
-  Pm2_util.Domain_guard.check t.guard;
   if enabled t then begin
     let tbl = Hashtbl.create (max 16 (List.length pages)) in
     List.iter (fun (addr, hash) -> Hashtbl.replace tbl addr hash) pages;
@@ -150,7 +140,6 @@ let known t ~tid ~peer =
 let has_knowledge t ~tid ~peer = Hashtbl.mem t.knowledge (tid, peer)
 
 let drop_thread t ~tid =
-  Pm2_util.Domain_guard.check t.guard;
   drop_image t ~tid;
   let stale =
     Hashtbl.fold
@@ -165,7 +154,6 @@ let drop_thread t ~tid =
    guaranteed miss round-trip per run. Returns how many (thread, peer)
    maps were dropped, for the delta.invalidate metric. *)
 let drop_peer t ~peer =
-  Pm2_util.Domain_guard.check t.guard;
   let stale =
     Hashtbl.fold
       (fun ((_, peer') as k) _ acc -> if peer' = peer then k :: acc else acc)

@@ -5,10 +5,6 @@ type t = {
   mgr : Slot_manager.t;
   queue : Thread.t Pm2_util.Dlist.t;
   mutable tick_scheduled : bool;
-  mutable tick_seq : int;
-      (* engine seq of the armed tick event, -1 when none: lets the
-         parallel superstep scheduler recognise this node's quantum at
-         the head of the event queue *)
   mutable charged : float;
   prng : Pm2_util.Prng.t;
 }
@@ -28,7 +24,6 @@ let create ?(obs = Pm2_obs.Collector.null) ?(allocator_policy = Pm2_heap.Malloc.
             ~cache_capacity ();
         queue = Pm2_util.Dlist.create ();
         tick_scheduled = false;
-        tick_seq = -1;
         charged = 0.;
         prng = Pm2_util.Prng.create ~seed:(seed + (id * 7919));
       }

@@ -13,9 +13,6 @@ type t = {
   mgr : Slot_manager.t;
   queue : Thread.t Pm2_util.Dlist.t;
   mutable tick_scheduled : bool;
-  mutable tick_seq : int;
-      (* engine seq of the armed tick event, -1 when none (used by the
-         parallel superstep scheduler to recognise node quanta) *)
   mutable charged : float; (* accumulated CPU cost, drained per quantum *)
   prng : Pm2_util.Prng.t;
 }

@@ -29,7 +29,7 @@ module Config = struct
   let make ?(nodes = 2) ?slot_size ?distribution ?cache_capacity ?scheme ?packing
       ?quantum ?fit ?prebuy ?allocator_policy ?cost ?seed ?fault_plan ?sinks
       ?delta_cache_bytes ?tracing ?checkpoint_interval ?net_max_attempts
-      ?net_backoff_cap ?engine ?domains () =
+      ?net_backoff_cap ?engine () =
     let d = Cluster.default_config ~nodes in
     let v o ~default = Option.value o ~default in
     {
@@ -54,7 +54,6 @@ module Config = struct
       net_max_attempts = v net_max_attempts ~default:d.Cluster.net_max_attempts;
       net_backoff_cap = v net_backoff_cap ~default:d.Cluster.net_backoff_cap;
       engine_kind = v engine ~default:d.Cluster.engine_kind;
-      domains = v domains ~default:d.Cluster.domains;
     }
 end
 

@@ -68,7 +68,6 @@ module Config : sig
     ?net_max_attempts:int ->
     ?net_backoff_cap:int ->
     ?engine:Pm2_mvm.Engine.kind ->
-    ?domains:int ->
     unit ->
     Cluster.config
 end

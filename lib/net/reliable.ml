@@ -51,11 +51,6 @@ type t = {
   (* causal tracer for destination-side train spans (set by the cluster
      when tracing is on; stays [None] otherwise) *)
   mutable tracer : Obs.Span.t option;
-  guard : Pm2_util.Domain_guard.t;
-      (* sequence counters, dedup sets and in-flight session maps are
-         plain hashtables owned by exactly one domain (the parallel
-         scheduler's coordinator); the guard fails fast on any
-         cross-domain touch *)
 }
 
 let create ?(obs = Obs.Collector.null) ?(max_attempts = 12) ?(backoff_cap = 6)
@@ -66,7 +61,6 @@ let create ?(obs = Obs.Collector.null) ?(max_attempts = 12) ?(backoff_cap = 6)
   {
     net;
     obs;
-    guard = Pm2_util.Domain_guard.create ~name:"Reliable";
     max_attempts;
     backoff_cap;
     fragment;
@@ -185,7 +179,6 @@ let handle_data t ~src ~dst ~on_delivered b =
   | Some _ | None -> () (* corrupt or foreign frame: retransmission covers it *)
 
 let send t ~src ~dst payload ~on_delivered ~on_failed =
-  Pm2_util.Domain_guard.check t.guard;
   let faults = Network.faults t.net in
   if (not (Fault.Plan.enabled faults)) || src = dst then
     (* Fault-free network (or loop-back): plain delivery, no header. *)
@@ -263,7 +256,6 @@ let heartbeat_frame ~node ~gen =
   frame ~magic:heartbeat_magic (Packet.contents p)
 
 let send_heartbeat t ~src ~dst ~gen ~on_heard =
-  Pm2_util.Domain_guard.check t.guard;
   Network.send t.net ~src ~dst (heartbeat_frame ~node:src ~gen) (fun b ->
       match parse_frame b with
       | Some (magic, inner) when magic = heartbeat_magic -> (
@@ -288,7 +280,6 @@ let send_heartbeat t ~src ~dst ~gen ~on_heard =
    (or succeed after a restart). Returns the number of sessions torn
    down (assemblies + cancelled sends). *)
 let forget_node t ~node =
-  Pm2_util.Domain_guard.check t.guard;
   let doomed =
     Hashtbl.fold
       (fun train rx acc -> if rx.rx_dst = node then train :: acc else acc)
@@ -430,7 +421,6 @@ let handle_frag t ~src ~dst ~on_delivered b =
   | Some _ | None -> () (* corrupt or foreign frame: retransmission covers it *)
 
 let send_train ?trace t ~src ~dst payload ~on_delivered ~on_failed =
-  Pm2_util.Domain_guard.check t.guard;
   let faults = Network.faults t.net in
   let bytes = Bytes.length payload in
   let train = t.next_train in

@@ -1,37 +1,11 @@
-(* A buffered event pending delivery from a worker domain: stamped with
-   the virtual time and node at emission, plus the per-buffer arrival
-   index that makes the barrier merge total and deterministic. *)
-type pending = {
-  p_time : float;
-  p_node : int;
-  p_idx : int;
-  p_ev : Event.t;
-}
-
-type buffer = {
-  mutable items : pending list; (* newest first *)
-  mutable filled : int;
-}
-
 type t = {
   now : unit -> float;
   mutable sinks : Sink.t array;
   mutable enabled : bool;
   mutable emitted : int;
-  mutable domain_bufs : buffer array;
-      (* per-worker-domain buffers, [||] in sequential runs: the
-         parallel scheduler installs one slot per worker and drains
-         them deterministically at each superstep barrier *)
 }
 
-(* Which per-domain buffer an emission lands in: 0 on the coordinator
-   (direct to sinks), a 1-based worker slot on pool workers. *)
-let domain_slot : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let set_domain_slot i = Domain.DLS.set domain_slot i
-
-let create ~now () =
-  { now; sinks = [||]; enabled = false; emitted = 0; domain_bufs = [||] }
+let create ~now () = { now; sinks = [||]; enabled = false; emitted = 0 }
 
 let null = create ~now:(fun () -> 0.) ()
 
@@ -56,65 +30,6 @@ let deliver t ~time ~node ev =
   t.emitted <- t.emitted + 1;
   Array.iter (fun s -> Sink.emit s ~time ~node ev) t.sinks
 
-(* Worker-domain emissions are buffered, not delivered: sinks are
-   mutable and belong to the coordinator. The buffer slot is picked by
-   the emitting domain's DLS tag, so the fast path for sequential runs
-   (no buffers installed) is the [domain_bufs] length test. *)
-let route t ~time ~node ev =
-  let bufs = t.domain_bufs in
-  if Array.length bufs = 0 then deliver t ~time ~node ev
-  else
-    let slot = Domain.DLS.get domain_slot in
-    if slot = 0 then deliver t ~time ~node ev
-    else begin
-      let buf = bufs.(slot - 1) in
-      buf.items <- { p_time = time; p_node = node; p_idx = buf.filled; p_ev = ev } :: buf.items;
-      buf.filled <- buf.filled + 1
-    end
+let emit t ~node ev = if t.enabled then deliver t ~time:(t.now ()) ~node ev
 
-let emit t ~node ev = if t.enabled then route t ~time:(t.now ()) ~node ev
-
-let emit_at t ~time ~node ev = if t.enabled then route t ~time ~node ev
-
-(* -- parallel-run support -- *)
-
-let set_domain_buffers t ~slots =
-  if slots < 0 then invalid_arg "Collector.set_domain_buffers: slots < 0";
-  t.domain_bufs <- Array.init slots (fun _ -> { items = []; filled = 0 })
-
-let clear_domain_buffers t = t.domain_bufs <- [||]
-
-(* Deterministic barrier merge: buffered events are delivered in
-   (virtual time, node, arrival index) order — independent of which
-   worker domain ran which node's segment, because within one superstep
-   a node's events all live in a single buffer and keep their arrival
-   order, while cross-node ties are broken by node id exactly as the
-   sequential engine breaks them (ticks at one instant are committed in
-   node order). Caller must be the coordinator at a barrier: no worker
-   is emitting concurrently. *)
-let drain_domain_buffers t =
-  let all =
-    Array.fold_left
-      (fun acc buf ->
-        let items = buf.items in
-        buf.items <- [];
-        buf.filled <- 0;
-        List.rev_append (List.rev items) acc)
-      [] t.domain_bufs
-  in
-  match all with
-  | [] -> 0
-  | all ->
-    let sorted =
-      List.sort
-        (fun a b ->
-          match compare a.p_time b.p_time with
-          | 0 -> (
-            match compare a.p_node b.p_node with
-            | 0 -> compare a.p_idx b.p_idx
-            | c -> c)
-          | c -> c)
-        all
-    in
-    List.iter (fun p -> deliver t ~time:p.p_time ~node:p.p_node p.p_ev) sorted;
-    List.length sorted
+let emit_at t ~time ~node ev = if t.enabled then deliver t ~time ~node ev

@@ -43,31 +43,3 @@ val emit : t -> node:int -> Event.t -> unit
     not the current virtual instant (e.g. synchronous host-mode
     migration phases). *)
 val emit_at : t -> time:float -> node:int -> Event.t -> unit
-
-(** {2 Parallel runs: per-domain buffers}
-
-    Sinks are mutable and belong to the coordinator domain. When the
-    parallel scheduler installs per-domain buffers, emissions from
-    worker domains (tagged via {!set_domain_slot}) are buffered instead
-    of delivered, and {!drain_domain_buffers} merges them into the sink
-    stream deterministically at each superstep barrier. With no buffers
-    installed — every sequential run — the only extra cost on {!emit}
-    is one array-length test. *)
-
-(** Tag the calling domain's emissions with buffer slot [i] (1-based;
-    slot 0 is the coordinator, which always delivers directly). *)
-val set_domain_slot : int -> unit
-
-(** Install [slots] worker buffers (or replace them, dropping anything
-    undrained). [~slots:0] plus {!clear_domain_buffers} both restore
-    direct delivery. *)
-val set_domain_buffers : t -> slots:int -> unit
-
-val clear_domain_buffers : t -> unit
-
-(** Deliver every buffered event in (virtual time, node, arrival) order
-    — a total order independent of worker scheduling, because a node's
-    events within one superstep all come from the single domain that
-    ran it. Must be called from the coordinator while workers are at
-    the barrier. Returns the number of events delivered. *)
-val drain_domain_buffers : t -> int

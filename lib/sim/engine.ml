@@ -90,27 +90,6 @@ let peek_next t =
 
 let pending t = t.heap.Heap.len
 
-(* Pop the maximal prefix of same-time events whose sequence numbers the
-   caller recognises. Ties on [at] are FIFO by [seq], so the returned
-   list is exactly the order [step] would have run them; running each
-   closure in list order is observationally identical to stepping. The
-   clock advances to the batch time so closures see the same [now]. *)
-let take_batch t ~pred =
-  match Heap.peek t.heap with
-  | None -> []
-  | Some first ->
-    let at = first.at in
-    let rec collect acc =
-      match Heap.peek t.heap with
-      | Some e when e.at = at && pred e.seq ->
-        let e = Heap.pop t.heap in
-        collect ((e.seq, e.run) :: acc)
-      | _ -> List.rev acc
-    in
-    let batch = collect [] in
-    if batch <> [] then t.clock <- max t.clock at;
-    batch
-
 let step t =
   match Heap.peek t.heap with
   | None -> false

@@ -25,22 +25,13 @@ val schedule_after : t -> delay:time -> (unit -> unit) -> unit
 val pending : t -> int
 
 (** Sequence number the next [schedule] will assign. Together with
-    {!peek_next} this lets a caller (the parallel cluster scheduler)
-    recognise its own events at the head of the queue without the
-    engine knowing anything about their payloads. *)
+    {!peek_next} this lets a caller recognise its own events at the
+    head of the queue without the engine knowing anything about their
+    payloads. *)
 val next_seq : t -> int
 
 (** [(time, seq)] of the next event to run, or [None] if drained. *)
 val peek_next : t -> (time * int) option
-
-(** [take_batch t ~pred] pops the maximal prefix of events that share
-    the next event's time and whose [seq] satisfies [pred], returning
-    [(seq, run)] pairs in exactly the order {!step} would have run
-    them, and advances the clock to that time. Returns [[]] (and moves
-    nothing) when the queue is empty or the head event fails [pred].
-    Running the closures in list order is observationally identical to
-    stepping — this is the superstep scheduler's claim operation. *)
-val take_batch : t -> pred:(int -> bool) -> (int * (unit -> unit)) list
 
 (** [run t] processes events until the queue is empty. Returns the final
     virtual time. [~until] stops the clock at that time (events scheduled

@@ -107,7 +107,7 @@ type status = {
 let status_of_session (st : Session.status) =
   {
     s_time = st.Session.st_time;
-    s_domains = st.Session.st_domains;
+    s_domains = 1;
     s_live = st.Session.st_live;
     s_threads = st.Session.st_threads;
     s_migrations = st.Session.st_migrations;

@@ -88,6 +88,8 @@ type request =
 type status = {
   s_time : float;
   s_domains : int;
+      (* always 1: the cluster runs one sequential scheduler. Kept
+         because every pm2-ctl/1 status decoder requires the field *)
   s_live : int;
   s_threads : int;
   s_migrations : int;

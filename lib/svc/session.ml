@@ -43,7 +43,6 @@ type thread_info = {
 
 type status = {
   st_time : float;
-  st_domains : int;
   st_live : int;
   st_threads : int;
   st_migrations : int;
@@ -116,11 +115,6 @@ let submit t { entry; arg; node } =
 let step t ~max_events =
   if t.closed || max_events <= 0 then 0
   else begin
-    (* Superstep-aware slicing: with a parallel resident cluster the
-       slice aligns to superstep barriers (a same-instant quantum batch
-       commits whole), so client servicing interleaves at barriers
-       rather than between a batch's commits. Sequential clusters step
-       per event exactly as before. *)
     let ran = Cluster.step_events t.cluster ~max_events in
     (* A drained queue is quiescence: commit buffered guest output the
        same way a full [Cluster.run] would. *)
@@ -169,7 +163,6 @@ let status t =
   let plan = Cluster.faults c in
   {
     st_time = now t;
-    st_domains = (Cluster.config c).Cluster.domains;
     st_live = Cluster.live_threads c;
     st_threads = List.length (Cluster.threads c);
     st_migrations = List.length (Cluster.migrations c);
@@ -284,9 +277,5 @@ let shutdown t =
   if not t.closed then begin
     List.iter (fun id -> Obs.Collector.detach (Cluster.obs t.cluster) (sub_name id)) t.subs;
     t.subs <- [];
-    (* A parallel resident cluster parks worker domains between slices;
-       retire them with the session instead of leaking blocked domains
-       in a long-lived daemon process. *)
-    Cluster.shutdown_domains t.cluster;
     t.closed <- true
   end

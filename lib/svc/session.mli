@@ -48,7 +48,6 @@ type thread_info = {
 (** One coherent snapshot of everything the batch reports print. *)
 type status = {
   st_time : float; (* current virtual time, µs *)
-  st_domains : int; (* OCaml domains driving the cluster (1 = sequential) *)
   st_live : int;
   st_threads : int; (* threads ever created *)
   st_migrations : int; (* completed single migrations *)

@@ -336,6 +336,91 @@ let test_bad_migrate_target_faults () =
   Alcotest.(check bool) "faulted" true
     (match th.Thread.state with Thread.Exited (Thread.Faulted _) -> true | _ -> false)
 
+(* -- bounded stepping: the daemon slices runs with [step_events] -- *)
+
+(* Everything a run publishes in virtual time that slicing could
+   perturb. [lines] are the timed guest prints, so a run that printed
+   the right text at the wrong instant still differs. *)
+type outputs = {
+  lines : string list;
+  makespan : float;
+  wire_bytes : int;
+  migrations : int;
+  negotiations : int;
+}
+
+(* [faults] is a (spec, seed) pair, not a plan: a plan's random stream
+   advances as a run consumes it, so each run gets a fresh one. With
+   [~slice] the run is pumped [slice] events at a time before the final
+   [Cluster.run] that flushes buffered output. *)
+let run_outputs ?slice ?(nodes = 2) ?faults ?(delta = 0) ~entry ~arg () =
+  let fault_plan =
+    Option.map
+      (fun (spec, seed) ->
+        match Pm2_fault.Plan.spec_of_string spec with
+        | Ok spec -> Pm2_fault.Plan.create ~seed spec
+        | Error e -> failwith e)
+      faults
+  in
+  let config =
+    Pm2.Config.make ~nodes ?fault_plan ~delta_cache_bytes:delta ~tracing:true ()
+  in
+  let c = Cluster.create config program in
+  ignore (Cluster.spawn c ~node:0 ~entry ~arg ());
+  Option.iter
+    (fun max_events ->
+      while Cluster.step_events c ~max_events > 0 do
+        ()
+      done)
+    slice;
+  let makespan = Cluster.run c in
+  Cluster.check_invariants c;
+  {
+    lines = Trace.timed_lines (Cluster.trace c);
+    makespan;
+    wire_bytes = Pm2_net.Network.bytes_sent (Cluster.network c);
+    migrations = List.length (Cluster.migrations c);
+    negotiations = Negotiation.count (Cluster.negotiation c);
+  }
+
+let test_step_events_slices () =
+  let whole = run_outputs ~entry:"deep_pingpong" ~arg:6 () in
+  let sliced = run_outputs ~slice:3 ~entry:"deep_pingpong" ~arg:6 () in
+  Alcotest.(check bool) "produced output" true (whole.lines <> []);
+  Alcotest.(check (list string)) "sliced lines" whole.lines sliced.lines;
+  Alcotest.(check (float 0.)) "sliced makespan" whole.makespan sliced.makespan;
+  Alcotest.(check int) "sliced wire bytes" whole.wire_bytes sliced.wire_bytes
+
+let prop_sliced_run =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      let* nodes = int_range 2 4 in
+      let* entry = oneofl [ "pingpong"; "deep_pingpong"; "registered_hop"; "spawner" ] in
+      let* arg = int_range 2 8 in
+      let* delta = oneofl [ 0; 1_048_576 ] in
+      let* faults = oneofl [ None; Some "loss=0.1"; Some "loss=0.05,dup=0.05" ] in
+      let* seed = int_range 1 1000 in
+      let* slice = int_range 1 64 in
+      return (nodes, entry, arg, delta, faults, seed, slice))
+  in
+  Test.make ~name:"sliced run equals whole run" ~count:12 gen
+    (fun (nodes, entry, arg, delta, faults, seed, slice) ->
+      let faults = Option.map (fun spec -> (spec, seed)) faults in
+      let whole = run_outputs ~nodes ?faults ~delta ~entry ~arg () in
+      let sliced = run_outputs ~slice ~nodes ?faults ~delta ~entry ~arg () in
+      if whole <> sliced then
+        Test.fail_reportf
+          "divergence at nodes=%d entry=%s arg=%d delta=%d faults=%s seed=%d slice=%d:\n\
+           whole:  makespan=%.1f wire=%d lines=%d migr=%d\n\
+           sliced: makespan=%.1f wire=%d lines=%d migr=%d"
+          nodes entry arg delta
+          (match faults with Some (s, _) -> s | None -> "-")
+          seed slice whole.makespan whole.wire_bytes (List.length whole.lines)
+          whole.migrations sliced.makespan sliced.wire_bytes (List.length sliced.lines)
+          sliced.migrations;
+      true)
+
 let tests =
   [
     Alcotest.test_case "Fig. 1 golden trace" `Quick test_fig1;
@@ -369,4 +454,6 @@ let tests =
     Alcotest.test_case "stack overflow detected" `Quick test_stack_overflow_detected;
     Alcotest.test_case "migrate to self is a no-op" `Quick test_migrate_to_self_is_noop;
     Alcotest.test_case "bad migrate target faults" `Quick test_bad_migrate_target_faults;
+    Alcotest.test_case "step_events slices equal a run" `Quick test_step_events_slices;
+    QCheck_alcotest.to_alcotest prop_sliced_run;
   ]

@@ -29,6 +29,5 @@ let () =
       ("sync+hpf", Test_sync_hpf.tests);
       ("loadbal", Test_balancer.tests);
       ("svc", Test_svc.tests);
-      ("parallel", Test_parallel.tests);
       ("stress", Test_stress.tests);
     ]
