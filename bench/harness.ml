@@ -73,7 +73,8 @@ let run_guest_observed ?nodes ?slot_size ?scheme ?packing ~entry ~arg () =
 (* One machine-readable line: per-node event counters and histogram
    quantiles, greppable as `; metrics <experiment> {...}`. *)
 let metrics_json ~experiment m =
-  Printf.printf "; metrics %s %s\n" experiment (Pm2_obs.Metrics.to_json m)
+  Printf.printf "; metrics %s %s\n" experiment
+    (Pm2_obs.Json.to_string (Pm2_obs.Metrics.to_json m))
 
 let migration_latencies c =
   List.map (fun m -> m.Cluster.resumed -. m.Cluster.started) (Cluster.migrations c)

@@ -8,12 +8,16 @@
 
    Usage: check_trace FILE [--require-spans]
           check_trace --flight FILE
+          check_trace --stream FILE
    With --require-spans the file must additionally contain at least one
    causal trace, and at least one trace must span two or more nodes
    (pids) — the cross-node propagation acceptance check. With --flight
    the file is validated as a pm2-flight/1 flight-recorder dump
    instead: triggers must be non-empty and every ring record well
-   formed. *)
+   formed. With --stream the file is validated as `--trace-stream`
+   JSON-lines output: every line parses, carries a numeric "t" that never
+   decreases and a "name" that is an Event.name taxonomy key (with a
+   numeric "node") or "metrics.snapshot" (with a "metrics" object). *)
 
 module Json = Pm2_obs.Json
 
@@ -165,7 +169,103 @@ let check_flight path =
     path (List.length triggers) (List.length nodes) !events;
   exit 0
 
+(* Every Event.name key: one event per constructor and sub-kind. *)
+let taxonomy =
+  let open Pm2_obs.Event in
+  let heap_events heap =
+    [ Block_alloc { heap; addr = 0; bytes = 0 }; Block_free { heap; addr = 0; bytes = 0 };
+      Block_split { heap; addr = 0; bytes = 0 }; Block_coalesce { heap; addr = 0; bytes = 0 } ]
+  in
+  let phase_events phase =
+    [ Migration_phase { tid = 0; phase; bytes = 0; slots = 0; dur = 0. };
+      Group_migration_phase { gid = 0; phase; members = 0; bytes = 0; slots = 0; dur = 0. } ]
+  in
+  let fault kind = Fault_inject { kind; src = 0; dst = 0; bytes = 0 } in
+  let span kind =
+    Span_end
+      { trace = 0; span = 0; parent = 0; kind; start = 0.; dur = 0.; host_us = 0.; note = "" }
+  in
+  List.concat_map heap_events [ Local; Iso ]
+  @ List.concat_map phase_events [ Pack; Send; Remap; Restart ]
+  @ List.map fault [ Drop_loss; Drop_partition; Drop_dead; Duplicate; Corrupt ]
+  @ List.map span
+      [ Migration; Negotiate; Probe; Pack; Train; Unpack; Commit; Rollback; Delta_refetch ]
+  @ [ Slot_reserve { slot = 0; n = 0; cache_hit = false };
+      Slot_release { slot = 0; cached = false };
+      Slot_transfer { slot = 0; seller = 0; buyer = 0 };
+      Pack_slot { tid = 0; slot = 0; bytes = 0 };
+      Unpack_slot { tid = 0; slot = 0; bytes = 0 };
+      Neg_request { requester = 0; n = 0 };
+      Neg_round { requester = 0; peer = 0; bytes = 0 };
+      Neg_grant { requester = 0; start = 0; n = 0; bought = 0; dur = 0. };
+      Neg_deny { requester = 0; n = 0; dur = 0. };
+      Packet_send { src = 0; dst = 0; bytes = 0 };
+      Packet_deliver { src = 0; dst = 0; bytes = 0 };
+      Node_kill { node = 0 };
+      Node_restart { node = 0 };
+      Net_retransmit { src = 0; dst = 0; seq = 0; attempt = 0; bytes = 0 };
+      Net_dup_suppress { src = 0; dst = 0; seq = 0 };
+      Net_give_up { src = 0; dst = 0; seq = 0; attempts = 0 };
+      Migration_abort { tid = 0; src = 0; dst = 0; reason = "" };
+      Migration_rollback { tid = 0; node = 0; slots = 0 };
+      Neg_abort { requester = 0; n = 0; lease_until = 0. };
+      Group_migration_start { gid = 0; src = 0; dst = 0; members = 0 };
+      Group_migration_commit { gid = 0; dst = 0; members = 0; bytes = 0 };
+      Group_migration_abort { gid = 0; src = 0; dst = 0; reason = "" };
+      Train_send { src = 0; dst = 0; train = 0; frags = 0; bytes = 0 };
+      Train_retransmit { src = 0; dst = 0; train = 0; attempt = 0; bytes = 0 };
+      Train_ack { src = 0; dst = 0; train = 0 };
+      Delta_hit { tid = 0; pages = 0 };
+      Delta_miss { tid = 0; pages = 0 };
+      Delta_evict { tid = 0; bytes = 0 };
+      Thread_printf { tid = 0; text = "" };
+      Node_crash { node = 0; threads = 0 };
+      Node_suspected { node = 0; by = 0 };
+      Node_dead { node = 0; by = 0 };
+      Checkpoint { tid = 0; node = 0; bytes = 0; full_bytes = 0; new_pages = 0 };
+      Thread_restore { tid = 0; node = 0; from_node = 0; gen = 0 };
+      Thread_lost { tid = 0; node = 0; reason = "" };
+      Delta_invalidate { node = 0; peer = 0; entries = 0 } ]
+  |> List.map name
+
+(* Validate `--trace-stream` JSON-lines output. *)
+let check_stream path =
+  let lines = String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "") in
+  if lines = [] then fail "%s: empty stream" path;
+  let last = ref neg_infinity and snapshots = ref 0 in
+  List.iteri
+    (fun i line ->
+       let e =
+         match Json.parse line with
+         | Ok e -> e
+         | Error err -> fail "%s:%d: invalid JSON: %s" path (i + 1) err
+       in
+       let t =
+         match num_field "t" e with
+         | Some t -> t
+         | None -> fail "%s:%d: no numeric t" path (i + 1)
+       in
+       if t < !last then fail "%s:%d: t=%g before the previous line's %g" path (i + 1) t !last;
+       last := t;
+       match str_field "name" e with
+       | Some "metrics.snapshot" -> (
+         incr snapshots;
+         match Json.member "metrics" e with
+         | Some (Json.Obj _) -> ()
+         | _ -> fail "%s:%d: snapshot without a metrics object" path (i + 1))
+       | Some name ->
+         if not (List.mem name taxonomy) then
+           fail "%s:%d: %S is not an event name" path (i + 1) name;
+         if num_field "node" e = None then fail "%s:%d: no numeric node" path (i + 1)
+       | None -> fail "%s:%d: no name" path (i + 1))
+    lines;
+  Printf.printf "check_trace: %s ok (stream, %d lines, %d metrics snapshots)\n" path
+    (List.length lines) !snapshots;
+  exit 0
+
 let () =
+  if Array.length Sys.argv > 2 && Sys.argv.(1) = "--stream" then
+    check_stream Sys.argv.(2);
   if Array.length Sys.argv > 2 && Sys.argv.(1) = "--flight" then
     check_flight Sys.argv.(2);
   let path =

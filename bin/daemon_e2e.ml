@@ -16,7 +16,8 @@ let die fmt = Printf.ksprintf (fun m -> prerr_endline ("daemon_e2e: " ^ m); exit
 
 type conn = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
+  mutable data : string; (* bytes received; lines before [pos] are consumed *)
+  mutable pos : int;
   mutable events : int; (* event frames seen so far *)
   mutable next_id : int;
 }
@@ -26,7 +27,7 @@ let connect path =
   let rec go n =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> { fd; buf = Buffer.create 4096; events = 0; next_id = 1 }
+    | () -> { fd; data = ""; pos = 0; events = 0; next_id = 1 }
     | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when n < deadline ->
       Unix.close fd;
       ignore (Unix.select [] [] [] 0.05);
@@ -46,21 +47,25 @@ let write_all c s =
 
 let send_raw c line = write_all c (line ^ "\n")
 
+(* Lines are cut at an offset into the received bytes, so a burst of
+   event frames costs time linear in its size: a subscriber that copied
+   the whole backlog per line would fall behind the daemon and be dropped
+   as a slow reader. *)
 let read_line c =
   let rec go () =
-    let data = Buffer.contents c.buf in
-    match String.index_opt data '\n' with
+    match String.index_from_opt c.data c.pos '\n' with
     | Some nl ->
-      let line = String.sub data 0 nl in
-      Buffer.clear c.buf;
-      Buffer.add_substring c.buf data (nl + 1) (String.length data - nl - 1);
+      let line = String.sub c.data c.pos (nl - c.pos) in
+      c.pos <- nl + 1;
       line
     | None ->
       let bytes = Bytes.create 65536 in
       (match Unix.read c.fd bytes 0 65536 with
        | 0 -> die "daemon closed the connection"
        | n ->
-         Buffer.add_subbytes c.buf bytes 0 n;
+         let rest = String.length c.data - c.pos in
+         c.data <- String.sub c.data c.pos rest ^ Bytes.sub_string bytes 0 n;
+         c.pos <- 0;
          go ())
   in
   go ()
@@ -69,6 +74,8 @@ let read_line c =
    of silence; returns whether it closed and the number of event frames
    that arrived first. *)
 let drain_events c =
+  let buf = Buffer.create 65536 in
+  Buffer.add_substring buf c.data c.pos (String.length c.data - c.pos);
   let bytes = Bytes.create 65536 in
   let rec go () =
     match Unix.select [ c.fd ] [] [] 10. with
@@ -77,7 +84,7 @@ let drain_events c =
       match Unix.read c.fd bytes 0 65536 with
       | 0 -> true
       | n ->
-        Buffer.add_subbytes c.buf bytes 0 n;
+        Buffer.add_subbytes buf bytes 0 n;
         go ()
       | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
   in
@@ -87,8 +94,9 @@ let drain_events c =
       match P.decode_frame line with
       | Ok (P.Event _) -> c.events <- c.events + 1
       | _ -> ())
-    (String.split_on_char '\n' (Buffer.contents c.buf));
-  Buffer.clear c.buf;
+    (String.split_on_char '\n' (Buffer.contents buf));
+  c.data <- "";
+  c.pos <- 0;
   (closed, c.events)
 
 let rec recv c ~id =

@@ -168,8 +168,6 @@ type t = {
   mutable next_barrier : int;
   mutable next_tid : int;
   migrations : migration_record Vec.t;
-  mutable isomalloc_count : int;
-  mutable malloc_count : int;
   mutable pending_block : float option;
       (* set by a blocking negotiation inside a syscall; consumed by the
          dispatcher, which parks the thread until that absolute time *)
@@ -278,8 +276,6 @@ let create (config : config) program =
     next_barrier = 1;
     next_tid = 0x20; (* so the first thread prints as "eeff0020", as in Fig. 8 *)
     migrations = Vec.create ();
-    isomalloc_count = 0;
-    malloc_count = 0;
     pending_block = None;
     aborted_migrations = 0;
     on_migration_abort = None;
@@ -366,9 +362,6 @@ let migrations t = Vec.to_list t.migrations
 let group_migrations t = Vec.to_list t.group_migrations
 
 let aborted_groups t = t.aborted_groups
-
-let isomalloc_calls t = t.isomalloc_count
-let malloc_calls t = t.malloc_count
 
 let faults t = t.config.faults
 let reliable t = t.rel
@@ -768,7 +761,6 @@ and dispatch t node (th : Thread.t) sc =
       `Continue
     | Isa.Sys_yield -> `Requeue
     | Isa.Sys_malloc ->
-      t.malloc_count <- t.malloc_count + 1;
       (match Malloc.malloc node.Node.heap r.(1) with
        | Ok addr -> r.(0) <- addr
        | Error _ -> r.(0) <- 0);
@@ -778,7 +770,6 @@ and dispatch t node (th : Thread.t) sc =
       Malloc.free_exn node.Node.heap r.(1);
       `Continue
     | Isa.Sys_isomalloc ->
-      t.isomalloc_count <- t.isomalloc_count + 1;
       (match Iso_heap.isomalloc (syscall_env t node.Node.id) th r.(1) with
        | Some addr -> r.(0) <- addr
        | None -> r.(0) <- 0);
@@ -875,7 +866,6 @@ and dispatch t node (th : Thread.t) sc =
          r.(0) <- -1;
          `Continue)
     | Isa.Sys_isorealloc ->
-      t.isomalloc_count <- t.isomalloc_count + 1;
       (match Iso_heap.isorealloc (syscall_env t node.Node.id) th r.(1) r.(2) with
        | Some addr -> r.(0) <- addr
        | None -> r.(0) <- 0);

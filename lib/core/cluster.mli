@@ -225,9 +225,6 @@ val drain_charges : t -> int -> float
 val migrations : t -> migration_record list
 (** Completed migrations, oldest first. *)
 
-val isomalloc_calls : t -> int
-val malloc_calls : t -> int
-
 (** {1 Delta migration}
 
     When [delta_cache_bytes > 0] (iso scheme), every migration rides the

@@ -91,12 +91,6 @@ let run_to_completion ?config ?until program ~entry ?(arg = 0) () =
   ignore (Cluster.run ?until cluster);
   Pm2_sim.Trace.lines (Cluster.trace cluster)
 
-let migration_latency cluster i =
-  let ms = Cluster.migrations cluster in
-  match List.nth_opt ms i with
-  | Some m -> m.Cluster.resumed -. m.Cluster.started
-  | None -> invalid_arg "Pm2.migration_latency: index out of range"
-
 let mean_migration_latency cluster =
   match Cluster.migrations cluster with
   | [] -> None

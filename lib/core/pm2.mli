@@ -102,9 +102,5 @@ val run_to_completion :
   unit ->
   string list
 
-(** Migration latency (resume − freeze) of the [i]-th completed migration,
-    in virtual µs. @raise Invalid_argument if out of range. *)
-val migration_latency : Cluster.t -> int -> float
-
 (** Mean migration latency over all completed migrations; [None] if none. *)
 val mean_migration_latency : Cluster.t -> float option

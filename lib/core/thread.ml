@@ -35,8 +35,6 @@ let make ~id ~node ~ctx =
     pending_migration = None;
   }
 
-let is_runnable t = match t.state with Ready | Running -> true | _ -> false
-
 let is_exited t = match t.state with Exited _ -> true | _ -> false
 
 let register_ptr t addr =
@@ -51,16 +49,3 @@ let unregister_ptr t key =
   Hashtbl.remove t.registry key
 
 let registered_cells t = Hashtbl.fold (fun _ addr acc -> addr :: acc) t.registry []
-
-let pp_id ppf t = Format.fprintf ppf "%08x" (0xeeff0000 + t.id)
-
-let pp_state ppf s =
-  Format.pp_print_string ppf
-    (match s with
-     | Ready -> "ready"
-     | Running -> "running"
-     | Blocked -> "blocked"
-     | Migrating -> "migrating"
-     | Exited Halted -> "exited"
-     | Exited (Faulted _) -> "faulted"
-     | Exited Killed -> "killed")

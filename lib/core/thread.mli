@@ -38,7 +38,6 @@ type t = {
 
 val make : id:int -> node:int -> ctx:Pm2_mvm.Interp.context -> t
 
-val is_runnable : t -> bool
 val is_exited : t -> bool
 
 (** {1 Registered pointers (legacy scheme of §2)} *)
@@ -52,9 +51,3 @@ val register_ptr : t -> Pm2_vmem.Layout.addr -> int
 val unregister_ptr : t -> int -> unit
 
 val registered_cells : t -> Pm2_vmem.Layout.addr list
-
-(** Hex rendering of the id, as the paper prints thread handles
-    (["eeff0020"]). *)
-val pp_id : Format.formatter -> t -> unit
-
-val pp_state : Format.formatter -> state -> unit

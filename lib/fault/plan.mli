@@ -158,7 +158,6 @@ val note_drop : t -> unit
 
 val note_duplicate : t -> unit
 val note_corrupt : t -> unit
-val note_reorder : t -> unit
 
 (** One-line summary for reports, e.g.
     ["seed=7 dropped=12 duplicated=3 corrupted=0 reordered=5"]. *)

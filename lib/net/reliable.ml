@@ -46,7 +46,6 @@ type t = {
   mutable dups : int;
   dup_suppressed : int array; (* per directed link, indexed src * nodes + dst *)
   mutable give_ups : int;
-  mutable trains_sent : int;
   mutable train_retransmits : int;
   (* causal tracer for destination-side train spans (set by the cluster
      when tracing is on; stays [None] otherwise) *)
@@ -75,7 +74,6 @@ let create ?(obs = Obs.Collector.null) ?(max_attempts = 12) ?(backoff_cap = 6)
     dups = 0;
     dup_suppressed = Array.make (Network.nodes net * Network.nodes net) 0;
     give_ups = 0;
-    trains_sent = 0;
     train_retransmits = 0;
     tracer = None;
   }
@@ -102,8 +100,6 @@ let link_dup_suppressed t ~src ~dst =
   t.dup_suppressed.((src * n) + dst)
 
 let give_ups t = t.give_ups
-
-let trains_sent t = t.trains_sent
 
 let train_retransmits t = t.train_retransmits
 
@@ -425,7 +421,6 @@ let send_train ?trace t ~src ~dst payload ~on_delivered ~on_failed =
   let bytes = Bytes.length payload in
   let train = t.next_train in
   t.next_train <- train + 1;
-  t.trains_sent <- t.trains_sent + 1;
   if (not (Fault.Plan.enabled faults)) || src = dst then begin
     (* Fault-free network (or loop-back): the train degenerates to one
        plain message — no fragment headers, no acks, no timers. The

@@ -128,7 +128,5 @@ val link_dup_suppressed : t -> src:int -> dst:int -> int
 
 val give_ups : t -> int
 
-val trains_sent : t -> int
-
 val train_retransmits : t -> int
 (** Whole-train resends (also counted in {!retransmits}). *)

@@ -11,186 +11,59 @@ let clear t = Vec.clear t.records
 let sink t =
   Sink.make ~name:"chrome" (fun ~time ~node ev -> Vec.push t.records (time, node, ev))
 
-(* JSON string escaping lives in Json so every exporter agrees on it. *)
-let escape = Json.escape
+let category : Event.t -> string = function
+  | Slot_reserve _ | Slot_release _ | Slot_transfer _ -> "slot"
+  | Block_alloc _ | Block_free _ | Block_split _ | Block_coalesce _ -> "heap"
+  | Migration_phase _ | Pack_slot _ | Unpack_slot _ | Migration_abort _
+  | Migration_rollback _ | Group_migration_start _ | Group_migration_phase _
+  | Group_migration_commit _ | Group_migration_abort _ | Delta_hit _ | Delta_miss _
+  | Delta_evict _ | Delta_invalidate _ -> "migration"
+  | Neg_request _ | Neg_round _ | Neg_grant _ | Neg_deny _ | Neg_abort _ -> "negotiation"
+  | Packet_send _ | Packet_deliver _ | Net_retransmit _ | Net_dup_suppress _
+  | Net_give_up _ | Train_send _ | Train_retransmit _ | Train_ack _ -> "net"
+  | Fault_inject _ | Node_kill _ | Node_restart _ | Node_crash _ | Node_suspected _
+  | Node_dead _ -> "fault"
+  | Checkpoint _ | Thread_restore _ | Thread_lost _ -> "recover"
+  | Span_end _ -> "span"
+  | Thread_printf _ -> "guest"
 
-(* One trace_event object. Durations ("X" complete events) get their span;
-   everything else is an instant event. [ts] is in µs, which is exactly
-   the simulator's virtual-time unit. *)
+(* One trace_event object. Events with a modelled duration become "X"
+   complete events; everything else is an instant event. [ts] is in µs,
+   which is exactly the simulator's virtual-time unit. [args] holds the
+   event's own wire fields ({!Event.write_fields}). *)
 let add_event buf ~time ~node ev =
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let complete ~name ~cat ~tid ~dur ~args =
-    addf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-      (escape name) cat time dur node tid args
+  let cat = category ev in
+  let complete ~name ~ts ~tid ~dur =
+    Printf.bprintf buf
+      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
+      name cat ts dur node tid
   in
-  let instant ~name ~cat ~args =
-    addf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"s\":\"p\",\"args\":{%s}}"
-      (escape name) cat time node args
-  in
-  match (ev : Event.t) with
-  | Migration_phase { tid; phase; bytes; slots; dur } ->
-    complete
-      ~name:("migrate:" ^ Event.phase_name phase)
-      ~cat:"migration" ~tid
-      ~dur
-      ~args:(Printf.sprintf "\"bytes\":%d,\"slots\":%d" bytes slots)
-  | Neg_grant { requester; start; n; bought; dur } ->
-    complete ~name:"negotiation" ~cat:"negotiation" ~tid:0 ~dur
-      ~args:
-        (Printf.sprintf "\"requester\":%d,\"start\":%d,\"n\":%d,\"bought\":%d" requester
-           start n bought)
-  | Neg_deny { requester; n; dur } ->
-    complete ~name:"negotiation:deny" ~cat:"negotiation" ~tid:0 ~dur
-      ~args:(Printf.sprintf "\"requester\":%d,\"n\":%d" requester n)
-  | Slot_reserve { slot; n; cache_hit } ->
-    instant ~name:"slot.reserve" ~cat:"slot"
-      ~args:
-        (Printf.sprintf "\"slot\":%d,\"n\":%d,\"cache_hit\":%b" slot n cache_hit)
-  | Slot_release { slot; cached } ->
-    instant ~name:"slot.release" ~cat:"slot"
-      ~args:(Printf.sprintf "\"slot\":%d,\"cached\":%b" slot cached)
-  | Slot_transfer { slot; seller; buyer } ->
-    instant ~name:"slot.transfer" ~cat:"slot"
-      ~args:(Printf.sprintf "\"slot\":%d,\"seller\":%d,\"buyer\":%d" slot seller buyer)
-  | Block_alloc { addr; bytes; _ } | Block_free { addr; bytes; _ }
-  | Block_split { addr; bytes; _ } | Block_coalesce { addr; bytes; _ } ->
-    instant ~name:(Event.name ev) ~cat:"heap"
-      ~args:(Printf.sprintf "\"addr\":%d,\"bytes\":%d" addr bytes)
-  | Pack_slot { tid; slot; bytes } | Unpack_slot { tid; slot; bytes } ->
-    instant ~name:(Event.name ev) ~cat:"migration"
-      ~args:(Printf.sprintf "\"tid\":%d,\"slot\":%d,\"bytes\":%d" tid slot bytes)
-  | Neg_request { requester; n } ->
-    instant ~name:"negotiation.request" ~cat:"negotiation"
-      ~args:(Printf.sprintf "\"requester\":%d,\"n\":%d" requester n)
-  | Neg_round { requester; peer; bytes } ->
-    instant ~name:"negotiation.round" ~cat:"negotiation"
-      ~args:(Printf.sprintf "\"requester\":%d,\"peer\":%d,\"bytes\":%d" requester peer bytes)
-  | Packet_send { src; dst; bytes } ->
-    instant ~name:"net.send" ~cat:"net"
-      ~args:(Printf.sprintf "\"src\":%d,\"dst\":%d,\"bytes\":%d" src dst bytes)
-  | Packet_deliver { src; dst; bytes } ->
-    instant ~name:"net.deliver" ~cat:"net"
-      ~args:(Printf.sprintf "\"src\":%d,\"dst\":%d,\"bytes\":%d" src dst bytes)
-  | Fault_inject { kind; src; dst; bytes } ->
-    instant
-      ~name:("fault." ^ Event.fault_name kind)
-      ~cat:"fault"
-      ~args:(Printf.sprintf "\"src\":%d,\"dst\":%d,\"bytes\":%d" src dst bytes)
-  | Node_kill { node } ->
-    instant ~name:"node.kill" ~cat:"fault" ~args:(Printf.sprintf "\"node\":%d" node)
-  | Node_restart { node } ->
-    instant ~name:"node.restart" ~cat:"fault" ~args:(Printf.sprintf "\"node\":%d" node)
-  | Net_retransmit { src; dst; seq; attempt; bytes } ->
-    instant ~name:"net.retransmit" ~cat:"net"
-      ~args:
-        (Printf.sprintf "\"src\":%d,\"dst\":%d,\"seq\":%d,\"attempt\":%d,\"bytes\":%d"
-           src dst seq attempt bytes)
-  | Net_dup_suppress { src; dst; seq } ->
-    instant ~name:"net.dup_suppress" ~cat:"net"
-      ~args:(Printf.sprintf "\"src\":%d,\"dst\":%d,\"seq\":%d" src dst seq)
-  | Net_give_up { src; dst; seq; attempts } ->
-    instant ~name:"net.give_up" ~cat:"net"
-      ~args:
-        (Printf.sprintf "\"src\":%d,\"dst\":%d,\"seq\":%d,\"attempts\":%d" src dst seq
-           attempts)
-  | Migration_abort { tid; src; dst; reason } ->
-    instant ~name:"migration.abort" ~cat:"migration"
-      ~args:
-        (Printf.sprintf "\"tid\":%d,\"src\":%d,\"dst\":%d,\"reason\":\"%s\"" tid src dst
-           (escape reason))
-  | Migration_rollback { tid; node; slots } ->
-    instant ~name:"migration.rollback" ~cat:"migration"
-      ~args:(Printf.sprintf "\"tid\":%d,\"node\":%d,\"slots\":%d" tid node slots)
-  | Neg_abort { requester; n; lease_until } ->
-    instant ~name:"negotiation.abort" ~cat:"negotiation"
-      ~args:
-        (Printf.sprintf "\"requester\":%d,\"n\":%d,\"lease_until\":%.3f" requester n
-           lease_until)
-  | Group_migration_start { gid; src; dst; members } ->
-    instant ~name:"group_migration.start" ~cat:"migration"
-      ~args:
-        (Printf.sprintf "\"gid\":%d,\"src\":%d,\"dst\":%d,\"members\":%d" gid src dst
-           members)
-  | Group_migration_phase { gid; phase; members; bytes; slots; dur } ->
-    complete
-      ~name:("group_migrate:" ^ Event.phase_name phase)
-      ~cat:"migration" ~tid:gid ~dur
-      ~args:
-        (Printf.sprintf "\"gid\":%d,\"members\":%d,\"bytes\":%d,\"slots\":%d" gid members
-           bytes slots)
-  | Group_migration_commit { gid; dst; members; bytes } ->
-    instant ~name:"group_migration.commit" ~cat:"migration"
-      ~args:
-        (Printf.sprintf "\"gid\":%d,\"dst\":%d,\"members\":%d,\"bytes\":%d" gid dst
-           members bytes)
-  | Group_migration_abort { gid; src; dst; reason } ->
-    instant ~name:"group_migration.abort" ~cat:"migration"
-      ~args:
-        (Printf.sprintf "\"gid\":%d,\"src\":%d,\"dst\":%d,\"reason\":\"%s\"" gid src dst
-           (escape reason))
-  | Train_send { src; dst; train; frags; bytes } ->
-    instant ~name:"net.train_send" ~cat:"net"
-      ~args:
-        (Printf.sprintf "\"src\":%d,\"dst\":%d,\"train\":%d,\"frags\":%d,\"bytes\":%d"
-           src dst train frags bytes)
-  | Train_retransmit { src; dst; train; attempt; bytes } ->
-    instant ~name:"net.train_retransmit" ~cat:"net"
-      ~args:
-        (Printf.sprintf "\"src\":%d,\"dst\":%d,\"train\":%d,\"attempt\":%d,\"bytes\":%d"
-           src dst train attempt bytes)
-  | Train_ack { src; dst; train } ->
-    instant ~name:"net.train_ack" ~cat:"net"
-      ~args:(Printf.sprintf "\"src\":%d,\"dst\":%d,\"train\":%d" src dst train)
-  | Delta_hit { tid; pages } ->
-    instant ~name:"delta.hit" ~cat:"migration"
-      ~args:(Printf.sprintf "\"tid\":%d,\"pages\":%d" tid pages)
-  | Delta_miss { tid; pages } ->
-    instant ~name:"delta.miss" ~cat:"migration"
-      ~args:(Printf.sprintf "\"tid\":%d,\"pages\":%d" tid pages)
-  | Delta_evict { tid; bytes } ->
-    instant ~name:"delta.evict" ~cat:"migration"
-      ~args:(Printf.sprintf "\"tid\":%d,\"bytes\":%d" tid bytes)
-  | Span_end { trace; span; parent; kind; start; dur; host_us; note } ->
-    (* A causal span renders as a complete event on its own node's track,
-       one lane per trace, starting at the span's virtual start (the
-       Span_end event itself fires at the end instant). *)
-    addf
-      "{\"name\":\"span:%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"trace\":%d,\"span\":%d,\"parent\":%d,\"host_us\":%.1f%s}}"
-      (Event.span_kind_name kind) start dur node trace trace span parent host_us
-      (if note = "" then "" else Printf.sprintf ",\"note\":\"%s\"" (escape note))
-  | Thread_printf { tid; text } ->
-    instant ~name:"pm2_printf" ~cat:"guest"
-      ~args:(Printf.sprintf "\"tid\":%d,\"text\":\"%s\"" tid (escape text))
-  | Node_crash { node; threads } ->
-    instant ~name:"node.crash" ~cat:"fault"
-      ~args:(Printf.sprintf "\"node\":%d,\"threads\":%d" node threads)
-  | Node_suspected { node; by } ->
-    instant ~name:"node.suspected" ~cat:"fault"
-      ~args:(Printf.sprintf "\"node\":%d,\"by\":%d" node by)
-  | Node_dead { node; by } ->
-    instant ~name:"node.dead" ~cat:"fault"
-      ~args:(Printf.sprintf "\"node\":%d,\"by\":%d" node by)
-  | Checkpoint { tid; node; bytes; full_bytes; new_pages } ->
-    instant ~name:"recover.checkpoint" ~cat:"recover"
-      ~args:
-        (Printf.sprintf
-           "\"tid\":%d,\"node\":%d,\"bytes\":%d,\"full_bytes\":%d,\"new_pages\":%d"
-           tid node bytes full_bytes new_pages)
-  | Thread_restore { tid; node; from_node; gen } ->
-    instant ~name:"recover.restore" ~cat:"recover"
-      ~args:
-        (Printf.sprintf "\"tid\":%d,\"node\":%d,\"from_node\":%d,\"gen\":%d" tid node
-           from_node gen)
-  | Thread_lost { tid; node; reason } ->
-    instant ~name:"recover.lost" ~cat:"recover"
-      ~args:
-        (Printf.sprintf "\"tid\":%d,\"node\":%d,\"reason\":\"%s\"" tid node
-           (escape reason))
-  | Delta_invalidate { node; peer; entries } ->
-    instant ~name:"delta.invalidate" ~cat:"migration"
-      ~args:(Printf.sprintf "\"node\":%d,\"peer\":%d,\"entries\":%d" node peer entries)
+  (match (ev : Event.t) with
+   | Migration_phase { tid; phase; dur; _ } ->
+     complete ~name:("migrate:" ^ Event.phase_name phase) ~ts:time ~tid ~dur
+   | Group_migration_phase { gid; phase; dur; _ } ->
+     complete ~name:("group_migrate:" ^ Event.phase_name phase) ~ts:time ~tid:gid ~dur
+   | Neg_grant { dur; _ } -> complete ~name:"negotiation" ~ts:time ~tid:0 ~dur
+   | Neg_deny { dur; _ } -> complete ~name:"negotiation:deny" ~ts:time ~tid:0 ~dur
+   | Span_end { kind; start; dur; trace; _ } ->
+     (* A causal span sits on its own node's track, one lane per trace,
+        starting at the span's virtual start (the event itself fires at
+        the end instant). *)
+     complete ~name:("span:" ^ Event.span_kind_name kind) ~ts:start ~tid:trace ~dur
+   | _ ->
+     let name = match ev with Thread_printf _ -> "pm2_printf" | _ -> Event.name ev in
+     Printf.bprintf buf
+       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"s\":\"p\""
+       name cat time node);
+  Buffer.add_string buf ",\"args\":";
+  let w = Json.writer buf in
+  Json.obj_start w;
+  Event.write_fields w ev;
+  Json.obj_end w;
+  Buffer.add_char buf '}'
 
-let to_buffer t buf =
+let to_buffer t =
+  let buf = Buffer.create (256 * (1 + Vec.length t.records)) in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "{\"traceEvents\":[";
   let first = ref true in
@@ -237,18 +110,12 @@ let to_buffer t buf =
           "{\"name\":\"flow\",\"cat\":\"span\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%.3f,\"pid\":%d,\"tid\":%d}"
           span start node trace
       | _ -> ());
-  addf "],\"displayTimeUnit\":\"ms\"}"
+  addf "],\"displayTimeUnit\":\"ms\"}";
+  buf
 
-let to_string t =
-  let buf = Buffer.create (256 * (1 + Vec.length t.records)) in
-  to_buffer t buf;
-  Buffer.contents buf
-
-let write_channel t oc =
-  let buf = Buffer.create (256 * (1 + Vec.length t.records)) in
-  to_buffer t buf;
-  Buffer.output_buffer oc buf
+let to_string t = Buffer.contents (to_buffer t)
 
 let write_file t path =
+  let buf = to_buffer t in
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel t oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf)

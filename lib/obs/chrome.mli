@@ -5,14 +5,21 @@
     {{:https://ui.perfetto.dev}Perfetto}. The mapping:
 
     - [Migration_phase] → complete ("X") spans named [migrate:pack],
-      [migrate:send], [migrate:remap], [migrate:restart], with pid = node,
-      tid = thread id and the byte/slot counts in [args];
-    - [Neg_grant] / [Neg_deny] → complete spans covering the modelled
-      protocol time;
-    - every other event → an instant ("i") event on its node.
+      [migrate:send], [migrate:remap], [migrate:restart], with pid = node
+      and tid = thread id; [Group_migration_phase] likewise as
+      [group_migrate:*] with tid = group id;
+    - [Neg_grant] / [Neg_deny] → complete spans [negotiation] /
+      [negotiation:deny] covering the modelled protocol time;
+    - [Span_end] → a complete span [span:KIND] from the span's virtual
+      start, tid = trace id, with cross-node flow arrows to its parent;
+    - every other event → an instant ("i") event on its node, named by
+      {!Event.name} ([pm2_printf] for guest output).
 
-    Timestamps are virtual microseconds, which is natively what the
-    [ts]/[dur] fields expect. *)
+    Every event's [args] object is its own wire fields, exactly as
+    {!Event.write_fields} writes them for the JSON-lines stream. This
+    module adds only what is Chrome-specific: the display name, the
+    category, and the ts/dur/tid placement. Timestamps are virtual
+    microseconds, which is natively what the [ts]/[dur] fields expect. *)
 
 type t
 
@@ -25,9 +32,5 @@ val clear : t -> unit
 
 val sink : t -> Sink.t
 
-(** JSON-escape a string (quotes, backslash, control characters). *)
-val escape : string -> string
-
 val to_string : t -> string
-val write_channel : t -> out_channel -> unit
 val write_file : t -> string -> unit

@@ -177,190 +177,78 @@ let name = function
   | Thread_lost _ -> "recover.lost"
   | Delta_invalidate _ -> "delta.invalidate"
 
-let pp ppf ev =
+(* The one definition of each event's wire fields and their order: the
+   JSON-lines stream, the flight recorder, pm2-ctl/1 event pushes and the
+   Chrome exporter's [args] all write them through here. *)
+let write_fields w ev =
+  let i k v = Json.int_field w k v in
+  let f k v = Json.num_field w k v in
+  let s k v = Json.str_field w k v in
+  let b k v = Json.bool_field w k v in
   match ev with
   | Slot_reserve { slot; n; cache_hit } ->
-    Format.fprintf ppf "slot.reserve slot=%d n=%d%s" slot n
-      (if cache_hit then " (cached)" else "")
-  | Slot_release { slot; cached } ->
-    Format.fprintf ppf "slot.release slot=%d%s" slot (if cached then " (cached)" else "")
+    i "slot" slot; i "n" n; b "cache_hit" cache_hit
+  | Slot_release { slot; cached } -> i "slot" slot; b "cached" cached
   | Slot_transfer { slot; seller; buyer } ->
-    Format.fprintf ppf "slot.transfer slot=%d node%d->node%d" slot seller buyer
-  | Block_alloc { heap; addr; bytes } ->
-    Format.fprintf ppf "heap.%s.alloc 0x%x %dB" (heap_name heap) addr bytes
-  | Block_free { heap; addr; bytes } ->
-    Format.fprintf ppf "heap.%s.free 0x%x %dB" (heap_name heap) addr bytes
-  | Block_split { heap; addr; bytes } ->
-    Format.fprintf ppf "heap.%s.split 0x%x %dB" (heap_name heap) addr bytes
-  | Block_coalesce { heap; addr; bytes } ->
-    Format.fprintf ppf "heap.%s.coalesce 0x%x %dB" (heap_name heap) addr bytes
-  | Migration_phase { tid; phase; bytes; slots; dur } ->
-    Format.fprintf ppf "migration.%s tid=%d %dB %d slots %.1fus" (phase_name phase) tid
-      bytes slots dur
-  | Pack_slot { tid; slot; bytes } ->
-    Format.fprintf ppf "migration.pack_slot tid=%d 0x%x %dB" tid slot bytes
-  | Unpack_slot { tid; slot; bytes } ->
-    Format.fprintf ppf "migration.unpack_slot tid=%d 0x%x %dB" tid slot bytes
-  | Neg_request { requester; n } ->
-    Format.fprintf ppf "negotiation.request node%d n=%d" requester n
+    i "slot" slot; i "seller" seller; i "buyer" buyer
+  | Block_alloc { addr; bytes; _ } | Block_free { addr; bytes; _ }
+  | Block_split { addr; bytes; _ } | Block_coalesce { addr; bytes; _ } ->
+    i "addr" addr; i "bytes" bytes
+  | Migration_phase { tid; bytes; slots; dur; _ } ->
+    i "tid" tid; i "bytes" bytes; i "slots" slots; f "dur" dur
+  | Pack_slot { tid; slot; bytes } | Unpack_slot { tid; slot; bytes } ->
+    i "tid" tid; i "slot" slot; i "bytes" bytes
+  | Neg_request { requester; n } -> i "requester" requester; i "n" n
   | Neg_round { requester; peer; bytes } ->
-    Format.fprintf ppf "negotiation.round node%d<->node%d %dB" requester peer bytes
+    i "requester" requester; i "peer" peer; i "bytes" bytes
   | Neg_grant { requester; start; n; bought; dur } ->
-    Format.fprintf ppf "negotiation.grant node%d start=%d n=%d bought=%d %.1fus"
-      requester start n bought dur
-  | Neg_deny { requester; n; dur } ->
-    Format.fprintf ppf "negotiation.deny node%d n=%d %.1fus" requester n dur
-  | Packet_send { src; dst; bytes } ->
-    Format.fprintf ppf "net.send node%d->node%d %dB" src dst bytes
-  | Packet_deliver { src; dst; bytes } ->
-    Format.fprintf ppf "net.deliver node%d->node%d %dB" src dst bytes
-  | Fault_inject { kind; src; dst; bytes } ->
-    Format.fprintf ppf "fault.%s node%d->node%d %dB" (fault_name kind) src dst bytes
-  | Node_kill { node } -> Format.fprintf ppf "node.kill node%d" node
-  | Node_restart { node } -> Format.fprintf ppf "node.restart node%d" node
+    i "requester" requester; i "start" start; i "n" n; i "bought" bought; f "dur" dur
+  | Neg_deny { requester; n; dur } -> i "requester" requester; i "n" n; f "dur" dur
+  | Packet_send { src; dst; bytes } | Packet_deliver { src; dst; bytes }
+  | Fault_inject { src; dst; bytes; _ } ->
+    i "src" src; i "dst" dst; i "bytes" bytes
+  | Node_kill { node } | Node_restart { node } -> i "node" node
   | Net_retransmit { src; dst; seq; attempt; bytes } ->
-    Format.fprintf ppf "net.retransmit node%d->node%d seq=%d attempt=%d %dB" src dst seq
-      attempt bytes
-  | Net_dup_suppress { src; dst; seq } ->
-    Format.fprintf ppf "net.dup_suppress node%d->node%d seq=%d" src dst seq
+    i "src" src; i "dst" dst; i "seq" seq; i "attempt" attempt; i "bytes" bytes
+  | Net_dup_suppress { src; dst; seq } -> i "src" src; i "dst" dst; i "seq" seq
   | Net_give_up { src; dst; seq; attempts } ->
-    Format.fprintf ppf "net.give_up node%d->node%d seq=%d after %d attempts" src dst seq
-      attempts
+    i "src" src; i "dst" dst; i "seq" seq; i "attempts" attempts
   | Migration_abort { tid; src; dst; reason } ->
-    Format.fprintf ppf "migration.abort tid=%d node%d->node%d: %s" tid src dst reason
-  | Migration_rollback { tid; node; slots } ->
-    Format.fprintf ppf "migration.rollback tid=%d node%d %d slots" tid node slots
+    i "tid" tid; i "src" src; i "dst" dst; s "reason" reason
+  | Migration_rollback { tid; node; slots } -> i "tid" tid; i "node" node; i "slots" slots
   | Neg_abort { requester; n; lease_until } ->
-    Format.fprintf ppf "negotiation.abort node%d n=%d lease expires %.1fus" requester n
-      lease_until
+    i "requester" requester; i "n" n; f "lease_until" lease_until
   | Group_migration_start { gid; src; dst; members } ->
-    Format.fprintf ppf "group_migration.start gid=%d node%d->node%d %d threads" gid src
-      dst members
-  | Group_migration_phase { gid; phase; members; bytes; slots; dur } ->
-    Format.fprintf ppf "group_migration.%s gid=%d %d threads %dB %d slots %.1fus"
-      (phase_name phase) gid members bytes slots dur
+    i "gid" gid; i "src" src; i "dst" dst; i "members" members
+  | Group_migration_phase { gid; members; bytes; slots; dur; _ } ->
+    i "gid" gid; i "members" members; i "bytes" bytes; i "slots" slots; f "dur" dur
   | Group_migration_commit { gid; dst; members; bytes } ->
-    Format.fprintf ppf "group_migration.commit gid=%d node%d %d threads %dB" gid dst
-      members bytes
+    i "gid" gid; i "dst" dst; i "members" members; i "bytes" bytes
   | Group_migration_abort { gid; src; dst; reason } ->
-    Format.fprintf ppf "group_migration.abort gid=%d node%d->node%d: %s" gid src dst
-      reason
+    i "gid" gid; i "src" src; i "dst" dst; s "reason" reason
   | Train_send { src; dst; train; frags; bytes } ->
-    Format.fprintf ppf "net.train_send node%d->node%d train=%d %d frags %dB" src dst
-      train frags bytes
+    i "src" src; i "dst" dst; i "train" train; i "frags" frags; i "bytes" bytes
   | Train_retransmit { src; dst; train; attempt; bytes } ->
-    Format.fprintf ppf "net.train_retransmit node%d->node%d train=%d attempt=%d %dB" src
-      dst train attempt bytes
-  | Train_ack { src; dst; train } ->
-    Format.fprintf ppf "net.train_ack node%d->node%d train=%d" src dst train
-  | Delta_hit { tid; pages } -> Format.fprintf ppf "delta.hit tid=%d %d pages" tid pages
-  | Delta_miss { tid; pages } ->
-    Format.fprintf ppf "delta.miss tid=%d %d pages" tid pages
-  | Delta_evict { tid; bytes } ->
-    Format.fprintf ppf "delta.evict tid=%d %dB" tid bytes
+    i "src" src; i "dst" dst; i "train" train; i "attempt" attempt; i "bytes" bytes
+  | Train_ack { src; dst; train } -> i "src" src; i "dst" dst; i "train" train
+  | Delta_hit { tid; pages } | Delta_miss { tid; pages } -> i "tid" tid; i "pages" pages
+  | Delta_evict { tid; bytes } -> i "tid" tid; i "bytes" bytes
   | Span_end { trace; span; parent; kind; start; dur; host_us; note } ->
-    Format.fprintf ppf "span.%s trace=%d span=%d parent=%d [%.1f+%.1fus host=%.1fus]%s"
-      (span_kind_name kind) trace span parent start dur host_us
-      (if note = "" then "" else " " ^ note)
-  | Thread_printf { tid; text } -> Format.fprintf ppf "thread.printf tid=%d %S" tid text
-  | Node_crash { node; threads } ->
-    Format.fprintf ppf "node.crash node%d %d threads stranded" node threads
-  | Node_suspected { node; by } ->
-    Format.fprintf ppf "node.suspected node%d by node%d" node by
-  | Node_dead { node; by } ->
-    Format.fprintf ppf "node.dead node%d declared by node%d" node by
+    i "trace" trace; i "span" span; i "parent" parent; s "kind" (span_kind_name kind);
+    f "start" start; f "dur" dur; f "host_us" host_us;
+    if note <> "" then s "note" note
+  | Thread_printf { tid; text } -> i "tid" tid; s "text" text
+  | Node_crash { node; threads } -> i "node" node; i "threads" threads
+  | Node_suspected { node; by } | Node_dead { node; by } -> i "node" node; i "by" by
   | Checkpoint { tid; node; bytes; full_bytes; new_pages } ->
-    Format.fprintf ppf "recover.checkpoint tid=%d node%d %dB (full %dB, %d new pages)"
-      tid node bytes full_bytes new_pages
+    i "tid" tid; i "node" node; i "bytes" bytes; i "full_bytes" full_bytes;
+    i "new_pages" new_pages
   | Thread_restore { tid; node; from_node; gen } ->
-    Format.fprintf ppf "recover.restore tid=%d node%d<-node%d gen=%d" tid node
-      from_node gen
-  | Thread_lost { tid; node; reason } ->
-    Format.fprintf ppf "recover.lost tid=%d node%d: %s" tid node reason
+    i "tid" tid; i "node" node; i "from_node" from_node; i "gen" gen
+  | Thread_lost { tid; node; reason } -> i "tid" tid; i "node" node; s "reason" reason
   | Delta_invalidate { node; peer; entries } ->
-    Format.fprintf ppf "delta.invalidate node%d peer=%d %d entries" node peer entries
+    i "node" node; i "peer" peer; i "entries" entries
 
-(* Structured rendering for the flight recorder and the stream sink.
-   Every variant becomes {"name":..., ...fields} — flat, one object per
-   event, so JSON-lines consumers need no schema negotiation. *)
-let to_json ev =
-  let i k v = (k, Json.Num (float_of_int v)) in
-  let f k v = (k, Json.Num v) in
-  let s k v = (k, Json.Str v) in
-  let b k v = (k, Json.Bool v) in
-  let fields =
-    match ev with
-    | Slot_reserve { slot; n; cache_hit } ->
-      [ i "slot" slot; i "n" n; b "cache_hit" cache_hit ]
-    | Slot_release { slot; cached } -> [ i "slot" slot; b "cached" cached ]
-    | Slot_transfer { slot; seller; buyer } ->
-      [ i "slot" slot; i "seller" seller; i "buyer" buyer ]
-    | Block_alloc { addr; bytes; _ } | Block_free { addr; bytes; _ }
-    | Block_split { addr; bytes; _ } | Block_coalesce { addr; bytes; _ } ->
-      [ i "addr" addr; i "bytes" bytes ]
-    | Migration_phase { tid; bytes; slots; dur; _ } ->
-      [ i "tid" tid; i "bytes" bytes; i "slots" slots; f "dur" dur ]
-    | Pack_slot { tid; slot; bytes } | Unpack_slot { tid; slot; bytes } ->
-      [ i "tid" tid; i "slot" slot; i "bytes" bytes ]
-    | Neg_request { requester; n } -> [ i "requester" requester; i "n" n ]
-    | Neg_round { requester; peer; bytes } ->
-      [ i "requester" requester; i "peer" peer; i "bytes" bytes ]
-    | Neg_grant { requester; start; n; bought; dur } ->
-      [ i "requester" requester; i "start" start; i "n" n; i "bought" bought;
-        f "dur" dur ]
-    | Neg_deny { requester; n; dur } ->
-      [ i "requester" requester; i "n" n; f "dur" dur ]
-    | Packet_send { src; dst; bytes } | Packet_deliver { src; dst; bytes } ->
-      [ i "src" src; i "dst" dst; i "bytes" bytes ]
-    | Fault_inject { src; dst; bytes; _ } ->
-      [ i "src" src; i "dst" dst; i "bytes" bytes ]
-    | Node_kill { node } | Node_restart { node } -> [ i "node" node ]
-    | Net_retransmit { src; dst; seq; attempt; bytes } ->
-      [ i "src" src; i "dst" dst; i "seq" seq; i "attempt" attempt; i "bytes" bytes ]
-    | Net_dup_suppress { src; dst; seq } -> [ i "src" src; i "dst" dst; i "seq" seq ]
-    | Net_give_up { src; dst; seq; attempts } ->
-      [ i "src" src; i "dst" dst; i "seq" seq; i "attempts" attempts ]
-    | Migration_abort { tid; src; dst; reason } ->
-      [ i "tid" tid; i "src" src; i "dst" dst; s "reason" reason ]
-    | Migration_rollback { tid; node; slots } ->
-      [ i "tid" tid; i "node" node; i "slots" slots ]
-    | Neg_abort { requester; n; lease_until } ->
-      [ i "requester" requester; i "n" n; f "lease_until" lease_until ]
-    | Group_migration_start { gid; src; dst; members } ->
-      [ i "gid" gid; i "src" src; i "dst" dst; i "members" members ]
-    | Group_migration_phase { gid; members; bytes; slots; dur; _ } ->
-      [ i "gid" gid; i "members" members; i "bytes" bytes; i "slots" slots;
-        f "dur" dur ]
-    | Group_migration_commit { gid; dst; members; bytes } ->
-      [ i "gid" gid; i "dst" dst; i "members" members; i "bytes" bytes ]
-    | Group_migration_abort { gid; src; dst; reason } ->
-      [ i "gid" gid; i "src" src; i "dst" dst; s "reason" reason ]
-    | Train_send { src; dst; train; frags; bytes } ->
-      [ i "src" src; i "dst" dst; i "train" train; i "frags" frags; i "bytes" bytes ]
-    | Train_retransmit { src; dst; train; attempt; bytes } ->
-      [ i "src" src; i "dst" dst; i "train" train; i "attempt" attempt;
-        i "bytes" bytes ]
-    | Train_ack { src; dst; train } -> [ i "src" src; i "dst" dst; i "train" train ]
-    | Delta_hit { tid; pages } | Delta_miss { tid; pages } ->
-      [ i "tid" tid; i "pages" pages ]
-    | Delta_evict { tid; bytes } -> [ i "tid" tid; i "bytes" bytes ]
-    | Span_end { trace; span; parent; kind; start; dur; host_us; note } ->
-      [ i "trace" trace; i "span" span; i "parent" parent;
-        s "kind" (span_kind_name kind); f "start" start; f "dur" dur;
-        f "host_us" host_us ]
-      @ (if note = "" then [] else [ s "note" note ])
-    | Thread_printf { tid; text } -> [ i "tid" tid; s "text" text ]
-    | Node_crash { node; threads } -> [ i "node" node; i "threads" threads ]
-    | Node_suspected { node; by } | Node_dead { node; by } ->
-      [ i "node" node; i "by" by ]
-    | Checkpoint { tid; node; bytes; full_bytes; new_pages } ->
-      [ i "tid" tid; i "node" node; i "bytes" bytes; i "full_bytes" full_bytes;
-        i "new_pages" new_pages ]
-    | Thread_restore { tid; node; from_node; gen } ->
-      [ i "tid" tid; i "node" node; i "from_node" from_node; i "gen" gen ]
-    | Thread_lost { tid; node; reason } ->
-      [ i "tid" tid; i "node" node; s "reason" reason ]
-    | Delta_invalidate { node; peer; entries } ->
-      [ i "node" node; i "peer" peer; i "entries" entries ]
-  in
-  Json.Obj (("name", Json.Str (name ev)) :: fields)
+let write w ev =
+  Json.str_field w "name" (name ev);
+  write_fields w ev

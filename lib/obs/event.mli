@@ -176,8 +176,13 @@ val fault_name : fault_kind -> string
     used by the {!Metrics} registry. *)
 val name : t -> string
 
-val pp : Format.formatter -> t -> unit
+(** [write w ev] writes [ev]'s wire fields into the object [w] has open:
+    ["name"] (its {!name}), then the payload fields in a fixed order.
+    This is the one definition of each event's fields; the JSON-lines
+    stream, the flight recorder and pm2-ctl/1 event pushes put their
+    stamps in front of it. *)
+val write : Json.writer -> t -> unit
 
-(** Structured rendering for the flight recorder and the JSON-lines
-    stream sink: a flat object [{"name": ..., ...payload fields}]. *)
-val to_json : t -> Json.t
+(** The payload fields alone, without ["name"] — the Chrome exporter's
+    [args]. *)
+val write_fields : Json.writer -> t -> unit

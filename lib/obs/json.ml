@@ -66,7 +66,7 @@ let parse_string st =
          in
          st.pos <- st.pos + 4;
          (* Re-encode the code point as UTF-8 (BMP only — enough to
-            round-trip what Chrome.escape produces). *)
+            round-trip what [escape] produces). *)
          if code < 0x80 then Buffer.add_char buf (Char.chr code)
          else if code < 0x800 then begin
            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
@@ -172,70 +172,134 @@ let parse s =
 let parse_exn s =
   match parse s with Ok v -> v | Error msg -> failwith ("Json.parse: " ^ msg)
 
-(* -- serialization -- *)
+(* -- serialization: one writer for the tree and for streamed shapes -- *)
 
-(* Escapes everything JSON requires: quotes, backslash, and the full
-   control range U+0000–U+001F. Bytes >= 0x80 pass through verbatim —
-   they are treated as opaque UTF-8 (or latin-1 garbage) and survive a
-   round-trip through [parse], which also leaves them untouched. *)
+(* The escaper. Quotes, backslash and the full control range
+   U+0000–U+001F are escaped; bytes >= 0x80 pass through verbatim — they
+   are treated as opaque UTF-8 (or latin-1 garbage) and survive a
+   round-trip through [parse], which also leaves them untouched. Runs of
+   plain bytes are copied whole, so a string with nothing to escape is
+   appended as is. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+         | '"' -> Buffer.add_string buf "\\\""
+         | '\\' -> Buffer.add_string buf "\\\\"
+         | '\n' -> Buffer.add_string buf "\\n"
+         | '\r' -> Buffer.add_string buf "\\r"
+         | '\t' -> Buffer.add_string buf "\\t"
+         | '\b' -> Buffer.add_string buf "\\b"
+         | '\012' -> Buffer.add_string buf "\\f"
+         | c -> Printf.bprintf buf "\\u%04x" (Char.code c));
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
+
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\b' -> Buffer.add_string buf "\\b"
-       | '\012' -> Buffer.add_string buf "\\f"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
+(* The number formatter. Integral values below 1e15 print without a
+   fractional tail (as [%.0f] would, "-0" included) so counters stay
+   readable; everything else prints as [%.17g], which round-trips
+   doubles. JSON has no Infinity/NaN: those print as null. *)
 let add_num buf v =
-  (* %.17g round-trips doubles; integral values print without the
-     fractional tail so counters stay readable. JSON has no
-     Infinity/NaN — emit null for those rather than invalid output. *)
   if not (Float.is_finite v) then Buffer.add_string buf "null"
   else if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" v)
-  else Buffer.add_string buf (Printf.sprintf "%.17g" v)
+    if v = 0. && Float.sign_bit v then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float v))
+  else Printf.bprintf buf "%.17g" v
 
-let rec add_value buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num v -> add_num buf v
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+(* [first]: the next value or key needs no comma before it — true at the
+   start, after an opening bracket and after a key. *)
+type writer = {
+  buf : Buffer.t;
+  mutable first : bool;
+}
+
+let writer buf = { buf; first = true }
+
+let sep w = if w.first then w.first <- false else Buffer.add_char w.buf ','
+
+let key w k =
+  sep w;
+  Buffer.add_char w.buf '"';
+  add_escaped w.buf k;
+  Buffer.add_string w.buf "\":";
+  w.first <- true
+
+let obj_start w =
+  sep w;
+  Buffer.add_char w.buf '{';
+  w.first <- true
+
+let obj_end w =
+  Buffer.add_char w.buf '}';
+  w.first <- false
+
+let arr_start w =
+  sep w;
+  Buffer.add_char w.buf '[';
+  w.first <- true
+
+let arr_end w =
+  Buffer.add_char w.buf ']';
+  w.first <- false
+
+let num w v =
+  sep w;
+  add_num w.buf v
+
+(* Same bytes as [num (float_of_int i)], without the float. *)
+let int w i =
+  if i > -1_000_000_000_000_000 && i < 1_000_000_000_000_000 then begin
+    sep w;
+    Buffer.add_string w.buf (string_of_int i)
+  end
+  else num w (float_of_int i)
+
+let str w s =
+  sep w;
+  Buffer.add_char w.buf '"';
+  add_escaped w.buf s;
+  Buffer.add_char w.buf '"'
+
+let bool w b =
+  sep w;
+  Buffer.add_string w.buf (if b then "true" else "false")
+
+let int_field w k i = key w k; int w i
+let num_field w k v = key w k; num w v
+let str_field w k s = key w k; str w s
+let bool_field w k b = key w k; bool w b
+
+let rec value w = function
+  | Null ->
+    sep w;
+    Buffer.add_string w.buf "null"
+  | Bool b -> bool w b
+  | Num v -> num w v
+  | Str s -> str w s
   | Arr xs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-         if i > 0 then Buffer.add_char buf ',';
-         add_value buf x)
-      xs;
-    Buffer.add_char buf ']'
+    arr_start w;
+    List.iter (value w) xs;
+    arr_end w
   | Obj kvs ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_char buf '"';
-         Buffer.add_string buf (escape k);
-         Buffer.add_string buf "\":";
-         add_value buf v)
-      kvs;
-    Buffer.add_char buf '}'
+    obj_start w;
+    List.iter (fun (k, v) -> key w k; value w v) kvs;
+    obj_end w
 
 let to_string v =
   let buf = Buffer.create 256 in
-  add_value buf v;
+  value (writer buf) v;
   Buffer.contents buf
 
 let member key = function

@@ -1,6 +1,6 @@
-(** A minimal JSON parser — just enough to validate and round-trip the
-    exporters' output (the toolchain ships no JSON library, and the smoke
-    tests must not invent a dependency). Numbers are floats; \u escapes
+(** A minimal JSON parser and writer — just enough to emit the
+    exporters' output and round-trip it (the toolchain ships no JSON
+    library, and the smoke tests must not invent a dependency). Numbers are floats; \u escapes
     are decoded for the BMP only. *)
 
 type t =
@@ -25,8 +25,43 @@ val parse_exn : string -> t
     {!parse}. *)
 val escape : string -> string
 
-(** Compact single-line serialization. Non-finite numbers render as
-    [null] (JSON has no Infinity/NaN); strings go through {!escape}, so
+(** {1 Writer}
+
+    Every JSON shape the runtime emits goes through these primitives into
+    one [Buffer.t], with no intermediate tree: [Event.write] streams
+    events, and {!to_string} renders a tree with the same calls. Commas
+    are placed by the writer. Numbers: integral values below 1e15 print
+    like [%.0f] (["-0"] for [-0.]), other finite values as [%.17g],
+    non-finite ones as [null]. *)
+
+type writer
+
+(** A writer appending to [buf], positioned before one top-level value. *)
+val writer : Buffer.t -> writer
+
+val obj_start : writer -> unit
+val obj_end : writer -> unit
+val arr_start : writer -> unit
+val arr_end : writer -> unit
+
+(** An object key; the next call writes its value. *)
+val key : writer -> string -> unit
+
+val int : writer -> int -> unit
+val num : writer -> float -> unit
+val str : writer -> string -> unit
+val bool : writer -> bool -> unit
+
+(** [key] then the value. *)
+val int_field : writer -> string -> int -> unit
+val num_field : writer -> string -> float -> unit
+val str_field : writer -> string -> string -> unit
+val bool_field : writer -> string -> bool -> unit
+
+(** A whole tree. *)
+val value : writer -> t -> unit
+
+(** Compact single-line serialization through {!value}, so
     [parse (to_string v) = Ok v] for any value whose numbers are
     finite. *)
 val to_string : t -> string

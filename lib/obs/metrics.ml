@@ -2,7 +2,6 @@ module H = Pm2_util.Stats.Histogram
 
 type node_registry = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
   histograms : (string, H.t) Hashtbl.t;
 }
 
@@ -17,13 +16,7 @@ let registry t node =
   match Hashtbl.find_opt t.nodes node with
   | Some r -> r
   | None ->
-    let r =
-      {
-        counters = Hashtbl.create 16;
-        gauges = Hashtbl.create 8;
-        histograms = Hashtbl.create 16;
-      }
-    in
+    let r = { counters = Hashtbl.create 16; histograms = Hashtbl.create 16 } in
     Hashtbl.replace t.nodes node r;
     r
 
@@ -32,12 +25,6 @@ let incr t ~node ?(by = 1) name =
   match Hashtbl.find_opt r.counters name with
   | Some c -> c := !c + by
   | None -> Hashtbl.replace r.counters name (ref by)
-
-let set_gauge t ~node name v =
-  let r = registry t node in
-  match Hashtbl.find_opt r.gauges name with
-  | Some g -> g := v
-  | None -> Hashtbl.replace r.gauges name (ref v)
 
 let observe t ~node name v =
   let r = registry t node in
@@ -56,10 +43,6 @@ let counter t ~node name =
   | None -> 0
   | Some r ->
     (match Hashtbl.find_opt r.counters name with Some c -> !c | None -> 0)
-
-let gauge t ~node name =
-  Option.bind (Hashtbl.find_opt t.nodes node) (fun r ->
-      Option.map ( ! ) (Hashtbl.find_opt r.gauges name))
 
 let histogram t ~node name =
   Option.bind (Hashtbl.find_opt t.nodes node) (fun r ->
@@ -216,10 +199,6 @@ let report t =
             addf "  counters:\n";
             List.iter (fun (k, c) -> addf "    %-32s %d\n" k !c) (sorted_bindings r.counters)
           end;
-          if Hashtbl.length r.gauges > 0 then begin
-            addf "  gauges:\n";
-            List.iter (fun (k, g) -> addf "    %-32s %g\n" k !g) (sorted_bindings r.gauges)
-          end;
           if Hashtbl.length r.histograms > 0 then begin
             addf "  histograms:                        n      p50      p95      p99      max\n";
             List.iter
@@ -232,39 +211,24 @@ let report t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let sep = ref "" in
-  addf "{";
-  List.iter
-    (fun id ->
-       let r = registry t id in
-       addf "%s\"node%d\":{" !sep id;
-       sep := ",";
-       addf "\"counters\":{";
-       let s = ref "" in
-       List.iter
-         (fun (k, c) ->
-            addf "%s\"%s\":%d" !s k !c;
-            s := ",")
-         (sorted_bindings r.counters);
-       addf "},\"gauges\":{";
-       let s = ref "" in
-       List.iter
-         (fun (k, g) ->
-            addf "%s\"%s\":%g" !s k !g;
-            s := ",")
-         (sorted_bindings r.gauges);
-       addf "},\"histograms\":{";
-       let s = ref "" in
-       List.iter
-         (fun (k, h) ->
-            addf "%s\"%s\":{\"n\":%d,\"mean\":%g,\"p50\":%g,\"p95\":%g,\"p99\":%g,\"max\":%g}"
-              !s k (H.count h) (H.mean h) (pct h 50.) (pct h 95.) (pct h 99.)
-              (if H.count h = 0 then 0. else H.max_value h);
-            s := ",")
-         (sorted_bindings r.histograms);
-       addf "}}")
-    (node_ids t);
-  addf "}";
-  Buffer.contents buf
+  let obj render tbl =
+    Json.Obj (List.map (fun (k, v) -> (k, render v)) (sorted_bindings tbl))
+  in
+  let histogram h =
+    Json.Obj
+      [ ("n", Json.Num (float_of_int (H.count h)));
+        ("mean", Json.Num (H.mean h));
+        ("p50", Json.Num (pct h 50.));
+        ("p95", Json.Num (pct h 95.));
+        ("p99", Json.Num (pct h 99.));
+        ("max", Json.Num (if H.count h = 0 then 0. else H.max_value h)) ]
+  in
+  Json.Obj
+    (List.map
+       (fun id ->
+          let r = registry t id in
+          ( Printf.sprintf "node%d" id,
+            Json.Obj
+              [ ("counters", obj (fun c -> Json.Num (float_of_int !c)) r.counters);
+                ("histograms", obj histogram r.histograms) ] ))
+       (node_ids t))

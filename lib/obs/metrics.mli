@@ -1,4 +1,4 @@
-(** The per-node metrics registry sink: counters, gauges and fixed-bucket
+(** The per-node metrics registry sink: counters and fixed-bucket
     latency/size histograms ({!Pm2_util.Stats.Histogram}), keyed by the
     dot-separated taxonomy names of {!Event.name} (e.g.
     ["migration.pack"], ["negotiation.us"], ["heap.iso.alloc_bytes"]).
@@ -6,7 +6,8 @@
     Use {!sink} to aggregate a run's events, then {!report} (human) or
     {!to_json} (machine) for the per-node breakdown with p50/p95/p99
     snapshots. The registry can also be driven directly ({!incr},
-    {!observe}, {!set_gauge}) by code outside the event pipeline. *)
+    {!observe}) by code outside the event pipeline. Live gauges (heat,
+    load) are not kept here; they live in {!Feed}. *)
 
 type t
 
@@ -15,13 +16,11 @@ type t
 val create : ?bounds:float array -> unit -> t
 
 val incr : t -> node:int -> ?by:int -> string -> unit
-val set_gauge : t -> node:int -> string -> float -> unit
 val observe : t -> node:int -> string -> float -> unit
 
 (** 0 when never incremented. *)
 val counter : t -> node:int -> string -> int
 
-val gauge : t -> node:int -> string -> float option
 val histogram : t -> node:int -> string -> Pm2_util.Stats.Histogram.t option
 
 (** Nodes that recorded at least one metric, ascending. *)
@@ -38,10 +37,11 @@ val merged_histogram : t -> string -> Pm2_util.Stats.Histogram.t option
     (["slot.bought"]); everything else lands on the emitting node. *)
 val sink : t -> Sink.t
 
-(** Plain-text per-node report (counters, gauges, histogram quantiles). *)
+(** Plain-text per-node report (counters, histogram quantiles). *)
 val report : t -> string
 
-(** Compact JSON: [{"node0":{"counters":{...},"gauges":{...},
+(** The per-node breakdown as a JSON tree: [{"node0":{"counters":{...},
     "histograms":{"name":{"n":..,"mean":..,"p50":..,"p95":..,"p99":..,
-    "max":..},...}},...}]. *)
-val to_json : t -> string
+    "max":..},...}},...}], keys sorted. Render it with {!Json.to_string}
+    or {!Json.value}; numbers keep full precision. *)
+val to_json : t -> Json.t

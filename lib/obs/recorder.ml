@@ -62,41 +62,46 @@ let sink t = Sink.make ~name:"recorder" (fun ~time ~node ev -> on_event t ~time 
 let node_ids t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.rings [] |> List.sort compare
 
-let to_json t =
-  let record (r : Ring.record) =
-    match Event.to_json r.event with
-    | Json.Obj fields -> Json.Obj (("t", Json.Num r.time) :: fields)
-    | other -> other
-  in
-  let nodes =
-    List.map
-      (fun id ->
-         let r = ring t id in
-         ( Printf.sprintf "node%d" id,
-           Json.Obj
-             [
-               ("dropped", Json.Num (float_of_int (Ring.dropped r)));
-               ("events", Json.Arr (List.map record (Ring.to_list r)));
-             ] ))
-      (node_ids t)
-  in
-  let trig { trig_time; trig_node; trig_reason } =
-    Json.Obj
-      [
-        ("t", Json.Num trig_time);
-        ("node", Json.Num (float_of_int trig_node));
-        ("reason", Json.Str trig_reason);
-      ]
-  in
-  Json.Obj
-    [
-      ("recorder", Json.Str "pm2-flight/1");
-      ("capacity", Json.Num (float_of_int t.capacity));
-      ("triggers", Json.Arr (List.map trig (triggers t)));
-      ("nodes", Json.Obj nodes);
-    ]
-
-let dump t = Json.to_string (to_json t)
+let dump t =
+  let buf = Buffer.create 4096 in
+  let w = Json.writer buf in
+  Json.obj_start w;
+  Json.str_field w "recorder" "pm2-flight/1";
+  Json.int_field w "capacity" t.capacity;
+  Json.key w "triggers";
+  Json.arr_start w;
+  List.iter
+    (fun { trig_time; trig_node; trig_reason } ->
+       Json.obj_start w;
+       Json.num_field w "t" trig_time;
+       Json.int_field w "node" trig_node;
+       Json.str_field w "reason" trig_reason;
+       Json.obj_end w)
+    (triggers t);
+  Json.arr_end w;
+  Json.key w "nodes";
+  Json.obj_start w;
+  List.iter
+    (fun id ->
+       let events = ring t id in
+       Json.key w (Printf.sprintf "node%d" id);
+       Json.obj_start w;
+       Json.int_field w "dropped" (Ring.dropped events);
+       Json.key w "events";
+       Json.arr_start w;
+       Ring.iter
+         (fun (e : Ring.record) ->
+            Json.obj_start w;
+            Json.num_field w "t" e.time;
+            Event.write w e.event;
+            Json.obj_end w)
+         events;
+       Json.arr_end w;
+       Json.obj_end w)
+    (node_ids t);
+  Json.obj_end w;
+  Json.obj_end w;
+  Buffer.contents buf
 
 let write_file t path =
   let oc = open_out path in

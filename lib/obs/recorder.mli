@@ -29,12 +29,12 @@ val triggers : t -> trigger list
 (** Called on every trigger, after it is recorded. *)
 val set_on_trigger : t -> (trigger -> unit) -> unit
 
-(** Dump format ["pm2-flight/1"]: capacity, triggers, and per node the
-    drop count plus the retained events oldest-first (each event through
-    {!Event.to_json} with its timestamp prepended). *)
-val to_json : t -> Json.t
-
-(** [to_json] rendered compactly. *)
+(** The dump, format ["pm2-flight/1"], compact on one line:
+    [{"recorder":"pm2-flight/1","capacity":N,"triggers":[{"t":...,
+    "node":...,"reason":...},...],"nodes":{"nodeK":{"dropped":N,
+    "events":[...]},...}}] — triggers oldest first, and per node the
+    retained events oldest first, each one [{"t":..., ...}] followed by
+    the fields of {!Event.write}. *)
 val dump : t -> string
 
 val write_file : t -> string -> unit

@@ -3,7 +3,7 @@
     A sink is a named callback receiving every event the {!Collector}
     lets through, already stamped with virtual time and node id. The
     standard sinks are {!Ring} (bounded in-memory buffer), {!Metrics}
-    (per-node counters / gauges / histograms), {!Chrome} (trace_event
+    (per-node counters / histograms), {!Chrome} (trace_event
     JSON for chrome://tracing and Perfetto) and
     [Pm2_sim.Trace.sink] (the legacy [[node0] ...] line renderer). *)
 

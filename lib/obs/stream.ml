@@ -1,49 +1,42 @@
 (* The JSON-lines streaming sink: one flat object per event, written to
-   a channel as it happens — the export path for long-lived services
-   where post-mortem dumps come too late. Periodic per-node metrics
-   snapshots interleave as ["metrics"] lines (see [write_metrics]);
+   a file as it happens — the export path for long-lived services where
+   post-mortem dumps come too late. Periodic metrics snapshots
+   interleave as "metrics.snapshot" lines (see [write_metrics]);
    consumers dispatch on the "name" field. *)
 
 type t = {
   oc : out_channel;
-  owned : bool; (* close the channel in [close]? *)
+  buf : Buffer.t; (* one line, reused *)
   mutable lines : int;
 }
 
-let to_channel oc = { oc; owned = false; lines = 0 }
-
-let open_file path = { oc = open_out path; owned = true; lines = 0 }
+let open_file path = { oc = open_out path; buf = Buffer.create 256; lines = 0 }
 
 let lines t = t.lines
 
-let write_line t s =
-  output_string t.oc s;
-  output_char t.oc '\n';
+let write_line t fields =
+  Buffer.clear t.buf;
+  let w = Json.writer t.buf in
+  Json.obj_start w;
+  fields w;
+  Json.obj_end w;
+  Buffer.add_char t.buf '\n';
+  Buffer.output_buffer t.oc t.buf;
   t.lines <- t.lines + 1
 
 let on_event t ~time ~node ev =
-  let fields =
-    match Event.to_json ev with
-    | Json.Obj fields -> fields
-    | other -> [ ("event", other) ]
-  in
-  write_line t
-    (Json.to_string
-       (Json.Obj (("t", Json.Num time) :: ("node", Json.Num (float_of_int node)) :: fields)))
+  write_line t (fun w ->
+      Json.num_field w "t" time;
+      Json.int_field w "node" node;
+      Event.write w ev)
 
 let sink t = Sink.make ~name:"stream" (fun ~time ~node ev -> on_event t ~time ~node ev)
 
-(* A metrics snapshot line: {"t":..., "name":"metrics.snapshot",
-   "metrics":{...Metrics.to_json...}}. [Metrics.to_json] already renders
-   valid JSON, so it is spliced verbatim. *)
 let write_metrics t ~time metrics =
-  write_line t
-    (Printf.sprintf "{\"t\":%s,\"name\":\"metrics.snapshot\",\"metrics\":%s}"
-       (Json.to_string (Json.Num time))
-       (Metrics.to_json metrics))
+  write_line t (fun w ->
+      Json.num_field w "t" time;
+      Json.str_field w "name" "metrics.snapshot";
+      Json.key w "metrics";
+      Json.value w (Metrics.to_json metrics))
 
-let flush t = Stdlib.flush t.oc
-
-let close t =
-  Stdlib.flush t.oc;
-  if t.owned then close_out t.oc
+let close t = close_out t.oc

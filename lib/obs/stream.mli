@@ -1,11 +1,10 @@
 (** JSON-lines streaming export: one flat object per event
-    ([{"t":..., "node":..., "name":..., ...payload}]), written as events
-    happen. Periodic metrics snapshots interleave as
-    ["metrics.snapshot"] lines; consumers dispatch on ["name"]. *)
+    ([{"t":..., "node":..., "name":..., ...payload}], the fields of
+    {!Event.write}), written as events happen. Periodic metrics
+    snapshots interleave as ["metrics.snapshot"] lines; consumers
+    dispatch on ["name"]. *)
 
 type t
-
-val to_channel : out_channel -> t
 
 val open_file : string -> t
 
@@ -15,11 +14,10 @@ val lines : t -> int
 (** The sink to attach to the collector. *)
 val sink : t -> Sink.t
 
-(** [write_metrics t ~time m] writes one snapshot line embedding
+(** [write_metrics t ~time m] writes one snapshot line
+    [{"t":..., "name":"metrics.snapshot", "metrics":...}] embedding
     [Metrics.to_json m]. *)
 val write_metrics : t -> time:float -> Metrics.t -> unit
 
-val flush : t -> unit
-
-(** Flushes; closes the channel only if opened by {!open_file}. *)
+(** Flushes and closes the file. *)
 val close : t -> unit

@@ -1,6 +1,7 @@
-(* pm2-ctl/1 — the versioned line/JSON control-plane codec. Encoding is
-   plain Json.Obj construction (field order is part of the golden frame
-   format); decoding is total — every failure, from malformed JSON to a
+(* pm2-ctl/1 — the versioned line/JSON control-plane codec. Requests and
+   replies are plain Json.Obj construction and event pushes are written
+   straight through the Json writer (field order is part of the golden
+   frame format); decoding is total — every failure, from malformed JSON to a
    bad policy sub-grammar, comes back as a typed [err], never an
    exception. *)
 
@@ -254,16 +255,22 @@ let encode_reply ~id result =
     line [ ("id", num id); ("err", jstr (err_kind_to_string kind)); ("msg", jstr msg) ]
 
 (* The [ev] object is the JSON-lines shape of Pm2_obs.Stream: the event's
-   own fields behind virtual-time and node stamps. *)
+   own fields behind virtual-time and node stamps, written straight into
+   the frame. *)
 let encode_event ~sub ~time ~node ev =
-  let fields =
-    match Pm2_obs.Event.to_json ev with
-    | Json.Obj fields -> fields
-    | other -> [ ("event", other) ]
-  in
-  line
-    [ ("sub", num sub);
-      ("ev", Json.Obj (("t", Json.Num time) :: ("node", num node) :: fields)) ]
+  let buf = Buffer.create 160 in
+  let w = Json.writer buf in
+  Json.obj_start w;
+  Json.str_field w "v" version;
+  Json.int_field w "sub" sub;
+  Json.key w "ev";
+  Json.obj_start w;
+  Json.num_field w "t" time;
+  Json.int_field w "node" node;
+  Pm2_obs.Event.write w ev;
+  Json.obj_end w;
+  Json.obj_end w;
+  Buffer.contents buf
 
 (* -- decoding (total) -- *)
 
@@ -565,12 +572,7 @@ let apply ?(server = "pm2simd") session req =
     in
     lift (Result.map (fun time -> Ran { time; live = Session.live_threads session }) r)
   | Query_threads -> Ok (Threads (Session.query_threads session))
-  | Query_metrics ->
-    let rendered = Pm2_obs.Metrics.to_json (Session.metrics session) in
-    let m =
-      match Json.parse rendered with Ok j -> j | Error _ -> Json.Str rendered
-    in
-    Ok (Metrics m)
+  | Query_metrics -> Ok (Metrics (Pm2_obs.Metrics.to_json (Session.metrics session)))
   | Query_heat -> Ok (Heat (Session.query_heat session))
   | Query_status -> Ok (Status (status_of_session (Session.status session)))
   | Migrate { tid; dest } ->

@@ -16,8 +16,8 @@
 
     [id] is a client-chosen correlation id echoed on the reply. Event
     frames are pushed asynchronously to subscribed clients ([ev] is one
-    {!Pm2_obs.Event.to_json} object stamped with virtual time and node,
-    exactly the JSON-lines shape of {!Pm2_obs.Stream}).
+    event's {!Pm2_obs.Event.write} fields stamped with virtual time and
+    node, exactly the JSON-lines shape of {!Pm2_obs.Stream}).
 
     {2 Totality}
 

@@ -362,6 +362,248 @@ let test_trace_sink_renders_printf () =
     [ "[node0] Hello from thread eeff0020" ]
     (Pm2_sim.Trace.lines trace)
 
+(* -- golden bytes for every event constructor -- *)
+
+(* Strings that exercise every escaping rule: a quote, a backslash, named
+   and \u00XX control characters, and bytes >= 0x80 (passed through). *)
+let awkward = "dest \"1\" \\ down\n\t\001 caf\xc3\xa9 \xff"
+
+(* [after ev] is the samples of the constructor declared right after
+   [ev]'s, [] after the last one. The match has no wildcard, so adding a
+   constructor to [Event.t] fails to compile until it gets a sample
+   here; sub-kinds (heap, phase, fault, span kind) each get one too. *)
+let after : Obs.Event.t -> Obs.Event.t list =
+  let open Obs.Event in
+  let phases = [ Pack; Send; Remap; Restart ] in
+  function
+  | Slot_reserve _ -> [ Slot_release { slot = 3; cached = false } ]
+  | Slot_release _ -> [ Slot_transfer { slot = 9; seller = 1; buyer = 2 } ]
+  | Slot_transfer _ ->
+    [ Block_alloc { heap = Local; addr = 0x1000; bytes = 64 };
+      Block_alloc { heap = Iso; addr = 0x8000_0000_0000; bytes = 4096 } ]
+  | Block_alloc _ -> [ Block_free { heap = Iso; addr = 0x2040; bytes = 32 } ]
+  | Block_free _ -> [ Block_split { heap = Local; addr = 0x2060; bytes = 96 } ]
+  | Block_split _ -> [ Block_coalesce { heap = Iso; addr = 0x2000; bytes = 256 } ]
+  | Block_coalesce _ ->
+    List.mapi
+      (fun i phase ->
+         Migration_phase
+           { tid = 5; phase; bytes = 4096 + i; slots = 2;
+             dur = [| 12.25; -0.; 0.1; 75. |].(i) })
+      phases
+  | Migration_phase _ -> [ Pack_slot { tid = 5; slot = 7; bytes = 2048 } ]
+  | Pack_slot _ -> [ Unpack_slot { tid = 5; slot = 7; bytes = 2048 } ]
+  | Unpack_slot _ -> [ Neg_request { requester = 2; n = 3 } ]
+  | Neg_request _ -> [ Neg_round { requester = 2; peer = 0; bytes = 48 } ]
+  | Neg_round _ -> [ Neg_grant { requester = 2; start = 40; n = 3; bought = 1; dur = 255. } ]
+  | Neg_grant _ -> [ Neg_deny { requester = 2; n = 64; dur = -0. } ]
+  | Neg_deny _ -> [ Packet_send { src = 0; dst = 1; bytes = 96 } ]
+  | Packet_send _ -> [ Packet_deliver { src = 0; dst = 1; bytes = 96 } ]
+  | Packet_deliver _ ->
+    List.map
+      (fun kind -> Fault_inject { kind; src = 1; dst = 0; bytes = 32 })
+      [ Drop_loss; Drop_partition; Drop_dead; Duplicate; Corrupt ]
+  | Fault_inject _ -> [ Node_kill { node = 3 } ]
+  | Node_kill _ -> [ Node_restart { node = 3 } ]
+  | Node_restart _ ->
+    [ Net_retransmit { src = 0; dst = 2; seq = 17; attempt = 2; bytes = 128 } ]
+  | Net_retransmit _ -> [ Net_dup_suppress { src = 0; dst = 2; seq = 17 } ]
+  | Net_dup_suppress _ -> [ Net_give_up { src = 0; dst = 2; seq = 18; attempts = 8 } ]
+  | Net_give_up _ -> [ Migration_abort { tid = 5; src = 0; dst = 1; reason = awkward } ]
+  | Migration_abort _ -> [ Migration_rollback { tid = 5; node = 0; slots = 2 } ]
+  | Migration_rollback _ -> [ Neg_abort { requester = 1; n = 2; lease_until = 1234567.8 } ]
+  | Neg_abort _ -> [ Group_migration_start { gid = 4; src = 0; dst = 1; members = 3 } ]
+  | Group_migration_start _ ->
+    List.mapi
+      (fun i phase ->
+         Group_migration_phase
+           { gid = 4; phase; members = 3; bytes = 9000 + i; slots = 6;
+             dur = [| 1e20; 2.5; -0.; 1e-3 |].(i) })
+      phases
+  | Group_migration_phase _ ->
+    [ Group_migration_commit { gid = 4; dst = 1; members = 3; bytes = 9000 } ]
+  | Group_migration_commit _ ->
+    [ Group_migration_abort { gid = 4; src = 0; dst = 1; reason = "tab\there" } ]
+  | Group_migration_abort _ ->
+    [ Train_send { src = 0; dst = 1; train = 6; frags = 3; bytes = 9000 } ]
+  | Train_send _ ->
+    [ Train_retransmit { src = 0; dst = 1; train = 6; attempt = 2; bytes = 9000 } ]
+  | Train_retransmit _ -> [ Train_ack { src = 0; dst = 1; train = 6 } ]
+  | Train_ack _ -> [ Delta_hit { tid = 5; pages = 11 } ]
+  | Delta_hit _ -> [ Delta_miss { tid = 5; pages = 1 } ]
+  | Delta_miss _ -> [ Delta_evict { tid = 5; bytes = 65536 } ]
+  | Delta_evict _ ->
+    List.mapi
+      (fun i kind ->
+         Span_end
+           { trace = 2; span = 10 + i; parent = (if i = 0 then -1 else 10); kind;
+             start = 10.864000000000001; dur = float_of_int i *. 0.5;
+             host_us = 0.95367431640625;
+             note = [| ""; "accept"; awkward |].(i mod 3) })
+      ([ Migration; Negotiate; Probe; Pack; Train; Unpack; Commit; Rollback;
+         Delta_refetch ] : span_kind list)
+  | Span_end _ -> [ Thread_printf { tid = 32; text = awkward } ]
+  | Thread_printf _ -> [ Node_crash { node = 1; threads = 4 } ]
+  | Node_crash _ -> [ Node_suspected { node = 1; by = 0 } ]
+  | Node_suspected _ -> [ Node_dead { node = 1; by = 0 } ]
+  | Node_dead _ ->
+    [ Checkpoint { tid = 5; node = 0; bytes = 512; full_bytes = 8192; new_pages = 1 } ]
+  | Checkpoint _ -> [ Thread_restore { tid = 5; node = 2; from_node = 1; gen = 3 } ]
+  | Thread_restore _ -> [ Thread_lost { tid = 6; node = 1; reason = awkward } ]
+  | Thread_lost _ -> [ Delta_invalidate { node = 0; peer = 1; entries = 5 } ]
+  | Delta_invalidate _ -> []
+
+(* Every sample, in declaration order, each with its stamp. *)
+let golden_samples =
+  let rec unfold acc = function
+    | [] -> List.rev acc
+    | ev :: _ as group -> unfold (List.rev_append group acc) (after ev)
+  in
+  unfold [] [ Obs.Event.Slot_reserve { slot = 3; n = 2; cache_hit = true } ]
+  |> List.mapi (fun i ev -> (float_of_int i *. 1.1, i mod 3, ev))
+
+(* The pinned JSON-lines line of each sample. The stream, the flight
+   recorder and pm2-ctl/1 event pushes all write these bytes, so any
+   change to an event's wire form shows here. *)
+let awkward_json = "\"dest \\\"1\\\" \\\\ down\\n\\t\\u0001 caf\xc3\xa9 \xff\""
+
+let golden_lines =
+  [
+    {|{"t":0,"node":0,"name":"slot.reserve","slot":3,"n":2,"cache_hit":true}|};
+    {|{"t":1.1000000000000001,"node":1,"name":"slot.release","slot":3,"cached":false}|};
+    {|{"t":2.2000000000000002,"node":2,"name":"slot.transfer","slot":9,"seller":1,"buyer":2}|};
+    {|{"t":3.3000000000000003,"node":0,"name":"heap.local.alloc","addr":4096,"bytes":64}|};
+    {|{"t":4.4000000000000004,"node":1,"name":"heap.iso.alloc","addr":140737488355328,"bytes":4096}|};
+    {|{"t":5.5,"node":2,"name":"heap.iso.free","addr":8256,"bytes":32}|};
+    {|{"t":6.6000000000000005,"node":0,"name":"heap.local.split","addr":8288,"bytes":96}|};
+    {|{"t":7.7000000000000011,"node":1,"name":"heap.iso.coalesce","addr":8192,"bytes":256}|};
+    {|{"t":8.8000000000000007,"node":2,"name":"migration.pack","tid":5,"bytes":4096,"slots":2,"dur":12.25}|};
+    {|{"t":9.9000000000000004,"node":0,"name":"migration.send","tid":5,"bytes":4097,"slots":2,"dur":-0}|};
+    {|{"t":11,"node":1,"name":"migration.remap","tid":5,"bytes":4098,"slots":2,"dur":0.10000000000000001}|};
+    {|{"t":12.100000000000001,"node":2,"name":"migration.restart","tid":5,"bytes":4099,"slots":2,"dur":75}|};
+    {|{"t":13.200000000000001,"node":0,"name":"migration.pack_slot","tid":5,"slot":7,"bytes":2048}|};
+    {|{"t":14.300000000000001,"node":1,"name":"migration.unpack_slot","tid":5,"slot":7,"bytes":2048}|};
+    {|{"t":15.400000000000002,"node":2,"name":"negotiation.request","requester":2,"n":3}|};
+    {|{"t":16.5,"node":0,"name":"negotiation.round","requester":2,"peer":0,"bytes":48}|};
+    {|{"t":17.600000000000001,"node":1,"name":"negotiation.grant","requester":2,"start":40,"n":3,"bought":1,"dur":255}|};
+    {|{"t":18.700000000000003,"node":2,"name":"negotiation.deny","requester":2,"n":64,"dur":-0}|};
+    {|{"t":19.800000000000001,"node":0,"name":"net.send","src":0,"dst":1,"bytes":96}|};
+    {|{"t":20.900000000000002,"node":1,"name":"net.deliver","src":0,"dst":1,"bytes":96}|};
+    {|{"t":22,"node":2,"name":"fault.drop.loss","src":1,"dst":0,"bytes":32}|};
+    {|{"t":23.100000000000001,"node":0,"name":"fault.drop.partition","src":1,"dst":0,"bytes":32}|};
+    {|{"t":24.200000000000003,"node":1,"name":"fault.drop.dead","src":1,"dst":0,"bytes":32}|};
+    {|{"t":25.300000000000001,"node":2,"name":"fault.dup","src":1,"dst":0,"bytes":32}|};
+    {|{"t":26.400000000000002,"node":0,"name":"fault.corrupt","src":1,"dst":0,"bytes":32}|};
+    {|{"t":27.500000000000004,"node":1,"name":"node.kill","node":3}|};
+    {|{"t":28.600000000000001,"node":2,"name":"node.restart","node":3}|};
+    {|{"t":29.700000000000003,"node":0,"name":"net.retransmit","src":0,"dst":2,"seq":17,"attempt":2,"bytes":128}|};
+    {|{"t":30.800000000000004,"node":1,"name":"net.dup_suppress","src":0,"dst":2,"seq":17}|};
+    {|{"t":31.900000000000002,"node":2,"name":"net.give_up","src":0,"dst":2,"seq":18,"attempts":8}|};
+    {|{"t":33,"node":0,"name":"migration.abort","tid":5,"src":0,"dst":1,"reason":|} ^ awkward_json ^ {|}|};
+    {|{"t":34.100000000000001,"node":1,"name":"migration.rollback","tid":5,"node":0,"slots":2}|};
+    {|{"t":35.200000000000003,"node":2,"name":"negotiation.abort","requester":1,"n":2,"lease_until":1234567.8}|};
+    {|{"t":36.300000000000004,"node":0,"name":"group_migration.start","gid":4,"src":0,"dst":1,"members":3}|};
+    {|{"t":37.400000000000006,"node":1,"name":"group_migration.pack","gid":4,"members":3,"bytes":9000,"slots":6,"dur":1e+20}|};
+    {|{"t":38.5,"node":2,"name":"group_migration.send","gid":4,"members":3,"bytes":9001,"slots":6,"dur":2.5}|};
+    {|{"t":39.600000000000001,"node":0,"name":"group_migration.remap","gid":4,"members":3,"bytes":9002,"slots":6,"dur":-0}|};
+    {|{"t":40.700000000000003,"node":1,"name":"group_migration.restart","gid":4,"members":3,"bytes":9003,"slots":6,"dur":0.001}|};
+    {|{"t":41.800000000000004,"node":2,"name":"group_migration.commit","gid":4,"dst":1,"members":3,"bytes":9000}|};
+    {|{"t":42.900000000000006,"node":0,"name":"group_migration.abort","gid":4,"src":0,"dst":1,"reason":"tab\there"}|};
+    {|{"t":44,"node":1,"name":"net.train_send","src":0,"dst":1,"train":6,"frags":3,"bytes":9000}|};
+    {|{"t":45.100000000000001,"node":2,"name":"net.train_retransmit","src":0,"dst":1,"train":6,"attempt":2,"bytes":9000}|};
+    {|{"t":46.200000000000003,"node":0,"name":"net.train_ack","src":0,"dst":1,"train":6}|};
+    {|{"t":47.300000000000004,"node":1,"name":"delta.hit","tid":5,"pages":11}|};
+    {|{"t":48.400000000000006,"node":2,"name":"delta.miss","tid":5,"pages":1}|};
+    {|{"t":49.500000000000007,"node":0,"name":"delta.evict","tid":5,"bytes":65536}|};
+    {|{"t":50.600000000000001,"node":1,"name":"span.migration","trace":2,"span":10,"parent":-1,"kind":"migration","start":10.864000000000001,"dur":0,"host_us":0.95367431640625}|};
+    {|{"t":51.700000000000003,"node":2,"name":"span.negotiate","trace":2,"span":11,"parent":10,"kind":"negotiate","start":10.864000000000001,"dur":0.5,"host_us":0.95367431640625,"note":"accept"}|};
+    {|{"t":52.800000000000004,"node":0,"name":"span.probe","trace":2,"span":12,"parent":10,"kind":"probe","start":10.864000000000001,"dur":1,"host_us":0.95367431640625,"note":|} ^ awkward_json ^ {|}|};
+    {|{"t":53.900000000000006,"node":1,"name":"span.pack","trace":2,"span":13,"parent":10,"kind":"pack","start":10.864000000000001,"dur":1.5,"host_us":0.95367431640625}|};
+    {|{"t":55.000000000000007,"node":2,"name":"span.train","trace":2,"span":14,"parent":10,"kind":"train","start":10.864000000000001,"dur":2,"host_us":0.95367431640625,"note":"accept"}|};
+    {|{"t":56.100000000000001,"node":0,"name":"span.unpack","trace":2,"span":15,"parent":10,"kind":"unpack","start":10.864000000000001,"dur":2.5,"host_us":0.95367431640625,"note":|} ^ awkward_json ^ {|}|};
+    {|{"t":57.200000000000003,"node":1,"name":"span.commit","trace":2,"span":16,"parent":10,"kind":"commit","start":10.864000000000001,"dur":3,"host_us":0.95367431640625}|};
+    {|{"t":58.300000000000004,"node":2,"name":"span.rollback","trace":2,"span":17,"parent":10,"kind":"rollback","start":10.864000000000001,"dur":3.5,"host_us":0.95367431640625,"note":"accept"}|};
+    {|{"t":59.400000000000006,"node":0,"name":"span.delta_refetch","trace":2,"span":18,"parent":10,"kind":"delta_refetch","start":10.864000000000001,"dur":4,"host_us":0.95367431640625,"note":|} ^ awkward_json ^ {|}|};
+    {|{"t":60.500000000000007,"node":1,"name":"thread.printf","tid":32,"text":|} ^ awkward_json ^ {|}|};
+    {|{"t":61.600000000000009,"node":2,"name":"node.crash","node":1,"threads":4}|};
+    {|{"t":62.700000000000003,"node":0,"name":"node.suspected","node":1,"by":0}|};
+    {|{"t":63.800000000000004,"node":1,"name":"node.dead","node":1,"by":0}|};
+    {|{"t":64.900000000000006,"node":2,"name":"recover.checkpoint","tid":5,"node":0,"bytes":512,"full_bytes":8192,"new_pages":1}|};
+    {|{"t":66,"node":0,"name":"recover.restore","tid":5,"node":2,"from_node":1,"gen":3}|};
+    {|{"t":67.100000000000009,"node":1,"name":"recover.lost","tid":6,"node":1,"reason":|} ^ awkward_json ^ {|}|};
+    {|{"t":68.200000000000003,"node":2,"name":"delta.invalidate","node":0,"peer":1,"entries":5}|};
+  ]
+
+let stream_lines samples =
+  let path = Filename.temp_file "pm2_golden" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      let s = Obs.Stream.open_file path in
+      let sink = Obs.Stream.sink s in
+      List.iter (fun (time, node, ev) -> Obs.Sink.emit sink ~time ~node ev) samples;
+      Obs.Stream.close s;
+      In_channel.with_open_bin path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (( <> ) ""))
+
+let test_golden_stream_lines () =
+  Alcotest.(check int) "one line per sample" (List.length golden_lines)
+    (List.length golden_samples);
+  List.iter2
+    (fun expected got -> Alcotest.(check string) "stream line" expected got)
+    golden_lines (stream_lines golden_samples)
+
+(* A pm2-ctl/1 event push wraps exactly the stream line. *)
+let test_golden_protocol_events () =
+  List.iter2
+    (fun line (time, node, ev) ->
+       Alcotest.(check string) "event frame"
+         ({|{"v":"pm2-ctl/1","sub":7,"ev":|} ^ line ^ "}")
+         (Pm2_svc.Protocol.encode_event ~sub:7 ~time ~node ev))
+    golden_lines golden_samples
+
+(* Chrome [args] are the stream object's fields minus its t/node/name. *)
+let test_golden_chrome_args () =
+  let chrome = Obs.Chrome.create () in
+  let sink = Obs.Chrome.sink chrome in
+  List.iter (fun (time, node, ev) -> Obs.Sink.emit sink ~time ~node ev) golden_samples;
+  let json = Obs.Json.parse_exn (Obs.Chrome.to_string chrome) in
+  let events =
+    Option.get (Obs.Json.to_list (Option.get (Obs.Json.member "traceEvents" json)))
+    |> List.filter (fun e ->
+        match Option.bind (Obs.Json.member "ph" e) Obs.Json.to_string_val with
+        | Some ("X" | "i") -> true
+        | _ -> false)
+  in
+  List.iter2
+    (fun line e ->
+       match (Obs.Json.parse_exn line, Obs.Json.member "args" e) with
+       | Obs.Json.Obj (("t", _) :: ("node", _) :: ("name", _) :: fields), Some args ->
+         Alcotest.(check bool) ("args of " ^ line) true (args = Obs.Json.Obj fields)
+       | _ -> Alcotest.failf "malformed sample %s" line)
+    golden_lines events
+
+(* -- metrics JSON -- *)
+
+(* Histogram statistics keep full precision (a [%g] rendering would print
+   1.23457e+06), keys are escaped, and no gauge section is emitted. *)
+let test_metrics_json_precision () =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.observe m ~node:0 "migration.pack_us" 1234567.8;
+  Obs.Metrics.incr m ~node:0 "odd \"key\"";
+  let node0 =
+    Obs.Json.parse_exn (Obs.Json.to_string (Obs.Metrics.to_json m))
+    |> Obs.Json.member "node0" |> Option.get
+  in
+  let hist = Option.bind (Obs.Json.member "histograms" node0) (Obs.Json.member "migration.pack_us") in
+  let stat k = Option.bind (Option.bind hist (Obs.Json.member k)) Obs.Json.to_float in
+  Alcotest.(check (option (float 0.))) "max exact" (Some 1234567.8) (stat "max");
+  Alcotest.(check (option (float 0.))) "mean exact" (Some 1234567.8) (stat "mean");
+  Alcotest.(check (option (float 0.))) "escaped key" (Some 1.)
+    (Option.bind
+       (Option.bind (Obs.Json.member "counters" node0) (Obs.Json.member "odd \"key\""))
+       Obs.Json.to_float);
+  Alcotest.(check bool) "no gauges" true (Obs.Json.member "gauges" node0 = None)
+
 let tests =
   [
     Alcotest.test_case "stamps match virtual time" `Quick test_stamps_match_virtual_time;
@@ -380,4 +622,8 @@ let tests =
     Alcotest.test_case "chrome trace round-trip" `Quick test_chrome_roundtrip;
     Alcotest.test_case "chrome escaping" `Quick test_chrome_escaping;
     Alcotest.test_case "trace sink renders printf" `Quick test_trace_sink_renders_printf;
+    Alcotest.test_case "golden stream line per event" `Quick test_golden_stream_lines;
+    Alcotest.test_case "golden pm2-ctl/1 event frames" `Quick test_golden_protocol_events;
+    Alcotest.test_case "chrome args are the stream fields" `Quick test_golden_chrome_args;
+    Alcotest.test_case "metrics json full precision" `Quick test_metrics_json_precision;
   ]
