@@ -17,7 +17,8 @@
    blocks engine must beat the step interpreter by at least 5x host
    ns/instruction on the loop-heavy guest and the three engines must
    agree byte-for-byte on every virtual-time output of the parity
-   workload. `--require-suite NAME` (repeatable)
+   workload; the loop-heavy guest under the scheduler must allocate at
+   most 1 minor-heap word per instruction. `--require-suite NAME` (repeatable)
    additionally fails if no entry of suite NAME is present — the @ci
    alias uses it to pin both migration suites into the trajectory. *)
 
@@ -142,6 +143,11 @@ let check_known_suite ~suite ~name metrics =
     if get "speedup_threaded_vs_step" < 1.5 then
       fail "%s/%s: threaded engine %.2fx over step, below the 1.5x bar" suite name
         (get "speedup_threaded_vs_step")
+  | "mvm", "scheduler" ->
+    if get "minor_words_per_instr" > 1.0 then
+      fail "%s/%s: %.2f minor words per instruction, above the 1.0 bar" suite name
+        (get "minor_words_per_instr");
+    ignore (get "host_ns_per_instr")
   | "mvm", "engine-parity" ->
     if get "identical" <> 1. then
       fail

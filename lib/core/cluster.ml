@@ -581,6 +581,19 @@ let handle_of_tid id = 0xeeff0000 + id
 
 let tid_of_handle h = h - 0xeeff0000
 
+(* Unpack [th]'s image into [node]'s space under the configured scheme:
+   the unpack cost, paired with what the heap and slot manager charged
+   along the way (taken back out of [node]'s accumulator). *)
+let unpack_on t node th buffer =
+  Node.isolate node (fun () ->
+      match t.config.scheme with
+      | Iso ->
+        Migration.unpack ~obs:t.obs ~node:node.Node.id ~geometry:t.geometry
+          ~cost:t.config.cost ~space:node.Node.space th buffer
+      | Relocating ->
+        Relocation.unpack ~geometry:t.geometry ~cost:t.config.cost
+          ~space:node.Node.space ~mgr:node.Node.mgr th buffer)
+
 (* ===== the scheduler / syscall knot ===== *)
 
 type quantum_outcome =
@@ -640,23 +653,21 @@ and run_quantum t node (th : Thread.t) =
     let cost = t.config.cost in
     (* Run-until-event: the engine executes whole slices between
        scheduler events instead of bouncing back per instruction. Fuel
-       is an exact instruction budget, and the per-instruction charge
-       loop reproduces the historic one-float-add-per-step accumulation
-       sequence (NOT steps *. instr_cost — float addition is not
-       associative and virtual time must stay byte-identical). The
-       engine's fuel check precedes its wild-pc check, preserving the
-       old requeue-then-fault-next-quantum ordering. Syscalls return
-       here with the Sys instruction uncharged and unconsumed; the
-       historic combined charge and 5-unit budget cost apply below. *)
+       is an exact instruction budget, and [Node.charge_steps] reproduces
+       the historic one-float-add-per-step accumulation sequence (NOT
+       steps *. instr_cost — float addition is not associative and
+       virtual time must stay byte-identical). The engine's fuel check
+       precedes its wild-pc check, preserving the old
+       requeue-then-fault-next-quantum ordering. Syscalls return here
+       before the Sys instruction is paid for or consumed; the historic
+       combined charge and 5-unit budget cost apply below. *)
     let rec loop budget =
       if budget <= 0 then Requeue
       else begin
         let outcome, steps =
           Mvm_engine.run t.exec th.Thread.ctx node.Node.space ~fuel:budget
         in
-        for _ = 1 to steps do
-          Node.charge node cost.Cm.instr_cost
-        done;
+        Node.charge_steps node steps cost.Cm.instr_cost;
         match outcome with
         | Interp.Running -> Requeue
         | Interp.Halted ->
@@ -978,36 +989,33 @@ and start_migration_direct t node (th : Thread.t) ~dest =
   let src = node.Node.id in
   let root = Obs.Span.root t.tracer ~at:started ~node:src Obs.Event.Migration in
   (* Fold slot-manager charges raised during packing into the latency. *)
-  let before = node.Node.charged in
   match
-    match t.config.scheme with
-    | Iso ->
-      let p =
-        Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-          ~space:node.Node.space ~packing:t.config.packing th
-      in
-      Ok (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
-    | Relocating ->
-      (match
-         Relocation.pack ~geometry:t.geometry ~cost:t.config.cost ~space:node.Node.space
-           ~mgr:node.Node.mgr th
-       with
-       | p -> Ok (p.Relocation.buffer, p.Relocation.pack_cost, 1)
-       | exception Relocation.Error { reason; _ } -> Error reason)
+    Node.isolate node (fun () ->
+        match t.config.scheme with
+        | Iso ->
+          let p =
+            Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
+              ~space:node.Node.space ~packing:t.config.packing th
+          in
+          Ok (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
+        | Relocating ->
+          (match
+             Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
+               ~space:node.Node.space ~mgr:node.Node.mgr th
+           with
+           | p -> Ok (p.Relocation.buffer, p.Relocation.pack_cost, 1)
+           | exception Relocation.Error { reason; _ } -> Error reason))
   with
-  | Error msg ->
+  | Error msg, _ ->
     (* The legacy scheme cannot pack this thread (e.g. it holds dynamic
        data slots): abort the migration and let the thread keep running
        where it is — precisely the limitation isomalloc removes. *)
-    node.Node.charged <- before;
     Trace.emit t.trace ~time:started ~node:src
       (Printf.sprintf "migration of thread %x aborted: %s" (handle_of_tid th.Thread.id)
          msg);
     Obs.Span.finish t.tracer ~at:started ~note:("abort: " ^ msg) root;
     enqueue t th
-  | Ok (buffer, pack_cost, slots) ->
-    let extra = node.Node.charged -. before in
-    node.Node.charged <- before;
+  | Ok (buffer, pack_cost, slots), extra ->
     let pack_total = pack_cost +. extra in
     Node.charge node pack_total;
     let bytes = Bytes.length buffer in
@@ -1053,18 +1061,7 @@ and deliver t (th : Thread.t) ~src ~dest ~started ~slots ~span buffer =
 and deliver_commit t (th : Thread.t) ~src ~dest ~started ~slots ~span buffer =
   let dnode = t.nodes.(dest) in
   let arrived = Engine.now t.engine in
-  let before = dnode.Node.charged in
-  let unpack_cost =
-    match t.config.scheme with
-    | Iso ->
-      Migration.unpack ~obs:t.obs ~node:dest ~geometry:t.geometry ~cost:t.config.cost
-        ~space:dnode.Node.space th buffer
-    | Relocating ->
-      Relocation.unpack ~geometry:t.geometry ~cost:t.config.cost ~space:dnode.Node.space
-        ~mgr:dnode.Node.mgr th buffer
-  in
-  let extra = dnode.Node.charged -. before in
-  dnode.Node.charged <- before;
+  let unpack_cost, extra = unpack_on t dnode th buffer in
   let resume_delay = unpack_cost +. extra in
   Node.charge dnode resume_delay;
   move_thread t th ~dest;
@@ -1156,13 +1153,11 @@ and hardened_transfer t (th : Thread.t) ~src ~dest ~started ~ranges ~span =
     Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span
       Obs.Event.Pack
   in
-  let before = node.Node.charged in
-  let p =
-    Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-      ~space:node.Node.space ~packing:t.config.packing th
+  let p, extra =
+    Node.isolate node (fun () ->
+        Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
+          ~space:node.Node.space ~packing:t.config.packing th)
   in
-  let extra = node.Node.charged -. before in
-  node.Node.charged <- before;
   let pack_total = p.Migration.pack_cost +. extra in
   Node.charge node pack_total;
   let buffer = p.Migration.buffer in
@@ -1236,13 +1231,11 @@ and rollback_migration_apply t (th : Thread.t) ~src ~dest ~buffer ~slots ~span ~
       Obs.Event.Rollback
   in
   let node = t.nodes.(src) in
-  let before = node.Node.charged in
-  let cost =
-    Migration.unpack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-      ~space:node.Node.space th buffer
+  let cost, extra =
+    Node.isolate node (fun () ->
+        Migration.unpack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
+          ~space:node.Node.space th buffer)
   in
-  let extra = node.Node.charged -. before in
-  node.Node.charged <- before;
   Node.charge node (cost +. extra);
   if Obs.Collector.enabled t.obs then
     Obs.Collector.emit t.obs ~node:src
@@ -1405,18 +1398,18 @@ and group_rollback_apply t ~gid ~src ~dest ~buffer ~slots ~span members ~reason 
      recoverable condition. *)
   let node = t.nodes.(src) in
   let scache = t.delta.(src) in
-  let before = node.Node.charged in
-  let u =
-    Migration.unpack_group ~obs:t.obs ~node:src ~cost:t.config.cost
-      ~space:node.Node.space
-      ~restore:(fun ~tid ~addr ~hash ->
-        match Delta_cache.lookup_page scache ~tid ~addr with
-        | Some page when As.page_bytes_hash page = hash ->
-          As.store_bytes node.Node.space addr page;
-          true
-        | _ -> false)
-      ~lookup:(fun tid -> Hashtbl.find t.threads tid)
-      buffer
+  let u, extra =
+    Node.isolate node (fun () ->
+        Migration.unpack_group ~obs:t.obs ~node:src ~cost:t.config.cost
+          ~space:node.Node.space
+          ~restore:(fun ~tid ~addr ~hash ->
+            match Delta_cache.lookup_page scache ~tid ~addr with
+            | Some page when As.page_bytes_hash page = hash ->
+              As.store_bytes node.Node.space addr page;
+              true
+            | _ -> false)
+          ~lookup:(fun tid -> Hashtbl.find t.threads tid)
+          buffer)
   in
   if u.Migration.u_missing <> [] then
     failwith "Cluster.group_rollback: pinned residual image cannot restore its own pages";
@@ -1425,8 +1418,6 @@ and group_rollback_apply t ~gid ~src ~dest ~buffer ~slots ~span members ~reason 
   List.iter
     (fun ((th : Thread.t), _) -> Delta_cache.drop_image scache ~tid:th.Thread.id)
     members;
-  let extra = node.Node.charged -. before in
-  node.Node.charged <- before;
   Node.charge node (u.Migration.u_cost +. extra);
   if Obs.Collector.enabled t.obs then
     List.iter
@@ -1457,7 +1448,6 @@ and group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
 and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members buffer =
   let dnode = t.nodes.(dest) in
   let arrived = Engine.now t.engine in
-  let before = dnode.Node.charged in
   let dcache = t.delta.(dest) in
   (* Restore a [Cached] page from this node's residual image, validating
      content: a stale or corrupted copy fails the hash check and is
@@ -1470,22 +1460,20 @@ and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span 
     | _ -> false
   in
   match
-    Migration.unpack_group ~obs:t.obs ~node:dest ~restore ~cost:t.config.cost
-      ~space:dnode.Node.space
-      ~lookup:(fun tid -> Hashtbl.find t.threads tid)
-      buffer
+    Node.isolate dnode (fun () ->
+        Migration.unpack_group ~obs:t.obs ~node:dest ~restore ~cost:t.config.cost
+          ~space:dnode.Node.space
+          ~lookup:(fun tid -> Hashtbl.find t.threads tid)
+          buffer)
   with
   | exception (Invalid_argument _ | Failure _ | Not_found | As.Segfault _) ->
     (* The destination could not apply the image (a collision appeared
        after the probe, or the image is inconsistent): scrub whatever was
        partially mapped and hand the whole group back. *)
-    dnode.Node.charged <- before;
     List.iter (fun (addr, size) -> ignore (As.scrub_range dnode.Node.space ~addr ~size)) ranges;
     group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members
       ~reason:"destination failed to unpack the group image"
-  | u ->
-    let extra = dnode.Node.charged -. before in
-    dnode.Node.charged <- before;
+  | u, extra ->
     (* The frame's trace context (stamped by [pack_group]) parents this
        destination-side span under the source's root span — the cross-node
        edge the Chrome exporter renders as a flow arrow. *)
@@ -1648,26 +1636,24 @@ and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span 
 
 and group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
   let node = t.nodes.(src) in
-  let before = node.Node.charged in
   let version = if delta_enabled t then Codec.V3 else Codec.V2 in
   let scache = t.delta.(src) in
   let pack_span =
     Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span
       Obs.Event.Pack
   in
-  let p =
+  let p, extra =
     (* The root span's context rides the codec frame: the destination
        unpack span parents to it even though the image crossed the wire. *)
-    Migration.pack_group ~obs:t.obs ~node:src ~version
-      ~known:(fun ~tid -> Delta_cache.known scache ~tid ~peer:dest)
-      ?trace:(Obs.Span.ctx span) ~cost:t.config.cost ~space:node.Node.space ~gid
-      (List.map fst members)
+    Node.isolate node (fun () ->
+        Migration.pack_group ~obs:t.obs ~node:src ~version
+          ~known:(fun ~tid -> Delta_cache.known scache ~tid ~peer:dest)
+          ?trace:(Obs.Span.ctx span) ~cost:t.config.cost ~space:node.Node.space ~gid
+          (List.map fst members))
   in
   (* Pin a copy of every member's non-zero pages: rollback and the
      full-resend fallback serve from these until the transfer settles. *)
   List.iter (fun (tid, pages) -> Delta_cache.retain scache ~tid pages) p.Migration.g_retained;
-  let extra = node.Node.charged -. before in
-  node.Node.charged <- before;
   let pack_total = p.Migration.g_pack_cost +. extra in
   Node.charge node pack_total;
   let buffer = p.Migration.g_buffer in
@@ -1842,18 +1828,16 @@ and checkpoint_thread t (th : Thread.t) =
     let h = As.page_hash space addr in
     if Image_store.has_page t.store ~hash:h then Some h else None
   in
-  let before = node.Node.charged in
   match
-    Migration.pack_group ~version:Codec.V3 ~known ~unmap:false ~cost:t.config.cost
-      ~space ~gid:0 [ th ]
+    Node.isolate node (fun () ->
+        Migration.pack_group ~version:Codec.V3 ~known ~unmap:false ~cost:t.config.cost
+          ~space ~gid:0 [ th ])
   with
   | exception (Invalid_argument _ | Failure _ | As.Segfault _) ->
     (* A thread the codec cannot snapshot right now stays dirty and is
        retried at the next sweep. *)
-    node.Node.charged <- before
-  | p ->
-    let extra = node.Node.charged -. before in
-    node.Node.charged <- before;
+    ()
+  | p, extra ->
     Node.charge node (p.Migration.g_pack_cost +. extra);
     let frame = p.Migration.g_buffer in
     let pages =
@@ -2114,34 +2098,30 @@ and restore_thread t ~tid ~gen ~from_node ~dest ~via e =
       (fun (addr, size) -> ignore (As.scrub_range dnode.Node.space ~addr ~size))
       e.Image_store.e_ranges
   in
-  let before = dnode.Node.charged in
   match
-    Migration.unpack_group ~obs:t.obs ~node:dest ~cost:t.config.cost
-      ~space:dnode.Node.space
-      ~restore:(fun ~tid:_ ~addr ~hash ->
-        match Image_store.find_page t.store ~hash with
-        | Some page ->
-          As.store_bytes dnode.Node.space addr page;
-          true
-        | None -> false)
-      ~lookup:(fun id -> Hashtbl.find t.threads id)
-      frame
+    Node.isolate dnode (fun () ->
+        Migration.unpack_group ~obs:t.obs ~node:dest ~cost:t.config.cost
+          ~space:dnode.Node.space
+          ~restore:(fun ~tid:_ ~addr ~hash ->
+            match Image_store.find_page t.store ~hash with
+            | Some page ->
+              As.store_bytes dnode.Node.space addr page;
+              true
+            | None -> false)
+          ~lookup:(fun id -> Hashtbl.find t.threads id)
+          frame)
   with
   | exception (Invalid_argument _ | Failure _ | Not_found | As.Segfault _) ->
-    dnode.Node.charged <- before;
     scrub ();
     false
-  | u when u.Migration.u_missing <> [] ->
+  | u, _ when u.Migration.u_missing <> [] ->
     (* Every [Cached] hash of a stored frame is pool-backed by
        construction; a miss here means corruption — scrub and let the
        caller try elsewhere. *)
-    dnode.Node.charged <- before;
     scrub ();
     false
-  | u ->
+  | u, extra ->
     let th = Hashtbl.find t.threads tid in
-    let extra = dnode.Node.charged -. before in
-    dnode.Node.charged <- before;
     Node.charge dnode (u.Migration.u_cost +. extra);
     let bytes = Bytes.length frame in
     let delay =
@@ -2329,39 +2309,28 @@ let host_migrate t (th : Thread.t) ~dest =
   if src <> dest then begin
     let snode = t.nodes.(src) and dnode = t.nodes.(dest) in
     let started = Engine.now t.engine in
-    let before = snode.Node.charged in
-    let buffer, pack_cost, slots =
-      match t.config.scheme with
-      | Iso ->
-        let p =
-          Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-            ~space:snode.Node.space ~packing:t.config.packing th
-        in
-        (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
-      | Relocating ->
-        let p =
-          Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
-            ~space:snode.Node.space ~mgr:snode.Node.mgr th
-        in
-        (p.Relocation.buffer, p.Relocation.pack_cost, 1)
+    let (buffer, pack_cost, slots), extra =
+      Node.isolate snode (fun () ->
+          match t.config.scheme with
+          | Iso ->
+            let p =
+              Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
+                ~space:snode.Node.space ~packing:t.config.packing th
+            in
+            (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
+          | Relocating ->
+            let p =
+              Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
+                ~space:snode.Node.space ~mgr:snode.Node.mgr th
+            in
+            (p.Relocation.buffer, p.Relocation.pack_cost, 1))
     in
-    let pack_total = pack_cost +. (snode.Node.charged -. before) in
-    snode.Node.charged <- before;
+    let pack_total = pack_cost +. extra in
     Node.charge snode pack_total;
     let bytes = Bytes.length buffer in
     Network.record_virtual t.net ~src ~dst:dest ~bytes;
-    let before = dnode.Node.charged in
-    let unpack_cost =
-      match t.config.scheme with
-      | Iso ->
-        Migration.unpack ~obs:t.obs ~node:dest ~geometry:t.geometry ~cost:t.config.cost
-          ~space:dnode.Node.space th buffer
-      | Relocating ->
-        Relocation.unpack ~geometry:t.geometry ~cost:t.config.cost
-          ~space:dnode.Node.space ~mgr:dnode.Node.mgr th buffer
-    in
-    let unpack_total = unpack_cost +. (dnode.Node.charged -. before) in
-    dnode.Node.charged <- before;
+    let unpack_cost, extra = unpack_on t dnode th buffer in
+    let unpack_total = unpack_cost +. extra in
     Node.charge dnode unpack_total;
     move_thread t th ~dest;
     let transfer = Network.transfer_time t.net ~bytes in

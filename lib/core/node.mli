@@ -4,7 +4,12 @@
     each node [...] We often identify this container process with the node
     running it." (§2). A node bundles the simulated address space, the
     local heap, the slot manager, the run queue of its scheduler and a
-    virtual-CPU-time accumulator into which all runtime work is charged. *)
+    virtual-CPU-time accumulator into which all runtime work is charged.
+    The accumulator is a private flat float cell, so charging allocates
+    nothing; only the functions below (and the heap and slot manager's
+    [charge] closure) touch it. *)
+
+type acc
 
 type t = {
   id : int;
@@ -13,7 +18,7 @@ type t = {
   mgr : Slot_manager.t;
   queue : Thread.t Pm2_util.Dlist.t;
   mutable tick_scheduled : bool;
-  mutable charged : float; (* accumulated CPU cost, drained per quantum *)
+  acc : acc;
   prng : Pm2_util.Prng.t;
 }
 
@@ -35,8 +40,16 @@ val create :
 (** Add virtual CPU time to the node's accumulator. *)
 val charge : t -> float -> unit
 
+(** [charge_steps t n c] is [n] calls of [charge t c]: the same [+.]
+    sequence and rounding, which one add of [float n *. c] would not be. *)
+val charge_steps : t -> int -> float -> unit
+
 (** Read and reset the accumulator. *)
 val take_charges : t -> float
+
+(** [isolate t f] is [f ()] paired with the time it charged to [t],
+    which is taken back out of the accumulator, also when [f] raises. *)
+val isolate : t -> (unit -> 'a) -> 'a * float
 
 (** Number of runnable threads currently queued. *)
 val load : t -> int

@@ -79,7 +79,12 @@ let schedule t ~at f =
   t.next_seq <- seq + 1;
   Heap.push t.heap { at; seq; run = f }
 
-let schedule_after t ~delay f = schedule t ~at:(t.clock +. max 0. delay) f
+(* [Stdlib.max] specialised to floats: the same [>=] test, without the
+   polymorphic compare it makes on every call. Not [Float.max], whose
+   NaN and -0 rules differ. *)
+let fmax (a : float) b = if a >= b then a else b
+
+let schedule_after t ~delay f = schedule t ~at:(t.clock +. fmax 0. delay) f
 
 let next_seq t = t.next_seq
 
@@ -95,7 +100,7 @@ let step t =
   | None -> false
   | Some _ ->
     let e = Heap.pop t.heap in
-    t.clock <- max t.clock e.at;
+    t.clock <- fmax t.clock e.at;
     e.run ();
     true
 
@@ -108,7 +113,7 @@ let run ?until ?(max_events = 200_000_000) t =
     | Some e ->
       (match until with
        | Some u when e.at > u ->
-         t.clock <- max t.clock u;
+         t.clock <- fmax t.clock u;
          stop := true
        | _ ->
          incr count;

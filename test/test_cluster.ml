@@ -336,6 +336,51 @@ let test_bad_migrate_target_faults () =
   Alcotest.(check bool) "faulted" true
     (match th.Thread.state with Thread.Exited (Thread.Faulted _) -> true | _ -> false)
 
+(* -- the per-instruction rounding contract -- *)
+
+(* Each retired instruction adds [instr_cost] to the node's clock on its
+   own: virtual time is the left fold of those adds, which rounds
+   differently from one [float n *. instr_cost]. A guest retires [n]
+   straight-line instructions and yields inside one quantum; the tick
+   drains the node's charge into the delay of its re-arm, which must
+   carry the fold's exact bits. *)
+let test_charge_is_a_left_fold () =
+  let n = 150 in
+  let prog =
+    Pm2.build (fun b ->
+        proc b "straight" (fun b ->
+            for _ = 1 to n do
+              imm b r1 0
+            done;
+            sys b Isa.Sys_yield;
+            halt b))
+  in
+  let config = Cluster.default_config ~nodes:2 in
+  let { Pm2_sim.Cost_model.instr_cost; context_switch; syscall_base; _ } =
+    config.Cluster.cost
+  in
+  Alcotest.(check bool) "one quantum" true (n + 5 <= config.Cluster.quantum);
+  let c = Cluster.create config prog in
+  let th = Cluster.spawn c ~node:0 ~entry:"straight" () in
+  ignore (Cluster.drain_charges c 0) (* exclude thread-creation cost *);
+  Alcotest.(check int) "one tick" 1 (Cluster.step_events c ~max_events:1);
+  Alcotest.(check bool) "requeued by the yield" true (th.Thread.state = Thread.Ready);
+  let fold = ref (0. +. context_switch) in
+  for _ = 1 to n do
+    fold := !fold +. instr_cost
+  done;
+  let expected = !fold +. (instr_cost +. syscall_base) in
+  let product = (0. +. context_switch) +. (float_of_int n *. instr_cost) in
+  Alcotest.(check bool) "n tells a fold from a product" true
+    (Int64.bits_of_float (product +. (instr_cost +. syscall_base))
+     <> Int64.bits_of_float expected);
+  match Pm2_sim.Engine.peek_next (Cluster.engine c) with
+  | None -> Alcotest.fail "the tick did not re-arm"
+  | Some (at, _) ->
+    Alcotest.(check int64) "drained charge, bit for bit" (Int64.bits_of_float expected)
+      (Int64.bits_of_float at);
+    Alcotest.(check (float 0.)) "nothing left undrained" 0. (Cluster.drain_charges c 0)
+
 (* -- bounded stepping: the daemon slices runs with [step_events] -- *)
 
 (* Everything a run publishes in virtual time that slicing could
@@ -455,5 +500,7 @@ let tests =
     Alcotest.test_case "migrate to self is a no-op" `Quick test_migrate_to_self_is_noop;
     Alcotest.test_case "bad migrate target faults" `Quick test_bad_migrate_target_faults;
     Alcotest.test_case "step_events slices equal a run" `Quick test_step_events_slices;
+    Alcotest.test_case "charge is a left fold of instruction adds" `Quick
+      test_charge_is_a_left_fold;
     QCheck_alcotest.to_alcotest prop_sliced_run;
   ]
