@@ -5,6 +5,9 @@
    - B1/B2: the word-level bitmap scans against the bit-by-bit reference
      model (the paper-geometry 57 344-bit slot bitmap, worst-case
      patterns);
+   - B3: the multi-slot search as the paper's round-robin distribution
+     actually issues it: a node's own bitmap never holds two adjacent
+     slots, so every local [find_run 2] scans the whole map and fails;
    - F11a: the sub-slot isomalloc fast path vs the malloc baseline;
    - F11b: multi-slot isomalloc (negotiation + merged slot) vs malloc;
    - T1:  a full pack/transfer/unpack migration round trip;
@@ -64,6 +67,24 @@ let test_bitset_find_run_ref () =
   mk_scattered (Bitset_ref.set r);
   Test.make ~name:"B2: Bitset.find_run 8, scattered 57344b (ref)"
     (Staged.stage (fun () -> ignore (Bitset_ref.find_run r 8)))
+
+(* Node 3's bitmap under the round-robin distribution over 8 nodes. *)
+let mk_round_robin set =
+  for i = 0 to bitset_bits - 1 do
+    if i mod 8 = 3 then set i
+  done
+
+let test_bitset_round_robin () =
+  let w = Bitset.create bitset_bits in
+  mk_round_robin (Bitset.set w);
+  Test.make ~name:"B3: Bitset.find_run 2, round-robin 57344b (word)"
+    (Staged.stage (fun () -> ignore (Bitset.find_run w 2)))
+
+let test_bitset_round_robin_ref () =
+  let r = Bitset_ref.create bitset_bits in
+  mk_round_robin (Bitset_ref.set r);
+  Test.make ~name:"B3: Bitset.find_run 2, round-robin 57344b (ref)"
+    (Staged.stage (fun () -> ignore (Bitset_ref.find_run r 2)))
 
 (* -- allocator / migration / negotiation round trips -- *)
 
@@ -175,6 +196,7 @@ let record_rows rows =
     [
       ("B1: Bitset.first_set_from, sparse 57344b", "first_set_from");
       ("B2: Bitset.find_run 8, scattered 57344b", "find_run");
+      ("B3: Bitset.find_run 2, round-robin 57344b", "find_run_round_robin");
     ]
 
 let print_rows rows =
@@ -188,6 +210,8 @@ let full_tests () =
     test_bitset_first_set_ref ();
     test_bitset_find_run ();
     test_bitset_find_run_ref ();
+    test_bitset_round_robin ();
+    test_bitset_round_robin_ref ();
     test_f11a_malloc ();
     test_f11a_isomalloc ();
     test_f11b_malloc ();
@@ -204,7 +228,7 @@ let run_suite () =
   Harness.note "host wall-clock of the same code paths the virtual-time figures model;";
   Harness.note "they measure this OCaml implementation, not the 1999 testbed"
 
-(* Trimmed variant for the @perf-smoke alias: the bitset pair (the
+(* Trimmed variant for the @perf-smoke alias: the bitset pairs (the
    speedup entries the trajectory tracks) plus the F11a fast path, under
    a short quota. *)
 let run_smoke () =
@@ -216,6 +240,8 @@ let run_smoke () =
         test_bitset_first_set_ref ();
         test_bitset_find_run ();
         test_bitset_find_run_ref ();
+        test_bitset_round_robin ();
+        test_bitset_round_robin_ref ();
         test_f11a_malloc ();
         test_f11a_isomalloc ();
       ]

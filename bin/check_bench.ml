@@ -18,7 +18,9 @@
    ns/instruction on the loop-heavy guest and the three engines must
    agree byte-for-byte on every virtual-time output of the parity
    workload; the loop-heavy guest under the scheduler must allocate at
-   most 1 minor-heap word per instruction. `--require-suite NAME` (repeatable)
+   most 1 minor-heap word per instruction. For "bitset" the
+   round-robin multi-slot search must beat the bit-by-bit reference by
+   at least 10x. `--require-suite NAME` (repeatable)
    additionally fails if no entry of suite NAME is present — the @ci
    alias uses it to pin both migration suites into the trajectory. *)
 
@@ -156,6 +158,10 @@ let check_known_suite ~suite ~name metrics =
     ignore (get "wire_bytes");
     if get "migrations" < 1. then
       fail "%s/%s: parity workload never migrated" suite name
+  | "bitset", "find_run_round_robin" ->
+    if get "speedup_vs_ref" < 10. then
+      fail "%s/%s: round-robin find_run %.2fx over the reference, below the 10x bar"
+        suite name (get "speedup_vs_ref")
   | "trace-overhead", "telemetry-placement" ->
     if get "heat_imbalance_access" >= get "heat_imbalance_load" then
       fail "%s/%s: access-imbalance did not beat the load policy on node heat" suite

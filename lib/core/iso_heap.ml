@@ -164,7 +164,6 @@ let isomalloc env th size =
 
 (* The slot (chain entry) whose address range contains [addr]. *)
 let containing_slot env th addr =
-  let g = geometry env in
   let found = ref None in
   (try
      Sh.iter_chain env.space ~head:th.Thread.slots_head (fun slot ->
@@ -173,8 +172,7 @@ let containing_slot env th addr =
          if addr >= slot && addr < slot + size then begin
            found := Some slot;
            raise Exit
-         end);
-     ignore g
+         end)
    with Exit -> ());
   !found
 

@@ -24,9 +24,19 @@ let byte_size t = (t.bits + 7) lsr 3
 
 let word_count t = Bytes.length t.store lsr 3
 
-let get_word t k = Bytes.get_int64_le t.store (k lsl 3)
+(* Word [k], little-endian, for [0 <= k < word_count t]. The accessors
+   are inlined so that every caller keeps the [int64] unboxed: none of
+   the scans below allocates. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let set_word t k v = Bytes.set_int64_le t.store (k lsl 3) v
+let[@inline] get_word t k =
+  let w = get64u t.store (k lsl 3) in
+  if Sys.big_endian then bswap64 w else w
+
+let[@inline] set_word t k v =
+  set64u t.store (k lsl 3) (if Sys.big_endian then bswap64 v else v)
 
 let check t i =
   if i < 0 || i >= t.bits then invalid_arg "Bitset: index out of bounds"
@@ -49,73 +59,134 @@ let clear t i =
 
 let assign t i v = if v then set t i else clear t i
 
-(* SWAR popcount (Hacker's Delight 5-2). *)
-let popcount64 x =
-  let open Int64 in
-  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
-  let x = add (logand x 0x3333333333333333L) (logand (shift_right_logical x 2) 0x3333333333333333L) in
-  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
-  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+(* A 64-bit word does not fit OCaml's 63-bit [int], so the bit tricks
+   work on its two 32-bit halves as native ints, which are never boxed.
+   [lo32 w] holds bits 0..31 of the word, [hi32 w] bits 32..63. *)
+let mask32 = 0xFFFF_FFFF
 
-(* Number of trailing zeros of a non-zero word. *)
-let ntz64 x = popcount64 (Int64.logand (Int64.lognot x) (Int64.sub x 1L))
+let[@inline] lo32 w = Int64.to_int w land mask32
+
+let[@inline] hi32 w = Int64.to_int (Int64.shift_right_logical w 32)
+
+(* SWAR popcount of a 32-bit value (Hacker's Delight 5-2). *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x5555_5555) in
+  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F in
+  ((x * 0x0101_0101) lsr 24) land 0xFF
+
+(* Trailing zeros of a non-zero 32-bit value. *)
+let ntz32 x = popcount32 ((x land -x) - 1)
+
+(* Lowest set bit of a non-zero word. *)
+let[@inline] ntz64 w =
+  let lo = lo32 w in
+  if lo <> 0 then ntz32 lo else 32 + ntz32 (hi32 w)
+
+(* Trailing ones of a 32-bit value: [x + 1] clears them and sets the
+   next bit up, so only they survive the mask. *)
+let trailing_ones32 x = popcount32 (x land lnot (x + 1))
+
+(* Leading ones of a 32-bit value: smear the highest clear bit
+   downwards; what is left above it is the run of ones at the top. *)
+let leading_ones32 x =
+  let y = lnot x land mask32 in
+  let y = y lor (y lsr 1) in
+  let y = y lor (y lsr 2) in
+  let y = y lor (y lsr 4) in
+  let y = y lor (y lsr 8) in
+  let y = y lor (y lsr 16) in
+  32 - popcount32 y
 
 let count t =
   let n = ref 0 in
   for k = 0 to word_count t - 1 do
-    n := !n + popcount64 (get_word t k)
+    let w = get_word t k in
+    n := !n + popcount32 (lo32 w) + popcount32 (hi32 w)
   done;
   !n
 
 let first_set_from t start =
   if start >= t.bits then None
   else begin
-    let start = max start 0 in
+    let start = if start < 0 then 0 else start in
     let nwords = word_count t in
-    let k0 = start lsr 6 in
-    let rec scan k w =
-      if Int64.equal w 0L then
-        if k + 1 >= nwords then None else scan (k + 1) (get_word t (k + 1))
-      else
-        let i = (k lsl 6) + ntz64 w in
-        if i >= t.bits then None else Some i
-    in
-    scan k0 (Int64.logand (get_word t k0) (Int64.shift_left (-1L) (start land 63)))
+    let k = ref (start lsr 6) and found = ref (-1) in
+    let w = Int64.logand (get_word t !k) (Int64.shift_left (-1L) (start land 63)) in
+    if w <> 0L then found := (!k lsl 6) + ntz64 w;
+    while !found < 0 && !k + 1 < nwords do
+      incr k;
+      let w = get_word t !k in
+      if w <> 0L then found := (!k lsl 6) + ntz64 w
+    done;
+    if !found < 0 then None else Some !found
   end
 
 let first_set t = first_set_from t 0
 
-(* Lowest clear bit index >= start (start < bits), or [t.bits] if all
-   remaining bits are set. The padding bits complement to ones, hence
-   the clamp. *)
-let first_clear_from t start =
-  let nwords = word_count t in
-  let k0 = start lsr 6 in
-  let rec scan k w =
-    if Int64.equal w 0L then
-      if k + 1 >= nwords then t.bits
-      else scan (k + 1) (Int64.lognot (get_word t (k + 1)))
-    else min t.bits ((k lsl 6) + ntz64 w)
-  in
-  scan k0
-    (Int64.logand
-       (Int64.lognot (get_word t k0))
-       (Int64.shift_left (-1L) (start land 63)))
+(* Bits of the 32-bit value [x] at which [n] consecutive set bits start
+   inside [x], by doubling shift-ANDs: while bit [i] of [m] says "bits
+   [i .. i+k-1] are set", [m land (m lsr s)] says the same for [k + s]
+   when [s <= k]. Runs that cross the top of [x] are not reported. *)
+let run_starts32 x n =
+  let m = ref x and k = ref 1 in
+  while !k < n && !m <> 0 do
+    let s = if !k <= n - !k then !k else n - !k in
+    m := !m land (!m lsr s);
+    k := !k + s
+  done;
+  !m
+
+(* One 32-bit chunk [x] at bit [base] of the search for [n] set bits,
+   entered with [carry] set bits ending just below [base]. Returns the
+   new carry (>= 0), or [-1 - start] once the lowest adequate run,
+   starting at [start], is known. A carried run starts below anything in
+   [x], and a run found inside [x] starts below the run at its top, so
+   checking in that order keeps the result first-fit. *)
+let scan_chunk x ~base ~n ~carry =
+  if x = 0 then 0
+  else if x = mask32 then
+    if carry + 32 >= n then -1 - (base - carry) else carry + 32
+  else if carry > 0 && carry + trailing_ones32 x >= n then -1 - (base - carry)
+  else begin
+    let m = if n <= 32 then run_starts32 x n else 0 in
+    if m <> 0 then -1 - (base + ntz32 m)
+    else if x land 0x8000_0000 = 0 then 0
+    else leading_ones32 x
+  end
+
+(* First-fit search for [n] set bits from word [k] on. [carry] is the
+   length of the set run ending at the top of word [k - 1]. Under the
+   round-robin slot distribution no node owns two adjacent slots, so for
+   [n >= 2] almost every word has only isolated bits and is settled in
+   O(1): it can at most extend the carried run by its bit 0 and start a
+   new one-bit run at its bit 63. *)
+let rec find_run_from t n ~nwords k carry =
+  if k >= nwords then None
+  else begin
+    let w = get_word t k in
+    if w = 0L then find_run_from t n ~nwords (k + 1) 0
+    else if
+      n >= 2
+      && Int64.logand w (Int64.shift_right_logical w 1) = 0L
+      && (carry + 1 < n || Int64.logand w 1L = 0L)
+    then find_run_from t n ~nwords (k + 1) (Int64.to_int (Int64.shift_right_logical w 63))
+    else begin
+      let base = k lsl 6 in
+      let r = scan_chunk (lo32 w) ~base ~n ~carry in
+      if r < 0 then Some (-1 - r)
+      else begin
+        let r = scan_chunk (hi32 w) ~base:(base + 32) ~n ~carry:r in
+        if r < 0 then Some (-1 - r) else find_run_from t n ~nwords (k + 1) r
+      end
+    end
+  end
 
 let find_run t n =
   if n <= 0 then invalid_arg "Bitset.find_run";
-  let rec search from =
-    match first_set_from t from with
-    | None -> None
-    | Some start ->
-      let stop = first_clear_from t start in
-      if stop - start >= n then Some start
-      else if stop >= t.bits then None
-      else search (stop + 1)
-  in
-  search 0
+  find_run_from t n ~nwords:(word_count t) 0 0
 
-let range_mask ~lo ~hi =
+let[@inline] range_mask ~lo ~hi =
   Int64.logand (Int64.shift_left (-1L) lo) (Int64.shift_right_logical (-1L) (63 - hi))
 
 let range_op t i n ~value =
@@ -141,35 +212,40 @@ let clear_range t i n = range_op t i n ~value:false
 let or_into ~into src =
   if into.bits <> src.bits then invalid_arg "Bitset.or_into: length mismatch";
   for k = 0 to word_count into - 1 do
-    let w = get_word into k in
     let s = get_word src k in
-    if not (Int64.equal s 0L) then set_word into k (Int64.logor w s)
+    if s <> 0L then set_word into k (Int64.logor (get_word into k) s)
   done
 
 let copy t = { bits = t.bits; store = Bytes.copy t.store }
 
 let equal a b = a.bits = b.bits && Bytes.equal a.store b.store
 
+(* Calls [f] on the set bits of the 32-bit value [x] at bit [base]. *)
+let iter_chunk f x base =
+  let x = ref x in
+  while !x <> 0 do
+    f (base + ntz32 !x);
+    x := !x land (!x - 1)
+  done
+
 let iter_set f t =
   for k = 0 to word_count t - 1 do
-    let w = ref (get_word t k) in
-    let base = k lsl 6 in
-    while not (Int64.equal !w 0L) do
-      let i = base + ntz64 !w in
-      if i < t.bits then f i;
-      w := Int64.logand !w (Int64.sub !w 1L)
-    done
+    let w = get_word t k in
+    if w <> 0L then begin
+      iter_chunk f (lo32 w) (k lsl 6);
+      iter_chunk f (hi32 w) ((k lsl 6) + 32)
+    end
   done
 
 let intersects a b =
   if a.bits <> b.bits then invalid_arg "Bitset.intersects: length mismatch";
   let nwords = word_count a in
-  let rec scan k =
-    k < nwords
-    && (not (Int64.equal (Int64.logand (get_word a k) (get_word b k)) 0L)
-        || scan (k + 1))
-  in
-  scan 0
+  let k = ref 0 and hit = ref false in
+  while (not !hit) && !k < nwords do
+    hit := Int64.logand (get_word a !k) (get_word b !k) <> 0L;
+    incr k
+  done;
+  !hit
 
 let to_string t = String.init t.bits (fun i -> if get t i then '1' else '0')
 

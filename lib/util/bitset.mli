@@ -3,9 +3,11 @@
     This is the data structure behind the per-node slot bitmaps of the
     isomalloc slot layer (paper, §4.2): a 3.5 GB iso-address area divided
     into 64 KB slots gives 57 344 bits = 7 168 bytes per node. The hot
-    scans ([first_set_from], [find_run], [count], [intersects]) operate on
-    whole little-endian words with popcount / trailing-zero-count tricks;
-    the virtual-time charge accounting (per logical byte) is unchanged. *)
+    scans ([first_set_from], [find_run], [count], [iter_set],
+    [intersects]) operate on whole little-endian words with popcount /
+    trailing-zero-count tricks and allocate nothing beyond an [option]
+    result; the virtual-time charge accounting (per logical byte) is
+    unchanged. *)
 
 type t
 

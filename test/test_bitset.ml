@@ -142,27 +142,76 @@ let prop_first_set =
       in
       Bitset.first_set (of_bools l) = expected)
 
+(* Patterns that exercise the word scan of [find_run]: uniform random
+   bits; runs of random length between random gaps, so runs cross zero,
+   one or two word boundaries and whole words are all ones, optionally
+   with a run that ends at the last bit; and round-robin ownership maps,
+   the slot bitmaps the paper's distribution gives each node. *)
+let gen_run_pattern =
+  let open QCheck2.Gen in
+  let* len = int_range 1 300 in
+  let random = list_repeat len bool in
+  let runs =
+    let* segs = list_size (int_range 1 12) (pair (int_range 0 40) (int_range 1 140)) in
+    let* to_end = int_range 0 140 in
+    let a = Array.make len false in
+    let pos = ref 0 in
+    List.iter
+      (fun (gap, run) ->
+         pos := !pos + gap;
+         for i = !pos to min (len - 1) (!pos + run - 1) do a.(i) <- true done;
+         pos := !pos + run + 1)
+      segs;
+    for i = max 0 (len - to_end) to len - 1 do a.(i) <- true done;
+    return (Array.to_list a)
+  in
+  let round_robin =
+    let* nodes = int_range 1 9 in
+    let* owner = int_range 0 (nodes - 1) in
+    return (List.init len (fun i -> i mod nodes = owner))
+  in
+  pair (oneof [ random; runs; round_robin ]) (int_range 1 130)
+
 let prop_find_run =
-  QCheck2.Test.make ~name:"Bitset.find_run finds the first adequate run"
-    QCheck2.Gen.(pair gen_bits (int_range 1 8))
+  QCheck2.Test.make ~name:"Bitset.find_run finds the first adequate run" ~count:1000
+    ~print:(fun (l, n) ->
+        Printf.sprintf "n=%d %s" n (String.concat "" (List.map (fun b -> if b then "1" else "0") l)))
+    gen_run_pattern
     (fun (l, n) ->
-       let b = of_bools l in
-       let naive =
-         let arr = Array.of_list l in
-         let len = Array.length arr in
-         let rec search i =
-           if i + n > len then None
-           else begin
-             let ok = ref true in
-             for j = i to i + n - 1 do
-               if not arr.(j) then ok := false
-             done;
-             if !ok then Some i else search (i + 1)
-           end
-         in
-         search 0
-       in
-       Bitset.find_run b n = naive)
+       let r = Bitset_ref.create (List.length l) in
+       List.iteri (fun i v -> if v then Bitset_ref.set r i) l;
+       Bitset.find_run (of_bools l) n = Bitset_ref.find_run r n)
+
+(* The slot scans run on every isomalloc and must not allocate: at most
+   the [Some] of a result per call. The map is node 3's bitmap under the
+   round-robin distribution over 8 nodes, the paper geometry. *)
+let test_scans_allocate_nothing () =
+  let bits = 57344 in
+  let b = Bitset.create bits and other = Bitset.create bits in
+  for i = 0 to bits - 1 do
+    if i mod 8 = 3 then Bitset.set b i else if i mod 8 = 4 then Bitset.set other i
+  done;
+  let calls = 1000 in
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      f i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  List.iter
+    (fun (name, f) ->
+       let w = words_per_call f in
+       if w > 2. then Alcotest.failf "%s: %.2f minor words per call" name w)
+    [
+      ("find_run 2", fun _ -> ignore (Sys.opaque_identity (Bitset.find_run b 2)));
+      ("find_run 1", fun _ -> ignore (Sys.opaque_identity (Bitset.find_run b 1)));
+      ("first_set_from", fun i -> ignore (Sys.opaque_identity (Bitset.first_set_from b (i * 50))));
+      ("count", fun _ -> ignore (Sys.opaque_identity (Bitset.count b)));
+      ("intersects", fun _ -> ignore (Sys.opaque_identity (Bitset.intersects b other)));
+      ("iter_set", fun _ -> Bitset.iter_set (fun _ -> ()) b);
+    ];
+  Alcotest.(check bool) "round-robin map has no run of 2" true (Bitset.find_run b 2 = None)
 
 let prop_or =
   QCheck2.Test.make ~name:"or_into sets exactly the union"
@@ -234,6 +283,7 @@ let tests =
     Alcotest.test_case "intersects at word boundaries" `Quick test_intersects_early_exit;
     Alcotest.test_case "copy/equal" `Quick test_copy_equal;
     Alcotest.test_case "iter_set" `Quick test_iter_set;
+    Alcotest.test_case "scans allocate nothing" `Quick test_scans_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_count;
     QCheck_alcotest.to_alcotest prop_first_set;
     QCheck_alcotest.to_alcotest prop_find_run;

@@ -165,6 +165,36 @@ let test_remap_after_munmap () =
   Alcotest.(check int) "fresh pages are zero" 0 (As.load_word sp 0x10000);
   Alcotest.(check int) "mmap_calls counted" 2 (As.mmap_calls sp)
 
+(* Pages dirtied and then freed, by [munmap] and by [scrub_range], must
+   come back all zero when another space maps and touches the same
+   range, whatever the freed buffers became. The stores of zero mark the
+   pages dirty, so [page_is_zero] and [page_hash] read the page contents
+   instead of answering from the clean-page shortcut. *)
+let test_freed_pages_zeroed () =
+  let a = space () and b = As.create ~node:1 () in
+  let base = 0x10000 and size = 2 * Layout.page_size in
+  As.mmap a ~addr:base ~size;
+  As.fill a ~addr:base ~size 0xAB;
+  Alcotest.(check int) "source resident" 2 (As.resident_pages a);
+  As.munmap a ~addr:base ~size:Layout.page_size;
+  Alcotest.(check int) "scrubbed" 1
+    (As.scrub_range a ~addr:(base + Layout.page_size) ~size:Layout.page_size);
+  Alcotest.(check int) "source resident after unmap" 0 (As.resident_pages a);
+  As.mmap b ~addr:base ~size;
+  let zero_hash = As.page_bytes_hash (Bytes.make Layout.page_size '\000') in
+  for pg = 0 to 1 do
+    let page = base + (pg * Layout.page_size) in
+    for w = 0 to (Layout.page_size / 8) - 1 do
+      let v = As.load_word b (page + (8 * w)) in
+      if v <> 0 then Alcotest.failf "page %d word %d reads 0x%x" pg w v
+    done;
+    As.store_u8 b (page + 17) 0;
+    Alcotest.(check bool) (Printf.sprintf "page %d zero" pg) true (As.page_is_zero b page);
+    Alcotest.(check int) (Printf.sprintf "page %d hash" pg) zero_hash (As.page_hash b page)
+  done;
+  Alcotest.(check int) "destination resident" 2 (As.resident_pages b);
+  Alcotest.(check int) "source still empty" 0 (As.resident_pages a)
+
 let test_bytes_roundtrip () =
   let sp = space () in
   As.mmap sp ~addr:0x10000 ~size:(3 * 4096);
@@ -228,6 +258,7 @@ let tests =
       test_untouched_pages_unallocated;
     Alcotest.test_case "page runs over untouched pages" `Quick test_untouched_page_runs;
     Alcotest.test_case "remap zero-fills" `Quick test_remap_after_munmap;
+    Alcotest.test_case "freed pages come back zeroed" `Quick test_freed_pages_zeroed;
     Alcotest.test_case "bytes roundtrip across pages" `Quick test_bytes_roundtrip;
     Alcotest.test_case "range_mapped" `Quick test_range_mapped;
     Alcotest.test_case "cstring loading" `Quick test_cstring;
