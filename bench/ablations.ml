@@ -319,56 +319,3 @@ let slot_size () =
   Harness.note "small slots: more negotiations (more requests span slots), bigger bitmaps;";
   Harness.note "large slots: internal fragmentation and costlier stack-slot mappings --";
   Harness.note "64 KB \"fits a thread stack\", making thread creation always local (4.1)"
-
-(* A9 — the local heap's free-list organisation: the paper-faithful
-   single first-fit list against dlmalloc-style segregated bins, in both
-   virtual time (free_list_step charges per probe) and host wall clock.
-   The workload first builds a long, fragmented free list — the regime
-   where a linear first-fit scan degrades — then measures a malloc/free
-   churn through it. *)
-let allocator_policy () =
-  Harness.section "A9: local-heap free list - single first-fit vs segregated bins";
-  let t =
-    Table.create
-      [ "policy"; "virtual us/op"; "host ns/op"; "free blocks"; "heap bytes" ]
-  in
-  List.iter
-    (fun policy ->
-       let c = Harness.cluster ~nodes:1 ~allocator_policy:policy () in
-       let heap = Cluster.node_heap c 0 in
-       let prng = Prng.create ~seed:23 in
-       (* Fragment: allocate a spread of sizes, free every other block. *)
-       let blocks =
-         Array.init 600 (fun _ ->
-             Pm2_heap.Malloc.malloc_exn heap (Prng.int_in prng 16 6000))
-       in
-       Array.iteri (fun i a -> if i land 1 = 0 then Pm2_heap.Malloc.free_exn heap a) blocks;
-       ignore (Cluster.drain_charges c 0);
-       let ops = 3000 in
-       let sizes = Array.init ops (fun _ -> Prng.int_in prng 16 480) in
-       let t0 = Unix.gettimeofday () in
-       for i = 0 to ops - 1 do
-         let a = Pm2_heap.Malloc.malloc_exn heap sizes.(i) in
-         Pm2_heap.Malloc.free_exn heap a
-       done;
-       let host_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
-       let virtual_us = Cluster.drain_charges c 0 /. float_of_int ops in
-       Pm2_heap.Malloc.check_invariants heap;
-       Report.record ~suite:"ablation" ~name:"allocator-policy"
-         ~params:[ ("policy", Pm2_heap.Malloc.policy_to_string policy) ]
-         [
-           ("virtual_us_per_op", virtual_us);
-           ("host_ns_per_op", host_ns);
-           ("free_blocks", float_of_int (Pm2_heap.Malloc.free_list_length heap));
-         ];
-       Table.add_rowf t "%s|%.2f|%.0f|%d|%d"
-         (Pm2_heap.Malloc.policy_to_string policy)
-         virtual_us host_ns
-         (Pm2_heap.Malloc.free_list_length heap)
-         (Pm2_heap.Malloc.heap_bytes heap))
-    [ Pm2_heap.Malloc.First_fit; Pm2_heap.Malloc.Segregated ];
-  Table.print t;
-  Harness.note "segregated bins replace the linear scan with one binmap word-scan";
-  Harness.note "(a single free_list_step per small malloc instead of one per scanned";
-  Harness.note "block), in virtual charges and host time alike; placement can differ,";
-  Harness.note "so this is an opt-in knob - defaults stay first-fit and byte-identical"

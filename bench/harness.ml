@@ -9,11 +9,10 @@ let program = lazy (Pm2_programs.Figures.image ())
 
 let cluster ?(nodes = 2) ?(distribution = Distribution.Round_robin) ?(cache = 16)
     ?(slot_size = 64 * 1024) ?(scheme = Cluster.Iso) ?(packing = Migration.Blocks_only)
-    ?(allocator_policy = Pm2_heap.Malloc.First_fit) ?fault_plan ?sinks
-    ?delta_cache_bytes () =
+    ?fault_plan ?sinks ?delta_cache_bytes () =
   let config =
     Pm2.Config.make ~nodes ~distribution ~cache_capacity:cache ~slot_size ~scheme
-      ~packing ~allocator_policy ?fault_plan ?sinks ?delta_cache_bytes ()
+      ~packing ?fault_plan ?sinks ?delta_cache_bytes ()
   in
   Cluster.create config (Lazy.force program)
 

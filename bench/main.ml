@@ -12,7 +12,7 @@
    Experiment ids: e-figs f11-small f11-large t-migration
    t-migration-payload t-migration-batch t-migration-delta t-mvm
    t-trace-overhead t-negotiation t-crash-sweep
-   a-distribution a-packing a-slotcache a-pointers a-slotsize a-allocator
+   a-distribution a-packing a-slotcache a-pointers a-slotsize
    bechamel perf-smoke *)
 
 let experiments =
@@ -41,10 +41,9 @@ let experiments =
     ("a-fit", "ablation: first-fit vs best-fit placement", Ablations.fit_strategy);
     ("a-prebuy", "ablation: pre-buying slots in negotiations", Ablations.prebuy);
     ("a-restructure", "ablation: global slot restructuring", Ablations.restructure);
-    ("a-allocator", "ablation: local-heap first-fit vs segregated bins", Ablations.allocator_policy);
     ("hpf", "motivating application: VP load balancing", Hpf_bench.run);
     ( "t-mvm",
-      "MVM engines: host ns/instruction, step vs threaded vs blocks",
+      "MVM engines: host ns/instruction, step vs blocks",
       Mvm_bench.run );
     ( "t-trace-overhead",
       "causal tracing: off byte-identical, on < 5% host, heat-driven placement",

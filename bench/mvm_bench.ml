@@ -1,13 +1,12 @@
 (* T6: the MVM execution engines — host ns/instruction of Step (the
-   per-instruction reference interpreter) vs Threaded (pre-decoded
-   run-until-event dispatch) vs Blocks (basic-block closure
-   compilation), on a loop-heavy and a call-heavy guest.
+   per-instruction reference interpreter) vs Blocks (basic-block
+   closure compilation), on a loop-heavy and a call-heavy guest.
 
    Three bars to defend (check_bench, suite "mvm"):
    - blocks >= 5x step on the loop-heavy guest (the ISSUE acceptance
      bar; straight-line/loop code is where pre-decode + block closures
      pay most);
-   - byte-identical virtual outputs: the three engines run the same
+   - byte-identical virtual outputs: the two engines run the same
      cluster workload to the same makespan, wire bytes, guest lines and
      migration count, and retire exactly the same instruction counts on
      the microbenchmark guests;
@@ -120,9 +119,7 @@ let run_once eng program space =
   if outcome <> Interp.Halted then failwith "mvm_bench: guest did not halt";
   steps
 
-let engines =
-  [ (Mvm_engine.Step, "step"); (Mvm_engine.Threaded, "threaded");
-    (Mvm_engine.Blocks, "blocks") ]
+let engines = [ (Mvm_engine.Step, "step"); (Mvm_engine.Blocks, "blocks") ]
 
 let reps = 31
 
@@ -142,7 +139,7 @@ let measure_guest program =
   in
   let instrs =
     match counts with
-    | [ s; t; b ] when s = t && t = b -> s
+    | [ s; b ] when s = b -> s
     | _ -> failwith "mvm_bench: engines retired different instruction counts"
   in
   let best = Hashtbl.create 4 in
@@ -168,7 +165,7 @@ let measure_guest program =
    allocation budget of the charge path: the charge must not box a
    float per instruction. *)
 let measure_scheduler program =
-  let config = Pm2.Config.make ~nodes:2 ~engine:Mvm_engine.Blocks () in
+  let config = Pm2.Config.make ~nodes:2 () in
   let sched () = ignore (Pm2.run_to_completion ~config program ~entry:"main" ()) in
   let eng = Mvm_engine.create Mvm_engine.Blocks program in
   let space = mk_space program in
@@ -193,7 +190,7 @@ let measure_scheduler program =
 (* Cluster-level parity: the pingpong workload (migrations, syscalls,
    guest prints) must produce identical virtual outputs per engine. *)
 let parity_run kind =
-  let config = Pm2.Config.make ~nodes:2 ~engine:kind () in
+  let config = { (Pm2.Config.make ~nodes:2 ()) with Cluster.engine_kind = kind } in
   let c = Cluster.create config (Pm2_programs.Figures.image ()) in
   ignore (Cluster.spawn c ~node:0 ~entry:"pingpong" ~arg:6 ());
   let makespan = Cluster.run c in
@@ -207,7 +204,6 @@ let record_guest guest ~iters program =
   let ns, instrs = measure_guest program in
   let per = float_of_int instrs in
   let step = ns "step" /. per in
-  let threaded = ns "threaded" /. per in
   let blocks = ns "blocks" /. per in
   Report.record ~suite:"mvm" ~name:guest
     ~params:
@@ -215,26 +211,24 @@ let record_guest guest ~iters program =
         ("instructions", string_of_int instrs) ]
     [
       ("step_ns_per_instr", step);
-      ("threaded_ns_per_instr", threaded);
       ("blocks_ns_per_instr", blocks);
-      ("speedup_threaded_vs_step", step /. threaded);
       ("speedup_blocks_vs_step", step /. blocks);
     ];
-  (step, threaded, blocks)
+  (step, blocks)
 
 let run () =
   Harness.section
     (Printf.sprintf
-       "T6: MVM execution engines: host ns/instruction, step vs threaded vs blocks\n\
+       "T6: MVM execution engines: host ns/instruction, step vs blocks\n\
         (loop-heavy: %d iters; call-heavy: %d iters; engine parity on pingpong)"
        loop_iters call_iters);
   let loop_p = Lazy.force loop_program in
   let call_p = Lazy.force call_program in
-  let l_step, l_thr, l_blk = record_guest "loop-heavy" ~iters:loop_iters loop_p in
-  let c_step, c_thr, c_blk = record_guest "call-heavy" ~iters:call_iters call_p in
-  let t = Table.create [ "guest"; "step ns/i"; "threaded ns/i"; "blocks ns/i"; "blocks vs step" ] in
-  Table.add_rowf t "loop-heavy|%.1f|%.1f|%.1f|%.1fx" l_step l_thr l_blk (l_step /. l_blk);
-  Table.add_rowf t "call-heavy|%.1f|%.1f|%.1f|%.1fx" c_step c_thr c_blk (c_step /. c_blk);
+  let l_step, l_blk = record_guest "loop-heavy" ~iters:loop_iters loop_p in
+  let c_step, c_blk = record_guest "call-heavy" ~iters:call_iters call_p in
+  let t = Table.create [ "guest"; "step ns/i"; "blocks ns/i"; "blocks vs step" ] in
+  Table.add_rowf t "loop-heavy|%.1f|%.1f|%.1fx" l_step l_blk (l_step /. l_blk);
+  Table.add_rowf t "call-heavy|%.1f|%.1f|%.1fx" c_step c_blk (c_step /. c_blk);
   Table.print t;
   let instrs, words, sched_ns, bare_ns = measure_scheduler loop_p in
   let cores = Domain.recommended_domain_count () in
@@ -260,7 +254,7 @@ let run () =
   let makespan, wire, lines, migrations = reference in
   Harness.note "engine parity (pingpong, 6 hops): makespan %.1f us, %d wire B, %d lines, %d migrations -> %s"
     makespan wire (List.length lines) migrations
-    (if identical then "identical across step/threaded/blocks" else "DIVERGED");
+    (if identical then "identical across step/blocks" else "DIVERGED");
   Report.record ~suite:"mvm" ~name:"engine-parity"
     ~params:[ ("workload", "pingpong"); ("hops", "6") ]
     [
@@ -271,5 +265,5 @@ let run () =
     ];
   if not identical then
     failwith "mvm_bench: engines diverged on virtual-time outputs";
-  Harness.note "same fuel accounting, same float-add sequence: the fast engines change";
+  Harness.note "same fuel accounting, same float-add sequence: the blocks engine changes";
   Harness.note "host time only — every virtual metric is byte-identical by construction"

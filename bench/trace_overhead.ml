@@ -13,7 +13,7 @@
    (2) Tracing ON is cheap — bounded host-time overhead: the same
        workload with tracing enabled (spans emitted, chrome exporter
        attached) must stay within 5% of the untraced host wall-clock
-       (min over repetitions, which removes scheduler noise).
+       (median of paired per-rep ratios, which cancels scheduler noise).
 
    (3) The telemetry earns its keep: on a skewed-access workload —
        run-queue lengths perfectly balanced, write bandwidth all on one
@@ -142,23 +142,37 @@ let run_workload ?policy ?(tracing = false) ?(sinks = []) () =
     spans = !spans;
   }
 
-(* Host wall-clock, tracing off vs on, min-of-[reps] each. The two
-   variants are interleaved rep-by-rep so slow drift in host speed
-   (frequency scaling, noisy neighbours) hits both equally instead of
-   masquerading as tracing overhead; min is the noise-robust estimator
-   (a run can only be slowed down by the host). *)
+(* Host wall-clock, tracing off vs on, one pair per rep. The two
+   variants are interleaved rep by rep, and which one goes first
+   alternates, so slow drift in host speed (frequency scaling, noisy
+   neighbours) and any first-run/second-run bias hit both equally.
+   Returns the median of the per-rep on/off ratios (each pair shares its
+   host conditions, so the ratio cancels most of the noise a min of
+   each side cannot) and, for comparison, each side's minimum. *)
 let host_times ?policy ~reps () =
-  let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to reps do
+  let time tracing =
+    let sinks = if tracing then [ Obs.Chrome.sink (Obs.Chrome.create ()) ] else [] in
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (run_workload ?policy ~tracing:false ());
-    best_off := Float.min !best_off (Unix.gettimeofday () -. t0);
-    let sinks = [ Obs.Chrome.sink (Obs.Chrome.create ()) ] in
-    let t1 = Unix.gettimeofday () in
-    ignore (run_workload ?policy ~tracing:true ~sinks ());
-    best_on := Float.min !best_on (Unix.gettimeofday () -. t1)
-  done;
-  (!best_off, !best_on)
+    ignore (run_workload ?policy ~tracing ~sinks ());
+    Unix.gettimeofday () -. t0
+  in
+  let best_off = ref infinity and best_on = ref infinity in
+  let ratios =
+    List.init reps (fun i ->
+        let off, on =
+          if i land 1 = 0 then
+            let off = time false in
+            (off, time true)
+          else
+            let on = time true in
+            (time false, on)
+        in
+        best_off := Float.min !best_off off;
+        best_on := Float.min !best_on on;
+        on /. off)
+  in
+  (Pm2_util.Stats.percentile 50. ratios, !best_off, !best_on)
 
 let balanced_policy = Balancer.Access_imbalance { ratio = 2.; min_pages = 4 }
 
@@ -210,18 +224,22 @@ let run () =
     traced.spans (traced.wire_bytes - plain.wire_bytes);
   if traced.spans = 0 then failwith "trace_overhead: tracing-on run emitted no spans";
   if plain.spans <> 0 then failwith "trace_overhead: tracing-off run emitted spans";
-  (* (2) host-time overhead, min over repetitions. *)
-  let reps = 21 in
-  let off, on = host_times ~policy:balanced_policy ~reps () in
-  let overhead = (on -. off) /. off in
-  Harness.note "host time (min of %d): %.2f ms off, %.2f ms on -> %+.1f%% overhead" reps
-    (off *. 1000.) (on *. 1000.) (overhead *. 100.);
+  (* (2) host-time overhead: median of the paired per-rep ratios. *)
+  let reps = 61 in
+  let ratio, off, on = host_times ~policy:balanced_policy ~reps () in
+  let overhead = ratio -. 1. in
+  let min_overhead = (on -. off) /. off in
+  Harness.note
+    "host time (%d paired reps): median on/off %+.1f%% overhead (min of each: %.2f ms \
+     off, %.2f ms on -> %+.1f%%)"
+    reps (overhead *. 100.) (off *. 1000.) (on *. 1000.) (min_overhead *. 100.);
   Report.record ~suite:"trace-overhead" ~name:"host-overhead"
-    ~params:[ ("reps", string_of_int reps) ]
+    ~params:[ ("reps", string_of_int reps); ("estimator", "median-paired-ratio") ]
     [
       ("host_off_s", off);
       ("host_on_s", on);
       ("overhead_frac", overhead);
+      ("overhead_min_frac", min_overhead);
       ("spans", float_of_int traced.spans);
     ];
   if overhead >= 0.05 then

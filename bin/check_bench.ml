@@ -133,18 +133,12 @@ let check_known_suite ~suite ~name metrics =
     if get "speedup_blocks_vs_step" < 5.0 then
       fail "%s/%s: blocks engine %.2fx over step, below the 5x bar" suite name
         (get "speedup_blocks_vs_step");
-    if get "speedup_threaded_vs_step" < 1.5 then
-      fail "%s/%s: threaded engine %.2fx over step, below the 1.5x bar" suite name
-        (get "speedup_threaded_vs_step");
     ignore (get "step_ns_per_instr");
     ignore (get "blocks_ns_per_instr")
   | "mvm", "call-heavy" ->
     if get "speedup_blocks_vs_step" < 2.5 then
       fail "%s/%s: blocks engine %.2fx over step, below the 2.5x bar" suite name
-        (get "speedup_blocks_vs_step");
-    if get "speedup_threaded_vs_step" < 1.5 then
-      fail "%s/%s: threaded engine %.2fx over step, below the 1.5x bar" suite name
-        (get "speedup_threaded_vs_step")
+        (get "speedup_blocks_vs_step")
   | "mvm", "scheduler" ->
     if get "minor_words_per_instr" > 1.0 then
       fail "%s/%s: %.2f minor words per instruction, above the 1.0 bar" suite name
@@ -153,7 +147,7 @@ let check_known_suite ~suite ~name metrics =
   | "mvm", "engine-parity" ->
     if get "identical" <> 1. then
       fail
-        "%s/%s: step/threaded/blocks diverged on virtual-time outputs" suite name;
+        "%s/%s: step/blocks diverged on virtual-time outputs" suite name;
     ignore (get "makespan_us");
     ignore (get "wire_bytes");
     if get "migrations" < 1. then

@@ -123,26 +123,6 @@ let delta_arg =
               migration (v3 codec) and routes every migration through the \
               group pipeline.")
 
-let engine_conv =
-  let parse s =
-    match Pm2_mvm.Engine.kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (step|threaded|blocks)" s))
-  in
-  Arg.conv (parse, fun ppf k ->
-      Format.pp_print_string ppf (Pm2_mvm.Engine.kind_to_string k))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Pm2_mvm.Engine.Blocks
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"MVM execution engine: $(b,step) (per-instruction reference \
-              interpreter), $(b,threaded) (pre-decoded run-until-event \
-              dispatch) or $(b,blocks) (basic-block closure compilation, \
-              the default). All engines produce byte-identical output; \
-              only host-side speed differs.")
-
 let faults_conv =
   let parse s =
     match Pm2_fault.Plan.spec_of_string s with
@@ -294,7 +274,7 @@ let setup_obs ?trace_stream ?metrics_interval ?flight_recorder cluster ~trace_js
     Option.iter (fun m -> if metrics then print_string (Pm2_obs.Metrics.report m)) registry
 
 let config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
-    ~checkpoint_interval ~engine =
+    ~checkpoint_interval =
   {
     (Cluster.default_config ~nodes:(max nodes 2)) with
     Cluster.scheme;
@@ -304,7 +284,6 @@ let config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
     delta_cache_bytes = max 0 delta;
     tracing;
     checkpoint_interval = max 0. checkpoint_interval;
-    engine_kind = engine;
   }
 
 (* -- run -- *)
@@ -320,8 +299,7 @@ let run_cmd =
     Arg.(value & opt int 0 & info [ "arg" ] ~docv:"N" ~doc:"Integer argument (register r1).")
   in
   let run entry arg nodes scheme distribution slot_size timed trace_json metrics faults
-      seed trace trace_stream metrics_interval flight_recorder delta checkpoint_interval
-      engine =
+      seed trace trace_stream metrics_interval flight_recorder delta checkpoint_interval =
     if metrics_interval <> None && trace_stream = None then
       Error (`Msg "--metrics-interval needs --trace-stream")
     else begin
@@ -331,7 +309,7 @@ let run_cmd =
         Session.create
           ~config:
             (config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
-               ~checkpoint_interval ~engine)
+               ~checkpoint_interval)
           ~program ()
       in
       (* The batch command is a thin client of the service control plane;
@@ -371,7 +349,7 @@ let run_cmd =
         (const run $ entry_arg $ arg_arg $ nodes_arg $ scheme_arg $ distribution_arg
          $ slot_size_arg $ timed_arg $ trace_json_arg $ metrics_arg $ faults_arg
          $ seed_arg $ trace_arg $ trace_stream_arg $ metrics_interval_arg
-         $ flight_recorder_arg $ delta_arg $ checkpoint_interval_arg $ engine_arg))
+         $ flight_recorder_arg $ delta_arg $ checkpoint_interval_arg))
 
 (* -- balance -- *)
 

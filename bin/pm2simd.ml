@@ -334,21 +334,6 @@ let checkpoint_interval_arg =
               checkpointing; explicit $(b,checkpoint) requests work either \
               way).")
 
-let engine_conv =
-  let parse s =
-    match Pm2_mvm.Engine.kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (step|threaded|blocks)" s))
-  in
-  Arg.conv (parse, fun ppf k ->
-      Format.pp_print_string ppf (Pm2_mvm.Engine.kind_to_string k))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Pm2_mvm.Engine.Blocks
-    & info [ "engine" ] ~docv:"ENGINE" ~doc:"MVM execution engine: $(b,step), $(b,threaded) or $(b,blocks).")
-
 let trace_arg =
   Arg.(
     value & flag
@@ -356,7 +341,7 @@ let trace_arg =
         ~doc:"Enable causal migration tracing (span events appear on the \
               subscription stream).")
 
-let main socket nodes scheme faults seed delta checkpoint_interval engine trace =
+let main socket nodes scheme faults seed delta checkpoint_interval trace =
   let config =
     {
       (Cluster.default_config ~nodes:(max nodes 2)) with
@@ -365,7 +350,6 @@ let main socket nodes scheme faults seed delta checkpoint_interval engine trace 
       delta_cache_bytes = max 0 delta;
       tracing = trace;
       checkpoint_interval = max 0. checkpoint_interval;
-      engine_kind = engine;
     }
   in
   let session = Session.create ~config () in
@@ -405,6 +389,6 @@ let cmd =
     (Cmd.info "pm2simd" ~doc)
     Term.(
       const main $ socket_arg $ nodes_arg $ scheme_arg $ faults_arg $ seed_arg
-      $ delta_arg $ checkpoint_interval_arg $ engine_arg $ trace_arg)
+      $ delta_arg $ checkpoint_interval_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

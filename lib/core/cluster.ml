@@ -33,7 +33,6 @@ type config = {
   quantum : int;
   fit : Iso_heap.fit;
   prebuy : int;
-  allocator_policy : Pm2_heap.Malloc.policy;
   cost : Cm.t;
   seed : int;
   faults : Fault.Plan.t;
@@ -54,15 +53,11 @@ type config = {
          entirely — the default, byte-identical to pre-recovery runs. *)
   net_max_attempts : int;
       (* Reliable-layer give-up threshold (send attempts per packet) *)
-  net_backoff_cap : int;
-      (* Reliable-layer exponential-backoff cap (doublings of the base
-         timeout); attempts beyond it retry at the capped interval *)
   engine_kind : Pm2_mvm.Engine.kind;
-      (* MVM execution engine: Step (per-instruction reference oracle),
-         Threaded (pre-decoded run-until-event dispatch) or Blocks
-         (basic-block closure compilation, the default). All three
-         produce byte-identical virtual-time outputs; only host-side
-         ns/instruction differs. *)
+      (* MVM execution engine: Blocks (basic-block closure compilation,
+         the default) or Step (the per-instruction reference oracle the
+         parity tests compare against). Both produce byte-identical
+         virtual-time outputs; only host-side ns/instruction differs. *)
 }
 
 let default_config ~nodes =
@@ -76,7 +71,6 @@ let default_config ~nodes =
     quantum = 200;
     fit = Iso_heap.First_fit;
     prebuy = 0;
-    allocator_policy = Pm2_heap.Malloc.First_fit;
     cost = Cm.default;
     seed = 42;
     faults = Fault.Plan.none;
@@ -85,7 +79,6 @@ let default_config ~nodes =
     tracing = false;
     checkpoint_interval = 0.;
     net_max_attempts = 12;
-    net_backoff_cap = 6;
     engine_kind = Pm2_mvm.Engine.Blocks;
   }
 
@@ -223,8 +216,7 @@ let create (config : config) program =
   in
   let nodes =
     Array.init config.nodes (fun id ->
-        Node.create ~obs ~allocator_policy:config.allocator_policy ~id
-          ~cost:config.cost ~geometry ~bitmap:bitmaps.(id)
+        Node.create ~obs ~id ~cost:config.cost ~geometry ~bitmap:bitmaps.(id)
           ~cache_capacity:config.cache_capacity ~seed:config.seed ())
   in
   Array.iter (fun n -> Program.load_data program n.Node.space) nodes;
@@ -245,10 +237,7 @@ let create (config : config) program =
             k.restart
         end)
       (Fault.Plan.spec config.faults).kills;
-  let rel =
-    Reliable.create ~obs ~max_attempts:config.net_max_attempts
-      ~backoff_cap:config.net_backoff_cap net
-  in
+  let rel = Reliable.create ~obs ~max_attempts:config.net_max_attempts net in
   Reliable.set_tracer rel tracer;
   {
     config;
@@ -580,6 +569,27 @@ let format_guest space fmt args =
 let handle_of_tid id = 0xeeff0000 + id
 
 let tid_of_handle h = h - 0xeeff0000
+
+(* Pack [th] out of [node]'s space under the configured scheme: the
+   image, its pack cost and slot count, paired with what the heap and
+   slot manager charged along the way (taken back out of [node]'s
+   accumulator). Raises [Relocation.Error] when the relocating scheme
+   cannot pack the thread. *)
+let pack_on t node th =
+  Node.isolate node (fun () ->
+      match t.config.scheme with
+      | Iso ->
+        let p =
+          Migration.pack ~obs:t.obs ~node:node.Node.id ~geometry:t.geometry
+            ~cost:t.config.cost ~space:node.Node.space ~packing:t.config.packing th
+        in
+        (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
+      | Relocating ->
+        let p =
+          Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
+            ~space:node.Node.space ~mgr:node.Node.mgr th
+        in
+        (p.Relocation.buffer, p.Relocation.pack_cost, 1))
 
 (* Unpack [th]'s image into [node]'s space under the configured scheme:
    the unpack cost, paired with what the heap and slot manager charged
@@ -989,24 +999,8 @@ and start_migration_direct t node (th : Thread.t) ~dest =
   let src = node.Node.id in
   let root = Obs.Span.root t.tracer ~at:started ~node:src Obs.Event.Migration in
   (* Fold slot-manager charges raised during packing into the latency. *)
-  match
-    Node.isolate node (fun () ->
-        match t.config.scheme with
-        | Iso ->
-          let p =
-            Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-              ~space:node.Node.space ~packing:t.config.packing th
-          in
-          Ok (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
-        | Relocating ->
-          (match
-             Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
-               ~space:node.Node.space ~mgr:node.Node.mgr th
-           with
-           | p -> Ok (p.Relocation.buffer, p.Relocation.pack_cost, 1)
-           | exception Relocation.Error { reason; _ } -> Error reason))
-  with
-  | Error msg, _ ->
+  match pack_on t node th with
+  | exception Relocation.Error { reason = msg; _ } ->
     (* The legacy scheme cannot pack this thread (e.g. it holds dynamic
        data slots): abort the migration and let the thread keep running
        where it is — precisely the limitation isomalloc removes. *)
@@ -1015,7 +1009,7 @@ and start_migration_direct t node (th : Thread.t) ~dest =
          msg);
     Obs.Span.finish t.tracer ~at:started ~note:("abort: " ^ msg) root;
     enqueue t th
-  | Ok (buffer, pack_cost, slots), extra ->
+  | (buffer, pack_cost, slots), extra ->
     let pack_total = pack_cost +. extra in
     Node.charge node pack_total;
     let bytes = Bytes.length buffer in
@@ -1969,8 +1963,7 @@ and crash_node t ~node:n =
      thread eventually releases them); everything in-memory — heap, slot
      cache, partial train assemblies, residual images — is gone. *)
   let fresh =
-    Node.create ~obs:t.obs ~allocator_policy:t.config.allocator_policy ~id:n
-      ~cost:t.config.cost ~geometry:t.geometry
+    Node.create ~obs:t.obs ~id:n ~cost:t.config.cost ~geometry:t.geometry
       ~bitmap:(Slot_manager.bitmap old.Node.mgr)
       ~cache_capacity:t.config.cache_capacity ~seed:t.config.seed ()
   in
@@ -2309,22 +2302,7 @@ let host_migrate t (th : Thread.t) ~dest =
   if src <> dest then begin
     let snode = t.nodes.(src) and dnode = t.nodes.(dest) in
     let started = Engine.now t.engine in
-    let (buffer, pack_cost, slots), extra =
-      Node.isolate snode (fun () ->
-          match t.config.scheme with
-          | Iso ->
-            let p =
-              Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-                ~space:snode.Node.space ~packing:t.config.packing th
-            in
-            (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
-          | Relocating ->
-            let p =
-              Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
-                ~space:snode.Node.space ~mgr:snode.Node.mgr th
-            in
-            (p.Relocation.buffer, p.Relocation.pack_cost, 1))
-    in
+    let (buffer, pack_cost, slots), extra = pack_on t snode th in
     let pack_total = pack_cost +. extra in
     Node.charge snode pack_total;
     let bytes = Bytes.length buffer in

@@ -23,7 +23,6 @@ type config = {
   quantum : int; (* instructions per scheduling quantum *)
   fit : Iso_heap.fit; (* block placement strategy (paper: first-fit) *)
   prebuy : int; (* extra slots bought per negotiation (paper 4.4 remark) *)
-  allocator_policy : Pm2_heap.Malloc.policy; (* local-heap free-list layout *)
   cost : Pm2_sim.Cost_model.t;
   seed : int;
   faults : Pm2_fault.Plan.t; (* fault plan; [Plan.none] = pristine network *)
@@ -48,15 +47,12 @@ type config = {
   net_max_attempts : int;
       (* retransmission budget of the {!Pm2_net.Reliable} layer before a
          message is declared undeliverable (default 12) *)
-  net_backoff_cap : int;
-      (* exponent cap of the reliable layer's exponential backoff:
-         timeouts scale up to [2^cap] x the base estimate (default 6) *)
   engine_kind : Pm2_mvm.Engine.kind;
-      (* MVM execution engine: [Step] (per-instruction reference
-         oracle), [Threaded] (pre-decoded run-until-event dispatch) or
-         [Blocks] (basic-block closure compilation — the default). All
-         three produce byte-identical virtual-time outputs; only host
-         ns/instruction differs. See DESIGN §15 *)
+      (* MVM execution engine: [Blocks] (basic-block closure compilation
+         — the default) or [Step] (the per-instruction reference oracle
+         the parity tests compare against). Both produce byte-identical
+         virtual-time outputs; only host ns/instruction differs. See
+         DESIGN §15 *)
 }
 
 val default_config : nodes:int -> config

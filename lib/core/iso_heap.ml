@@ -1,5 +1,6 @@
 module As = Pm2_vmem.Address_space
 module Cm = Pm2_sim.Cost_model
+module Layout = Pm2_vmem.Layout
 module B = Pm2_heap.Blockfmt
 module Sh = Slot_header
 module Obs = Pm2_obs
@@ -142,17 +143,22 @@ let isomalloc env th size =
   if size <= 0 then invalid_arg "Iso_heap.isomalloc: size <= 0";
   env.charge env.cost.Cm.alloc_fixed;
   let g = geometry env in
-  let need = B.block_size_for ~payload:size in
   let result =
-    match find_fit env th need with
-    | Some (slot, b) -> Some (place env slot b need)
-    | None ->
-      let slots = Slot.slots_for g (need + Sh.size_of_header) in
-      (match new_data_slot env th ~slots ~kind:Sh.Data with
-       | None -> None
-       | Some base ->
-         (* The fresh slot holds a single free block that surely fits. *)
-         Some (place env base (Sh.read_free_head env.space base) need))
+    (* A block bigger than the whole iso-area can never be placed; refuse
+       it before [block_size_for] and the slot arithmetic can wrap. *)
+    if size > Layout.iso_size then None
+    else begin
+      let need = B.block_size_for ~payload:size in
+      match find_fit env th need with
+      | Some (slot, b) -> Some (place env slot b need)
+      | None ->
+        let slots = Slot.slots_for g (need + Sh.size_of_header) in
+        (match new_data_slot env th ~slots ~kind:Sh.Data with
+         | None -> None
+         | Some base ->
+           (* The fresh slot holds a single free block that surely fits. *)
+           Some (place env base (Sh.read_free_head env.space base) need))
+    end
   in
   (match result with
    | Some addr when Obs.Collector.enabled env.obs ->
@@ -274,6 +280,10 @@ let isorealloc env th payload new_size =
         invalid_arg "Iso_heap.isorealloc: address inside the thread stack";
       (match validate_block env slot payload with
        | None -> invalid_arg "Iso_heap.isorealloc: not a live block"
+       | Some _ when new_size > Layout.iso_size ->
+         (* As in [isomalloc]: no block that big fits the iso-area. *)
+         env.charge env.cost.Cm.alloc_fixed;
+         None
        | Some bsize ->
          env.charge env.cost.Cm.alloc_fixed;
          let b = B.block_of_payload payload in
@@ -312,13 +322,16 @@ let isorealloc env th payload new_size =
 
 let isocalloc env th ~count ~size =
   if count <= 0 || size <= 0 then invalid_arg "Iso_heap.isocalloc: bad arguments";
-  let total = count * size in
-  match isomalloc env th total with
-  | None -> None
-  | Some a ->
-    As.fill env.space ~addr:a ~size:total 0;
-    env.charge (Cm.memcpy_cost env.cost ~bytes:total);
-    Some a
+  if count > max_int / size then None
+  else begin
+    let total = count * size in
+    match isomalloc env th total with
+    | None -> None
+    | Some a ->
+      As.fill env.space ~addr:a ~size:total 0;
+      env.charge (Cm.memcpy_cost env.cost ~bytes:total);
+      Some a
+  end
 
 (* -- thread life cycle -- *)
 

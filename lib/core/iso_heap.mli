@@ -39,7 +39,7 @@ val slot_capacity : Slot.t -> int
 
 (** [isomalloc env thread size] allocates [size] bytes of private,
     migratable memory for [thread]; returns the payload address, or [None]
-    if the iso-address area is exhausted.
+    if the iso-address area is exhausted or smaller than [size].
     @raise Invalid_argument if [size <= 0]. *)
 val isomalloc : env -> Thread.t -> int -> Pm2_vmem.Layout.addr option
 
@@ -60,7 +60,7 @@ val isorealloc :
   env -> Thread.t -> Pm2_vmem.Layout.addr -> int -> Pm2_vmem.Layout.addr option
 
 (** [isocalloc env thread ~count ~size] allocates and zero-fills
-    [count * size] bytes. *)
+    [count * size] bytes; [None] also when that product overflows. *)
 val isocalloc : env -> Thread.t -> count:int -> size:int -> Pm2_vmem.Layout.addr option
 
 (** {1 Thread life cycle} *)

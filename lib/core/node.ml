@@ -13,15 +13,14 @@ type t = {
   prng : Pm2_util.Prng.t;
 }
 
-let create ?(obs = Pm2_obs.Collector.null) ?(allocator_policy = Pm2_heap.Malloc.First_fit)
-    ~id ~cost ~geometry ~bitmap ~cache_capacity ~seed () =
+let create ?(obs = Pm2_obs.Collector.null) ~id ~cost ~geometry ~bitmap ~cache_capacity ~seed () =
   let space = Pm2_vmem.Address_space.create ~node:id () in
   let acc = { v = 0. } in
   let charge c = acc.v <- acc.v +. c in
   {
     id;
     space;
-    heap = Pm2_heap.Malloc.create ~obs ~node:id ~policy:allocator_policy space cost ~charge;
+    heap = Pm2_heap.Malloc.create ~obs ~node:id space cost ~charge;
     mgr =
       Slot_manager.create ~obs ~node:id ~geometry ~space ~cost ~charge ~bitmap
         ~cache_capacity ();

@@ -23,11 +23,9 @@ type t = {
 }
 
 (** [?obs] is handed down to the heap and the slot manager (events are
-    attributed to [id]); [?allocator_policy] selects the local heap's
-    free-list organisation (default {!Pm2_heap.Malloc.First_fit}). *)
+    attributed to [id]). *)
 val create :
   ?obs:Pm2_obs.Collector.t ->
-  ?allocator_policy:Pm2_heap.Malloc.policy ->
   id:int ->
   cost:Pm2_sim.Cost_model.t ->
   geometry:Slot.t ->

@@ -27,9 +27,8 @@ module Config = struct
   type t = Cluster.config
 
   let make ?(nodes = 2) ?slot_size ?distribution ?cache_capacity ?scheme ?packing
-      ?quantum ?fit ?prebuy ?allocator_policy ?cost ?seed ?fault_plan ?sinks
-      ?delta_cache_bytes ?tracing ?checkpoint_interval ?net_max_attempts
-      ?net_backoff_cap ?engine () =
+      ?quantum ?fit ?prebuy ?cost ?seed ?fault_plan ?sinks ?delta_cache_bytes
+      ?tracing ?checkpoint_interval ?net_max_attempts () =
     let d = Cluster.default_config ~nodes in
     let v o ~default = Option.value o ~default in
     {
@@ -42,7 +41,6 @@ module Config = struct
       quantum = v quantum ~default:d.Cluster.quantum;
       fit = v fit ~default:d.Cluster.fit;
       prebuy = v prebuy ~default:d.Cluster.prebuy;
-      allocator_policy = v allocator_policy ~default:d.Cluster.allocator_policy;
       cost = v cost ~default:d.Cluster.cost;
       seed = v seed ~default:d.Cluster.seed;
       faults = v fault_plan ~default:d.Cluster.faults;
@@ -52,8 +50,7 @@ module Config = struct
       checkpoint_interval =
         v checkpoint_interval ~default:d.Cluster.checkpoint_interval;
       net_max_attempts = v net_max_attempts ~default:d.Cluster.net_max_attempts;
-      net_backoff_cap = v net_backoff_cap ~default:d.Cluster.net_backoff_cap;
-      engine_kind = v engine ~default:d.Cluster.engine_kind;
+      engine_kind = d.Cluster.engine_kind;
     }
 end
 

@@ -40,8 +40,10 @@ end
     update on every new field. Example:
 
     {[
-      Pm2.Config.make ~nodes:4 ~allocator_policy:Pm2_heap.Malloc.Segregated
-        ~fault_plan:(Pm2_fault.Plan.parse ~nodes:4 "drop=0.1")
+      Pm2.Config.make ~nodes:4 ~fit:Iso_heap.Best_fit
+        ~fault_plan:
+          (Pm2_fault.Plan.create ~seed:7
+             (Result.get_ok (Pm2_fault.Plan.spec_of_string "loss=0.1")))
         ~sinks:[ Pm2_obs.Metrics.sink metrics ] ()
     ]} *)
 module Config : sig
@@ -57,7 +59,6 @@ module Config : sig
     ?quantum:int ->
     ?fit:Iso_heap.fit ->
     ?prebuy:int ->
-    ?allocator_policy:Pm2_heap.Malloc.policy ->
     ?cost:Pm2_sim.Cost_model.t ->
     ?seed:int ->
     ?fault_plan:Pm2_fault.Plan.t ->
@@ -66,8 +67,6 @@ module Config : sig
     ?tracing:bool ->
     ?checkpoint_interval:float ->
     ?net_max_attempts:int ->
-    ?net_backoff_cap:int ->
-    ?engine:Pm2_mvm.Engine.kind ->
     unit ->
     Cluster.config
 end

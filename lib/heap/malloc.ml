@@ -17,89 +17,48 @@ let error_to_string = function
   | Heap_exhausted -> "local heap segment exhausted"
   | Invalid_free a -> Printf.sprintf "Malloc.free: 0x%x is not a live block" a
 
-type policy =
-  | First_fit
-  | Segregated
-
-let policy_to_string = function
-  | First_fit -> "first-fit"
-  | Segregated -> "segregated"
-
-(* Segregated layout (dlmalloc-style): exact small bins for block sizes
-   32 .. 504 at 8-byte granularity (block sizes are always 8-aligned, so
-   each small bin holds blocks of exactly one size), plus one large
-   first-fit tail bin for blocks >= 512. *)
-let small_bin_count = 60
-
-let large_threshold = B.min_block + (8 * small_bin_count) (* 512 *)
-
-let segregated_bins = small_bin_count + 1
+let nil = 0
 
 type t = {
   space : As.t;
   cost : Cm.t;
   charge : float -> unit;
-  policy : policy;
   mutable brk : addr; (* end of the mapped arena *)
-  bins : addr array; (* free-list heads, 0 = nil; First_fit uses bins.(0) *)
-  binmap : Pm2_util.Bitset.t; (* bit per non-empty bin (dlmalloc's binmap) *)
+  mutable head : addr; (* first-fit free-list head, 0 = nil *)
   live : (addr, int) Hashtbl.t; (* payload addr -> block size *)
   mutable live_bytes : int;
   obs : Obs.Collector.t;
   node : int;
 }
 
-let create ?(obs = Obs.Collector.null) ?(node = 0) ?(policy = First_fit) space cost
-    ~charge =
-  let nbins = match policy with First_fit -> 1 | Segregated -> segregated_bins in
+let create ?(obs = Obs.Collector.null) ?(node = 0) space cost ~charge =
   {
     space;
     cost;
     charge;
-    policy;
     brk = Layout.heap_base;
-    bins = Array.make nbins 0;
-    binmap = Pm2_util.Bitset.create nbins;
+    head = nil;
     live = Hashtbl.create 64;
     live_bytes = 0;
     obs;
     node;
   }
 
-let policy t = t.policy
-
 let emit t ev = Obs.Collector.emit t.obs ~node:t.node ev
-
-let nil = 0
 
 (* -- free-list management (links live in simulated memory) -- *)
 
-let bin_index t size =
-  match t.policy with
-  | First_fit -> 0
-  | Segregated ->
-    if size < large_threshold then (size - B.min_block) lsr 3 else small_bin_count
-
-(* The bin a block belongs to is derived from its size tag, so [unlink]
-   must run before any [write_tags] that changes the size. *)
 let link_front t b =
-  let idx = bin_index t (B.read_size t.space b) in
-  let head = t.bins.(idx) in
+  let head = t.head in
   B.write_next_free t.space b head;
   B.write_prev_free t.space b nil;
-  if head <> nil then B.write_prev_free t.space head b
-  else Pm2_util.Bitset.set t.binmap idx;
-  t.bins.(idx) <- b
+  if head <> nil then B.write_prev_free t.space head b;
+  t.head <- b
 
 let unlink t b =
-  let idx = bin_index t (B.read_size t.space b) in
   let prev = B.read_prev_free t.space b in
   let next = B.read_next_free t.space b in
-  if prev = nil then begin
-    t.bins.(idx) <- next;
-    if next = nil then Pm2_util.Bitset.clear t.binmap idx
-  end
-  else B.write_next_free t.space prev next;
+  if prev = nil then t.head <- next else B.write_next_free t.space prev next;
   if next <> nil then B.write_prev_free t.space next prev
 
 (* -- arena growth -- *)
@@ -133,7 +92,9 @@ let extend t need =
 
 (* -- allocation -- *)
 
-let scan_bin t steps need b =
+(* One search step charged per block inspected. *)
+let find_fit t need =
+  let steps = ref 0 in
   let rec loop b =
     if b = nil then None
     else begin
@@ -142,26 +103,7 @@ let scan_bin t steps need b =
       else loop (B.read_next_free t.space b)
     end
   in
-  loop b
-
-let find_fit t need =
-  let steps = ref 0 in
-  let r =
-    match t.policy with
-    | First_fit -> scan_bin t steps need t.bins.(0)
-    | Segregated ->
-      if need < large_threshold then begin
-        (* The binmap (one bit per non-empty bin) finds the first bin at
-           or above the exact one in a single word scan — one search
-           step. Every block there fits: higher small bins hold bigger
-           exact sizes, and the large tail holds blocks >= 512 > need. *)
-        incr steps;
-        match Pm2_util.Bitset.first_set_from t.binmap (bin_index t need) with
-        | None -> None
-        | Some idx -> Some t.bins.(idx)
-      end
-      else scan_bin t steps need t.bins.(small_bin_count)
-  in
+  let r = loop t.head in
   t.charge (float_of_int !steps *. t.cost.Cm.free_list_step);
   r
 
@@ -185,16 +127,21 @@ let place t b need =
 let malloc t size =
   if size <= 0 then invalid_arg "Malloc.malloc: size <= 0";
   t.charge t.cost.Cm.alloc_fixed;
-  let need = B.block_size_for ~payload:size in
   let payload =
-    match find_fit t need with
-    | Some b -> Ok (place t b need)
-    | None ->
-      if not (extend t need) then Error Heap_exhausted
-      else (
-        match find_fit t need with
-        | Some b -> Ok (place t b need)
-        | None -> Error Heap_exhausted)
+    (* A block bigger than the whole segment can never be placed; refuse
+       it before [block_size_for] and the growth arithmetic can wrap. *)
+    if size > Layout.heap_max_size then Error Heap_exhausted
+    else begin
+      let need = B.block_size_for ~payload:size in
+      match find_fit t need with
+      | Some b -> Ok (place t b need)
+      | None ->
+        if not (extend t need) then Error Heap_exhausted
+        else (
+          match find_fit t need with
+          | Some b -> Ok (place t b need)
+          | None -> Error Heap_exhausted)
+    end
   in
   (match payload with
    | Ok addr when Obs.Collector.enabled t.obs ->
@@ -259,38 +206,23 @@ let live_bytes t = t.live_bytes
 let heap_bytes t = t.brk - Layout.heap_base
 
 let free_list_length t =
-  let n = ref 0 in
-  Array.iter
-    (fun head ->
-       let rec loop b = if b <> nil then begin incr n; loop (B.read_next_free t.space b) end in
-       loop head)
-    t.bins;
-  !n
+  let rec loop n b = if b = nil then n else loop (n + 1) (B.read_next_free t.space b) in
+  loop 0 t.head
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  (* Collect every bin's list, checking link symmetry and (under
-     Segregated) that each block sits in the bin its size maps to. *)
+  (* Collect the free list, checking link symmetry. *)
   let free_set = Hashtbl.create 16 in
-  let rec walk_list idx b prev n =
+  let rec walk_list b prev n =
     if n > 1_000_000 then fail "free list loop";
     if b <> nil then begin
       if B.read_prev_free t.space b <> prev then fail "free list prev link broken at 0x%x" b;
       if B.read_used t.space b then fail "used block 0x%x on free list" b;
-      let size = B.read_size t.space b in
-      if bin_index t size <> idx then
-        fail "block 0x%x (size %d) in bin %d, belongs in bin %d" b size idx
-          (bin_index t size);
       Hashtbl.replace free_set b ();
-      walk_list idx (B.read_next_free t.space b) b (n + 1)
+      walk_list (B.read_next_free t.space b) b (n + 1)
     end
   in
-  Array.iteri (fun idx head -> walk_list idx head nil 0) t.bins;
-  Array.iteri
-    (fun idx head ->
-       if Pm2_util.Bitset.get t.binmap idx <> (head <> nil) then
-         fail "binmap bit %d disagrees with bin head 0x%x" idx head)
-    t.bins;
+  walk_list t.head nil 0;
   (* Walk the arena block by block. *)
   let a = ref Layout.heap_base in
   let prev_free = ref false in

@@ -27,40 +27,21 @@ type error =
 
 val error_to_string : error -> string
 
-(** Free-list organisation.
-
-    [First_fit] is the paper-faithful single linear list (the default:
-    all default-config outputs are computed under it). [Segregated] is a
-    dlmalloc-style layout — exact small bins for block sizes 32..504 at
-    8-byte granularity plus one large first-fit tail for blocks >= 512,
-    with a bin-occupancy bitmap (dlmalloc's binmap) locating the first
-    non-empty fitting bin in one word-scan (charged a single
-    [free_list_step] per small allocation). *)
-type policy =
-  | First_fit
-  | Segregated
-
-val policy_to_string : policy -> string
-
 (** [create space cost ~charge] sets up an empty heap in [space]'s
     local-heap segment. [charge] receives virtual-time costs. [?obs]
     receives [Block_alloc]/[Block_free]/[Block_split]/[Block_coalesce]
-    events (heap kind [Local]) attributed to [?node]. [?policy] selects
-    the free-list organisation (default [First_fit]). *)
+    events (heap kind [Local]) attributed to [?node]. *)
 val create :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
-  ?policy:policy ->
   Pm2_vmem.Address_space.t ->
   Pm2_sim.Cost_model.t ->
   charge:(float -> unit) ->
   t
 
-val policy : t -> policy
-
 (** [malloc t size] allocates [size] user bytes and returns the payload
     address (8-aligned), or [Error Heap_exhausted] if the heap segment is
-    spent.
+    spent or [size] exceeds the whole segment.
     @raise Invalid_argument if [size <= 0] (programmer error, not a heap
     condition). *)
 val malloc : t -> int -> (addr, error) result
@@ -94,10 +75,9 @@ val heap_bytes : t -> int
 (** Bytes of address space currently claimed from the segment (brk). *)
 
 val free_list_length : t -> int
-(** Total free blocks across all bins. *)
+(** Blocks on the free list. *)
 
 (** [check_invariants t] walks the whole arena and verifies tag coherence,
-    free-list integrity (including that every free block sits in the bin
-    its size maps to) and full coalescing; raises [Failure] with a
+    free-list integrity and full coalescing; raises [Failure] with a
     diagnostic on corruption. Used by the property tests. *)
 val check_invariants : t -> unit

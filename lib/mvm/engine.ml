@@ -1,21 +1,19 @@
-(* Fast MVM execution engines over the pre-decoded form.
+(* Fast MVM execution over the pre-decoded form.
 
-   Three machines behind one [run] surface, all bit-exact against
-   {!Interp.step} (the reference oracle, which [Step] literally loops):
+   Two machines behind one [run] surface, bit-exact against each other:
 
-   - [Step]     — per-instruction [Interp.step], for differential tests
-                  and as the known-good baseline.
-   - [Threaded] — run-until-event over {!Decode.t}: a single while loop
-                  fetching stride-wide int groups and dispatching on a
-                  dense int match (a jump table once compiled), with a
-                  one-entry page cache inlined into the guest load/store
-                  path. Exits only on syscall/halt/fault/fuel-exhaustion.
-   - [Blocks]   — basic-block closure compilation: decoded code is split
-                  into blocks at load time and each block becomes one
-                  chained OCaml closure (per-instruction closures fused
-                  nose to tail, branch targets resolved to pcs), cached
-                  per entry pc, so a hot loop is a handful of closure
-                  calls per iteration.
+   - [Step]   — per-instruction [Interp.step], the reference oracle the
+                differential tests and the engine-parity bench compare
+                against.
+   - [Blocks] — basic-block closure compilation: decoded code is split
+                into blocks at load time and each block becomes one
+                chained OCaml closure (per-instruction closures fused
+                nose to tail, branch targets resolved to pcs), cached
+                per entry pc, so a hot loop is a handful of closure
+                calls per iteration. A block longer than the remaining
+                fuel runs its first [fuel] ops through [tail], a
+                one-op-at-a-time loop. Both inline a one-entry page
+                cache into the guest load/store path.
 
    Exactness contract (what "bit-exact" means here):
    - fuel is an exact instruction budget. An instruction executes only
@@ -44,19 +42,7 @@ module A = Array
 
 type kind =
   | Step
-  | Threaded
   | Blocks
-
-let kind_to_string = function
-  | Step -> "step"
-  | Threaded -> "threaded"
-  | Blocks -> "blocks"
-
-let kind_of_string = function
-  | "step" -> Some Step
-  | "threaded" -> Some Threaded
-  | "blocks" -> Some Blocks
-  | _ -> None
 
 (* Division-by-zero (and any future non-memory fault) unwinds block
    closures through this; segfaults unwind as [As.Segfault]. *)
@@ -70,8 +56,8 @@ type st = {
   mutable fp : int;
   space : As.t;
   mutable steps : int; (* completed Running-outcome instructions *)
-  mutable fpc : int; (* block engine: pc of the risky instr in flight *)
-  mutable fsteps : int; (* block engine: [steps] value to restore on fault *)
+  mutable fpc : int; (* pc of the risky instr in flight *)
+  mutable fsteps : int; (* [steps] value to restore on fault *)
   mutable rp : int; (* read-cached page number, -1 = none *)
   mutable rb : Bytes.t;
   mutable wp : int; (* write-cached page number, -1 = none *)
@@ -105,7 +91,7 @@ type t = {
          test on the hot path than an option deref *)
 }
 
-(* The threaded loop and the block closures match on int literals; pin
+(* The tail loop and the block closures match on int literals; pin
    them to the named constants once, at module init. *)
 let () =
   assert
@@ -162,123 +148,66 @@ let[@inline] sd st a v =
   end
   else As.store_word st.space a v
 
-(* ===== layer 2: threaded dispatch, run-until-event ===== *)
+(* ===== the exact-fuel tail ===== *)
 
-(* Execute from [pc] for at most [fuel] Running-outcome instructions.
-   Returns the outcome and the final pc; [st.steps] accumulates. Also
-   the exact-fuel tail executor for the block engine. *)
-let threaded_from (d : Decode.t) (st : st) ~pc ~fuel : Interp.outcome * int =
+(* Run the first [fuel] instructions of the block entered at [pc], one
+   at a time: the driver calls this only when [fuel] is less than the
+   block's length, so every instruction reached is a body op — never the
+   terminator, never past the end of code. Faults unwind to the driver's
+   handler through the same [fpc]/[fsteps] restart point the block
+   closures record. Returns the pc of the next instruction to execute. *)
+let tail (d : Decode.t) (st : st) ~pc ~fuel =
   let code = d.Decode.code in
-  let len = d.Decode.len in
   let r = st.regs in
-  let pc = ref pc in
-  let fuel = ref fuel in
-  let result = ref Interp.Running in
-  let running = ref true in
-  (try
-     while !running do
-       if !fuel <= 0 then running := false
-       else begin
-         let ipc = !pc in
-         if ipc < 0 || ipc >= len then begin
-           result := Interp.Fault (Interp.Wild_pc ipc);
-           running := false
-         end
-         else begin
-           let base = ipc * 4 in
-           let op = Array.unsafe_get code base in
-           let a = Array.unsafe_get code (base + 1) in
-           let b = Array.unsafe_get code (base + 2) in
-           let c = Array.unsafe_get code (base + 3) in
-           pc := ipc + 1;
-           (match op with
-            | 0 (* Imm *) -> Array.unsafe_set r a b
-            | 1 (* Mov *) -> Array.unsafe_set r a (Array.unsafe_get r b)
-            | 2 (* Add *) ->
-              Array.unsafe_set r a (Array.unsafe_get r b + Array.unsafe_get r c)
-            | 3 (* Sub *) ->
-              Array.unsafe_set r a (Array.unsafe_get r b - Array.unsafe_get r c)
-            | 4 (* Mul *) ->
-              Array.unsafe_set r a (Array.unsafe_get r b * Array.unsafe_get r c)
-            | 5 (* Div *) ->
-              let dv = Array.unsafe_get r c in
-              if dv = 0 then begin
-                pc := ipc;
-                raise (Guest_fault Interp.Division_by_zero)
-              end;
-              Array.unsafe_set r a (Array.unsafe_get r b / dv)
-            | 6 (* Mod *) ->
-              let dv = Array.unsafe_get r c in
-              if dv = 0 then begin
-                pc := ipc;
-                raise (Guest_fault Interp.Division_by_zero)
-              end;
-              Array.unsafe_set r a (Array.unsafe_get r b mod dv)
-            | 7 (* Addi *) -> Array.unsafe_set r a (Array.unsafe_get r b + c)
-            | 8 (* Load *) -> Array.unsafe_set r a (ld st (Array.unsafe_get r b + c))
-            | 9 (* Store *) -> sd st (Array.unsafe_get r b + c) (Array.unsafe_get r a)
-            | 10 (* Push *) ->
-              st.sp <- st.sp - 8;
-              sd st st.sp (Array.unsafe_get r a)
-            | 11 (* Pop *) ->
-              Array.unsafe_set r a (ld st st.sp);
-              st.sp <- st.sp + 8
-            | 12 (* Sp *) -> Array.unsafe_set r a st.sp
-            | 13 (* Fp *) -> Array.unsafe_set r a st.fp
-            | 14 (* Jmp *) -> pc := a
-            | 15 (* Beq *) ->
-              if Array.unsafe_get r a = Array.unsafe_get r b then pc := c
-            | 16 (* Bne *) ->
-              if Array.unsafe_get r a <> Array.unsafe_get r b then pc := c
-            | 17 (* Blt *) ->
-              if Array.unsafe_get r a < Array.unsafe_get r b then pc := c
-            | 18 (* Bge *) ->
-              if Array.unsafe_get r a >= Array.unsafe_get r b then pc := c
-            | 19 (* Call *) ->
-              (* pc assignment last, like [Interp.step]: a faulting store
-                 leaves pc = ipc+1, which the handler rewinds to ipc. *)
-              st.sp <- st.sp - 8;
-              sd st st.sp (ipc + 1);
-              pc := a
-            | 20 (* Ret *) ->
-              let ra = ld st st.sp in
-              st.sp <- st.sp + 8;
-              pc := ra
-            | 21 (* Enter *) ->
-              st.sp <- st.sp - 8;
-              sd st st.sp st.fp;
-              st.fp <- st.sp;
-              st.sp <- st.sp - a
-            | 22 (* Leave *) ->
-              st.sp <- st.fp;
-              st.fp <- ld st st.sp;
-              st.sp <- st.sp + 8
-            | 23 (* Sys *) ->
-              result := Interp.Syscall (Decode.syscall_of_int a);
-              running := false
-            | 24 (* Halt *) ->
-              result := Interp.Halted;
-              running := false
-            | 25 (* Nop *) -> ()
-            | _ -> assert false);
-           (* Sys/Halt exits above consume no fuel and count no step —
-              the scheduler accounts for the Sys instruction itself. *)
-           if !running then begin
-             st.steps <- st.steps + 1;
-             fuel := !fuel - 1
-           end
-         end
-       end
-     done
-   with
-  | As.Segfault { addr; _ } ->
-    (* Every memory-faulting op runs with pc = ipc+1 (pc reassignment is
-       the last action of Call/Ret), so rewinding one lands on the
-       faulting instruction. The in-flight op was never counted. *)
-    pc := !pc - 1;
-    result := Interp.Fault (Interp.Segv addr)
-  | Guest_fault f -> result := Interp.Fault f);
-  (!result, !pc)
+  for ipc = pc to pc + fuel - 1 do
+    let base = ipc * 4 in
+    let a = Array.unsafe_get code (base + 1) in
+    let b = Array.unsafe_get code (base + 2) in
+    let c = Array.unsafe_get code (base + 3) in
+    st.fpc <- ipc;
+    st.fsteps <- st.steps;
+    (match Array.unsafe_get code base with
+     | 0 (* Imm *) -> Array.unsafe_set r a b
+     | 1 (* Mov *) -> Array.unsafe_set r a (Array.unsafe_get r b)
+     | 2 (* Add *) ->
+       Array.unsafe_set r a (Array.unsafe_get r b + Array.unsafe_get r c)
+     | 3 (* Sub *) ->
+       Array.unsafe_set r a (Array.unsafe_get r b - Array.unsafe_get r c)
+     | 4 (* Mul *) ->
+       Array.unsafe_set r a (Array.unsafe_get r b * Array.unsafe_get r c)
+     | 5 (* Div *) ->
+       let dv = Array.unsafe_get r c in
+       if dv = 0 then raise (Guest_fault Interp.Division_by_zero);
+       Array.unsafe_set r a (Array.unsafe_get r b / dv)
+     | 6 (* Mod *) ->
+       let dv = Array.unsafe_get r c in
+       if dv = 0 then raise (Guest_fault Interp.Division_by_zero);
+       Array.unsafe_set r a (Array.unsafe_get r b mod dv)
+     | 7 (* Addi *) -> Array.unsafe_set r a (Array.unsafe_get r b + c)
+     | 8 (* Load *) -> Array.unsafe_set r a (ld st (Array.unsafe_get r b + c))
+     | 9 (* Store *) -> sd st (Array.unsafe_get r b + c) (Array.unsafe_get r a)
+     | 10 (* Push *) ->
+       st.sp <- st.sp - 8;
+       sd st st.sp (Array.unsafe_get r a)
+     | 11 (* Pop *) ->
+       Array.unsafe_set r a (ld st st.sp);
+       st.sp <- st.sp + 8
+     | 12 (* Sp *) -> Array.unsafe_set r a st.sp
+     | 13 (* Fp *) -> Array.unsafe_set r a st.fp
+     | 21 (* Enter *) ->
+       st.sp <- st.sp - 8;
+       sd st st.sp st.fp;
+       st.fp <- st.sp;
+       st.sp <- st.sp - a
+     | 22 (* Leave *) ->
+       st.sp <- st.fp;
+       st.fp <- ld st st.sp;
+       st.sp <- st.sp + 8
+     | 25 (* Nop *) -> ()
+     | _ -> assert false);
+    st.steps <- st.steps + 1
+  done;
+  pc + fuel
 
 (* ===== layer 3: basic-block closure compilation ===== *)
 
@@ -561,13 +490,14 @@ let get_block t pc =
   end
 
 (* The block driver. Whole blocks run only when fuel covers them; a
-   block bigger than the remaining fuel falls back to the threaded
-   stepper for the tail of the slice, which enforces the per-instruction
-   budget exactly (fuel >= b_total iff every instruction of the block,
-   terminator included, passes the old loop's budget > 0 check). The
-   fault handler is installed once per [drive], not per block: until a
-   block completes, [st.steps] still holds its start-of-block value, so
-   the handler's [fsteps] restore is always correct. The loop is a while
+   block bigger than the remaining fuel hands the rest of the slice to
+   [tail], which enforces the per-instruction budget exactly (fuel >=
+   b_total iff every instruction of the block, terminator included,
+   passes the old loop's budget > 0 check). The fault handler is
+   installed once per [drive], not per block: until a block completes,
+   [st.steps] still holds its start-of-block value (and [tail] keeps
+   [fsteps] current per op), so the handler's [fsteps] restore is
+   always correct. The loop is a while
    loop, not recursion — calls under an active trap frame cannot be
    tail-call optimized, so a recursive driver inside [try] would grow
    the host stack by one frame per block executed. *)
@@ -597,9 +527,7 @@ let drive t st ~pc ~fuel : Interp.outcome * int =
            end
          in
          if b.b_total > !fuel then begin
-           let o, p' = threaded_from t.d st ~pc:p ~fuel:!fuel in
-           outcome := o;
-           pc := p';
+           pc := tail t.d st ~pc:p ~fuel:!fuel;
            running := false
          end
          else begin
@@ -673,13 +601,11 @@ let create kind program =
       blocks =
         (match kind with
          | Blocks -> Array.make (max 1 d.Decode.len) uncompiled
-         | _ -> [||]);
+         | Step -> [||]);
     }
   in
   if kind = Blocks then precompile t;
   t
-
-let kind t = t.kind
 
 let run t (ctx : Interp.context) space ~fuel : Interp.outcome * int =
   match t.kind with
@@ -702,7 +628,7 @@ let run t (ctx : Interp.context) space ~fuel : Interp.outcome * int =
           running := false
     done;
     (!result, !steps)
-  | Threaded | Blocks ->
+  | Blocks ->
     let st =
       {
         regs = ctx.Interp.regs;
@@ -718,10 +644,7 @@ let run t (ctx : Interp.context) space ~fuel : Interp.outcome * int =
         wb = Bytes.empty;
       }
     in
-    let outcome, pc =
-      if t.kind = Threaded then threaded_from t.d st ~pc:ctx.Interp.pc ~fuel
-      else drive t st ~pc:ctx.Interp.pc ~fuel
-    in
+    let outcome, pc = drive t st ~pc:ctx.Interp.pc ~fuel in
     ctx.Interp.pc <- pc;
     ctx.Interp.sp <- st.sp;
     ctx.Interp.fp <- st.fp;

@@ -1,14 +1,14 @@
-(** Fast MVM execution engines.
+(** Fast MVM execution.
 
-    Three interchangeable machines behind one [run] surface, all
-    bit-exact against {!Interp.step}:
+    Two interchangeable machines behind one [run] surface, bit-exact
+    against each other:
 
-    - [Step] — per-instruction {!Interp.step} (the reference oracle).
-    - [Threaded] — run-until-event threaded dispatch over the
-      pre-decoded form ({!Decode.t}), with an inlined one-entry page
-      cache on the guest load/store path.
-    - [Blocks] — basic-block closure compilation: each block becomes one
-      chained OCaml closure, cached per entry pc.
+    - [Step] — per-instruction {!Interp.step}: the reference oracle the
+      differential tests and the engine-parity bench compare against.
+    - [Blocks] — basic-block closure compilation over the pre-decoded
+      form ({!Decode.t}): each block becomes one chained OCaml closure,
+      cached per entry pc, with an inlined one-entry page cache on the
+      guest load/store path. The cluster default.
 
     The contract that keeps every virtual-time output byte-identical
     across engines: [fuel] is an exact instruction budget (each
@@ -20,14 +20,7 @@
 
 type kind =
   | Step
-  | Threaded
   | Blocks
-
-val kind_to_string : kind -> string
-(** ["step"] / ["threaded"] / ["blocks"]. *)
-
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string} ([None] on anything else). *)
 
 type t
 
@@ -38,8 +31,6 @@ type t
     per-thread state: any thread of the program can run on the same
     engine, including after migration/checkpoint-restore. *)
 val create : kind -> Program.t -> t
-
-val kind : t -> kind
 
 (** [run t ctx space ~fuel] executes from [ctx] for at most [fuel]
     Running-outcome instructions and returns [(outcome, steps)] where

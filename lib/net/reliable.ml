@@ -29,8 +29,6 @@ type t = {
   net : Network.t;
   obs : Obs.Collector.t;
   max_attempts : int;
-  backoff_cap : int;
-  fragment : int;
   mutable next_seq : int;
   (* seqs whose payload ran its delivery continuation (or whose session
      was torn down): any further copy is suppressed *)
@@ -52,17 +50,19 @@ type t = {
   mutable tracer : Obs.Span.t option;
 }
 
-let create ?(obs = Obs.Collector.null) ?(max_attempts = 12) ?(backoff_cap = 6)
-    ?(fragment = 16384) net =
-  if fragment <= 0 then invalid_arg "Reliable.create: fragment must be positive";
+(* Packet-train fragment size: the unit [send_train] cuts payloads into. *)
+let fragment = 16384
+
+(* Exponential-backoff cap: the timeout of attempt [n] is
+   [base * 2 ^ min (n-1) backoff_cap]. *)
+let backoff_cap = 6
+
+let create ?(obs = Obs.Collector.null) ?(max_attempts = 12) net =
   if max_attempts < 1 then invalid_arg "Reliable.create: max_attempts must be >= 1";
-  if backoff_cap < 0 then invalid_arg "Reliable.create: backoff_cap must be >= 0";
   {
     net;
     obs;
     max_attempts;
-    backoff_cap;
-    fragment;
     next_seq = 0;
     delivered = Hashtbl.create 64;
     pending = Hashtbl.create 16;
@@ -230,7 +230,7 @@ let send t ~src ~dst payload ~on_delivered ~on_failed =
         end;
         Network.send t.net ~src ~dst wire (handle_data t ~src ~dst ~on_delivered);
         let timeout =
-          base_timeout *. (2. ** float_of_int (min (n - 1) t.backoff_cap))
+          base_timeout *. (2. ** float_of_int (min (n - 1) backoff_cap))
         in
         Engine.schedule_after engine ~delay:timeout (fun () ->
             if not !acked then attempt (n + 1))
@@ -432,11 +432,11 @@ let send_train ?trace t ~src ~dst payload ~on_delivered ~on_failed =
     Network.send t.net ~src ~dst payload on_delivered
   end
   else begin
-    let nfrags = max 1 ((bytes + t.fragment - 1) / t.fragment) in
+    let nfrags = max 1 ((bytes + fragment - 1) / fragment) in
     let frames =
       List.init nfrags (fun idx ->
-          let pos = idx * t.fragment in
-          let len = min t.fragment (bytes - pos) in
+          let pos = idx * fragment in
+          let len = min fragment (bytes - pos) in
           frag_frame ?trace ~train ~idx ~nfrags payload ~pos ~len ())
     in
     let wire_bytes = List.fold_left (fun acc f -> acc + Bytes.length f) 0 frames in
@@ -494,7 +494,7 @@ let send_train ?trace t ~src ~dst payload ~on_delivered ~on_failed =
           (fun f -> Network.send t.net ~src ~dst f (handle_frag t ~src ~dst ~on_delivered))
           frames;
         let timeout =
-          base_timeout *. (2. ** float_of_int (min (n - 1) t.backoff_cap))
+          base_timeout *. (2. ** float_of_int (min (n - 1) backoff_cap))
         in
         Engine.schedule_after engine ~delay:timeout (fun () ->
             if not !acked then attempt (n + 1))

@@ -22,21 +22,14 @@
 
 type t
 
-(** [create ?obs ?max_attempts ?backoff_cap ?fragment net] —
-    [max_attempts] (default 12) bounds the retransmission budget of
-    {!send} and {!send_train}; [backoff_cap] (default 6) caps the
-    exponential-backoff exponent, so the timeout of attempt [n] is
-    [base * 2 ^ min (n-1) backoff_cap]; [fragment] is the packet train
-    fragment size in bytes (default 16 KB), the unit into which
-    {!send_train} cuts its payload. The defaults reproduce the historic
-    behaviour exactly.
-    @raise Invalid_argument if [fragment <= 0], [max_attempts < 1] or
-    [backoff_cap < 0]. *)
+(** [create ?obs ?max_attempts net] — [max_attempts] (default 12)
+    bounds the retransmission budget of {!send} and {!send_train}. The
+    timeout of attempt [n] is [base * 2 ^ min (n-1) 6], and
+    {!send_train} cuts its payload into 16 KB fragments.
+    @raise Invalid_argument if [max_attempts < 1]. *)
 val create :
   ?obs:Pm2_obs.Collector.t ->
   ?max_attempts:int ->
-  ?backoff_cap:int ->
-  ?fragment:int ->
   Network.t ->
   t
 

@@ -40,10 +40,10 @@ let test_blockfmt_links () =
 
 (* -- Malloc -- *)
 
-let heap ?policy () =
+let heap () =
   let sp = As.create ~node:0 () in
   let charged = ref 0. in
-  (Malloc.create ?policy sp Cm.default ~charge:(fun c -> charged := !charged +. c), sp, charged)
+  (Malloc.create sp Cm.default ~charge:(fun c -> charged := !charged +. c), sp, charged)
 
 let test_basic_alloc () =
   let h, sp, _ = heap () in
@@ -142,36 +142,24 @@ let test_live_bytes_accounting () =
   Malloc.free_exn h a;
   Alcotest.(check bool) "freed bytes subtracted" true (Malloc.live_bytes h < before)
 
+let test_oversize_refused () =
+  (* Sizes whose block cannot fit the segment must fail cleanly, never
+     wrap to a tiny block (the guest's r1 reaches [malloc] unchecked). *)
+  let h, _, _ = heap () in
+  List.iter
+    (fun size ->
+       Alcotest.(check bool)
+         (Printf.sprintf "malloc %d refused" size)
+         true
+         (Malloc.malloc h size = Error Malloc.Heap_exhausted))
+    [ max_int; max_int - 7; max_int - 4096; Layout.heap_max_size + 1 ];
+  Alcotest.(check int) "nothing allocated" 0 (Malloc.live_blocks h);
+  Malloc.check_invariants h
+
 (* Property: random malloc/free interleavings keep the arena coherent and
    never hand out overlapping blocks. *)
-let test_segregated_exact_bin_reuse () =
-  (* Freeing a small block parks it in its exact size bin; the next
-     malloc of the same size must get it straight back. *)
-  let h, _, _ = heap ~policy:Malloc.Segregated () in
-  let a = Malloc.malloc_exn h 100 in
-  let b = Malloc.malloc_exn h 100 in
-  ignore (Malloc.malloc_exn h 40); (* keep [b] from coalescing into the tail *)
-  Malloc.free_exn h b;
-  Malloc.check_invariants h;
-  let c = Malloc.malloc_exn h 100 in
-  Alcotest.(check int) "exact bin reuse" b c;
-  Alcotest.(check bool) "distinct from a" true (a <> c);
-  Malloc.check_invariants h
-
-let test_segregated_large_tail () =
-  let h, _, _ = heap ~policy:Malloc.Segregated () in
-  let a = Malloc.malloc_exn h 4000 in
-  ignore (Malloc.malloc_exn h 16);
-  Malloc.free_exn h a;
-  Malloc.check_invariants h;
-  (* A smaller request is satisfied from the large tail when every small
-     bin is empty. *)
-  let b = Malloc.malloc_exn h 200 in
-  Alcotest.(check int) "carved from the freed large block" a b;
-  Malloc.check_invariants h
-
-let run_random_ops ?policy ops =
-  let h, _, _ = heap ?policy () in
+let run_random_ops ops =
+  let h, _, _ = heap () in
   let live = ref [] in
   List.iter
     (fun (is_alloc, size) ->
@@ -194,40 +182,10 @@ let run_random_ops ?policy ops =
     ops;
   true
 
-let prop_random_ops_segregated =
-  let gen = QCheck2.Gen.(list_size (int_range 1 120) (pair bool (int_range 1 5000))) in
-  QCheck2.Test.make
-    ~name:"segregated-bin arena stays coherent under random ops (bin membership checked)"
-    ~count:60 gen
-    (run_random_ops ~policy:Malloc.Segregated)
-
 let prop_random_ops =
   let gen = QCheck2.Gen.(list_size (int_range 1 120) (pair bool (int_range 1 5000))) in
   QCheck2.Test.make ~name:"malloc arena stays coherent under random ops" ~count:60 gen
-    (fun ops ->
-       let h, _, _ = heap () in
-       let live = ref [] in
-       List.iter
-         (fun (is_alloc, size) ->
-            if is_alloc || !live = [] then begin
-              let a = Malloc.malloc_exn h size in
-              (* overlap check against every live block *)
-              List.iter
-                (fun (b, bsize) ->
-                   if a < b + bsize && b < a + size then failwith "overlap")
-                !live;
-              live := (a, size) :: !live
-            end
-            else begin
-              match !live with
-              | (a, _) :: rest ->
-                Malloc.free_exn h a;
-                live := rest
-              | [] -> ()
-            end;
-            Malloc.check_invariants h)
-         ops;
-       true)
+    run_random_ops
 
 let tests =
   [
@@ -243,8 +201,6 @@ let tests =
     Alcotest.test_case "large allocation grows arena" `Quick test_large_alloc_grows;
     Alcotest.test_case "growth cost linear in size" `Quick test_growth_cost_linear;
     Alcotest.test_case "live bytes accounting" `Quick test_live_bytes_accounting;
-    Alcotest.test_case "segregated: exact bin reuse" `Quick test_segregated_exact_bin_reuse;
-    Alcotest.test_case "segregated: large tail first-fit" `Quick test_segregated_large_tail;
+    Alcotest.test_case "oversize requests refused" `Quick test_oversize_refused;
     QCheck_alcotest.to_alcotest prop_random_ops;
-    QCheck_alcotest.to_alcotest prop_random_ops_segregated;
   ]

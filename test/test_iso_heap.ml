@@ -134,6 +134,28 @@ let test_absurd_request_returns_none () =
     (Iso_heap.isomalloc env th (Layout.iso_size + 65536));
   Iso_heap.check_invariants env th
 
+let test_oversize_requests_refused () =
+  (* Sizes near max_int must not wrap to a tiny block: the guest's r1
+     reaches these calls unchecked. *)
+  let _, env, th = setup () in
+  let a = Option.get (Iso_heap.isomalloc env th 100) in
+  List.iter
+    (fun size ->
+       Alcotest.(check (option int)) (Printf.sprintf "isomalloc %d" size) None
+         (Iso_heap.isomalloc env th size);
+       Alcotest.(check (option int)) (Printf.sprintf "isorealloc %d" size) None
+         (Iso_heap.isorealloc env th a size))
+    [ max_int; max_int - 7; max_int - 65536 ];
+  Alcotest.(check (option int)) "isocalloc product overflows" None
+    (Iso_heap.isocalloc env th ~count:(1 lsl 31) ~size:((1 lsl 32) + 1));
+  Alcotest.(check (option int)) "isocalloc max_int x 2" None
+    (Iso_heap.isocalloc env th ~count:max_int ~size:2);
+  Alcotest.(check bool) "failed realloc keeps the block" true
+    (Iso_heap.usable_size env th a >= 100);
+  Alcotest.(check int) "only the original block is live" 1
+    (List.length (Iso_heap.live_blocks env th));
+  Iso_heap.check_invariants env th
+
 let test_invalid_frees () =
   let _, env, th = setup () in
   let a = Option.get (Iso_heap.isomalloc env th 100) in
@@ -266,6 +288,7 @@ let tests =
       test_multi_slot_local_when_partitioned;
     Alcotest.test_case "exact slot capacity" `Quick test_exact_slot_capacity;
     Alcotest.test_case "absurd request returns None" `Quick test_absurd_request_returns_none;
+    Alcotest.test_case "oversize requests refused" `Quick test_oversize_requests_refused;
     Alcotest.test_case "invalid frees rejected" `Quick test_invalid_frees;
     Alcotest.test_case "thread isolation" `Quick test_thread_isolation;
     Alcotest.test_case "stack slot lifecycle" `Quick test_stack_slot_lifecycle;

@@ -275,9 +275,9 @@ let test_context_copy () =
 
 (* ===== execution engines: differential + edge-case coverage =====
 
-   The step interpreter is the oracle; Threaded and Blocks must match
-   it exactly — registers, sp/fp/pc, memory, outcome, instruction
-   counts — for every program and every fuel chunking. *)
+   The step interpreter is the oracle; Blocks must match it exactly —
+   registers, sp/fp/pc, memory, outcome, instruction counts — for
+   every program and every fuel chunking. *)
 
 let scratch_base = 0x300000
 let scratch_size = 16 * Layout.page_size
@@ -369,7 +369,7 @@ let check_snap_eq what (ref_ : snap) (got : snap) =
   Alcotest.(check (list bool)) (what ^ ": dirty pages") ref_.s_dirty got.s_dirty
 
 (* Fuel chunkings exercising every engine boundary: per-instruction,
-   tiny odd chunks (mid-block exhaustion and threaded-tail re-entry),
+   tiny odd chunks (mid-block exhaustion and tail re-entry),
    quantum-like, and effectively unbounded. *)
 let fuel_schedules =
   [ ("fuel=1", [| 1 |]);
@@ -378,7 +378,9 @@ let fuel_schedules =
     ("fuel=200", [| 200 |]);
     ("fuel=big", [| 1_000_000 |]) ]
 
-let all_kinds = [ Engine.Step; Engine.Threaded; Engine.Blocks ]
+let all_kinds = [ Engine.Step; Engine.Blocks ]
+
+let kind_name = function Engine.Step -> "step" | Engine.Blocks -> "blocks"
 
 (* Compare every engine x fuel-schedule combination against the step
    oracle run per-instruction. *)
@@ -390,7 +392,7 @@ let check_differential what program =
         (fun (fname, fuels) ->
           let got = drive kind program fuels in
           check_snap_eq
-            (Printf.sprintf "%s [%s %s]" what (Engine.kind_to_string kind) fname)
+            (Printf.sprintf "%s [%s %s]" what (kind_name kind) fname)
             ref_ got)
         fuel_schedules)
     all_kinds
@@ -518,9 +520,9 @@ let test_edge_wild_jmp () =
     (fun kind ->
       let s = drive kind program [| 10 |] in
       Alcotest.(check string)
-        (Engine.kind_to_string kind ^ ": wild jmp")
+        (kind_name kind ^ ": wild jmp")
         "fault: Illegal program counter 12345" s.s_outcome;
-      Alcotest.(check int) (Engine.kind_to_string kind ^ ": pc") 12345 s.s_pc)
+      Alcotest.(check int) (kind_name kind ^ ": pc") 12345 s.s_pc)
     all_kinds
 
 let test_edge_ret_wild () =
@@ -569,13 +571,13 @@ let test_edge_fault_terminator () =
     (fun kind ->
       let s = drive ~map_stack:false kind program [| 10 |] in
       Alcotest.(check string)
-        (Engine.kind_to_string kind ^ ": call faults")
+        (kind_name kind ^ ": call faults")
         (Printf.sprintf "fault: Segmentation fault (address 0x%x)"
            (stack_base + 65536 - 8))
         s.s_outcome;
-      Alcotest.(check int) (Engine.kind_to_string kind ^ ": pc") 0 s.s_pc;
+      Alcotest.(check int) (kind_name kind ^ ": pc") 0 s.s_pc;
       Alcotest.(check int)
-        (Engine.kind_to_string kind ^ ": sp decremented")
+        (kind_name kind ^ ": sp decremented")
         (stack_base + 65536 - 8) s.s_sp)
     all_kinds
 
@@ -609,12 +611,38 @@ let test_fault_pc_reporting () =
     (fun kind ->
       let s = drive kind program [| 100 |] in
       Alcotest.(check string)
-        (Engine.kind_to_string kind ^ ": div fault")
+        (kind_name kind ^ ": div fault")
         "fault: Division by zero" s.s_outcome;
       Alcotest.(check int)
-        (Engine.kind_to_string kind ^ ": pc at faulting div")
+        (kind_name kind ^ ": pc at faulting div")
         2 s.s_pc)
     all_kinds
+
+let test_tail_every_split () =
+  (* One straight-line block using every body op, ending in Halt. A
+     first slice of k < block-length fuel runs through the exact-fuel
+     tail and stops after instruction k-1; the rest of the block then
+     runs as its own lazily compiled block. Every split point must
+     match the oracle. *)
+  let code =
+    [|
+      Isa.Imm (8, scratch_base); Isa.Imm (1, 91); Isa.Imm (2, 7); Isa.Mov (3, 1);
+      Isa.Add (4, 1, 2); Isa.Sub (5, 1, 2); Isa.Mul (6, 1, 2); Isa.Div (7, 1, 2);
+      Isa.Mod (0, 1, 2); Isa.Addi (3, 3, 5); Isa.Store (4, 8, 16);
+      Isa.Load (5, 8, 16); Isa.Push 6; Isa.Enter 24; Isa.Sp 9; Isa.Fp 10;
+      Isa.Store (7, 10, -8); Isa.Load (11, 10, -8); Isa.Leave; Isa.Pop 12;
+      Isa.Nop; Isa.Halt;
+    |]
+  in
+  let program = raw code in
+  check_differential "straight line" program;
+  let ref_ = drive Engine.Step program [| 1 |] in
+  for k = 1 to Array.length code - 1 do
+    check_snap_eq
+      (Printf.sprintf "straight line [blocks split at %d]" k)
+      ref_
+      (drive Engine.Blocks program [| k; 1_000_000 |])
+  done
 
 let test_decode_rejects_bad_reg () =
   Alcotest.(check bool) "register out of range rejected" true
@@ -653,5 +681,6 @@ let tests =
     Alcotest.test_case "engines: syscall branch target" `Quick test_edge_syscall_branch_target;
     Alcotest.test_case "engines: code-end fallthrough" `Quick test_edge_code_end_fallthrough;
     Alcotest.test_case "engines: fault pc reporting" `Quick test_fault_pc_reporting;
+    Alcotest.test_case "engines: tail at every split" `Quick test_tail_every_split;
     Alcotest.test_case "decode: register validation" `Quick test_decode_rejects_bad_reg;
   ]
