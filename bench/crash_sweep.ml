@@ -34,14 +34,15 @@ let strip line =
   | _ -> line
 
 (* Drop the lines that legitimately observe placement or the migration
-   protocol (Sys_node prints, abort notices): everything else must be
-   reproduced exactly once. *)
+   protocol (Sys_node prints, abort notices — a lone thread's abort is
+   reported as a group of one's): everything else must be reproduced
+   exactly once. *)
 let node_free l =
   not
     (List.exists
        (fun p ->
          String.length l >= String.length p && String.sub l 0 (String.length p) = p)
-       [ "Initializing"; "Arrived"; "migration" ])
+       [ "Initializing"; "Arrived"; "migration"; "group migration" ])
 
 let guest_lines c =
   List.filter node_free (List.map strip (Pm2_sim.Trace.lines (Cluster.trace c)))
@@ -70,8 +71,9 @@ let summarize t name (c, makespan) ~identical =
     (match identical with None -> "-" | Some true -> "yes" | Some false -> "NO")
 
 (* [output_identical] is recorded only for scenarios that compared
-   their output against a fault-free run ([~identical:(Some _)]). *)
-let record_scenario ~name ~params (c, makespan) ~identical =
+   their output against a fault-free run ([~identical:(Some _)]); [extra]
+   carries a scenario's own metrics. *)
+let record_scenario ?(extra = []) ~name ~params (c, makespan) ~identical =
   Report.record ~suite:"crash-recovery" ~name ~params
     ([
        ("makespan_us", makespan);
@@ -82,9 +84,10 @@ let record_scenario ~name ~params (c, makespan) ~identical =
        ("live_at_end", float_of_int (Cluster.live_threads c));
      ]
      @
-     match identical with
-     | Some b -> [ ("output_identical", if b then 1. else 0.) ]
-     | None -> [])
+     (match identical with
+      | Some b -> [ ("output_identical", if b then 1. else 0.) ]
+      | None -> [])
+     @ extra)
 
 (* A guest with the access pattern checkpointing is built for: a block of
    iso pages written once up front, then a long compute phase dirtying
@@ -172,7 +175,10 @@ let run () =
   record_scenario ~name:"failover"
     ~params:[ ("guest", "fig7/80"); ("interval", "150"); ("crash", "0@1000") ]
     failover ~identical:(Some failover_ok);
-  (* -- crash while the victim's thread is in migration flight -- *)
+  (* -- crash while the victim's thread is in migration flight --
+     Under the fault plan the migration runs the group pipeline as a
+     group of one; the crash lands after the pack and before the train
+     leaves, so the pipeline must abandon or abort that group. *)
   let mid_spawns = [ (0, "fig7", 105) ] in
   let mid_base = run_case ~interval:150. ~faults:"" ~spawns:mid_spawns () in
   let mid = run_case ~interval:150. ~faults:"crash=0@2900" ~spawns:mid_spawns () in
@@ -180,6 +186,7 @@ let run () =
   summarize t "crash mid-migration" mid ~identical:(Some mid_ok);
   record_scenario ~name:"crash-mid-migration"
     ~params:[ ("guest", "fig7/105"); ("interval", "150"); ("crash", "0@2900") ]
+    ~extra:[ ("aborted_groups", float_of_int (Cluster.aborted_groups (fst mid))) ]
     mid ~identical:(Some mid_ok);
   (* -- double crash on a balanced three-node run (one victim restarts) -- *)
   let double =
@@ -224,6 +231,8 @@ let run () =
     failwith "crash_sweep: failover did not restore the crashed thread";
   if not mid_ok then
     failwith "crash_sweep: mid-migration crash diverged from the fault-free output";
+  if Cluster.aborted_groups (fst mid) < 1 then
+    failwith "crash_sweep: the mid-migration crash missed the migration in flight";
   if Cluster.restored_threads (fst double) < 2 then
     failwith "crash_sweep: double crash restored fewer than 2 threads";
   if Cluster.live_threads (fst double) <> 0 || Cluster.stranded_threads (fst double) <> 0

@@ -1,8 +1,10 @@
 (* Fault-injection sweep: a tier-1 migrating program driven through
    increasing seeded fault loads — loss, duplication, jitter, and a
-   mid-run interface kill — with the failure-hardened protocols engaged.
-   Every row must complete with invariants intact; the table shows what
-   the recovery machinery paid for it. The machine-readable
+   mid-run interface kill — with the failure-hardened paths engaged: each
+   lone migration runs the group pipeline as a group of one (probe,
+   verdict, checksummed train, rollback on failure). Every row must
+   complete with invariants intact; the table shows what the recovery
+   machinery paid for it. The machine-readable
    `; metrics fault-sweep {...}` line is the hook for the @faults smoke. *)
 
 open Pm2_core
@@ -25,7 +27,7 @@ let run () =
   Harness.section
     (Printf.sprintf "fault sweep: pingpong under seeded faults (seed %d)" seed);
   Harness.note
-    "hardened protocols on for every row; empty spec = zero fault rates";
+    "hardened group pipeline on for every row; empty spec = zero fault rates";
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;

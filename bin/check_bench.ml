@@ -107,7 +107,10 @@ let check_known_suite ~suite ~name metrics =
       fail "%s/%s: mid-flight crash lost or stranded a thread" suite name;
     if get "output_identical" <> 1. then
       fail "%s/%s: mid-flight crash diverged from the fault-free guest output" suite
-        name
+        name;
+    if get "aborted_groups" < 1. then
+      fail "%s/%s: the crash missed the migration in flight (no group aborted or \
+            abandoned)" suite name
   | "crash-recovery", "double-crash" ->
     if get "restored" < 2. then
       fail "%s/%s: fewer than 2 threads restored across two crashes" suite name;

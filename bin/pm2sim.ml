@@ -137,13 +137,15 @@ let faults_arg =
     value
     & opt (some faults_conv) None
     & info [ "faults" ] ~docv:"SPEC"
-        ~doc:"Enable fault injection and the failure-hardened protocols. \
-              SPEC is a comma list of $(b,loss=P), $(b,dup=P), \
+        ~doc:"Enable fault injection and the failure-hardened paths: every \
+              iso migration runs the probe/verdict group pipeline (a lone \
+              thread is a group of one) and control messages are \
+              retransmitted. SPEC is a comma list of $(b,loss=P), $(b,dup=P), \
               $(b,corrupt=P), $(b,reorder=P), $(b,delay=US), \
               $(b,part=A-B\\@T0-T1), $(b,kill=N\\@T[-T1]) and \
               $(b,crash=N\\@T[-T1]) (destroy node N's memory at time T, \
               optionally restarting it empty at T1); the empty string \
-              enables the hardened protocols without injecting anything.")
+              enables the hardened paths without injecting anything.")
 
 let checkpoint_interval_arg =
   Arg.(

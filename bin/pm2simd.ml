@@ -168,7 +168,10 @@ let read_client d c =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop_client d c
 
-let write_client d c =
+(* Write until the socket refuses more: one [single_write] moves at most
+   64 KiB, and a slice can queue more than that for a client that keeps
+   up, which would then drift towards the cap however fast it reads. *)
+let rec write_client d c =
   let len = queued c in
   if len > 0 then
     match Unix.single_write c.fd c.out c.out_pos len with
@@ -178,6 +181,7 @@ let write_client d c =
         c.out_pos <- 0;
         c.out_len <- 0
       end
+      else write_client d c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> drop_client d c
 
@@ -309,8 +313,9 @@ let faults_arg =
     & opt faults_conv Pm2_fault.Plan.default_spec
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:"Initial fault-plan spec (the $(b,pm2sim run --faults) \
-              grammar). The daemon always arms an enabled plan — the \
-              hardened protocols are selected at creation — so \
+              grammar). The daemon always arms an enabled plan — so its \
+              iso migrations always run the hardened group pipeline, a \
+              lone thread as a group of one — and \
               $(b,inject-faults) requests can retarget it at runtime; the \
               default injects nothing.")
 

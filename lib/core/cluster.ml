@@ -974,23 +974,22 @@ and guest_fault_ret t node th fault =
   `Dead
 
 and start_migration t node (th : Thread.t) ~dest =
-  (* With delta migration on, every iso migration rides the group
-     pipeline as a group of one: the v3 codec, the residual cache and the
-     fallback protocol all live there, and the pipeline's probe/verdict
-     handshake doubles as the failure-hardened path. Otherwise, under a
-     live fault plan the iso scheme runs the two-phase protocol: the
-     destination must accept the thread's slot ranges before the source
-     unmaps anything, and every control/data message is carried by the
-     retransmitting layer. *)
-  if delta_enabled t then begin
+  (* Two paths only. An iso migration that needs more than the paper's
+     fault-free hop — the delta codec and residual cache, or failure
+     hardening under a live fault plan — rides the group pipeline as a
+     group of one: its probe/verdict handshake checks the destination
+     can map every slot before the source unmaps anything, every message
+     goes through the retransmitting layer, and any failure rolls the
+     thread back home. Everything else takes the direct hop that carries
+     the paper's calibrated numbers. *)
+  if t.config.scheme = Iso && (delta_enabled t || Fault.Plan.enabled t.config.faults)
+  then begin
     th.Thread.pending_migration <- None;
     th.Thread.state <- Thread.Migrating;
     (* was_queued = true: the thread was running, so it must re-enter a
        run queue on arrival (or on rollback). *)
     ignore (start_group t ~src:node.Node.id ~dest [ (th, true) ])
   end
-  else if Fault.Plan.enabled t.config.faults && t.config.scheme = Iso then
-    start_migration_hardened t node th ~dest
   else start_migration_direct t node th ~dest
 
 and start_migration_direct t node (th : Thread.t) ~dest =
@@ -1086,177 +1085,6 @@ and deliver_commit t (th : Thread.t) ~src ~dest ~started ~slots ~span buffer =
         { tid = th.Thread.id; src; dst = dest; started; resumed; bytes };
       enqueue t th)
 
-(* ----- the failure-hardened (two-phase) migration path ----- *)
-
-and start_migration_hardened t node (th : Thread.t) ~dest =
-  th.Thread.state <- Thread.Migrating;
-  let src = node.Node.id in
-  let started = Engine.now t.engine in
-  let tid = th.Thread.id in
-  let root = Obs.Span.root t.tracer ~at:started ~node:src Obs.Event.Migration in
-  let neg = Obs.Span.child t.tracer ~at:started ~node:src ~parent:root Obs.Event.Negotiate in
-  let ranges = Migration.slot_ranges node.Node.space th in
-  Reliable.send t.rel ~src ~dst:dest
-    (Migration.probe_message ~tid ~ranges)
-    ~on_delivered:(fun probe ->
-      (* Destination side: validate that every slot range is mappable
-         before the source gives anything up. *)
-      match Migration.parse_probe probe with
-      | None ->
-        Obs.Span.finish t.tracer ~at:(Engine.now t.engine) neg;
-        abort_migration t th ~src ~dest ~span:root ~reason:"malformed probe"
-      | Some (_, ranges) ->
-        (* Single-thread probes carry no wire context (their bytes are
-           frozen); parent the destination-side span through the closure —
-           same causal edge, the group path exercises the wire form. *)
-        let probe_span =
-          Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:dest ~parent:neg
-            Obs.Event.Probe
-        in
-        let dspace = t.nodes.(dest).Node.space in
-        let ok =
-          List.for_all (fun (addr, size) -> As.range_unmapped dspace ~addr ~size) ranges
-        in
-        let reason = if ok then "" else "destination cannot map the thread's slots" in
-        Obs.Span.finish t.tracer ~at:(Engine.now t.engine)
-          ~note:(if ok then "accept" else "reject")
-          probe_span;
-        Reliable.send t.rel ~src:dest ~dst:src
-          (Migration.verdict_message ~tid ~ok ~reason)
-          ~on_delivered:(fun verdict ->
-            Obs.Span.finish t.tracer ~at:(Engine.now t.engine) neg;
-            (* Source side: act on the verdict. *)
-            match Migration.parse_verdict verdict with
-            | Some (_, true, _) ->
-              hardened_transfer t th ~src ~dest ~started ~ranges ~span:root
-            | Some (_, false, reason) ->
-              abort_migration t th ~src ~dest ~span:root ~reason:("rejected: " ^ reason)
-            | None -> abort_migration t th ~src ~dest ~span:root ~reason:"malformed verdict")
-          ~on_failed:(fun ~reason ->
-            Obs.Span.finish t.tracer ~at:(Engine.now t.engine) neg;
-            abort_migration t th ~src ~dest ~span:root
-              ~reason:("verdict undeliverable: " ^ reason)))
-    ~on_failed:(fun ~reason ->
-      Obs.Span.finish t.tracer ~at:(Engine.now t.engine) neg;
-      abort_migration t th ~src ~dest ~span:root ~reason:("probe undeliverable: " ^ reason))
-
-and hardened_transfer t (th : Thread.t) ~src ~dest ~started ~ranges ~span =
-  let node = t.nodes.(src) in
-  let tid = th.Thread.id in
-  let pack_span =
-    Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span
-      Obs.Event.Pack
-  in
-  let p, extra =
-    Node.isolate node (fun () ->
-        Migration.pack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-          ~space:node.Node.space ~packing:t.config.packing th)
-  in
-  let pack_total = p.Migration.pack_cost +. extra in
-  Node.charge node pack_total;
-  let buffer = p.Migration.buffer in
-  let bytes = Bytes.length buffer in
-  let slots = p.Migration.slots in
-  if Obs.Collector.enabled t.obs then
-    Obs.Collector.emit t.obs ~node:src
-      (Obs.Event.Migration_phase
-         { tid; phase = Obs.Event.Pack; bytes; slots; dur = pack_total });
-  Engine.schedule_after t.engine ~delay:pack_total (fun () ->
-      Obs.Span.finish t.tracer ~at:(Engine.now t.engine)
-        ~note:(Printf.sprintf "bytes=%d slots=%d" bytes slots)
-        pack_span;
-      if Obs.Collector.enabled t.obs then
-        Obs.Collector.emit t.obs ~node:src
-          (Obs.Event.Migration_phase
-             {
-               tid;
-               phase = Obs.Event.Send;
-               bytes;
-               slots;
-               dur = Network.transfer_time t.net ~bytes;
-             });
-      let train_span =
-        Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span
-          Obs.Event.Train
-      in
-      Reliable.send t.rel ~src ~dst:dest
-        (Migration.transfer_message ~tid ~ranges ~buffer)
-        ~on_delivered:(fun msg ->
-          Obs.Span.finish t.tracer ~at:(Engine.now t.engine) train_span;
-          match Migration.parse_transfer msg with
-          | Error reason ->
-            (* Checksum mismatch below the reliable layer's own check can
-               only mean a deliberate corruption test, but the nack path
-               is the same either way: the source still owns the image. *)
-            rollback_migration t th ~src ~dest ~buffer ~slots ~span ~reason
-          | Ok (_, ranges, buffer) -> (
-            match deliver t th ~src ~dest ~started ~slots ~span buffer with
-            | () -> ()
-            | exception (Invalid_argument _ | Failure _ | As.Segfault _) ->
-              (* The destination could not apply the image (a collision
-                 appeared after the probe, or the image is inconsistent):
-                 scrub the partial mapping and hand the thread back. *)
-              let dspace = t.nodes.(dest).Node.space in
-              List.iter
-                (fun (addr, size) -> ignore (As.scrub_range dspace ~addr ~size))
-                ranges;
-              rollback_migration t th ~src ~dest ~buffer ~slots ~span
-                ~reason:"destination failed to unpack the image"))
-        ~on_failed:(fun ~reason ->
-          Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ~note:reason train_span;
-          rollback_migration t th ~src ~dest ~buffer ~slots ~span ~reason))
-
-and rollback_migration t (th : Thread.t) ~src ~dest ~buffer ~slots ~span ~reason =
-  if th.Thread.state <> Thread.Migrating then
-    (* The source crashed after packing: there is no node to roll back
-       onto (its space was rebuilt empty), and the thread now belongs to
-       the checkpoint supervisor — whether still stranded, already
-       restored elsewhere, or declared lost, its memory must not be
-       remapped here. *)
-    abort_migration t th ~src ~dest ~span ~reason
-  else rollback_migration_apply t th ~src ~dest ~buffer ~slots ~span ~reason
-
-and rollback_migration_apply t (th : Thread.t) ~src ~dest ~buffer ~slots ~span ~reason =
-  (* The thread's memory exists only in [buffer]; remap it into the
-     source's own space — iso-addressing guarantees the addresses are
-     still free there — and resume locally. *)
-  let rb_span =
-    Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span
-      Obs.Event.Rollback
-  in
-  let node = t.nodes.(src) in
-  let cost, extra =
-    Node.isolate node (fun () ->
-        Migration.unpack ~obs:t.obs ~node:src ~geometry:t.geometry ~cost:t.config.cost
-          ~space:node.Node.space th buffer)
-  in
-  Node.charge node (cost +. extra);
-  if Obs.Collector.enabled t.obs then
-    Obs.Collector.emit t.obs ~node:src
-      (Obs.Event.Migration_rollback { tid = th.Thread.id; node = src; slots });
-  Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ~note:reason rb_span;
-  abort_migration t th ~src ~dest ~span ~reason
-
-and abort_migration t (th : Thread.t) ~src ~dest ~span ~reason =
-  t.aborted_migrations <- t.aborted_migrations + 1;
-  Trace.emit t.trace ~time:(Engine.now t.engine) ~node:src
-    (Printf.sprintf "migration of thread %x to node %d aborted: %s"
-       (handle_of_tid th.Thread.id) dest reason);
-  if Obs.Collector.enabled t.obs then
-    Obs.Collector.emit t.obs ~node:src
-      (Obs.Event.Migration_abort { tid = th.Thread.id; src; dst = dest; reason });
-  Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ~note:("abort: " ^ reason) span;
-  (* Resume locally only if the thread is still ours: a thread that left
-     [Migrating] (stranded by a crash, restored from a checkpoint, or
-     declared lost) is owned by the recovery supervisor, and re-enqueueing
-     it here would double-dispatch it. *)
-  if th.Thread.state = Thread.Migrating then begin
-    enqueue t th;
-    match t.on_migration_abort with
-    | Some retry -> retry th ~failed:dest
-    | None -> ()
-  end
-
 and try_spawn_pc t ~node:node_id ~pc ~arg =
   let node = t.nodes.(node_id) in
   let tid = t.next_tid in
@@ -1322,7 +1150,8 @@ and rpc t ~src ~dest ~pc ~arg =
    on. Any failure at any stage rolls the WHOLE group back: either
    nothing was packed yet (pre-pack abort) or the image is remapped into
    the source space and every member resumes where it started — no
-   partially migrated group can exist. *)
+   partially migrated group can exist. A lone iso thread migrating with
+   delta on or under a live fault plan is a group of one here. *)
 
 (* Rebuild the node's run queue without [th]; true if it was queued. *)
 and dequeue_from_runqueue t (th : Thread.t) =
@@ -1367,7 +1196,20 @@ and group_abort t ~gid ~src ~dest ~span members ~reason =
     Obs.Collector.emit t.obs ~node:src
       (Obs.Event.Group_migration_abort { gid; src; dst = dest; reason });
   Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ~note:("abort: " ^ reason) span;
-  group_release t members ~node:src
+  (* Only members still [Migrating] resume here; any other belongs to the
+     recovery supervisor. Each resumed member counts as one aborted
+     migration and is offered to the abort hook, whatever the group size. *)
+  let resumed =
+    List.filter (fun ((th : Thread.t), _) -> th.Thread.state = Thread.Migrating) members
+  in
+  group_release t resumed ~node:src;
+  List.iter
+    (fun ((th : Thread.t), _) ->
+      t.aborted_migrations <- t.aborted_migrations + 1;
+      match t.on_migration_abort with
+      | Some retry -> retry th ~failed:dest
+      | None -> ())
+    resumed
 
 and group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason =
   if group_interrupted t members then
@@ -2203,8 +2045,9 @@ let request_migration t (th : Thread.t) ~dest =
   end
 
 (* The group pipeline itself lives inside the scheduler knot (it is also
-   the delta-migration path for single threads); this entry point only
-   validates the group and prepares the members. *)
+   the path of every single iso thread when delta is on or a fault plan
+   is live); this entry point only validates the group and prepares the
+   members. *)
 let migrate_group t ths ~dest =
   if ths = [] then Error "empty group"
   else if dest < 0 || dest >= Array.length t.nodes then Error "bad destination"

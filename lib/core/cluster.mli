@@ -162,18 +162,23 @@ val rpc : t -> src:int -> dest:int -> pc:int -> arg:int -> Thread.t
     through one RDLT/RFUL exchange before the group commits. Any failure
     at any stage (rejected verdict, undeliverable message, unpack
     collision, failed fallback) rolls the {e whole} group back onto the
-    source atomically; there is never a partially migrated group. Returns
-    the group id, or [Error reason] if the group is not well-formed
-    (empty, mixed nodes, non-Ready member, duplicate, bad destination,
-    non-iso scheme — in which case nothing was changed). Progress
-    requires {!run}. *)
+    source atomically; there is never a partially migrated group, and
+    each member resumed there counts in {!aborted_migrations} and is
+    offered to the {!set_migration_abort_handler} hook. The same pipeline
+    carries a lone iso thread as a group of one whenever delta migration
+    is on or a fault plan is live. Returns the group id, or
+    [Error reason] if the group is not well-formed (empty, mixed nodes,
+    non-Ready member, duplicate, bad destination, non-iso scheme — in
+    which case nothing was changed). Progress requires {!run}. *)
 val migrate_group : t -> Thread.t list -> dest:int -> (int, string) result
 
 val group_migrations : t -> group_record list
 (** Completed group migrations, oldest first. *)
 
 val aborted_groups : t -> int
-(** Group migrations aborted and rolled back atomically. *)
+(** Group-pipeline runs aborted and rolled back atomically, or abandoned
+    because their source crashed mid-flight. A lone thread migrated
+    through the pipeline counts as a group of one. *)
 
 (** [create_barrier t ~participants] registers a reusable cyclic barrier
     for [participants] guest threads (released by one modelled broadcast
@@ -249,10 +254,12 @@ val delta_affinity : t -> Thread.t -> dest:int -> bool
 (** {1 Faults and failure handling}
 
     Active only when the configured {!Pm2_fault.Plan.t} is live. Under a
-    live plan the iso scheme migrates through a two-phase protocol
-    (probe/verdict before the source unmaps, checksummed transfer after)
-    carried by {!Pm2_net.Reliable}; any rejection or undeliverable phase
-    rolls the thread back onto its source node and resumes it locally. *)
+    live plan every iso migration runs the group pipeline — a lone thread
+    as a group of one — so the probe/verdict handshake precedes any
+    unmapping and the checksummed transfer is carried by
+    {!Pm2_net.Reliable}; any rejection or undeliverable phase rolls the
+    thread back onto its source node, resumes it locally, counts it in
+    {!aborted_migrations} and offers it to the abort hook. *)
 
 val faults : t -> Pm2_fault.Plan.t
 
@@ -346,17 +353,22 @@ val refresh_heat : t -> unit
     next window on every node. Call once per balancing period. *)
 
 val aborted_migrations : t -> int
-(** Migrations aborted (destination rejection, unreachable peer, checksum
-    failure) and rolled back; the thread resumed on its source node. *)
+(** Threads whose migration aborted (destination rejection, unreachable
+    peer, checksum failure) and that resumed on their source node: each
+    member a group abort hands back counts once, for a group of one as
+    for a larger group, with delta migration on or off. A direct hop
+    whose image lands after its source crashed counts here too. *)
 
 (** [node_alive t i] — false while node [i]'s network interface is down
     under the fault plan (local compute continues; packets to or from the
     node are dropped). *)
 val node_alive : t -> int -> bool
 
-(** [set_migration_abort_handler t f] installs a hook called after every
-    aborted migration with the thread and the failed destination — the
-    load balancer uses it to retry on the next-best node. *)
+(** [set_migration_abort_handler t f] installs a hook called once for
+    every thread an aborted migration resumed on its source (each member
+    of an aborted group, for any group size and delta setting), with the
+    thread and the failed destination — the load balancer uses it to
+    retry on the next-best node. *)
 val set_migration_abort_handler : t -> (Thread.t -> failed:int -> unit) -> unit
 
 (** Cross-node invariant sweep: bitmap disjointness, per-node slot-manager

@@ -242,19 +242,12 @@ let pack ?(obs = Obs.Collector.null) ?(node = 0) ~geometry ~cost ~space ~packing
   in
   { buffer; pack_cost; slots = List.length plans }
 
-(* ===== two-phase (fault-hardened) wire protocol =====
+(* ===== slot ranges and the transfer envelope =====
 
-   Under a live fault plan a migration is negotiated before the source
-   gives anything up: a probe carries the slot ranges, the destination
-   answers with a verdict after checking it can map every one of them,
-   and only then does the packed image travel — with its own checksum,
-   so a corrupted buffer is detected end-to-end and nacked. *)
-
-let probe_magic = 0x4d50524f (* "MPRO" *)
-
-let verdict_magic = 0x4d564552 (* "MVER" *)
-
-let transfer_magic = 0x4d584652 (* "MXFR" *)
+   The group pipeline's probe, verdict and transfer messages carry slot
+   ranges as [(base, size)] pairs; the transfer wraps the image with its
+   own checksum, so a corrupted buffer is detected end-to-end and
+   nacked. *)
 
 let slot_ranges space (th : Thread.t) =
   List.map
@@ -274,74 +267,9 @@ let unpack_ranges u =
       let s = Pk.unpack_int u in
       (a, s))
 
-let probe_message ~tid ~ranges =
-  let p = Pk.packer () in
-  Pk.pack_int p probe_magic;
-  Pk.pack_int p tid;
-  pack_ranges p ranges;
-  Pk.contents p
-
-let parse_probe b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> probe_magic then invalid_arg "Migration: bad probe magic";
-    let tid = Pk.unpack_int u in
-    let ranges = unpack_ranges u in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing probe bytes";
-    (tid, ranges)
-  with
-  | v -> Some v
-  | exception Invalid_argument _ -> None
-
-let verdict_message ~tid ~ok ~reason =
-  let p = Pk.packer () in
-  Pk.pack_int p verdict_magic;
-  Pk.pack_int p tid;
-  Pk.pack_int p (if ok then 1 else 0);
-  Pk.pack_string p reason;
-  Pk.contents p
-
-let parse_verdict b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> verdict_magic then invalid_arg "Migration: bad verdict magic";
-    let tid = Pk.unpack_int u in
-    let ok = Pk.unpack_int u <> 0 in
-    let reason = Pk.unpack_string u in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing verdict bytes";
-    (tid, ok, reason)
-  with
-  | v -> Some v
-  | exception Invalid_argument _ -> None
-
 (* Exact size of a transfer message: three words, the ranges and the
    length-prefixed image. *)
 let transfer_size ~ranges ~buffer = 40 + (16 * List.length ranges) + Bytes.length buffer
-
-let transfer_message ~tid ~ranges ~buffer =
-  let p = Pk.packer ~size:(transfer_size ~ranges ~buffer) () in
-  Pk.pack_int p transfer_magic;
-  Pk.pack_int p tid;
-  Pk.pack_int p (Pk.checksum buffer);
-  pack_ranges p ranges;
-  Pk.pack_bytes p buffer;
-  Pk.contents p
-
-let parse_transfer b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> transfer_magic then invalid_arg "Migration: bad transfer magic";
-    let tid = Pk.unpack_int u in
-    let ck = Pk.unpack_int u in
-    let ranges = unpack_ranges u in
-    let buffer = Pk.unpack_bytes u in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing transfer bytes";
-    (tid, ck, ranges, buffer)
-  with
-  | exception Invalid_argument _ -> Error "malformed transfer message"
-  | tid, ck, ranges, buffer ->
-    if Pk.checksum buffer <> ck then Error "wire buffer checksum mismatch"
-    else Ok (tid, ranges, buffer)
 
 (* ===== group migration: v2 codec =====
 

@@ -12,7 +12,14 @@
     every byte of every slot; {!Blocks_only} is the paper's §6
     optimization — only the header, the live stack region and the
     internally allocated blocks of each slot are sent, and the free blocks
-    are reconstructed from the gaps on arrival. *)
+    are reconstructed from the gaps on arrival.
+
+    {!pack}/{!unpack} serve the direct, fault-free hop that carries the
+    paper's calibrated numbers. Every other migration — a group, or a
+    lone iso thread with delta migration on or under a live fault plan
+    (a group of one) — goes through the group pipeline below: one
+    probe/verdict handshake, one checksummed transfer, and rollback to
+    the source on any failure. *)
 
 type packing =
   | Blocks_only
@@ -67,35 +74,8 @@ val unpack :
 
 val packing_to_string : packing -> string
 
-(** {1 Two-phase wire protocol}
-
-    Used by the failure-hardened migration path (active only under a live
-    fault plan): the source first {e probes} the destination with the
-    thread's slot ranges; the destination checks every range is mappable
-    and answers with a {e verdict}; only on acceptance does the source
-    pack (unmap) and ship the image as a checksummed {e transfer}
-    message. A rejection, an unreachable peer or a checksum mismatch
-    leaves the source free to remap its slots and resume the thread
-    locally. *)
-
 (** [(base address, size)] of every slot in the thread's chain. *)
 val slot_ranges : Pm2_vmem.Address_space.t -> Thread.t -> (int * int) list
-
-val probe_message : tid:int -> ranges:(int * int) list -> Bytes.t
-
-(** [Some (tid, ranges)], or [None] on a malformed buffer. *)
-val parse_probe : Bytes.t -> (int * (int * int) list) option
-
-val verdict_message : tid:int -> ok:bool -> reason:string -> Bytes.t
-
-(** [Some (tid, ok, reason)], or [None] on a malformed buffer. *)
-val parse_verdict : Bytes.t -> (int * bool * string) option
-
-val transfer_message : tid:int -> ranges:(int * int) list -> buffer:Bytes.t -> Bytes.t
-
-(** [Ok (tid, ranges, buffer)] after verifying the embedded checksum;
-    [Error reason] on malformation or checksum mismatch. *)
-val parse_transfer : Bytes.t -> (int * (int * int) list * Bytes.t, string) result
 
 (** {1 Group migration (v2/v3 codec)}
 

@@ -65,8 +65,9 @@ ITEM  := loss=P | dup=P | corrupt=P | reorder=P   (P a float in 0..1)
     v}
 
     The empty string is a valid spec: it enables the failure-hardened
-    protocols (two-phase migration, reliable delivery, negotiation
-    leases) without injecting any fault. *)
+    paths (every iso migration through the probe/verdict group pipeline,
+    reliable delivery, negotiation leases) without injecting any
+    fault. *)
 val spec_of_string : string -> (spec, string) result
 
 (** {1 Plans} *)

@@ -93,5 +93,5 @@ val remaining : unpacker -> int
 
 val checksum : Bytes.t -> int
 (** FNV-1a 64-bit hash folded to a non-negative OCaml [int]. Used by the
-    reliable-delivery layer and the two-phase migration protocol to
-    detect corrupted wire buffers. *)
+    reliable-delivery layer and the migration pipeline's transfer
+    messages to detect corrupted wire buffers. *)

@@ -81,7 +81,10 @@ type t =
       (** Retransmission exhausted its attempt budget; the sender's
           failure continuation runs. *)
   | Migration_abort of { tid : int; src : int; dst : int; reason : string }
-      (** Two-phase migration gave up; the thread resumes on [src]. *)
+      (** A single-thread migration gave up; the thread resumes on
+          [src]. The cluster reports a lone thread's abort as a
+          [Group_migration_abort] of a group of one; this constructor
+          stays in the schema for consumers that match on it. *)
   | Migration_rollback of { tid : int; node : int; slots : int }
       (** The packed image was remapped into the source's own space after
           a post-pack failure. *)

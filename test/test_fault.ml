@@ -1,7 +1,8 @@
-(* The fault-injection subsystem and the failure-hardened protocols on
-   top of it: spec grammar, deterministic routing, reliable delivery
-   under loss / corruption / dead peers, two-phase migration
-   abort→rollback→local-resume, negotiation leases, and the end-to-end
+(* The fault-injection subsystem and the failure-hardened paths on top
+   of it: spec grammar, deterministic routing, reliable delivery under
+   loss / corruption / dead peers, migration abort→rollback→local-resume
+   through the group pipeline (a lone thread is a group of one) and its
+   abort hook, negotiation leases, and the end-to-end
    guarantee that a seeded fault load changes no guest-visible output. *)
 
 module Engine = Pm2_sim.Engine
@@ -171,13 +172,24 @@ let run_faulty ?(nodes = 2) ?faults ?seed ~entry ~arg () =
 
 let test_guest_output_unchanged_under_loss () =
   (* fig7 prints 100+ lines around a migration; 20% loss plus duplication
-     must change none of them. *)
+     must change none of them. The @faults smoke's run, pingpong under
+     loss with node 1's interface down mid-run, must finish with the
+     fault-free run's output too. *)
   let lines c = Pm2_sim.Trace.lines (Cluster.trace c) in
-  let clean = lines (run_faulty ~entry:"fig7" ~arg:105 ()) in
-  let faulty =
-    lines (run_faulty ~faults:"loss=0.2,dup=0.05" ~seed:11 ~entry:"fig7" ~arg:105 ())
-  in
-  Alcotest.(check (list string)) "guest-visible trace identical" clean faulty
+  List.iter
+    (fun (entry, arg, faults, seed) ->
+      let clean = run_faulty ~entry ~arg () in
+      let faulty = run_faulty ~faults ~seed ~entry ~arg () in
+      let label what = Printf.sprintf "%s under %s: %s" entry faults what in
+      Alcotest.(check (list string)) (label "guest-visible trace identical")
+        (lines clean) (lines faulty);
+      List.iter
+        (fun (th : Thread.t) ->
+          Alcotest.(check bool) (label "thread halted") true
+            (th.Thread.state = Thread.Exited Thread.Halted))
+        (Cluster.threads faulty))
+    [ ("fig7", 105, "loss=0.2,dup=0.05", 11);
+      ("pingpong", 8, "loss=0.2,kill=1@3000-6000", 11) ]
 
 let test_end_to_end_determinism () =
   let timed () =
@@ -192,22 +204,43 @@ let test_end_to_end_determinism () =
   Alcotest.(check bool) "same seed reproduces the run to the microsecond" true (a = b)
 
 let test_migration_abort_rollback_local_resume () =
-  (* The empty spec arms the hardened protocols with zero fault rates;
+  (* The empty spec arms the hardened paths with zero fault rates;
      the collision is planted by hand: one page of the thread's stack
      slot range is already mapped at the destination, so the probe is
-     rejected and the source must roll back. *)
-  let faults = Plan.create ~seed:1 (spec_of "") in
-  let config = { (Cluster.default_config ~nodes:2) with Cluster.faults } in
-  let c = Cluster.create config program in
-  let th = Cluster.spawn c ~node:0 ~entry:"pingpong" ~arg:3 () in
-  As.mmap (Cluster.node_space c 1) ~addr:th.Thread.stack_slot ~size:Layout.page_size;
-  ignore (Cluster.run c);
-  Alcotest.(check bool) "thread completed" true
-    (th.Thread.state = Thread.Exited Thread.Halted);
-  Alcotest.(check int) "resumed locally on its source" 0 th.Thread.node;
-  Alcotest.(check int) "every attempt aborted" 3 (Cluster.aborted_migrations c);
-  Alcotest.(check int) "no migration completed" 0 (List.length (Cluster.migrations c));
-  Cluster.check_invariants c
+     rejected and the source must roll back. With delta migration on
+     and no fault plan the same group-of-one pipeline runs, and the
+     abort hook the balancer retries through must see every attempt
+     either way. *)
+  let hardened =
+    { (Cluster.default_config ~nodes:2) with
+      Cluster.faults = Plan.create ~seed:1 (spec_of "") }
+  in
+  let delta =
+    { (Cluster.default_config ~nodes:2) with Cluster.delta_cache_bytes = 4 * 1024 * 1024 }
+  in
+  List.iter
+    (fun (name, config) ->
+      let label what = Printf.sprintf "%s: %s" name what in
+      let c = Cluster.create config program in
+      let th = Cluster.spawn c ~node:0 ~entry:"pingpong" ~arg:3 () in
+      As.mmap (Cluster.node_space c 1) ~addr:th.Thread.stack_slot ~size:Layout.page_size;
+      let calls = ref [] in
+      Cluster.set_migration_abort_handler c (fun th ~failed ->
+          calls := (th.Thread.id, failed) :: !calls);
+      ignore (Cluster.run c);
+      Alcotest.(check bool) (label "thread completed") true
+        (th.Thread.state = Thread.Exited Thread.Halted);
+      Alcotest.(check int) (label "resumed locally on its source") 0 th.Thread.node;
+      Alcotest.(check int) (label "every attempt aborted") 3 (Cluster.aborted_migrations c);
+      Alcotest.(check int) (label "each attempt was a group of one") 3
+        (Cluster.aborted_groups c);
+      Alcotest.(check (list (pair int int))) (label "hook ran per attempt, failed = 1")
+        (List.init 3 (fun _ -> (th.Thread.id, 1)))
+        !calls;
+      Alcotest.(check int) (label "no migration completed") 0
+        (List.length (Cluster.migrations c));
+      Cluster.check_invariants c)
+    [ ("fault plan", hardened); ("delta on", delta) ]
 
 let test_migration_aborts_to_dead_destination () =
   (* Node 1 is dead from the start: the probe exhausts its retransmission
@@ -219,6 +252,7 @@ let test_migration_aborts_to_dead_destination () =
     (th.Thread.state = Thread.Exited Thread.Halted);
   Alcotest.(check int) "finished at home" 0 th.Thread.node;
   Alcotest.(check int) "abort recorded" 1 (Cluster.aborted_migrations c);
+  Alcotest.(check int) "one group of one aborted" 1 (Cluster.aborted_groups c);
   Alcotest.(check bool) "probe gave up" true
     (Reliable.give_ups (Cluster.reliable c) >= 1)
 

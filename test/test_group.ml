@@ -201,28 +201,42 @@ let test_group_rollback_on_dropped_train () =
   (* Sever the link for good just after the handshake: every train frame
      and every retransmit is lost, the reliable layer gives up, and the
      group must be back on node 0 in one piece. The handshake (probe +
-     verdict) is over well before 100 us; the pack alone costs more. *)
+     verdict) is over well before 100 us; the pack alone costs more. A
+     lone thread is a group of one and takes the same rollback. *)
   let spec =
     match Plan.spec_of_string "part=0-1@100-1e12" with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let c = cluster ~fault_plan:(Plan.create ~seed:3 spec) () in
-  let ths = furnish c 4 in
-  (match Cluster.migrate_group c (List.map fst ths) ~dest:1 with
-   | Ok _ -> ()
-   | Error e -> Alcotest.fail e);
-  ignore (Cluster.run c);
-  Alcotest.(check int) "one abort" 1 (Cluster.aborted_groups c);
-  Alcotest.(check int) "no completed group" 0 (List.length (Cluster.group_migrations c));
-  Alcotest.(check int) "no per-thread record either" 0 (List.length (Cluster.migrations c));
   List.iter
-    (fun ((th : Thread.t), _) ->
-       Alcotest.(check int) "member back home" 0 th.Thread.node;
-       Alcotest.(check bool) "member ready again" true (th.Thread.state = Thread.Ready))
-    ths;
-  verify ths ~space:(Cluster.node_space c 0);
-  Cluster.check_invariants c
+    (fun n ->
+      let c = cluster ~fault_plan:(Plan.create ~seed:3 spec) () in
+      let m = Pm2_obs.Metrics.create () in
+      Pm2_obs.Collector.attach (Cluster.obs c) (Pm2_obs.Metrics.sink m);
+      let ths = furnish c n in
+      (match Cluster.migrate_group c (List.map fst ths) ~dest:1 with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail e);
+      ignore (Cluster.run c);
+      let label what = Printf.sprintf "%d members: %s" n what in
+      Alcotest.(check int) (label "one abort") 1 (Cluster.aborted_groups c);
+      Alcotest.(check int) (label "every member counted as aborted") n
+        (Cluster.aborted_migrations c);
+      Alcotest.(check int) (label "image remapped at home for every member") n
+        (Pm2_obs.Metrics.total_counter m "migration.rollback");
+      Alcotest.(check int) (label "no completed group") 0
+        (List.length (Cluster.group_migrations c));
+      Alcotest.(check int) (label "no per-thread record either") 0
+        (List.length (Cluster.migrations c));
+      List.iter
+        (fun ((th : Thread.t), _) ->
+           Alcotest.(check int) (label "member back home") 0 th.Thread.node;
+           Alcotest.(check bool) (label "member ready again") true
+             (th.Thread.state = Thread.Ready))
+        ths;
+      verify ths ~space:(Cluster.node_space c 0);
+      Cluster.check_invariants c)
+    [ 4; 1 ]
 
 let test_group_validation () =
   let c = cluster ~nodes:3 () in

@@ -286,6 +286,29 @@ let test_session_inject_faults () =
    | Error (Session.Unsupported _) -> ()
    | _ -> Alcotest.fail "runtime crash injection must be refused")
 
+(* The status [aborted] field counts the threads an aborted migration
+   handed back, with delta migration on as with it off. *)
+let test_session_status_counts_aborts () =
+  let config =
+    { (Cluster.default_config ~nodes:2) with Cluster.delta_cache_bytes = 4 * 1024 * 1024 }
+  in
+  let s = Session.create ~config ~program () in
+  let tid =
+    match Session.submit s { Session.entry = "pingpong"; arg = 1; node = 0 } with
+    | Ok tid -> tid
+    | Error e -> Alcotest.failf "submit: %s" (Session.error_to_string e)
+  in
+  (* a page of the thread's stack slot range already mapped at the
+     destination: the probe is rejected and the thread resumes at home *)
+  let th = Cluster.thread (Session.cluster s) tid in
+  Pm2_vmem.Address_space.mmap
+    (Cluster.node_space (Session.cluster s) 1)
+    ~addr:th.Pm2_core.Thread.stack_slot ~size:Pm2_vmem.Layout.page_size;
+  ignore (drive s);
+  match P.apply s P.Query_status with
+  | Ok (P.Status st) -> Alcotest.(check bool) "aborted >= 1" true (st.P.s_aborted >= 1)
+  | _ -> Alcotest.fail "status: wrong reply"
+
 (* two subscribers, one driver: identical fan-out, independent detach *)
 let test_session_multi_client () =
   let s = session () in
@@ -363,6 +386,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_fuzz_never_raises;
     Alcotest.test_case "session: drive and query" `Quick test_session_drive_and_query;
     Alcotest.test_case "session: typed error channel" `Quick test_session_typed_errors;
+    Alcotest.test_case "session: status counts delta-on aborts" `Quick
+      test_session_status_counts_aborts;
     Alcotest.test_case "session: runtime fault injection" `Quick
       test_session_inject_faults;
     Alcotest.test_case "session: two subscribers, one driver" `Quick
