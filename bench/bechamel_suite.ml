@@ -27,6 +27,17 @@ module Bitset_ref = Pm2_util.Bitset_ref
 (* Each staged function allocates and frees (or migrates back and forth),
    so the simulated state is in steady state across samples. *)
 
+(* A benchmark whose staged body runs its operation [batch] times;
+   [measure] divides the fit by [batch], so every row stays per
+   operation. A batch spans enough work to average out the allocator
+   and GC noise that makes a one-operation sample of a short or
+   allocating path fit poorly. *)
+type bench = { test : Test.t; batch : int }
+
+let bench ?(batch = 1) name f =
+  let body = if batch = 1 then f else fun () -> for _ = 1 to batch do f () done in
+  { test = Test.make ~name (Staged.stage body); batch }
+
 (* -- bitset scans, paper geometry (57 344 slots) -- *)
 
 let bitset_bits = 57344
@@ -47,26 +58,26 @@ let mk_scattered set =
 let test_bitset_first_set () =
   let w = Bitset.create bitset_bits in
   mk_sparse (Bitset.set w);
-  Test.make ~name:"B1: Bitset.first_set_from, sparse 57344b (word)"
-    (Staged.stage (fun () -> ignore (Bitset.first_set_from w 0)))
+  bench ~batch:64 "B1: Bitset.first_set_from, sparse 57344b (word)" (fun () ->
+      ignore (Bitset.first_set_from w 0))
 
 let test_bitset_first_set_ref () =
   let r = Bitset_ref.create bitset_bits in
   mk_sparse (Bitset_ref.set r);
-  Test.make ~name:"B1: Bitset.first_set_from, sparse 57344b (ref)"
-    (Staged.stage (fun () -> ignore (Bitset_ref.first_set_from r 0)))
+  bench "B1: Bitset.first_set_from, sparse 57344b (ref)" (fun () ->
+      ignore (Bitset_ref.first_set_from r 0))
 
 let test_bitset_find_run () =
   let w = Bitset.create bitset_bits in
   mk_scattered (Bitset.set w);
-  Test.make ~name:"B2: Bitset.find_run 8, scattered 57344b (word)"
-    (Staged.stage (fun () -> ignore (Bitset.find_run w 8)))
+  bench "B2: Bitset.find_run 8, scattered 57344b (word)" (fun () ->
+      ignore (Bitset.find_run w 8))
 
 let test_bitset_find_run_ref () =
   let r = Bitset_ref.create bitset_bits in
   mk_scattered (Bitset_ref.set r);
-  Test.make ~name:"B2: Bitset.find_run 8, scattered 57344b (ref)"
-    (Staged.stage (fun () -> ignore (Bitset_ref.find_run r 8)))
+  bench "B2: Bitset.find_run 8, scattered 57344b (ref)" (fun () ->
+      ignore (Bitset_ref.find_run r 8))
 
 (* Node 3's bitmap under the round-robin distribution over 8 nodes. *)
 let mk_round_robin set =
@@ -77,14 +88,14 @@ let mk_round_robin set =
 let test_bitset_round_robin () =
   let w = Bitset.create bitset_bits in
   mk_round_robin (Bitset.set w);
-  Test.make ~name:"B3: Bitset.find_run 2, round-robin 57344b (word)"
-    (Staged.stage (fun () -> ignore (Bitset.find_run w 2)))
+  bench "B3: Bitset.find_run 2, round-robin 57344b (word)" (fun () ->
+      ignore (Bitset.find_run w 2))
 
 let test_bitset_round_robin_ref () =
   let r = Bitset_ref.create bitset_bits in
   mk_round_robin (Bitset_ref.set r);
-  Test.make ~name:"B3: Bitset.find_run 2, round-robin 57344b (ref)"
-    (Staged.stage (fun () -> ignore (Bitset_ref.find_run r 2)))
+  bench "B3: Bitset.find_run 2, round-robin 57344b (ref)" (fun () ->
+      ignore (Bitset_ref.find_run r 2))
 
 (* -- allocator / migration / negotiation round trips -- *)
 
@@ -92,62 +103,60 @@ let test_f11a_isomalloc () =
   let c = Harness.cluster () in
   let th = Cluster.host_thread c ~node:0 in
   let env = Cluster.host_env c 0 in
-  Test.make ~name:"F11a: isomalloc+isofree 1 KB"
-    (Staged.stage (fun () ->
-         match Iso_heap.isomalloc env th 1024 with
-         | Some a -> Iso_heap.isofree env th a
-         | None -> failwith "exhausted"))
+  bench "F11a: isomalloc+isofree 1 KB" (fun () ->
+      match Iso_heap.isomalloc env th 1024 with
+      | Some a -> Iso_heap.isofree env th a
+      | None -> failwith "exhausted")
 
 let test_f11a_malloc () =
   let c = Harness.cluster () in
   let heap = Cluster.node_heap c 0 in
-  Test.make ~name:"F11a: malloc+free 1 KB"
-    (Staged.stage (fun () ->
-         let a = Pm2_heap.Malloc.malloc_exn heap 1024 in
-         Pm2_heap.Malloc.free_exn heap a))
+  bench "F11a: malloc+free 1 KB" (fun () ->
+      let a = Pm2_heap.Malloc.malloc_exn heap 1024 in
+      Pm2_heap.Malloc.free_exn heap a)
 
 let test_f11b_isomalloc () =
   let c = Harness.cluster () in
   let th = Cluster.host_thread c ~node:0 in
   let env = Cluster.host_env c 0 in
-  Test.make ~name:"F11b: isomalloc+isofree 1 MB (multi-slot)"
-    (Staged.stage (fun () ->
-         match Iso_heap.isomalloc env th (1024 * 1024) with
-         | Some a -> Iso_heap.isofree env th a
-         | None -> failwith "exhausted"))
+  bench ~batch:16 "F11b: isomalloc+isofree 1 MB (multi-slot)" (fun () ->
+      match Iso_heap.isomalloc env th (1024 * 1024) with
+      | Some a -> Iso_heap.isofree env th a
+      | None -> failwith "exhausted")
 
 let test_f11b_malloc () =
   let c = Harness.cluster () in
   let heap = Cluster.node_heap c 0 in
-  Test.make ~name:"F11b: malloc+free 1 MB"
-    (Staged.stage (fun () ->
-         let a = Pm2_heap.Malloc.malloc_exn heap (1024 * 1024) in
-         Pm2_heap.Malloc.free_exn heap a))
+  bench "F11b: malloc+free 1 MB" (fun () ->
+      let a = Pm2_heap.Malloc.malloc_exn heap (1024 * 1024) in
+      Pm2_heap.Malloc.free_exn heap a)
 
 let test_t1_migration () =
   let c = Harness.cluster () in
   let th = Cluster.host_thread c ~node:0 in
   let dest = ref 1 in
-  Test.make ~name:"T1: null-thread migration (one way)"
-    (Staged.stage (fun () ->
-         Cluster.host_migrate c th ~dest:!dest;
-         dest := 1 - !dest))
+  bench "T1: null-thread migration (one way)" (fun () ->
+      Cluster.host_migrate c th ~dest:!dest;
+      dest := 1 - !dest)
 
 let test_t2_negotiation () =
   let c = Harness.cluster ~nodes:4 () in
   let neg = Cluster.negotiation c in
-  Test.make ~name:"T2: negotiation protocol (4 nodes)"
-    (Staged.stage (fun () -> ignore (Negotiation.execute neg ~requester:0 ~n:4)))
+  bench "T2: negotiation protocol (4 nodes)" (fun () ->
+      ignore (Negotiation.execute neg ~requester:0 ~n:4))
 
-(* Run [tests] under bechamel and return [(name, ns_per_op, r2)] rows,
+(* Run [benches] under bechamel and return [(name, ns_per_op, r2)] rows,
    sorted by name. *)
-let measure ~quota tests =
+let measure ~quota benches =
+  let batch name =
+    (List.find (fun b -> "pm2/" ^ Test.name b.test = name) benches).batch
+  in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:None () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let grouped = Test.make_grouped ~name:"pm2" tests in
+  let grouped = Test.make_grouped ~name:"pm2" (List.map (fun b -> b.test) benches) in
   let raw = Benchmark.all cfg instances grouped in
   let results =
     Analyze.merge ols instances (List.map (fun i -> Analyze.all ols i raw) instances)
@@ -159,7 +168,9 @@ let measure ~quota tests =
     |> List.sort compare
     |> List.map (fun (name, ols) ->
         let est =
-          match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan
+          match Analyze.OLS.estimates ols with
+          | Some (e :: _) -> e /. float_of_int (batch name)
+          | _ -> nan
         in
         let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
         (name, est, r2))

@@ -604,6 +604,17 @@ let unpack_on t node th buffer =
         Relocation.unpack ~geometry:t.geometry ~cost:t.config.cost
           ~space:node.Node.space ~mgr:node.Node.mgr th buffer)
 
+(* Restore a [Cached] page of [tid] at [addr] into [space] from
+   [cache]'s residual image, validating content: a stale or corrupted
+   copy fails the hash check and is reported as missing rather than
+   silently kept. *)
+let restore_cached cache space ~tid ~addr ~hash =
+  match Delta_cache.lookup_page cache ~tid ~addr with
+  | Some page when As.page_bytes_hash page = hash ->
+    As.store_bytes space addr page;
+    true
+  | _ -> false
+
 (* ===== the scheduler / syscall knot ===== *)
 
 type quantum_outcome =
@@ -1238,12 +1249,7 @@ and group_rollback_apply t ~gid ~src ~dest ~buffer ~slots ~span members ~reason 
     Node.isolate node (fun () ->
         Migration.unpack_group ~obs:t.obs ~node:src ~cost:t.config.cost
           ~space:node.Node.space
-          ~restore:(fun ~tid ~addr ~hash ->
-            match Delta_cache.lookup_page scache ~tid ~addr with
-            | Some page when As.page_bytes_hash page = hash ->
-              As.store_bytes node.Node.space addr page;
-              true
-            | _ -> false)
+          ~restore:(restore_cached scache node.Node.space)
           ~lookup:(fun tid -> Hashtbl.find t.threads tid)
           buffer)
   in
@@ -1285,19 +1291,10 @@ and group_deliver_commit t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span 
   let dnode = t.nodes.(dest) in
   let arrived = Engine.now t.engine in
   let dcache = t.delta.(dest) in
-  (* Restore a [Cached] page from this node's residual image, validating
-     content: a stale or corrupted copy fails the hash check and is
-     reported as missing rather than silently kept. *)
-  let restore ~tid ~addr ~hash =
-    match Delta_cache.lookup_page dcache ~tid ~addr with
-    | Some page when As.page_bytes_hash page = hash ->
-      As.store_bytes dnode.Node.space addr page;
-      true
-    | _ -> false
-  in
   match
     Node.isolate dnode (fun () ->
-        Migration.unpack_group ~obs:t.obs ~node:dest ~restore ~cost:t.config.cost
+        Migration.unpack_group ~obs:t.obs ~node:dest
+          ~restore:(restore_cached dcache dnode.Node.space) ~cost:t.config.cost
           ~space:dnode.Node.space
           ~lookup:(fun tid -> Hashtbl.find t.threads tid)
           buffer)

@@ -5,7 +5,7 @@
     the thread later migrates {e back}, the old destination — now the
     source — classifies pages whose content hash the new destination is
     believed to retain as [Cached] and ships only the hash
-    ({!Pm2_net.Codec.encode_delta_range}). The destination reconstructs
+    ({!Pm2_net.Codec.encode_range}). The destination reconstructs
     [Cached] pages from its own residual image, and any page it cannot
     restore (evicted, or hash mismatch after corruption) is re-fetched
     from the source's {e pinned} image via the RDLT/RFUL fallback, so

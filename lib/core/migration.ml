@@ -271,10 +271,10 @@ let unpack_ranges u =
    length-prefixed image. *)
 let transfer_size ~ranges ~buffer = 40 + (16 * List.length ranges) + Bytes.length buffer
 
-(* ===== group migration: v2 codec =====
+(* ===== group migration: v2/v3 codec =====
 
    A group of threads moving between the same pair of nodes travels as
-   ONE wire image inside a {!Pm2_net.Codec} V2 frame. Descriptor fields
+   ONE wire image inside a {!Pm2_net.Codec} V2 or V3 frame. Descriptor fields
    are varints, and each slot ships as a page manifest plus only its
    non-zero pages ({!Pm2_net.Codec.encode_range}): the destination mmaps
    the full range (zero-filled for free) and stores just the data pages.
@@ -332,9 +332,6 @@ let unpack_descriptor_v2 u (th : Thread.t) =
 let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
     ?(known = fun ~tid:_ _ -> None) ?trace ?(unmap = true) ~cost ~space ~gid
     threads =
-  (match version with
-   | Codec.V1 -> invalid_arg "Migration.pack_group: v1 cannot carry a group image"
-   | Codec.V2 | Codec.V3 -> ());
   let p = Pk.packer () in
   Pk.pack_varint p gid;
   Pk.pack_varint p (List.length threads);
@@ -356,22 +353,15 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
           let before = Pk.packed_size p in
           Pk.pack_varint p slot;
           Pk.pack_varint p size;
-          (match version with
-           | Codec.V1 -> assert false
-           | Codec.V2 ->
-             let d, z = Codec.encode_range p space ~addr:slot ~size in
-             data_pages := !data_pages + d;
-             zero_pages := !zero_pages + z
-           | Codec.V3 ->
-             let d, z, c =
-               Codec.encode_delta_range p space ~addr:slot ~size
-                 ~known:(known ~tid:th.Thread.id)
-             in
-             data_pages := !data_pages + d;
-             zero_pages := !zero_pages + z;
-             cached_pages := !cached_pages + c;
-             m_data := !m_data + d;
-             m_cached := !m_cached + c);
+          let d, z, c =
+            Codec.encode_range p version space ~addr:slot ~size
+              ~known:(known ~tid:th.Thread.id)
+          in
+          data_pages := !data_pages + d;
+          zero_pages := !zero_pages + z;
+          cached_pages := !cached_pages + c;
+          m_data := !m_data + d;
+          m_cached := !m_cached + c;
           nslots := !nslots + 1;
           if Obs.Collector.enabled obs then
             Obs.Collector.emit obs ~node
@@ -393,7 +383,7 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
      residual once the transfer settles. *)
   let retained =
     match version with
-    | Codec.V1 | Codec.V2 -> []
+    | Codec.V2 -> []
     | Codec.V3 ->
       List.map
         (fun ((th : Thread.t), slots) ->
@@ -462,9 +452,7 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
     ?(restore = fun ~tid:_ ~addr:_ ~hash:_ -> false) ~cost ~space ~lookup buffer =
   match Codec.decode_traced buffer with
   | Error e -> invalid_arg ("Migration.unpack_group: " ^ Codec.error_to_string e)
-  | Ok (Codec.V1, _, _) ->
-    invalid_arg "Migration.unpack_group: v1 frame is not a group image"
-  | Ok (((Codec.V2 | Codec.V3) as version), u_trace, payload) ->
+  | Ok (version, u_trace, payload) ->
     let u = Pk.unpacker payload in
     let gid = Pk.unpack_varint u in
     let members = Pk.unpack_varint u in
@@ -485,15 +473,10 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
         let slot = Pk.unpack_varint u in
         let size = Pk.unpack_varint u in
         As.mmap space ~addr:slot ~size;
-        (match version with
-         | Codec.V1 -> assert false
-         | Codec.V2 -> ignore (Codec.decode_range u space ~addr:slot ~size)
-         | Codec.V3 ->
-           let _, miss =
-             Codec.decode_delta_range u space ~addr:slot ~size
-               ~restore:(fun ~addr ~hash -> restore ~tid ~addr ~hash)
-           in
-           List.iter (fun (a, h) -> missing := (tid, a, h) :: !missing) miss);
+        let _, miss =
+          Codec.decode_range u version space ~addr:slot ~size ~restore:(restore ~tid)
+        in
+        List.iter (fun (a, h) -> missing := (tid, a, h) :: !missing) miss;
         member_ranges := (slot, size) :: !member_ranges;
         if Obs.Collector.enabled obs then
           Obs.Collector.emit obs ~node

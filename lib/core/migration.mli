@@ -110,7 +110,7 @@ type group_packed = {
 (** [pack_group ~cost ~space ~gid threads] packs every member into one
     frame and unmaps their slots from [space] — only after the whole
     image is built, so a packing failure leaves the source untouched.
-    [?version] selects the codec (default [V2]; [V1] is rejected). Under
+    [?version] selects the codec (default [V2]). Under
     [V3], [known ~tid] is the sender's believed destination knowledge
     (page address → hash, typically {!Delta_cache.known}); pages whose
     current hash matches ship as [Cached], and [g_retained] carries the
@@ -158,7 +158,7 @@ type group_unpacked = {
     [restore ~tid ~addr ~hash]; the callback must blit the retained page
     and return [true] only on a content-hash match — failures are
     collected into [u_missing] (default callback restores nothing).
-    @raise Invalid_argument on a corrupt buffer, a v1 frame, or an
+    @raise Invalid_argument on a corrupt or unframed buffer, or an
     already-mapped target page (caller scrubs the ranges and rolls the
     whole group back). *)
 val unpack_group :

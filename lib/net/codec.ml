@@ -1,22 +1,19 @@
 module As = Pm2_vmem.Address_space
 module Layout = Pm2_vmem.Layout
 
-type version = V1 | V2 | V3
+type version = V2 | V3
 
-(* "PM2C" little-endian, packed as a full word so a frame can never be
-   confused with a bare v1 migration buffer (whose first word is the
-   "MIGR" descriptor magic). *)
+(* "PM2C" little-endian, packed as a full word. *)
 let frame_magic = 0x43324d50
 
-let version_to_int = function V1 -> 1 | V2 -> 2 | V3 -> 3
+let version_to_int = function V2 -> 2 | V3 -> 3
 
 let version_of_int = function
-  | 1 -> Some V1
   | 2 -> Some V2
   | 3 -> Some V3
   | _ -> None
 
-let version_name = function V1 -> "v1" | V2 -> "v2" | V3 -> "v3"
+let version_name = function V2 -> "v2" | V3 -> "v3"
 
 (* Trace context rides the frame behind a flag bit in the version word:
    [version lor trace_flag] announces two extra ints (trace id, parent
@@ -24,8 +21,7 @@ let version_name = function V1 -> "v1" | V2 -> "v2" | V3 -> "v3"
    byte-for-byte what they always were — the flag only ever appears when
    tracing is on, so tracing-off runs stay identical down to the wire
    (and therefore down to virtual transfer times). Decoders mask the
-   flag off, so v1/v2/v3 frames from before this scheme parse
-   unchanged. *)
+   flag off, so untraced frames parse unchanged. *)
 let trace_flag = 8
 
 let frame ?trace version payload =
@@ -42,36 +38,6 @@ let frame ?trace version payload =
   Packet.pack_bytes p payload;
   Packet.contents p
 
-let starts_with_magic buf =
-  Bytes.length buf >= 8 && Int64.to_int (Bytes.get_int64_le buf 0) = frame_magic
-
-let parse buf =
-  if not (starts_with_magic buf) then
-    (* Bare legacy buffer: everything that predates the framed codec is a
-       v1 payload by definition, so old wire images keep decoding. *)
-    Ok (V1, buf)
-  else
-    try
-      let u = Packet.unpacker buf in
-      let _magic = Packet.unpack_int u in
-      let v = Packet.unpack_int u in
-      match version_of_int (v land lnot trace_flag) with
-      | None -> Error (Printf.sprintf "Codec: unknown frame version %d" v)
-      (* Only the group codecs ever carry a context; a "traced v1" word
-         (9) can only be corruption, and must keep failing as such. *)
-      | Some V1 when v land trace_flag <> 0 ->
-        Error (Printf.sprintf "Codec: unknown frame version %d" v)
-      | Some version ->
-        if v land trace_flag <> 0 then begin
-          let _trace = Packet.unpack_int u in
-          let _parent = Packet.unpack_int u in
-          ()
-        end;
-        let payload = Packet.unpack_bytes u in
-        if Packet.remaining u <> 0 then Error "Codec: trailing bytes after frame"
-        else Ok (version, payload)
-    with Invalid_argument e -> Error ("Codec: " ^ e)
-
 (* Typed decode errors: fault-injected corruption must surface as a value
    the protocol layer can act on (nack / rollback), never as an exception
    escaping the codec. *)
@@ -86,15 +52,13 @@ let error_to_string = function
 (* [decode_traced] additionally surfaces the frame's trace context (if
    any) for destination-side span parenting. *)
 let decode_traced buf =
-  if not (starts_with_magic buf) then Ok (V1, None, buf)
-  else
-    try
-      let u = Packet.unpacker buf in
-      let _magic = Packet.unpack_int u in
+  try
+    let u = Packet.unpacker buf in
+    if Packet.unpack_int u <> frame_magic then Error (Bad_manifest "no frame magic")
+    else
       let v = Packet.unpack_int u in
       match version_of_int (v land lnot trace_flag) with
       | None -> Error (Bad_version v)
-      | Some V1 when v land trace_flag <> 0 -> Error (Bad_version v)
       | Some version ->
         let trace =
           if v land trace_flag <> 0 then begin
@@ -108,100 +72,27 @@ let decode_traced buf =
         if Packet.remaining u <> 0 then
           Error (Bad_manifest "trailing bytes after frame")
         else Ok (version, trace, payload)
-    with Invalid_argument e -> Error (Bad_manifest e)
+  with Invalid_argument e -> Error (Bad_manifest e)
 
 let decode buf =
   match decode_traced buf with
   | Ok (version, _, payload) -> Ok (version, payload)
   | Error e -> Error e
 
-type run = {
-  data : bool;
-  pages : int;
-}
+(* {1 Page ranges}
 
-let manifest space ~addr ~size =
-  if size mod Layout.page_size <> 0 || size <= 0 then
-    invalid_arg "Codec.manifest: size not a positive multiple of the page size";
-  let npages = size / Layout.page_size in
-  let runs = ref [] in
-  for i = npages - 1 downto 0 do
-    let data = not (As.page_is_zero space (addr + (i * Layout.page_size))) in
-    match !runs with
-    | r :: rest when r.data = data -> runs := { r with pages = r.pages + 1 } :: rest
-    | _ -> runs := { data; pages = 1 } :: !runs
-  done;
-  !runs
-
-let encode_runs p runs =
-  Packet.pack_varint p (List.length runs);
-  List.iter
-    (fun r -> Packet.pack_varint p ((r.pages lsl 1) lor (if r.data then 1 else 0)))
-    runs
-
-let decode_runs u =
-  let n = Packet.unpack_varint u in
-  (* Every run occupies at least one byte, so a count exceeding the bytes
-     left is corruption — reject it before List.init tries to allocate. *)
-  if n < 0 || n > Packet.remaining u then
-    invalid_arg "Codec: implausible run count";
-  List.init n (fun _ ->
-      let v = Packet.unpack_varint u in
-      if v < 0 then invalid_arg "Codec: negative run word";
-      let pages = v lsr 1 in
-      if pages <= 0 then invalid_arg "Codec: empty manifest run";
-      { data = v land 1 = 1; pages })
-
-let encode_range p space ~addr ~size =
-  let runs = manifest space ~addr ~size in
-  encode_runs p runs;
-  let pos = ref addr in
-  let data_pages = ref 0 and zero_pages = ref 0 in
-  List.iter
-    (fun r ->
-      if r.data then begin
-        data_pages := !data_pages + r.pages;
-        let len = r.pages * Layout.page_size in
-        Packet.pack_unprefixed p ~len (fun buf at ->
-            As.load_into space ~addr:!pos ~len buf ~pos:at)
-      end
-      else zero_pages := !zero_pages + r.pages;
-      pos := !pos + (r.pages * Layout.page_size))
-    runs;
-  (!data_pages, !zero_pages)
-
-let decode_range u space ~addr ~size =
-  let runs = decode_runs u in
-  let total = List.fold_left (fun acc r -> acc + r.pages) 0 runs in
-  if total * Layout.page_size <> size then
-    invalid_arg "Codec: manifest does not cover the declared range";
-  let pos = ref addr in
-  let data_pages = ref 0 in
-  List.iter
-    (fun r ->
-      if r.data then begin
-        data_pages := !data_pages + r.pages;
-        let len = r.pages * Layout.page_size in
-        let src, off = Packet.unpack_take u len in
-        As.store_sub space !pos src ~pos:off ~len
-      end;
-      (* Zero runs need no bytes and no stores: the destination mapped the
-         range fresh, so those pages are already zero. *)
-      pos := !pos + (r.pages * Layout.page_size))
-    runs;
-  !data_pages
-
-(* {1 v3 delta manifests}
-
-   A v3 slot image generalises the v2 two-class manifest to three classes:
+   A slot image is a run-length page manifest followed by the raw bytes
+   of its data runs:
 
      varint nruns
-     nruns x [ varint (pages lsl 2) lor cls     cls: 0=Zero 1=Data 2=Cached
-               if cls = Cached: pages x 8-byte LE content hash ]
+     nruns x [ varint (pages lsl bits) lor tag    tag: 0=Zero 1=Data 2=Cached
+               if tag = Cached: pages x 8-byte LE content hash ]
      raw page bytes of every Data run, in manifest order
 
-   [Cached] pages carry only their hash: the destination reconstructs them
-   from its retained residual image and must fall back to a full resend
+   The frame version fixes the tag width: v2 has only the Zero and Data
+   classes and a 1-bit tag; v3 adds Cached and takes 2 bits. [Cached]
+   pages carry only their hash: the destination reconstructs them from
+   its retained residual image and must fall back to a full resend
    whenever the lookup fails — the wire format guarantees it can always
    detect that case, never silently keep a stale page. *)
 
@@ -210,12 +101,9 @@ type page_class =
   | Data
   | Cached of int
 
-let class_tag = function Zero -> 0 | Data -> 1 | Cached _ -> 2
+let tag_bits = function V2 -> 1 | V3 -> 2
 
-let same_class a b =
-  match a, b with
-  | Zero, Zero | Data, Data | Cached _, Cached _ -> true
-  | _ -> false
+let class_tag = function Zero -> 0 | Data -> 1 | Cached _ -> 2
 
 let delta_manifest space ~addr ~size ~known =
   if size mod Layout.page_size <> 0 || size <= 0 then
@@ -225,19 +113,18 @@ let delta_manifest space ~addr ~size ~known =
       let a = addr + (i * Layout.page_size) in
       if As.page_is_zero space a then Zero
       else
-        let h = As.page_hash space a in
         match known a with
-        | Some h' when h' = h -> Cached h
+        | Some h when h = As.page_hash space a -> Cached h
         | _ -> Data)
 
 (* Collapse the per-page classification into runs of one class; Cached runs
    keep their per-page hashes (in address order). *)
-let delta_runs classes =
+let group_runs classes =
   let rec group acc = function
     | [] -> List.rev acc
     | c :: rest ->
       (match acc with
-       | (c', n, hs) :: tl when same_class c c' ->
+       | (c', n, hs) :: tl when class_tag c = class_tag c' ->
          let hs = match c with Cached h -> h :: hs | _ -> hs in
          group ((c', n + 1, hs) :: tl) rest
        | _ ->
@@ -246,12 +133,14 @@ let delta_runs classes =
   in
   List.map (fun (c, n, hs) -> (c, n, List.rev hs)) (group [] classes)
 
-let encode_delta_range p space ~addr ~size ~known =
-  let runs = delta_runs (delta_manifest space ~addr ~size ~known) in
+let encode_range p version space ~addr ~size ~known =
+  let known = match version with V2 -> (fun _ -> None) | V3 -> known in
+  let runs = group_runs (delta_manifest space ~addr ~size ~known) in
+  let bits = tag_bits version in
   Packet.pack_varint p (List.length runs);
   List.iter
     (fun (c, pages, hashes) ->
-      Packet.pack_varint p ((pages lsl 2) lor class_tag c);
+      Packet.pack_varint p ((pages lsl bits) lor class_tag c);
       List.iter (Packet.pack_int p) hashes)
     runs;
   let pos = ref addr in
@@ -270,16 +159,19 @@ let encode_delta_range p space ~addr ~size ~known =
     runs;
   (!data_pages, !zero_pages, !cached_pages)
 
-let decode_delta_runs u =
+let read_manifest version u =
+  let bits = tag_bits version in
   let n = Packet.unpack_varint u in
+  (* Every run occupies at least one byte, so a count exceeding the bytes
+     left is corruption — reject it before List.init tries to allocate. *)
   if n < 0 || n > Packet.remaining u then
     invalid_arg "Codec: implausible run count";
   List.init n (fun _ ->
       let v = Packet.unpack_varint u in
       if v < 0 then invalid_arg "Codec: negative run word";
-      let pages = v lsr 2 in
+      let pages = v lsr bits in
       if pages <= 0 then invalid_arg "Codec: empty manifest run";
-      match v land 3 with
+      match v land ((1 lsl bits) - 1) with
       | 0 -> (Zero, pages, [])
       | 1 -> (Data, pages, [])
       | 2 ->
@@ -292,8 +184,8 @@ let decode_delta_runs u =
         (Cached 0, pages, hashes)
       | _ -> invalid_arg "Codec: unknown page class")
 
-let decode_delta_range u space ~addr ~size ~restore =
-  let runs = decode_delta_runs u in
+let decode_range u version space ~addr ~size ~restore =
+  let runs = read_manifest version u in
   let total = List.fold_left (fun acc (_, pages, _) -> acc + pages) 0 runs in
   if total * Layout.page_size <> size then
     invalid_arg "Codec: manifest does not cover the declared range";
@@ -303,6 +195,8 @@ let decode_delta_range u space ~addr ~size ~restore =
   List.iter
     (fun (c, pages, hashes) ->
       (match c with
+       (* Zero runs need no bytes and no stores: the destination mapped
+          the range fresh, so those pages are already zero. *)
        | Zero -> ()
        | Data ->
          data_pages := !data_pages + pages;
@@ -320,12 +214,8 @@ let decode_delta_range u space ~addr ~size ~restore =
     runs;
   (!data_pages, List.rev !missing)
 
-(* Checked wrappers: give protocol code a raise-free path through a decoder
-   fed with attacker-controlled (fault-injected) bytes. *)
-let checked f = try Ok (f ()) with Invalid_argument e -> Error (Bad_manifest e)
-
-let try_decode_range u space ~addr ~size =
-  checked (fun () -> decode_range u space ~addr ~size)
-
-let try_decode_delta_range u space ~addr ~size ~restore =
-  checked (fun () -> decode_delta_range u space ~addr ~size ~restore)
+(* A raise-free path through the decoder for protocol code fed with
+   attacker-controlled (fault-injected) bytes. *)
+let try_decode_range u version space ~addr ~size ~restore =
+  try Ok (decode_range u version space ~addr ~size ~restore)
+  with Invalid_argument e -> Error (Bad_manifest e)

@@ -52,7 +52,7 @@ val drop : t -> tid:int -> unit
 val has_page : t -> hash:int -> bool
 
 (** [find_page t ~hash] — the pooled content for [hash]; what the restore
-    callback feeds to [decode_delta_range]. *)
+    callback feeds to {!Pm2_net.Codec.decode_range}. *)
 val find_page : t -> hash:int -> Bytes.t option
 
 (** {1 Statistics} *)

@@ -4,47 +4,48 @@ exception Segfault of { addr : addr; node : int; what : string }
 
 let word_size = 8
 
+(* Everything recorded about one mapped page. [data] is the [untouched]
+   sentinel until the page is first read or written through a page
+   handle; [stored] is the epoch of the last store, or [-1] if no store
+   has touched the page since it was mapped; [hash] is the v3 content
+   hash of [data], or [-1] when none has been taken since the last
+   store. *)
+type page = {
+  mutable data : Bytes.t;
+  mutable stored : int;
+  mutable hash : int;
+}
+
 type t = {
   node : int;
-  pages : (int, Bytes.t) Hashtbl.t; (* page index -> page contents *)
+  pages : (int, page) Hashtbl.t; (* page index -> its record *)
   mutable mmap_calls : int;
-  mutable resident : int; (* mapped pages allocated so far *)
+  mutable resident : int; (* mapped pages whose [data] is allocated *)
   (* One-entry page cache: guest word/byte accesses show heavy page
      locality (stack frames, header walks), so memoizing the last-touched
-     page turns most accesses into a compare + array index instead of a
-     Hashtbl probe. [-1] = empty. Invalidated whenever a page is removed
-     ([munmap]/[scrub_range]); [mmap] never replaces an existing page so
-     it cannot stale the cache. *)
+     page turns most accesses into a compare instead of a Hashtbl probe.
+     [last.data] is always allocated. [-1] = empty. Invalidated whenever
+     a page is removed ([munmap]/[scrub_range]); [mmap] never replaces an
+     existing page so it cannot stale the cache. *)
   mutable last_page : int;
-  mutable last_bytes : Bytes.t;
-  (* Dirty-page tracking for the v2 migration codec: a page is dirty if
-     any store touched it since it was mapped. Clean pages are still
-     all-zero ([mmap] zero-fills), so the group-migration manifest can
-     elide them without reading their contents. [last_dirty] memoizes the
-     last page marked so the hot store path usually pays one int compare
-     instead of a Hashtbl write; it is invalidated (set to [-1]) whenever
-     a page is removed, since a fresh mapping of the same index must be
-     markable again. *)
-  dirty : (int, int) Hashtbl.t;
-      (* page index -> access epoch of the last store; presence alone means
-         "dirty since mapped" (what the v2 manifest needs), the stored epoch
-         feeds the access-heat telemetry below *)
-  mutable last_dirty : int;
+  mutable last : page;
   (* Access epochs for placement telemetry: [advance_epoch] opens a new
      observation window, and [dirty_in_epoch] counts the pages of a range
      whose last store falls inside the current window — the "heat" the
      access-imbalance balancer feeds on. Epoch 0 is the whole pre-history,
      so heat reads 0 until a window has been opened. *)
   mutable epoch : int;
-  (* Content-hash memo for the v3 delta codec: page index -> 62-bit page
-     hash. An entry is valid only while no store has touched the page
-     since it was computed. Invalidation rides the existing dirty epoch:
-     [page_hash] resets [last_dirty] after memoizing, so the very next
-     store — to any page — takes [wpage]'s slow path, which removes the
-     memo entry of the page it touches. A page whose memo survives has
-     provably not been stored to since the hash was taken. *)
-  hash_memo : (int, int) Hashtbl.t;
 }
+
+(* Contents of a mapped page that nothing has accessed yet, told apart by
+   physical equality. A thread hop then pays for the pages the thread
+   uses, not for every page its slots span. *)
+let untouched = Bytes.create 0
+
+(* The record every page is mapped to: [mmap] allocates nothing per page,
+   and a page gets a record of its own on its first access or store.
+   Never written. *)
+let fresh = { data = untouched; stored = -1; hash = -1 }
 
 let create ~node () =
   {
@@ -53,20 +54,11 @@ let create ~node () =
     mmap_calls = 0;
     resident = 0;
     last_page = -1;
-    last_bytes = Bytes.empty;
-    dirty = Hashtbl.create 1024;
-    last_dirty = -1;
+    last = fresh;
     epoch = 0;
-    hash_memo = Hashtbl.create 64;
   }
 
 let node t = t.node
-
-(* Contents of a mapped page that nothing has accessed yet, told apart by
-   physical equality. [mmap] records the mapping without allocating; the
-   first access allocates the zero-filled page. A thread hop then pays
-   for the pages the thread uses, not for every page its slots span. *)
-let untouched = Bytes.create 0
 
 let segv t addr what = raise (Segfault { addr; node = t.node; what })
 
@@ -84,16 +76,13 @@ let mmap t ~addr ~size =
                      (Layout.addr_of_page p))
   done;
   for p = first to first + n - 1 do
-    Hashtbl.replace t.pages p untouched
+    Hashtbl.replace t.pages p fresh
   done;
   t.mmap_calls <- t.mmap_calls + 1
 
-(* Forget mapped page [p] and everything recorded about it. *)
 let drop_page t p =
-  if Hashtbl.find t.pages p != untouched then t.resident <- t.resident - 1;
-  Hashtbl.remove t.pages p;
-  Hashtbl.remove t.dirty p;
-  Hashtbl.remove t.hash_memo p
+  if (Hashtbl.find t.pages p).data != untouched then t.resident <- t.resident - 1;
+  Hashtbl.remove t.pages p
 
 let munmap t ~addr ~size =
   check_aligned "munmap" ~addr ~size;
@@ -107,8 +96,7 @@ let munmap t ~addr ~size =
   for p = first to first + n - 1 do
     drop_page t p
   done;
-  t.last_page <- -1;
-  t.last_dirty <- -1
+  t.last_page <- -1
 
 let is_mapped t a = Hashtbl.mem t.pages (Layout.page_of_addr a)
 
@@ -135,8 +123,7 @@ let scrub_range t ~addr ~size =
         incr n
       end
     done;
-    t.last_page <- -1;
-    t.last_dirty <- -1
+    t.last_page <- -1
   end;
   !n
 
@@ -146,63 +133,67 @@ let resident_pages t = t.resident
 
 let mmap_calls t = t.mmap_calls
 
-(* Page [p], found in the table as [bytes], becomes the cached page;
-   an untouched one gets its zero-filled buffer first. *)
-let[@inline] materialise t p bytes =
-  let bytes =
-    if bytes != untouched then bytes
-    else begin
-      let fresh = Bytes.make Layout.page_size '\000' in
-      Hashtbl.replace t.pages p fresh;
-      t.resident <- t.resident + 1;
-      fresh
-    end
-  in
-  t.last_page <- p;
-  t.last_bytes <- bytes;
-  bytes
-
-let page t what a =
-  let p = Layout.page_of_addr a in
-  if p = t.last_page then t.last_bytes
-  else
-    match Hashtbl.find_opt t.pages p with
-    | Some bytes -> materialise t p bytes
-    | None -> segv t a what
-
-(* The dirty mark of a store to page [p]: stamp the current epoch and
-   drop the page's hash memo. *)
-let[@inline] mark_dirty t p =
-  if p <> t.last_dirty then begin
-    Hashtbl.replace t.dirty p t.epoch;
-    Hashtbl.remove t.hash_memo p;
-    t.last_dirty <- p
+(* Page [p]'s record [r] as one that may be written: the shared [fresh]
+   record is swapped for a page-private one. *)
+let[@inline] own t p r =
+  if r != fresh then r
+  else begin
+    let r = { data = untouched; stored = -1; hash = -1 } in
+    Hashtbl.replace t.pages p r;
+    r
   end
 
-(* The store-path twin of [page]: same lookup, plus the dirty mark. *)
+(* Page [p], found in the table as [r], becomes the cached page; an
+   untouched one gets its zero-filled buffer first. *)
+let[@inline] materialise t p r =
+  let r = own t p r in
+  if r.data == untouched then begin
+    r.data <- Bytes.make Layout.page_size '\000';
+    t.resident <- t.resident + 1
+  end;
+  t.last_page <- p;
+  t.last <- r;
+  r
+
+let record t what a =
+  let p = Layout.page_of_addr a in
+  if p = t.last_page then t.last
+  else
+    match Hashtbl.find_opt t.pages p with
+    | Some r -> materialise t p r
+    | None -> segv t a what
+
+(* The mark of a store: stamp the current epoch and drop the hash. *)
+let[@inline] mark t r =
+  r.stored <- t.epoch;
+  r.hash <- -1
+
+let page t what a = (record t what a).data
+
+(* The store-path twin of [page]: same lookup, plus the store mark. *)
 let wpage t what a =
-  mark_dirty t (Layout.page_of_addr a);
-  page t what a
+  let r = record t what a in
+  mark t r;
+  r.data
 
-let page_dirty t a = Hashtbl.mem t.dirty (Layout.page_of_addr a)
+let page_dirty t a =
+  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  | Some r -> r.stored >= 0
+  | None -> false
 
-let advance_epoch t =
-  t.epoch <- t.epoch + 1;
-  (* The memo would let a store inside the new window keep the old
-     window's epoch stamp; force the slow path once per page. *)
-  t.last_dirty <- -1
+let advance_epoch t = t.epoch <- t.epoch + 1
 
 let epoch t = t.epoch
 
 let dirty_in_epoch t ~addr ~size =
-  if size = 0 then 0
+  if size = 0 || t.epoch = 0 then 0
   else begin
     let first = Layout.page_of_addr addr in
     let last = Layout.page_of_addr (addr + size - 1) in
     let n = ref 0 in
     for p = first to last do
-      match Hashtbl.find_opt t.dirty p with
-      | Some e when e = t.epoch && t.epoch > 0 -> incr n
+      match Hashtbl.find_opt t.pages p with
+      | Some r when r.stored = t.epoch -> incr n
       | _ -> ()
     done;
     !n
@@ -233,16 +224,15 @@ let is_zero_sub b ~pos ~len =
   !zero
 
 let page_is_zero t a =
-  let p = Layout.page_of_addr a in
-  match Hashtbl.find_opt t.pages p with
+  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
   | None -> segv t a "is_zero"
-  | Some bytes ->
+  | Some r ->
     (* Untouched, or never stored to since mapping: still the zero fill
-       from [mmap]. A dirty page is scanned, so a store of zeros reads as
-       zero. *)
-    bytes == untouched
-    || (not (Hashtbl.mem t.dirty p))
-    || is_zero_sub bytes ~pos:0 ~len:Layout.page_size
+       from [mmap]. A stored page is scanned, so a store of zeros reads
+       as zero. *)
+    r.data == untouched
+    || r.stored < 0
+    || is_zero_sub r.data ~pos:0 ~len:Layout.page_size
 
 (* Splitmix64 finalizer: FNV-1a alone mixes low bits poorly for 8-byte
    word input; the finalizer spreads every input bit over the whole
@@ -267,25 +257,16 @@ let page_bytes_hash bytes =
 let zero_page_hash = page_bytes_hash (Bytes.make Layout.page_size '\000')
 
 let page_hash t a =
-  let p = Layout.page_of_addr a in
-  match Hashtbl.find_opt t.hash_memo p with
-  | Some h -> h
-  | None ->
-    let h =
-      match Hashtbl.find_opt t.pages p with
-      | None -> segv t a "page_hash"
-      | Some bytes when bytes == untouched -> zero_page_hash
-      | Some bytes -> page_bytes_hash bytes
-    in
-    Hashtbl.replace t.hash_memo p h;
-    (* Force the next store onto [wpage]'s slow path, which removes the
-       memo entry of whichever page it hits (see the field comment). *)
-    t.last_dirty <- -1;
-    h
+  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  | None -> segv t a "page_hash"
+  | Some r when r.data == untouched -> zero_page_hash
+  | Some r ->
+    if r.hash < 0 then r.hash <- page_bytes_hash r.data;
+    r.hash
 
 (* Raw page handles for the MVM execution engine's inlined load/store
    fast path. [page_for_read]/[page_for_write] are exactly the internal
-   [page]/[wpage] lookups (including the dirty mark on the write side);
+   [page]/[wpage] lookups (including the store mark on the write side);
    the returned buffer aliases the live page and is valid only until the
    next [munmap]/[scrub_range], so callers must drop their handle at
    every point such a call could run (the engine keeps them only within
@@ -323,8 +304,10 @@ let store_word t a v =
     Bytes.set_int64_le p off (Int64.of_int v)
   end
   else
+    (* [asr]: the bytes of the sign-extended 64-bit word, the same ones
+       the in-page path writes. *)
     for i = 0 to 7 do
-      store_u8 t (a + i) ((v lsr (8 * i)) land 0xff)
+      store_u8 t (a + i) ((v asr (8 * i)) land 0xff)
     done
 
 let load_bytes t a len =
@@ -353,7 +336,7 @@ let store_bytes t a b =
   done
 
 (* A chunk of zeros stored into an untouched page leaves it unallocated:
-   the page already reads as zero. It still takes the dirty mark, so
+   the page already reads as zero. It still takes the store mark, so
    epochs, the v2 manifest and the v3 hashes see the store. The check
    runs only when the one-entry page cache misses. *)
 let store_sub t a b ~pos ~len =
@@ -366,13 +349,19 @@ let store_sub t a b ~pos ~len =
     let chunk = min (len - !done_) (Layout.page_size - off) in
     let src = pos + !done_ in
     let p = Layout.page_of_addr addr in
-    mark_dirty t p;
-    if p = t.last_page then Bytes.blit b src t.last_bytes off chunk
+    if p = t.last_page then begin
+      mark t t.last;
+      Bytes.blit b src t.last.data off chunk
+    end
     else begin
       match Hashtbl.find_opt t.pages p with
       | None -> segv t addr "store"
-      | Some bytes when bytes == untouched && is_zero_sub b ~pos:src ~len:chunk -> ()
-      | Some bytes -> Bytes.blit b src (materialise t p bytes) off chunk
+      | Some r when r.data == untouched && is_zero_sub b ~pos:src ~len:chunk ->
+        mark t (own t p r)
+      | Some r ->
+        let r = materialise t p r in
+        mark t r;
+        Bytes.blit b src r.data off chunk
     end;
     done_ := !done_ + chunk
   done
@@ -389,12 +378,12 @@ let load_into t ~addr ~len dst ~pos =
     let chunk = min (len - !done_) (Layout.page_size - off) in
     let at = pos + !done_ in
     let p = Layout.page_of_addr a in
-    if p = t.last_page then Bytes.blit t.last_bytes off dst at chunk
+    if p = t.last_page then Bytes.blit t.last.data off dst at chunk
     else begin
       match Hashtbl.find_opt t.pages p with
       | None -> segv t a "load"
-      | Some bytes when bytes == untouched -> Bytes.fill dst at chunk '\000'
-      | Some bytes -> Bytes.blit (materialise t p bytes) off dst at chunk
+      | Some r when r.data == untouched -> Bytes.fill dst at chunk '\000'
+      | Some r -> Bytes.blit (materialise t p r).data off dst at chunk
     end;
     done_ := !done_ + chunk
   done

@@ -1,6 +1,8 @@
 (** A simulated per-node virtual address space.
 
-    Pages are materialised lazily: [mmap] declares a range mapped (and
+    One table maps each page index to one page record: its contents, the
+    epoch of its last store and its memoized content hash. Pages are
+    materialised lazily: [mmap] declares a range mapped (and
     zero-filled), [munmap] unmaps it, and any access to an unmapped address
     raises {!Segfault} — exactly the failure mode of the paper's Figs. 2, 4
     and 9 when a migrated thread dereferences a pointer whose target did not
@@ -30,6 +32,8 @@ val node : t -> int
 (** {1 Mapping} *)
 
 (** [mmap t ~addr ~size] maps (and zero-fills) the page-aligned range.
+    It allocates nothing per page: every page shares one never-written
+    record until its first access or store.
     @raise Invalid_argument if the range is not page aligned or any page in
     it is already mapped (MAP_FIXED without overwrite — the iso-address
     discipline must guarantee this never happens across nodes). *)
@@ -76,16 +80,16 @@ val mmap_calls : t -> int
 
 val page_dirty : t -> addr -> bool
 (** [page_dirty t a] is [true] iff some store touched the page containing
-    [a] since it was mapped. Cheap (hash probe); never faults. *)
+    [a] since it was mapped. One table probe; never faults. *)
 
 (** {2 Access epochs}
 
     Placement telemetry: {!advance_epoch} opens a new observation window
     and {!dirty_in_epoch} counts the pages of a range last stored to
     inside the current window. The balancer derives per-thread "heat"
-    from these counts — no extra bookkeeping rides the store fast path,
-    the epoch stamp reuses the dirty-page table the v2 codec already
-    maintains. *)
+    from these counts — no extra bookkeeping rides the store fast path:
+    the epoch stamp is the page record's last-store field, the same one
+    {!page_dirty} reads. *)
 
 val advance_epoch : t -> unit
 (** Open a new observation window. Stores from now on stamp the new
@@ -111,9 +115,9 @@ val page_is_zero : t -> addr -> bool
 
     The v3 delta codec classifies pages by a 62-bit content hash
     (FNV-1a 64 over the page's 8-byte words, splitmix-mixed, folded to a
-    non-negative OCaml int). Hashes are memoized per page and the memo is
-    invalidated through the dirty-epoch store path, so re-hashing an
-    untouched page is a hash-table probe, never a page scan. *)
+    non-negative OCaml int). Each page record memoizes its hash and every
+    store clears the memo, so re-hashing a page no store has touched
+    since is one table probe, never a page scan. *)
 
 val page_hash : t -> addr -> int
 (** [page_hash t a] is the content hash of the mapped page containing

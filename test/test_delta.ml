@@ -68,11 +68,11 @@ let test_delta_manifest_classifies () =
 
 let roundtrip_delta src ~addr ~size ~known ~restore =
   let p = Packet.packer () in
-  let counts = Codec.encode_delta_range p src ~addr ~size ~known in
+  let counts = Codec.encode_range p Codec.V3 src ~addr ~size ~known in
   let dst = As.create ~node:1 () in
   As.mmap dst ~addr ~size;
   let stored, missing =
-    Codec.decode_delta_range (Packet.unpacker (Packet.contents p)) dst ~addr ~size
+    Codec.decode_range (Packet.unpacker (Packet.contents p)) Codec.V3 dst ~addr ~size
       ~restore:(restore dst)
   in
   (counts, stored, missing, dst, Packet.packed_size p)
@@ -171,15 +171,18 @@ let test_version_matrix () =
   (match Codec.decode (Codec.frame Codec.V2 payload) with
    | Ok (Codec.V2, p) -> Alcotest.(check bytes) "v2 payload" payload p
    | _ -> Alcotest.fail "v2 frame did not decode");
-  (match Codec.decode (Codec.frame Codec.V1 payload) with
-   | Ok (Codec.V1, _) -> ()
-   | _ -> Alcotest.fail "v1 frame did not decode");
-  (* a bare pre-codec buffer is v1 *)
+  (* nothing frames or accepts v1: its version word is an unknown
+     version, and a bare buffer without the frame magic is no frame *)
+  let v1 = Codec.frame Codec.V2 payload in
+  Bytes.set v1 8 '\x01';
+  (match Codec.decode v1 with
+   | Error (Codec.Bad_version 1) -> ()
+   | _ -> Alcotest.fail "v1 frame not reported as Bad_version 1");
   (match Codec.decode (Bytes.of_string "MIGRlegacy") with
-   | Ok (Codec.V1, _) -> ()
-   | _ -> Alcotest.fail "bare buffer did not decode as v1");
-  Alcotest.(check string) "names" "v1/v2/v3"
-    (String.concat "/" (List.map Codec.version_name [ Codec.V1; Codec.V2; Codec.V3 ]))
+   | Error (Codec.Bad_manifest _) -> ()
+   | _ -> Alcotest.fail "bare buffer decoded");
+  Alcotest.(check string) "names" "v2/v3"
+    (String.concat "/" (List.map Codec.version_name [ Codec.V2; Codec.V3 ]))
 
 let test_corruption_is_typed () =
   (* Flipping any byte of a framed image, or truncating it, must surface
@@ -189,7 +192,7 @@ let test_corruption_is_typed () =
   As.mmap src ~addr ~size;
   As.store_word src addr 77;
   let p = Packet.packer () in
-  ignore (Codec.encode_delta_range p src ~addr ~size ~known:(fun _ -> None));
+  ignore (Codec.encode_range p Codec.V3 src ~addr ~size ~known:(fun _ -> None));
   let framed = Codec.frame Codec.V3 (Packet.contents p) in
   let attempt buf =
     match Codec.decode buf with
@@ -198,7 +201,7 @@ let test_corruption_is_typed () =
       let dst = As.create ~node:1 () in
       As.mmap dst ~addr ~size;
       match
-        Codec.try_decode_delta_range (Packet.unpacker inner) dst ~addr ~size
+        Codec.try_decode_range (Packet.unpacker inner) Codec.V3 dst ~addr ~size
           ~restore:(fun ~addr:_ ~hash:_ -> false)
       with
       | Ok _ | Error (Codec.Bad_manifest _) -> ()

@@ -1,5 +1,5 @@
-(* The group-migration pipeline: the v2 wire codec (varints, page
-   manifests, zero-page elision, v1 compatibility), the batched
+(* The group-migration pipeline: the wire codec (varints, frames, page
+   manifests, zero-page elision, golden range bytes), the batched
    [Cluster.migrate_group] path with its atomic rollback, and the
    group-aware balancer policy. *)
 
@@ -47,42 +47,48 @@ let test_varint_compact () =
 
 let test_frame_roundtrip () =
   let payload = Bytes.of_string "group image bytes" in
-  (match Codec.parse (Codec.frame Codec.V2 payload) with
-   | Ok (Codec.V2, p) -> Alcotest.(check bytes) "v2 payload" payload p
-   | _ -> Alcotest.fail "v2 frame did not parse");
-  match Codec.parse (Codec.frame Codec.V1 payload) with
-  | Ok (Codec.V1, p) -> Alcotest.(check bytes) "v1 payload" payload p
-  | _ -> Alcotest.fail "v1 frame did not parse"
+  List.iter
+    (fun v ->
+      match Codec.decode (Codec.frame v payload) with
+      | Ok (v', p) when v' = v -> Alcotest.(check bytes) (Codec.version_name v) payload p
+      | _ -> Alcotest.failf "%s frame did not decode" (Codec.version_name v))
+    [ Codec.V2; Codec.V3 ]
 
-let test_bare_buffer_is_v1 () =
-  (* Pre-codec images carry no magic: they must parse as bare v1. *)
-  let legacy = Bytes.of_string "MIGRlegacy image without codec framing" in
-  match Codec.parse legacy with
-  | Ok (Codec.V1, p) -> Alcotest.(check bytes) "untouched" legacy p
-  | _ -> Alcotest.fail "bare buffer did not parse as v1"
-
-let test_truncated_frame_rejected () =
-  let framed = Codec.frame Codec.V2 (Bytes.make 64 'x') in
-  let truncated = Bytes.sub framed 0 (Bytes.length framed - 8) in
-  match Codec.parse truncated with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated frame accepted"
-
-let test_single_thread_image_still_v1 () =
-  (* The single-thread migration path still emits bare v1 images. *)
+let test_bare_buffer_rejected () =
+  (* A buffer without the frame magic is not a codec image: neither a
+     stray byte string nor the direct hop's image, which never passes
+     through the codec. *)
   let c = cluster () in
   let th = Cluster.host_thread c ~node:0 in
-  let p =
+  let direct =
     Migration.pack
       ~obs:(Cluster.obs c) ~node:0 ~geometry:(Cluster.geometry c)
       ~cost:(Cluster.config c).Cluster.cost ~space:(Cluster.node_space c 0)
       ~packing:Migration.Blocks_only th
   in
-  match Codec.parse p.Migration.buffer with
-  | Ok (Codec.V1, b) -> Alcotest.(check bool) "same buffer" true (b == p.Migration.buffer)
-  | _ -> Alcotest.fail "v1 image did not parse as v1"
+  List.iter
+    (fun (what, buf) ->
+      match Codec.decode buf with
+      | Error (Codec.Bad_manifest _) -> ()
+      | _ -> Alcotest.failf "%s decoded as a frame" what)
+    [
+      ("bare buffer", Bytes.of_string "MIGRlegacy image without codec framing");
+      ("short buffer", Bytes.of_string "PM2");
+      ("direct-hop image", direct.Migration.buffer);
+    ]
+
+let test_truncated_frame_rejected () =
+  let framed = Codec.frame Codec.V2 (Bytes.make 64 'x') in
+  let truncated = Bytes.sub framed 0 (Bytes.length framed - 8) in
+  match Codec.decode truncated with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "truncated frame accepted"
 
 (* -- manifests and range encoding -- *)
+
+let class_string classes =
+  String.concat ""
+    (List.map (function Codec.Zero -> "z" | Codec.Data -> "d" | Codec.Cached _ -> "c") classes)
 
 let test_manifest_classifies_runs () =
   let space = As.create ~node:0 () in
@@ -91,18 +97,11 @@ let test_manifest_classifies_runs () =
   (* pages 2 and 3 carry data; 0-1 and 4-7 stay zero *)
   As.store_word space (addr + (2 * page) + 24) 42;
   As.store_word space (addr + (3 * page)) 1;
-  (match Codec.manifest space ~addr ~size:(8 * page) with
-   | [ { Codec.data = false; pages = 2 }; { data = true; pages = 2 }; { data = false; pages = 4 } ]
-     -> ()
-   | runs ->
-     Alcotest.failf "unexpected manifest: %s"
-       (String.concat ";"
-          (List.map
-             (fun r -> Printf.sprintf "%c%d" (if r.Codec.data then 'd' else 'z') r.Codec.pages)
-             runs)));
+  Alcotest.(check string) "classes" "zzddzzzz"
+    (class_string (Codec.delta_manifest space ~addr ~size:(8 * page) ~known:(fun _ -> None)));
   Alcotest.check_raises "unaligned size rejected"
-    (Invalid_argument "Codec.manifest: size not a positive multiple of the page size")
-    (fun () -> ignore (Codec.manifest space ~addr ~size:100))
+    (Invalid_argument "Codec.delta_manifest: size not a positive multiple of the page size")
+    (fun () -> ignore (Codec.delta_manifest space ~addr ~size:100 ~known:(fun _ -> None)))
 
 let test_range_roundtrip_elides_zeros () =
   let src = As.create ~node:0 () in
@@ -111,18 +110,89 @@ let test_range_roundtrip_elides_zeros () =
   (* one data page in sixteen *)
   As.store_word src (addr + (5 * page) + 8) 0xbeef;
   let p = Packet.packer () in
-  let data_pages, zero_pages = Codec.encode_range p src ~addr ~size in
-  Alcotest.(check (pair int int)) "1 data, 15 elided" (1, 15) (data_pages, zero_pages);
+  let counts = Codec.encode_range p Codec.V2 src ~addr ~size ~known:(fun _ -> None) in
+  Alcotest.(check (triple int int int)) "1 data, 15 elided" (1, 15, 0) counts;
   Alcotest.(check bool) "image well under the raw range" true
     (Packet.packed_size p < 2 * page);
   let dst = As.create ~node:1 () in
   As.mmap dst ~addr ~size;
-  let stored = Codec.decode_range (Packet.unpacker (Packet.contents p)) dst ~addr ~size in
+  let stored, missing =
+    Codec.decode_range (Packet.unpacker (Packet.contents p)) Codec.V2 dst ~addr ~size
+      ~restore:(fun ~addr:_ ~hash:_ -> false)
+  in
   Alcotest.(check int) "stored the data page" 1 stored;
+  Alcotest.(check int) "nothing missing" 0 (List.length missing);
   Alcotest.(check int) "word arrived" 0xbeef (As.load_word dst (addr + (5 * page) + 8));
   Alcotest.(check bool) "zero page stayed zero" true (As.page_is_zero dst (addr + page));
   Alcotest.(check bytes) "whole range identical"
     (As.load_bytes src addr size) (As.load_bytes dst addr size)
+
+(* The exact wire bytes of one small range in both tag widths. The range
+   holds, in order: 2 zero pages, 1 data page, 33 zero pages (a run word
+   two varint bytes long in both widths), 2 data pages the peer retains,
+   1 zero page. A data page holds one byte, its index, at offset 0. *)
+let golden_range () =
+  let space = As.create ~node:0 () in
+  let addr = 0x100000 and size = 39 * page in
+  As.mmap space ~addr ~size;
+  List.iter (fun i -> As.store_u8 space (addr + (i * page)) i) [ 2; 36; 37 ];
+  let known a =
+    if a = addr + (36 * page) || a = addr + (37 * page) then Some (As.page_hash space a)
+    else None
+  in
+  (space, addr, size, known)
+
+let hex b =
+  String.concat "" (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* [buf] is the manifest [expected] (hex) followed by one data page per
+   element of [pages], each holding that byte at offset 0 and zeros. *)
+let check_golden what ~expected ~pages buf =
+  let header = Bytes.length buf - (List.length pages * page) in
+  Alcotest.(check string) (what ^ ": manifest") expected (hex (Bytes.sub buf 0 header));
+  List.iteri
+    (fun k first ->
+      let body = Bytes.sub buf (header + (k * page)) page in
+      let want = Bytes.make page '\000' in
+      Bytes.set_uint8 want 0 first;
+      Alcotest.(check bool) (Printf.sprintf "%s: data page %d" what k) true (Bytes.equal want body))
+    pages
+
+let test_range_golden_bytes () =
+  let space, addr, size, known = golden_range () in
+  let encode version =
+    let p = Packet.packer () in
+    let counts = Codec.encode_range p version space ~addr ~size ~known in
+    (counts, Packet.contents p)
+  in
+  (* v2: the known pages ship as data; 5 runs z2 d1 z33 d2 z1, each
+     word pages<<1|tag as zigzag LEB128 *)
+  let counts, v2 = encode Codec.V2 in
+  Alcotest.(check (triple int int int)) "v2 counts" (3, 36, 0) counts;
+  check_golden "v2" ~expected:"0a080684010a04" ~pages:[ 2; 36; 37 ] v2;
+  (* v3: 5 runs z2 d1 z33 c2 z1, words pages<<2|tag, the cached run
+     followed by its two 8-byte page hashes *)
+  let counts, v3 = encode Codec.V3 in
+  Alcotest.(check (triple int int int)) "v3 counts" (1, 36, 2) counts;
+  check_golden "v3"
+    ~expected:("0a100a880214" ^ "e6f287f34da5823d" ^ "6b4960cf86fff916" ^ "08")
+    ~pages:[ 2 ] v3;
+  (* both decode back to the same memory *)
+  List.iter
+    (fun (version, buf) ->
+      let dst = As.create ~node:1 () in
+      As.mmap dst ~addr ~size;
+      let restore ~addr:a ~hash =
+        hash = As.page_hash space a
+        && (As.store_bytes dst a (As.load_bytes space a page);
+            true)
+      in
+      let _, missing = Codec.decode_range (Packet.unpacker buf) version dst ~addr ~size ~restore in
+      Alcotest.(check int) "nothing missing" 0 (List.length missing);
+      Alcotest.(check bytes)
+        (Codec.version_name version ^ " range identical")
+        (As.load_bytes space addr size) (As.load_bytes dst addr size))
+    [ (Codec.V2, v2); (Codec.V3, v3) ]
 
 (* -- the group pipeline -- *)
 
@@ -284,11 +354,11 @@ let tests =
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
     Alcotest.test_case "varint compactness" `Quick test_varint_compact;
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
-    Alcotest.test_case "bare buffer is v1" `Quick test_bare_buffer_is_v1;
+    Alcotest.test_case "bare buffer is rejected" `Quick test_bare_buffer_rejected;
     Alcotest.test_case "truncated frame rejected" `Quick test_truncated_frame_rejected;
-    Alcotest.test_case "single-thread image still v1" `Quick test_single_thread_image_still_v1;
     Alcotest.test_case "manifest classifies runs" `Quick test_manifest_classifies_runs;
     Alcotest.test_case "range roundtrip elides zeros" `Quick test_range_roundtrip_elides_zeros;
+    Alcotest.test_case "range golden wire bytes" `Quick test_range_golden_bytes;
     Alcotest.test_case "group migration moves everyone" `Quick test_group_migration;
     Alcotest.test_case "group beats sequential on the wire" `Quick
       test_group_beats_sequential_wire;

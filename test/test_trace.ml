@@ -107,10 +107,10 @@ let test_codec_frame_trace_roundtrip () =
   (match Codec.decode_traced (Codec.frame ~trace:(42, 7) Codec.V3 payload) with
    | Ok (Codec.V3, Some (42, 7), p) -> Alcotest.(check bytes) "payload" payload p
    | _ -> Alcotest.fail "traced v3 frame did not decode");
-  (* the plain parse path ignores (but accepts) the context *)
-  (match Codec.parse (Codec.frame ~trace:(42, 7) Codec.V2 payload) with
+  (* the plain decode path ignores (but accepts) the context *)
+  (match Codec.decode (Codec.frame ~trace:(42, 7) Codec.V2 payload) with
    | Ok (Codec.V2, p) -> Alcotest.(check bytes) "v2 payload" payload p
-   | _ -> Alcotest.fail "traced v2 frame did not parse");
+   | _ -> Alcotest.fail "traced v2 frame did not decode");
   (* untraced frames carry no context — and therefore no extra bytes *)
   (match Codec.decode_traced (Codec.frame Codec.V3 payload) with
    | Ok (Codec.V3, None, _) -> ()
@@ -119,8 +119,10 @@ let test_codec_frame_trace_roundtrip () =
     (Bytes.length (Codec.frame ~trace:(1, 2) Codec.V3 payload)
      - Bytes.length (Codec.frame Codec.V3 payload));
   (* a "traced v1" version word (9) is not a thing the encoder can emit
-     for real traffic — it must keep failing as the corruption it is *)
-  match Codec.decode_traced (Codec.frame ~trace:(1, 2) Codec.V1 payload) with
+     — it must keep failing as the corruption it is *)
+  let traced_v1 = Codec.frame ~trace:(1, 2) Codec.V2 payload in
+  Bytes.set traced_v1 8 '\x09';
+  match Codec.decode_traced traced_v1 with
   | Error (Codec.Bad_version 9) -> ()
   | _ -> Alcotest.fail "traced v1 frame accepted"
 

@@ -242,6 +242,290 @@ let prop_word_roundtrip =
        As.store_word sp addr v;
        As.load_word sp addr = v)
 
+(* -- model test: the page table against a naive reference --
+
+   The reference allocates every page eagerly, keeps one dirty epoch per
+   page and memoizes nothing. Random operation sequences run on both
+   over a window of [window] pages; after each operation the two must
+   agree on every observation, and [resident_pages] must stay within the
+   pages the reference saw touched. *)
+
+module Model = struct
+  type page = { bytes : Bytes.t; mutable stored : int; mutable touched : bool }
+
+  type t = { pages : (int, page) Hashtbl.t; mutable epoch : int }
+
+  exception Segv
+
+  let create () = { pages = Hashtbl.create 16; epoch = 0 }
+
+  let pg = Layout.page_size
+
+  let find m a =
+    match Hashtbl.find_opt m.pages (a / pg) with
+    | Some r -> r
+    | None -> raise Segv
+
+  (* An access to [len] bytes at [a] may allocate any mapped page it
+     spans, whichever byte faults first. *)
+  let touch m a len =
+    for p = a / pg to (a + max len 1 - 1) / pg do
+      Option.iter (fun r -> r.touched <- true) (Hashtbl.find_opt m.pages p)
+    done
+
+  let load m a = Bytes.get (find m a).bytes (a mod pg)
+
+  let store m a c =
+    let r = find m a in
+    r.stored <- m.epoch;
+    Bytes.set r.bytes (a mod pg) c
+
+  let pages_of ~addr ~size = List.init (size / pg) (fun i -> (addr / pg) + i)
+
+  let mmap m ~addr ~size =
+    let ps = pages_of ~addr ~size in
+    if List.exists (Hashtbl.mem m.pages) ps then invalid_arg "mapped";
+    List.iter
+      (fun p ->
+        Hashtbl.replace m.pages p { bytes = Bytes.make pg '\000'; stored = -1; touched = false })
+      ps
+
+  let munmap m ~addr ~size =
+    let ps = pages_of ~addr ~size in
+    if not (List.for_all (Hashtbl.mem m.pages) ps) then invalid_arg "unmapped";
+    List.iter (Hashtbl.remove m.pages) ps
+
+  let scrub m ~addr ~size =
+    List.fold_left
+      (fun n p ->
+        if Hashtbl.mem m.pages p then begin
+          Hashtbl.remove m.pages p;
+          n + 1
+        end
+        else n)
+      0 (pages_of ~addr ~size)
+end
+
+let window = 8
+let page = Layout.page_size
+let window_base = 0x10000
+
+type op =
+  | Mmap of int * int (* first page of the window, page count *)
+  | Munmap of int * int
+  | Scrub of int * int
+  | Store_word of int * int (* window offset, value *)
+  | Fill of int * int * int (* window offset, length, byte *)
+  | Store_sub of int * string (* window offset, bytes *)
+  | Load_into of int * int (* window offset, length *)
+  | Load_word of int
+  | Advance_epoch
+  | Page_hash of int (* page of the window *)
+  | Raw_write of int * int (* window offset, byte: page_for_write + Bytes.set *)
+
+let show_op = function
+  | Mmap (p, n) -> Printf.sprintf "mmap %d+%d" p n
+  | Munmap (p, n) -> Printf.sprintf "munmap %d+%d" p n
+  | Scrub (p, n) -> Printf.sprintf "scrub %d+%d" p n
+  | Store_word (o, v) -> Printf.sprintf "store_word %#x %d" o v
+  | Fill (o, n, b) -> Printf.sprintf "fill %#x %d %d" o n b
+  | Store_sub (o, b) ->
+    Printf.sprintf "store_sub %#x %d %s" o (String.length b)
+      (if String.for_all (( = ) '\000') b then "zeros" else "data")
+  | Load_into (o, n) -> Printf.sprintf "load_into %#x %d" o n
+  | Load_word o -> Printf.sprintf "load_word %#x" o
+  | Advance_epoch -> "advance_epoch"
+  | Page_hash p -> Printf.sprintf "page_hash %d" p
+  | Raw_write (o, b) -> Printf.sprintf "raw_write %#x %d" o b
+
+let gen_op =
+  let open QCheck2.Gen in
+  let page_no = int_range 0 (window - 1) in
+  (* offsets cluster at page edges, where words straddle and chunks split *)
+  let offset =
+    oneof
+      [
+        int_range 0 ((window * page) - 1);
+        map2 (fun p o -> (p * page) + o) page_no (oneofl [ 0; 8; 4088; 4092; 4095 ]);
+      ]
+  in
+  let length = oneof [ int_range 0 64; int_range 0 (3 * page) ] in
+  let run = map2 (fun p n -> (p, n)) page_no (int_range 1 3) in
+  frequency
+    [
+      (3, map (fun (p, n) -> Mmap (p, n)) run);
+      (1, map (fun (p, n) -> Munmap (p, n)) run);
+      (1, map (fun (p, n) -> Scrub (p, n)) run);
+      (3, map2 (fun o v -> Store_word (o, v)) offset int);
+      (2, map3 (fun o n b -> Fill (o, n, b)) offset length (int_range 0 255));
+      ( 3,
+        map3
+          (fun o n zeros ->
+            Store_sub (o, if zeros then String.make n '\000' else String.init n (fun i -> Char.chr (1 + (i mod 255)))))
+          offset length bool );
+      (2, map2 (fun o n -> Load_into (o, n)) offset length);
+      (2, map (fun o -> Load_word o) offset);
+      (1, pure Advance_epoch);
+      (1, map (fun p -> Page_hash p) page_no);
+      (2, map2 (fun o b -> Raw_write (o, b)) offset (int_range 0 255));
+    ]
+
+type outcome = Unit | Int of int | Str of string | Segv | Invalid
+
+let outcome f =
+  match f () with
+  | r -> r
+  | exception (As.Segfault _ | Model.Segv) -> Segv
+  | exception Invalid_argument _ -> Invalid
+
+let show_outcome = function
+  | Unit -> "()"
+  | Int n -> string_of_int n
+  | Str s -> Printf.sprintf "%d bytes" (String.length s)
+  | Segv -> "segfault"
+  | Invalid -> "invalid_argument"
+
+let run_real sp op =
+  let a o = window_base + o in
+  let range p n = (window_base + (p * page), n * page) in
+  outcome (fun () ->
+      match op with
+      | Mmap (p, n) ->
+        let addr, size = range p n in
+        As.mmap sp ~addr ~size;
+        Unit
+      | Munmap (p, n) ->
+        let addr, size = range p n in
+        As.munmap sp ~addr ~size;
+        Unit
+      | Scrub (p, n) ->
+        let addr, size = range p n in
+        Int (As.scrub_range sp ~addr ~size)
+      | Store_word (o, v) ->
+        As.store_word sp (a o) v;
+        Unit
+      | Fill (o, n, b) ->
+        As.fill sp ~addr:(a o) ~size:n b;
+        Unit
+      | Store_sub (o, b) ->
+        let buf = Bytes.of_string ("pad" ^ b) in
+        As.store_sub sp (a o) buf ~pos:3 ~len:(String.length b);
+        Unit
+      | Load_into (o, n) ->
+        let dst = Bytes.make (n + 2) 'x' in
+        As.load_into sp ~addr:(a o) ~len:n dst ~pos:1;
+        Str (Bytes.to_string dst)
+      | Load_word o -> Int (As.load_word sp (a o))
+      | Advance_epoch ->
+        As.advance_epoch sp;
+        Unit
+      | Page_hash p -> Int (As.page_hash sp (window_base + (p * page)))
+      | Raw_write (o, b) ->
+        let bytes = As.page_for_write sp (a o) in
+        Bytes.set bytes ((a o) land (page - 1)) (Char.chr b);
+        Unit)
+
+let run_model m op =
+  let a o = window_base + o in
+  let range p n = (window_base + (p * page), n * page) in
+  let store_all addr s = String.iteri (fun i c -> Model.store m (addr + i) c) s in
+  (match op with
+   | Store_word (o, _) | Load_word o -> Model.touch m (a o) 8
+   | Fill (o, n, _) | Load_into (o, n) -> Model.touch m (a o) n
+   | Store_sub (o, b) -> Model.touch m (a o) (String.length b)
+   | Raw_write (o, _) -> Model.touch m (a o) 1
+   | Mmap _ | Munmap _ | Scrub _ | Advance_epoch | Page_hash _ -> ());
+  outcome (fun () ->
+      match op with
+      | Mmap (p, n) ->
+        let addr, size = range p n in
+        Model.mmap m ~addr ~size;
+        Unit
+      | Munmap (p, n) ->
+        let addr, size = range p n in
+        Model.munmap m ~addr ~size;
+        Unit
+      | Scrub (p, n) ->
+        let addr, size = range p n in
+        Int (Model.scrub m ~addr ~size)
+      | Store_word (o, v) ->
+        let w = Bytes.create 8 in
+        Bytes.set_int64_le w 0 (Int64.of_int v);
+        store_all (a o) (Bytes.to_string w);
+        Unit
+      | Fill (o, n, b) ->
+        store_all (a o) (String.make n (Char.chr b));
+        Unit
+      | Store_sub (o, b) ->
+        store_all (a o) b;
+        Unit
+      | Load_into (o, n) ->
+        Str ("x" ^ String.init n (fun i -> Model.load m (a o + i)) ^ "x")
+      | Load_word o ->
+        let w = Bytes.init 8 (fun i -> Model.load m (a o + i)) in
+        Int (Int64.to_int (Bytes.get_int64_le w 0))
+      | Advance_epoch ->
+        m.Model.epoch <- m.Model.epoch + 1;
+        Unit
+      | Page_hash p ->
+        let r = Model.find m (window_base + (p * page)) in
+        Int (As.page_bytes_hash r.Model.bytes)
+      | Raw_write (o, b) ->
+        Model.store m (a o) (Char.chr b);
+        Unit)
+
+(* Every observation of the page table agrees with the reference. The
+   observers used here allocate no page, so untouched pages stay
+   untouched across checks. *)
+let agree sp m =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  if As.mapped_pages sp <> Hashtbl.length m.Model.pages then fail "mapped_pages";
+  if As.epoch sp <> m.Model.epoch then fail "epoch";
+  let current r = m.Model.epoch > 0 && r.Model.stored = m.Model.epoch in
+  for p = 0 to window - 1 do
+    let addr = window_base + (p * page) in
+    match Hashtbl.find_opt m.Model.pages (addr / page) with
+    | None ->
+      if As.is_mapped sp addr then fail "page %d mapped" p;
+      if As.page_dirty sp addr then fail "unmapped page %d dirty" p;
+      if As.dirty_in_epoch sp ~addr ~size:page <> 0 then fail "unmapped page %d hot" p
+    | Some r ->
+      if not (As.is_mapped sp addr) then fail "page %d not mapped" p;
+      if As.page_dirty sp addr <> (r.Model.stored >= 0) then fail "page_dirty %d" p;
+      if As.page_is_zero sp addr <> Bytes.for_all (( = ) '\000') r.Model.bytes then
+        fail "page_is_zero %d" p;
+      if As.page_hash sp addr <> As.page_bytes_hash r.Model.bytes then fail "page_hash %d" p;
+      if As.dirty_in_epoch sp ~addr ~size:page <> Bool.to_int (current r) then
+        fail "dirty_in_epoch %d" p
+  done;
+  let in_window p = p >= window_base / page && p < (window_base / page) + window in
+  let hot =
+    Hashtbl.fold (fun p r n -> n + Bool.to_int (in_window p && current r)) m.Model.pages 0
+  in
+  if As.dirty_in_epoch sp ~addr:window_base ~size:(window * page) <> hot then
+    fail "dirty_in_epoch over the window";
+  let touched = Hashtbl.fold (fun _ r n -> n + Bool.to_int r.Model.touched) m.Model.pages 0 in
+  if As.resident_pages sp > touched then
+    fail "resident_pages %d > %d touched" (As.resident_pages sp) touched
+
+let prop_page_table_model =
+  QCheck2.Test.make ~name:"page table agrees with the eager reference" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck2.Gen.(list_size (int_range 1 60) gen_op)
+    (fun ops ->
+      let sp = space () and m = Model.create () in
+      List.iteri
+        (fun i op ->
+          let real = run_real sp op and model = run_model m op in
+          if real <> model then
+            QCheck2.Test.fail_reportf "step %d (%s): got %s, reference %s" i (show_op op)
+              (show_outcome real) (show_outcome model);
+          try agree sp m
+          with Failure what ->
+            QCheck2.Test.fail_reportf "step %d (%s): %s disagrees" i (show_op op) what)
+        ops;
+      true)
+
 let tests =
   [
     Alcotest.test_case "layout constants (Fig. 5)" `Quick test_layout_constants;
@@ -265,4 +549,5 @@ let tests =
     Alcotest.test_case "fill and copy_within" `Quick test_fill_and_copy;
     Alcotest.test_case "blit across spaces" `Quick test_blit_across_spaces;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
+    QCheck_alcotest.to_alcotest prop_page_table_model;
   ]
