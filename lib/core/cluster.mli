@@ -122,9 +122,6 @@ val node_load : t -> int -> int
     @raise Not_found on an unknown entry name. *)
 val spawn : t -> node:int -> entry:string -> ?arg:int -> unit -> Thread.t
 
-(** [spawn_pc] is [spawn] with a raw program counter (used by [Sys_spawn]). *)
-val spawn_pc : t -> node:int -> pc:int -> arg:int -> Thread.t
-
 val thread : t -> int -> Thread.t
 (** Lookup by id. @raise Not_found. *)
 
@@ -356,8 +353,9 @@ val aborted_migrations : t -> int
 (** Threads whose migration aborted (destination rejection, unreachable
     peer, checksum failure) and that resumed on their source node: each
     member a group abort hands back counts once, for a group of one as
-    for a larger group, with delta migration on or off. A direct hop
-    whose image lands after its source crashed counts here too. *)
+    for a larger group, with delta migration on or off. A migration
+    whose source crashed mid-flight never resumes there: crash recovery
+    owns its threads, and none counts here. *)
 
 (** [node_alive t i] — false while node [i]'s network interface is down
     under the fault plan (local compute continues; packets to or from the

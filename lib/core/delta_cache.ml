@@ -51,7 +51,6 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let image_bytes t = t.total_bytes
 let images t = Hashtbl.length t.images
 
 let drop_image t ~tid =

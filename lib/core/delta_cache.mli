@@ -75,9 +75,6 @@ val drop_peer : t -> peer:int -> int
     declared dead, so it retains nothing. Advisory state only (images are
     untouched); returns the number of entries dropped. *)
 
-val image_bytes : t -> int
-(** Total bytes of retained images (pinned included). *)
-
 val images : t -> int
 (** Number of retained images. *)
 

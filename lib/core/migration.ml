@@ -450,10 +450,9 @@ type group_unpacked = {
 
 let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
     ?(restore = fun ~tid:_ ~addr:_ ~hash:_ -> false) ~cost ~space ~lookup buffer =
-  match Codec.decode_traced buffer with
+  match Codec.decode buffer with
   | Error e -> invalid_arg ("Migration.unpack_group: " ^ Codec.error_to_string e)
-  | Ok (version, u_trace, payload) ->
-    let u = Pk.unpacker payload in
+  | Ok (version, u_trace, u) ->
     let gid = Pk.unpack_varint u in
     let members = Pk.unpack_varint u in
     if members <= 0 then invalid_arg "Migration.unpack_group: empty group";

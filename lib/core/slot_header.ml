@@ -47,7 +47,6 @@ let read_kind sp base =
   | k -> failwith (Printf.sprintf "Slot_header: bad kind %d at 0x%x" k base)
 
 let read_owner sp base = As.load_word sp (base + off_owner)
-let write_owner sp base v = As.store_word sp (base + off_owner) v
 
 let blocks_base base = base + size_of_header
 

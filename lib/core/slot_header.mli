@@ -48,7 +48,6 @@ val read_free_head : space -> addr -> addr
 val write_free_head : space -> addr -> addr -> unit
 val read_kind : space -> addr -> kind
 val read_owner : space -> addr -> int
-val write_owner : space -> addr -> int -> unit
 
 (** [blocks_base base] is the address of the first block. *)
 val blocks_base : addr -> addr

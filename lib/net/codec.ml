@@ -49,9 +49,9 @@ let error_to_string = function
   | Bad_version v -> Printf.sprintf "unknown frame version %d" v
   | Bad_manifest m -> "bad manifest: " ^ m
 
-(* [decode_traced] additionally surfaces the frame's trace context (if
-   any) for destination-side span parenting. *)
-let decode_traced buf =
+(* The payload is the frame's last field, so an unpacker positioned at
+   its start has exactly its bounds: the payload is read where it lies. *)
+let decode buf =
   try
     let u = Packet.unpacker buf in
     if Packet.unpack_int u <> frame_magic then Error (Bad_manifest "no frame magic")
@@ -68,16 +68,12 @@ let decode_traced buf =
           end
           else None
         in
-        let payload = Packet.unpack_bytes u in
-        if Packet.remaining u <> 0 then
+        let len = Packet.unpack_int u in
+        if len < 0 || len > Packet.remaining u then Error (Bad_manifest "truncated frame")
+        else if len < Packet.remaining u then
           Error (Bad_manifest "trailing bytes after frame")
-        else Ok (version, trace, payload)
+        else Ok (version, trace, u)
   with Invalid_argument e -> Error (Bad_manifest e)
-
-let decode buf =
-  match decode_traced buf with
-  | Ok (version, _, payload) -> Ok (version, payload)
-  | Error e -> Error e
 
 (* {1 Page ranges}
 

@@ -62,16 +62,15 @@ type error =
 
 val error_to_string : error -> string
 
-(** [decode buf] splits a frame into its version and payload. Errors on
-    a missing frame magic, unknown versions (a version word other than
-    2 or 3, with or without the trace flag), truncation and trailing
-    garbage. *)
-val decode : Bytes.t -> (version * Bytes.t, error) result
-
-(** [decode_traced buf] is {!decode} plus the frame's trace context (if
-    the trace flag is set) — what the destination parents its spans
-    through. Untraced frames yield [None]. *)
-val decode_traced : Bytes.t -> (version * (int * int) option * Bytes.t, error) result
+(** [decode buf] opens a frame: its version, its trace context if the
+    trace flag is set (what the destination parents its spans through;
+    [None] for untraced frames), and an unpacker over the payload in
+    place — it aliases [buf], copies nothing and ends where the payload
+    ends. Errors on a missing frame magic, unknown versions (a version
+    word other than 2 or 3, with or without the trace flag), truncation
+    and trailing garbage. *)
+val decode :
+  Bytes.t -> (version * (int * int) option * Packet.unpacker, error) result
 
 (** {1 Page ranges} *)
 

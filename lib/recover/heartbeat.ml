@@ -12,7 +12,6 @@ type verdict = Alive | Suspected | Dead
 
 type peer = {
   mutable last : float; (* virtual time of the last beacon *)
-  mutable gen : int; (* sender incarnation carried by that beacon *)
   mutable scale : float; (* per-peer backoff multiplier, >= 1 *)
   mutable suspected : bool; (* currently past the suspicion threshold *)
 }
@@ -37,18 +36,17 @@ let create ?(suspect_after = 3) ?(dead_after = 8) ~nodes ~interval ~now () =
     max_scale = 8.;
     peers =
       Array.init nodes (fun _ ->
-          { last = now; gen = 0; scale = 1.; suspected = false });
+          { last = now; scale = 1.; suspected = false });
   }
 
-let heard t ~node ~gen ~now =
+let heard t ~node ~now =
   let p = t.peers.(node) in
   if p.suspected then begin
     (* False suspicion: the peer was merely slow. Back off. *)
     p.scale <- Float.min (p.scale *. 2.) t.max_scale;
     p.suspected <- false
   end;
-  p.last <- Float.max p.last now;
-  p.gen <- gen
+  p.last <- Float.max p.last now
 
 (* A restart (or initial baseline) resets the silence clock without
    touching the backoff scale. *)
@@ -56,8 +54,6 @@ let reset t ~node ~now =
   let p = t.peers.(node) in
   p.last <- now;
   p.suspected <- false
-
-let generation t ~node = t.peers.(node).gen
 
 let verdict t ~node ~now =
   let p = t.peers.(node) in
@@ -68,7 +64,3 @@ let verdict t ~node ~now =
     Suspected
   end
   else Alive
-
-(* Bounded detection: a dead peer is declared within this much virtual
-   time of its last beacon, even at maximal backoff. *)
-let detection_bound t = t.interval *. float_of_int t.dead_after *. t.max_scale

@@ -6,8 +6,8 @@
     monitor tick. Silence past [suspect_after] beacon intervals yields
     [Suspected]; past [dead_after] intervals, [Dead]. A suspected peer
     that proves alive doubles its personal threshold scale (capped at
-    8x) — exponential backoff against flapping — so detection time stays
-    bounded by {!detection_bound}. *)
+    8x) — exponential backoff against flapping — so a dead peer is
+    declared within [interval * dead_after * 8] of its last beacon. *)
 
 type verdict = Alive | Suspected | Dead
 
@@ -22,19 +22,12 @@ val create :
   ?suspect_after:int -> ?dead_after:int -> nodes:int -> interval:float -> now:float ->
   unit -> t
 
-(** A beacon from [node] (incarnation [gen]) arrived at [now]. Clears any
-    standing suspicion, doubling the peer's backoff scale. *)
-val heard : t -> node:int -> gen:int -> now:float -> unit
+(** A beacon from [node] arrived at [now]. Clears any standing
+    suspicion, doubling the peer's backoff scale. *)
+val heard : t -> node:int -> now:float -> unit
 
 (** Re-baseline [node] as just-heard (observed restart), keeping its
     backoff scale. *)
 val reset : t -> node:int -> now:float -> unit
 
-val generation : t -> node:int -> int
-(** The incarnation number carried by [node]'s last beacon. *)
-
 val verdict : t -> node:int -> now:float -> verdict
-
-val detection_bound : t -> float
-(** Worst-case virtual time from a peer's last beacon to a [Dead]
-    verdict, at maximal backoff. *)

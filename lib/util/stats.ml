@@ -50,10 +50,6 @@ let summarize xs =
       p95 = percentile 95. xs;
     }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f med=%.2f p95=%.2f max=%.2f"
-    s.n s.mean s.stddev s.min s.median s.p95 s.max
-
 module Histogram = struct
   type t = {
     bounds : float array; (* ascending upper bounds; last bucket is overflow *)

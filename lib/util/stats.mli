@@ -21,8 +21,6 @@ val stddev : float list -> float
     sorted samples. *)
 val percentile : float -> float list -> float
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Fixed-bucket latency/size histogram for the metrics registry: constant
     memory, O(log buckets) insertion, mergeable across nodes. Percentiles
     are bucket-resolution estimates (upper bound of the covering bucket,

@@ -13,6 +13,3 @@ let us_to_string us =
   if us < 1000. then Printf.sprintf "%.1f us" us
   else if us < 1_000_000. then Printf.sprintf "%.2f ms" (us /. 1000.)
   else Printf.sprintf "%.3f s" (us /. 1_000_000.)
-
-let pp_bytes ppf n = Format.pp_print_string ppf (bytes_to_string n)
-let pp_us ppf us = Format.pp_print_string ppf (us_to_string us)

@@ -8,11 +8,8 @@ val mib : int -> int
 
 val gib : int -> int
 
-val pp_bytes : Format.formatter -> int -> unit
+val bytes_to_string : int -> string
 (** Human-friendly byte count: ["64 KB"], ["3.5 GB"], ... *)
 
-val pp_us : Format.formatter -> float -> unit
-(** Microseconds with adaptive precision: ["74.3 us"], ["1.25 ms"]. *)
-
-val bytes_to_string : int -> string
 val us_to_string : float -> string
+(** Microseconds with adaptive precision: ["74.3 us"], ["1.25 ms"]. *)

@@ -2,8 +2,6 @@ type addr = Layout.addr
 
 exception Segfault of { addr : addr; node : int; what : string }
 
-let word_size = 8
-
 (* Everything recorded about one mapped page. [data] is the [untouched]
    sentinel until the page is first read or written through a page
    handle; [stored] is the epoch of the last store, or [-1] if no store
@@ -388,7 +386,6 @@ let load_into t ~addr ~len dst ~pos =
     done_ := !done_ + chunk
   done
 
-let load_string t a len = Bytes.to_string (load_bytes t a len)
 
 let load_cstring t a =
   let buf = Buffer.create 32 in

@@ -20,9 +20,6 @@ type addr = Layout.addr
 
 exception Segfault of { addr : addr; node : int; what : string }
 
-val word_size : int
-(** 8 bytes. *)
-
 (** [create ~node ()] is an empty address space; [node] tags segfault
     reports. *)
 val create : node:int -> unit -> t
@@ -174,8 +171,6 @@ val store_sub : t -> addr -> Bytes.t -> pos:int -> len:int -> unit
     @raise Segfault on unmapped access.
     @raise Invalid_argument if the region falls outside [dst]. *)
 val load_into : t -> addr:addr -> len:int -> Bytes.t -> pos:int -> unit
-
-val load_string : t -> addr -> int -> string
 
 (** [load_cstring t addr] reads a NUL-terminated string (bounded at 4 KB to
     keep runaway reads from looping forever). *)

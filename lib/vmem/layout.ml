@@ -28,5 +28,3 @@ let is_page_aligned a = a land (page_size - 1) = 0
 
 let in_iso_area a = a >= iso_base && a < iso_base + iso_size
 let in_heap a = a >= heap_base && a < heap_base + heap_max_size
-
-let pp_addr ppf a = Format.fprintf ppf "0x%x" a

@@ -49,6 +49,3 @@ val is_page_aligned : addr -> bool
 
 val in_iso_area : addr -> bool
 val in_heap : addr -> bool
-
-val pp_addr : Format.formatter -> addr -> unit
-(** Hex rendering ["0x20001000"]. *)

@@ -45,14 +45,34 @@ let test_varint_compact () =
 
 (* -- framing -- *)
 
+(* The rest of an opened frame, copied out for comparison. *)
+let payload_of u =
+  let len = Packet.remaining u in
+  let data, pos = Packet.unpack_take u len in
+  Bytes.sub data pos len
+
 let test_frame_roundtrip () =
   let payload = Bytes.of_string "group image bytes" in
   List.iter
     (fun v ->
       match Codec.decode (Codec.frame v payload) with
-      | Ok (v', p) when v' = v -> Alcotest.(check bytes) (Codec.version_name v) payload p
+      | Ok (v', None, u) when v' = v ->
+        Alcotest.(check bytes) (Codec.version_name v) payload (payload_of u)
       | _ -> Alcotest.failf "%s frame did not decode" (Codec.version_name v))
     [ Codec.V2; Codec.V3 ]
+
+let test_decode_in_place () =
+  (* Opening a frame reads its header and hands back an unpacker over
+     the payload where it lies: no copy of a 64 KB image. *)
+  let size = 64 * 1024 in
+  let frame = Codec.frame Codec.V3 (Bytes.make size 'x') in
+  let before = Gc.allocated_bytes () in
+  let opened = Codec.decode frame in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match opened with
+   | Ok (Codec.V3, None, u) -> Alcotest.(check int) "payload bounds" size (Packet.remaining u)
+   | _ -> Alcotest.fail "frame did not decode");
+  if allocated >= 1024. then Alcotest.failf "opening the frame allocated %.0f bytes" allocated
 
 let test_bare_buffer_rejected () =
   (* A buffer without the frame magic is not a codec image: neither a
@@ -354,6 +374,7 @@ let tests =
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
     Alcotest.test_case "varint compactness" `Quick test_varint_compact;
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
+    Alcotest.test_case "frame opens in place" `Quick test_decode_in_place;
     Alcotest.test_case "bare buffer is rejected" `Quick test_bare_buffer_rejected;
     Alcotest.test_case "truncated frame rejected" `Quick test_truncated_frame_rejected;
     Alcotest.test_case "manifest classifies runs" `Quick test_manifest_classifies_runs;

@@ -148,16 +148,21 @@ let test_store_rejects_garbage () =
 
 (* -- checkpointing and failover, end to end -- *)
 
-let run_cluster ?(nodes = 2) ?faults ?(interval = 0.) ?sinks ~entry ~arg () =
-  let fault_plan = Option.map (fun s -> Plan.create ~seed:7 (spec_of s)) faults in
+let run_timed ?(nodes = 2) ?(seed = 7) ?faults ?(interval = 0.) ?sinks ?scheme
+    ?net_max_attempts ~entry ~arg () =
+  let fault_plan = Option.map (fun s -> Plan.create ~seed (spec_of s)) faults in
   let config =
-    Pm2.Config.make ~nodes ?fault_plan ~checkpoint_interval:interval ?sinks ()
+    Pm2.Config.make ~nodes ?scheme ?fault_plan ~checkpoint_interval:interval ?sinks
+      ?net_max_attempts ()
   in
   let c = Cluster.create config program in
   ignore (Cluster.spawn c ~node:0 ~entry ~arg ());
-  ignore (Cluster.run c);
+  let makespan = Cluster.run c in
   Cluster.check_invariants c;
-  c
+  (c, makespan)
+
+let run_cluster ?nodes ?faults ?interval ?sinks ~entry ~arg () =
+  fst (run_timed ?nodes ?faults ?interval ?sinks ~entry ~arg ())
 
 let lines c = Pm2_sim.Trace.lines (Cluster.trace c)
 
@@ -237,6 +242,55 @@ let test_graceful_degradation_without_checkpoints () =
   let th = List.hd (Cluster.threads c) in
   Alcotest.(check bool) "thread exited killed" true
     (th.Thread.state = Thread.Exited Thread.Killed)
+
+(* The crash lands while the thread's migration is in flight: the
+   pipeline that froze it must hand it to recovery without counting it
+   as an aborted migration (it never resumes on its source) and without
+   committing the late image. Seed 1 and 6 attempts, as in the bench's
+   crash sweep. *)
+let crash_in_flight ?scheme ~faults ~entry ~arg () =
+  run_timed ~seed:1 ?scheme ~faults ~interval:150. ~net_max_attempts:6 ~entry ~arg ()
+
+let test_direct_hop_abandoned_on_crash () =
+  (* The relocating scheme always takes the direct hop; node 0 crashes
+     between the freeze and the image's arrival on node 1. *)
+  let c, _ =
+    crash_in_flight ~scheme:Cluster.Relocating ~faults:"crash=0@5" ~entry:"pingpong"
+      ~arg:1 ()
+  in
+  Alcotest.(check int) "not an aborted migration" 0 (Cluster.aborted_migrations c);
+  Alcotest.(check int) "never committed" 0 (List.length (Cluster.migrations c));
+  (match Pm2.lost_threads c with
+   | [ Pm2.Error.Lost { node = 0; _ } ] -> ()
+   | _ -> Alcotest.fail "expected exactly one typed Lost error");
+  let th = List.hd (Cluster.threads c) in
+  Alcotest.(check bool) "thread exited killed" true
+    (th.Thread.state = Thread.Exited Thread.Killed)
+
+let test_group_of_one_crash_mid_migration () =
+  (* Under a fault plan the lone thread rides the group pipeline as a
+     group of one; node 0 crashes while its group is in flight. The group
+     is abandoned, the thread restored from its checkpoint, and the guest
+     output matches the fault-free run's once the lines that observe
+     placement or the protocol are set aside. *)
+  let guest_lines c =
+    List.filter
+      (fun l ->
+        not
+          (List.exists
+             (fun p -> String.starts_with ~prefix:p l)
+             [ "Initializing"; "Arrived"; "migration"; "group migration" ]))
+      (List.map strip_node (lines c))
+  in
+  let base, _ = crash_in_flight ~faults:"" ~entry:"fig7" ~arg:105 () in
+  let c, makespan = crash_in_flight ~faults:"crash=0@2900" ~entry:"fig7" ~arg:105 () in
+  Alcotest.(check int) "group abandoned" 1 (Cluster.aborted_groups c);
+  Alcotest.(check int) "restored from its checkpoint" 1 (Cluster.restored_threads c);
+  Alcotest.(check int) "not an aborted migration" 0 (Cluster.aborted_migrations c);
+  Alcotest.(check int) "never committed" 0 (List.length (Cluster.migrations c));
+  Alcotest.(check string) "makespan" "22953.4" (Printf.sprintf "%.1f" makespan);
+  Alcotest.(check (list string)) "guest output of the fault-free run" (guest_lines base)
+    (guest_lines c)
 
 (* A guest with the access pattern checkpointing is built for: a block of
    iso pages written once up front, then a long compute phase that
@@ -354,6 +408,10 @@ let tests =
     Alcotest.test_case "cold start after restart" `Quick test_cold_start_after_restart;
     Alcotest.test_case "graceful degradation without checkpoints" `Quick
       test_graceful_degradation_without_checkpoints;
+    Alcotest.test_case "abandoned direct hop is not an abort" `Quick
+      test_direct_hop_abandoned_on_crash;
+    Alcotest.test_case "crash during a group-of-one migration" `Quick
+      test_group_of_one_crash_mid_migration;
     Alcotest.test_case "steady-state checkpoint dedup" `Quick
       test_steady_state_checkpoint_dedup;
     Alcotest.test_case "net attempt knobs" `Quick test_net_attempt_knobs;

@@ -104,15 +104,20 @@ let test_span_tree_shape () =
 
 let test_codec_frame_trace_roundtrip () =
   let payload = Bytes.of_string "delta image" in
-  (match Codec.decode_traced (Codec.frame ~trace:(42, 7) Codec.V3 payload) with
-   | Ok (Codec.V3, Some (42, 7), p) -> Alcotest.(check bytes) "payload" payload p
+  let payload_of u =
+    let len = Pm2_net.Packet.remaining u in
+    let data, pos = Pm2_net.Packet.unpack_take u len in
+    Bytes.sub data pos len
+  in
+  (match Codec.decode (Codec.frame ~trace:(42, 7) Codec.V3 payload) with
+   | Ok (Codec.V3, Some (42, 7), u) -> Alcotest.(check bytes) "payload" payload (payload_of u)
    | _ -> Alcotest.fail "traced v3 frame did not decode");
-  (* the plain decode path ignores (but accepts) the context *)
   (match Codec.decode (Codec.frame ~trace:(42, 7) Codec.V2 payload) with
-   | Ok (Codec.V2, p) -> Alcotest.(check bytes) "v2 payload" payload p
+   | Ok (Codec.V2, Some (42, 7), u) ->
+     Alcotest.(check bytes) "v2 payload" payload (payload_of u)
    | _ -> Alcotest.fail "traced v2 frame did not decode");
   (* untraced frames carry no context — and therefore no extra bytes *)
-  (match Codec.decode_traced (Codec.frame Codec.V3 payload) with
+  (match Codec.decode (Codec.frame Codec.V3 payload) with
    | Ok (Codec.V3, None, _) -> ()
    | _ -> Alcotest.fail "untraced frame grew a context");
   Alcotest.(check int) "context costs exactly two words" 16
@@ -122,7 +127,7 @@ let test_codec_frame_trace_roundtrip () =
      — it must keep failing as the corruption it is *)
   let traced_v1 = Codec.frame ~trace:(1, 2) Codec.V2 payload in
   Bytes.set traced_v1 8 '\x09';
-  match Codec.decode_traced traced_v1 with
+  match Codec.decode traced_v1 with
   | Error (Codec.Bad_version 9) -> ()
   | _ -> Alcotest.fail "traced v1 frame accepted"
 
