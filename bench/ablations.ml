@@ -9,7 +9,7 @@
    A5 slot size (§4.1: fixed at 64 KB so that thread creation is local). *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 module Stats = Pm2_util.Stats
 module Prng = Pm2_util.Prng
 

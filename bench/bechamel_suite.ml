@@ -22,7 +22,7 @@ open Bechamel
 open Toolkit
 open Pm2_core
 module Bitset = Pm2_util.Bitset
-module Bitset_ref = Pm2_util.Bitset_ref
+module Bitset_ref = Pm2_support.Bitset_ref
 
 (* Each staged function allocates and frees (or migrates back and forth),
    so the simulated state is in steady state across samples. *)
@@ -211,9 +211,9 @@ let record_rows rows =
     ]
 
 let print_rows rows =
-  let t = Pm2_util.Table.create [ "benchmark"; "ns/op (host)"; "r^2" ] in
-  List.iter (fun (name, ns, r2) -> Pm2_util.Table.add_rowf t "%s|%.0f|%.3f" name ns r2) rows;
-  Pm2_util.Table.print t
+  let t = Pm2_support.Table.create [ "benchmark"; "ns/op (host)"; "r^2" ] in
+  List.iter (fun (name, ns, r2) -> Pm2_support.Table.add_rowf t "%s|%.0f|%.3f" name ns r2) rows;
+  Pm2_support.Table.print t
 
 let full_tests () =
   [

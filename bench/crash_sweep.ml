@@ -10,7 +10,7 @@
 
 open Pm2_core
 module Plan = Pm2_fault.Plan
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 module Image_store = Pm2_recover.Image_store
 
 let seed = 1

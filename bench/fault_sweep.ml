@@ -10,7 +10,7 @@
 open Pm2_core
 module Plan = Pm2_fault.Plan
 module Reliable = Pm2_net.Reliable
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 
 let seed = 11
 

@@ -9,7 +9,7 @@
    and the overhead becomes insignificant for large requests. *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 
 let series ~id ~title ~sizes ~iters =
   Harness.section title;

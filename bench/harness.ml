@@ -2,7 +2,7 @@
    virtual-time measurement loops used to regenerate each paper figure. *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 module Units = Pm2_util.Units
 
 let program = lazy (Pm2_programs.Figures.image ())

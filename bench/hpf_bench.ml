@@ -8,7 +8,7 @@
 module Vp = Pm2_hpf.Virtual_processor
 module Balancer = Pm2_loadbal.Balancer
 module Cluster = Pm2_core.Cluster
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 
 let run () =
   Harness.section "HPF: virtual-processor load balancing (motivating application)";

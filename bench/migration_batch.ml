@@ -9,7 +9,7 @@
    the whole group rolls back atomically. *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 module As = Pm2_vmem.Address_space
 module Plan = Pm2_fault.Plan
 

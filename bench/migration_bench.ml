@@ -4,7 +4,7 @@
    null-thread migration of Active Threads. *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 module Stats = Pm2_util.Stats
 
 let active_threads_reference_us = 150.

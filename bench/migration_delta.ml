@@ -11,7 +11,7 @@
    fallback re-fetching it — commit, never a wrong image. *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 module As = Pm2_vmem.Address_space
 module Network = Pm2_net.Network
 

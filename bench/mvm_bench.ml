@@ -30,7 +30,7 @@ module Mvm_engine = Pm2_mvm.Engine
 module Program = Pm2_mvm.Program
 module As = Pm2_vmem.Address_space
 module Network = Pm2_net.Network
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 
 let stack_base = 0x100000
 

@@ -6,7 +6,7 @@
    measured by running a negotiation on a live cluster of each size. *)
 
 open Pm2_core
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 
 let scaling () =
   Harness.section "T2: slot negotiation cost vs cluster size";

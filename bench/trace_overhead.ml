@@ -31,7 +31,7 @@ module Balancer = Pm2_loadbal.Balancer
 module Engine = Pm2_sim.Engine
 module Network = Pm2_net.Network
 module Obs = Pm2_obs
-module Table = Pm2_util.Table
+module Table = Pm2_support.Table
 
 let page = Pm2_vmem.Layout.page_size
 let hot_threads = 8

@@ -29,19 +29,9 @@ let geometry env = Slot_manager.geometry env.mgr
 
 (* -- per-slot free lists (head in the slot header, links in the blocks) -- *)
 
-let sl_link_front env slot b =
-  let head = Sh.read_free_head env.space slot in
-  B.write_next_free env.space b head;
-  B.write_prev_free env.space b 0;
-  if head <> 0 then B.write_prev_free env.space head b;
-  Sh.write_free_head env.space slot b
-
-let sl_unlink env slot b =
-  let prev = B.read_prev_free env.space b in
-  let next = B.read_next_free env.space b in
-  if prev = 0 then Sh.write_free_head env.space slot next
-  else B.write_next_free env.space prev next;
-  if next <> 0 then B.write_prev_free env.space next prev
+(* Store the head a Blockfmt operation returned; the header word is
+   written only when the head moved. *)
+let set_head env slot ~was head = if head <> was then Sh.write_free_head env.space slot head
 
 (* -- slot acquisition -- *)
 
@@ -84,8 +74,8 @@ let new_data_slot env th ~slots:n ~kind =
      | Sh.Data ->
        (* One big free block spanning the whole blocks region. *)
        let b = Sh.blocks_base base in
-       B.write_tags env.space b ~size:(size - Sh.size_of_header) ~used:false;
-       sl_link_front env base b
+       Sh.write_free_head env.space base
+         (B.release env.space ~head:0 ~lo:b ~hi:(base + size) b ~size:(size - Sh.size_of_header))
      | Sh.Stack -> ());
     Some base
 
@@ -125,18 +115,11 @@ let find_fit env th need =
   !result
 
 let place env slot b need =
-  let bsize = B.read_size env.space b in
-  sl_unlink env slot b;
-  if bsize - need >= B.min_block then begin
-    let rest = b + need in
-    B.write_tags env.space rest ~size:(bsize - need) ~used:false;
-    sl_link_front env slot rest;
-    B.write_tags env.space b ~size:need ~used:true;
-    if Obs.Collector.enabled env.obs then
-      emit env
-        (Obs.Event.Block_split { heap = Obs.Event.Iso; addr = rest; bytes = bsize - need })
-  end
-  else B.write_tags env.space b ~size:bsize ~used:true;
+  let was = Sh.read_free_head env.space slot in
+  let head, rest = B.carve env.space ~head:was b ~need in
+  set_head env slot ~was head;
+  if rest > 0 && Obs.Collector.enabled env.obs then
+    emit env (Obs.Event.Block_split { heap = Obs.Event.Iso; addr = b + need; bytes = rest });
   B.payload_addr b
 
 let isomalloc env th size =
@@ -185,19 +168,19 @@ let containing_slot env th addr =
 (* Validate that [payload] designates a live block of [slot] by walking the
    block sequence (the authoritative structure, in simulated memory). *)
 let validate_block env slot payload =
-  let size = Sh.read_size env.space slot in
-  let limit = slot + size in
   let target = B.block_of_payload payload in
-  let rec walk b =
-    if b >= limit then None
-    else begin
-      env.charge env.cost.Cm.free_list_step;
-      let bsize = B.read_size env.space b in
-      if b = target then if B.read_used env.space b then Some bsize else None
-      else walk (b + bsize)
-    end
-  in
-  walk (Sh.blocks_base slot)
+  let found = ref None in
+  (try
+     B.fold env.space ~lo:(Sh.blocks_base slot) ~hi:(slot + Sh.read_size env.space slot)
+       (fun () b ~size ~used ->
+          env.charge env.cost.Cm.free_list_step;
+          if b = target then begin
+            if used then found := Some size;
+            raise Exit
+          end)
+       ()
+   with Exit -> ());
+  !found
 
 let release_slot env th slot =
   let g = geometry env in
@@ -224,50 +207,22 @@ let isofree env th payload =
               { heap = Obs.Event.Iso; addr = payload; bytes = B.payload_of_block bsize });
        let slot_size = Sh.read_size env.space slot in
        let blocks_base = Sh.blocks_base slot in
-       let limit = slot + slot_size in
-       let b = ref (B.block_of_payload payload) in
-       let size = ref (B.read_size env.space !b) in
-       (* Coalesce forward. *)
-       let next = !b + !size in
-       if next < limit && not (B.read_used env.space next) then begin
-         sl_unlink env slot next;
-         size := !size + B.read_size env.space next
-       end;
-       (* Coalesce backward. *)
-       if !b > blocks_base && not (B.read_used_at_footer env.space !b) then begin
-         let psize = B.read_size_at_footer env.space !b in
-         let prev = !b - psize in
-         sl_unlink env slot prev;
-         b := prev;
-         size := !size + psize
-       end;
-       B.write_tags env.space !b ~size:!size ~used:false;
-       sl_link_front env slot !b;
-       if !size <> bsize && Obs.Collector.enabled env.obs then
-         emit env (Obs.Event.Block_coalesce { heap = Obs.Event.Iso; addr = !b; bytes = !size });
+       let b =
+         B.release env.space ~head:(Sh.read_free_head env.space slot) ~lo:blocks_base
+           ~hi:(slot + slot_size) (B.block_of_payload payload) ~size:bsize
+       in
+       (* Stored even when the merged block already was the head: a free
+          always stores the slot header, and the epoch's dirty-page count
+          (placement telemetry) sees that page. *)
+       Sh.write_free_head env.space slot b;
+       let size = B.read_size env.space b in
+       if size <> bsize && Obs.Collector.enabled env.obs then
+         emit env (Obs.Event.Block_coalesce { heap = Obs.Event.Iso; addr = b; bytes = size });
        (* A fully free slot goes back to the node currently visited. *)
-       if !b = blocks_base && !size = slot_size - Sh.size_of_header then
+       if b = blocks_base && size = slot_size - Sh.size_of_header then
          release_slot env th slot)
 
 (* -- realloc / calloc -- *)
-
-(* Split block [b] (currently used, [bsize] bytes) so that it keeps only
-   [need] bytes; the remainder becomes a free block of [slot], coalesced
-   with a following free block if any. *)
-let shrink_in_place env slot b bsize need =
-  if bsize - need >= B.min_block then begin
-    B.write_tags env.space b ~size:need ~used:true;
-    let rest = b + need in
-    let rest_size = ref (bsize - need) in
-    let next = b + bsize in
-    let limit = slot + Sh.read_size env.space slot in
-    if next < limit && not (B.read_used env.space next) then begin
-      sl_unlink env slot next;
-      rest_size := !rest_size + B.read_size env.space next
-    end;
-    B.write_tags env.space rest ~size:!rest_size ~used:false;
-    sl_link_front env slot rest
-  end
 
 let isorealloc env th payload new_size =
   if new_size <= 0 then invalid_arg "Iso_heap.isorealloc: size <= 0";
@@ -286,38 +241,25 @@ let isorealloc env th payload new_size =
          None
        | Some bsize ->
          env.charge env.cost.Cm.alloc_fixed;
-         let b = B.block_of_payload payload in
-         let need = B.block_size_for ~payload:new_size in
-         if need <= bsize then begin
-           (* Shrink (or exact fit): stay in place. *)
-           shrink_in_place env slot b bsize need;
-           Some payload
-         end
-         else begin
-           let limit = slot + Sh.read_size env.space slot in
-           let next = b + bsize in
-           let next_free = next < limit && not (B.read_used env.space next) in
-           let grown = if next_free then bsize + B.read_size env.space next else bsize in
-           if next_free && grown >= need then begin
-             (* Grow in place by absorbing the following free block. *)
-             sl_unlink env slot next;
-             B.write_tags env.space b ~size:grown ~used:true;
-             shrink_in_place env slot b grown need;
-             Some payload
-           end
-           else begin
-             (* Move: allocate, copy, free. *)
-             match isomalloc env th new_size with
+         let was = Sh.read_free_head env.space slot in
+         (match
+            B.resize env.space ~head:was ~lo:(Sh.blocks_base slot)
+              ~hi:(slot + Sh.read_size env.space slot) (B.block_of_payload payload)
+              ~need:(B.block_size_for ~payload:new_size)
+          with
+          | Some head ->
+            set_head env slot ~was head;
+            Some payload
+          | None ->
+            (* Move: allocate, copy, free. *)
+            (match isomalloc env th new_size with
              | None -> None
              | Some fresh ->
-               let old_payload = B.payload_of_block bsize in
-               let keep = min old_payload new_size in
+               let keep = min (B.payload_of_block bsize) new_size in
                As.copy_within env.space ~src:payload ~dst:fresh ~size:keep;
                env.charge (Cm.memcpy_cost env.cost ~bytes:keep);
                isofree env th payload;
-               Some fresh
-           end
-         end)
+               Some fresh)))
   end
 
 let isocalloc env th ~count ~size =
@@ -355,16 +297,11 @@ let slot_list env th = Sh.chain_to_list env.space ~head:th.Thread.slots_head
 let live_blocks env th =
   let acc = ref [] in
   Sh.iter_chain env.space ~head:th.Thread.slots_head (fun slot ->
-      if Sh.read_kind env.space slot = Sh.Data then begin
-        let limit = slot + Sh.read_size env.space slot in
-        let rec walk b =
-          if b < limit then begin
-            if B.read_used env.space b then acc := B.payload_addr b :: !acc;
-            walk (b + B.read_size env.space b)
-          end
-        in
-        walk (Sh.blocks_base slot)
-      end);
+      if Sh.read_kind env.space slot = Sh.Data then
+        acc :=
+          B.fold env.space ~lo:(Sh.blocks_base slot) ~hi:(slot + Sh.read_size env.space slot)
+            (fun acc b ~size:_ ~used -> if used then B.payload_addr b :: acc else acc)
+            !acc);
   List.sort compare !acc
 
 let usable_size env th payload =
@@ -391,45 +328,33 @@ type heap_stats = {
 }
 
 let stats env th =
-  let s =
-    ref
-      {
-        slots = 0;
-        footprint_bytes = 0;
-        live_blocks = 0;
-        live_payload_bytes = 0;
-        free_bytes = 0;
-        largest_free_block = 0;
-      }
-  in
+  let slots = ref 0 and footprint_bytes = ref 0 in
+  let live_blocks = ref 0 and live_payload_bytes = ref 0 in
+  let free_bytes = ref 0 and largest_free_block = ref 0 in
   Sh.iter_chain env.space ~head:th.Thread.slots_head (fun slot ->
       let size = Sh.read_size env.space slot in
-      s := { !s with slots = !s.slots + 1; footprint_bytes = !s.footprint_bytes + size };
-      if Sh.read_kind env.space slot = Sh.Data then begin
-        let limit = slot + size in
-        let rec walk b =
-          if b < limit then begin
-            let bsize = B.read_size env.space b in
-            if B.read_used env.space b then
-              s :=
-                {
-                  !s with
-                  live_blocks = !s.live_blocks + 1;
-                  live_payload_bytes = !s.live_payload_bytes + B.payload_of_block bsize;
-                }
-            else
-              s :=
-                {
-                  !s with
-                  free_bytes = !s.free_bytes + bsize;
-                  largest_free_block = max !s.largest_free_block bsize;
-                };
-            walk (b + bsize)
-          end
-        in
-        walk (Sh.blocks_base slot)
-      end);
-  !s
+      incr slots;
+      footprint_bytes := !footprint_bytes + size;
+      if Sh.read_kind env.space slot = Sh.Data then
+        B.fold env.space ~lo:(Sh.blocks_base slot) ~hi:(slot + size)
+          (fun () _ ~size ~used ->
+             if used then begin
+               incr live_blocks;
+               live_payload_bytes := !live_payload_bytes + B.payload_of_block size
+             end
+             else begin
+               free_bytes := !free_bytes + size;
+               largest_free_block := max !largest_free_block size
+             end)
+          ());
+  {
+    slots = !slots;
+    footprint_bytes = !footprint_bytes;
+    live_blocks = !live_blocks;
+    live_payload_bytes = !live_payload_bytes;
+    free_bytes = !free_bytes;
+    largest_free_block = !largest_free_block;
+  }
 
 let fragmentation s =
   if s.footprint_bytes = 0 then 0.
@@ -451,39 +376,5 @@ let check_invariants env th =
       | Sh.Stack ->
         if Sh.read_free_head sp slot <> 0 then fail "stack slot 0x%x has a free list" slot
       | Sh.Data ->
-        (* Collect the free list. *)
-        let free_set = Hashtbl.create 8 in
-        let rec walk_list b prev n =
-          if n > 1_000_000 then fail "free list loop in slot 0x%x" slot;
-          if b <> 0 then begin
-            if B.read_prev_free sp b <> prev then fail "free link broken at 0x%x" b;
-            if B.read_used sp b then fail "used block 0x%x on free list" b;
-            Hashtbl.replace free_set b ();
-            walk_list (B.read_next_free sp b) b (n + 1)
-          end
-        in
-        walk_list (Sh.read_free_head sp slot) 0 0;
-        (* Walk the blocks. *)
-        let limit = slot + size in
-        let a = ref (Sh.blocks_base slot) in
-        let prev_free = ref false in
-        while !a < limit do
-          let bsize = B.read_size sp !a in
-          if bsize < B.min_block || bsize land 7 <> 0 then
-            fail "bad block size %d at 0x%x" bsize !a;
-          if !a + bsize > limit then fail "block 0x%x overruns slot" !a;
-          if B.read_size_at_footer sp (!a + bsize) <> bsize then
-            fail "footer mismatch at 0x%x" !a;
-          let used = B.read_used sp !a in
-          if B.read_used_at_footer sp (!a + bsize) <> used then
-            fail "footer flag mismatch at 0x%x" !a;
-          if not used then begin
-            if !prev_free then fail "uncoalesced free blocks at 0x%x" !a;
-            if not (Hashtbl.mem free_set !a) then fail "free block 0x%x not listed" !a;
-            Hashtbl.remove free_set !a
-          end;
-          prev_free := not used;
-          a := !a + bsize
-        done;
-        if !a <> limit then fail "block walk of slot 0x%x ended at 0x%x" slot !a;
-        if Hashtbl.length free_set <> 0 then fail "stale free-list entries in slot 0x%x" slot)
+        B.check sp ~head:(Sh.read_free_head sp slot) ~lo:(Sh.blocks_base slot) ~hi:(slot + size)
+          ~used:ignore)

@@ -59,16 +59,10 @@ let unpack_descriptor u (th : Thread.t) =
 
 (* Live blocks of a data slot, in address order: (offset, size) pairs. *)
 let used_blocks space slot =
-  let limit = slot + Sh.read_size space slot in
-  let rec walk b acc =
-    if b >= limit then List.rev acc
-    else begin
-      let size = B.read_size space b in
-      let acc = if B.read_used space b then (b - slot, size) :: acc else acc in
-      walk (b + size) acc
-    end
-  in
-  walk (Sh.blocks_base slot) []
+  B.fold space ~lo:(Sh.blocks_base slot) ~hi:(slot + Sh.read_size space slot)
+    (fun acc b ~size ~used -> if used then (b - slot, size) :: acc else acc)
+    []
+  |> List.rev
 
 (* Pack a length-prefixed range of simulated memory, copying page runs
    straight into the wire buffer (same wire format as [pack_bytes]). *)
@@ -150,36 +144,6 @@ let pack_slot space p { slot; size; body } =
          pack_mem space p (slot + off) bsize)
       blocks
 
-(* Rebuild the free blocks of a data slot from the gaps between its used
-   blocks, relinking the per-slot free list. *)
-let rebuild_free_list space slot size used =
-  Sh.write_free_head space slot 0;
-  let link b =
-    let head = Sh.read_free_head space slot in
-    B.write_next_free space b head;
-    B.write_prev_free space b 0;
-    if head <> 0 then B.write_prev_free space head b;
-    Sh.write_free_head space slot b
-  in
-  let gaps = ref [] in
-  let mk_free off len = if len > 0 then gaps := (off, len) :: !gaps in
-  let cursor = ref Sh.size_of_header in
-  List.iter
-    (fun (off, bsize) ->
-       mk_free !cursor (off - !cursor);
-       cursor := off + bsize)
-    used;
-  mk_free !cursor (size - !cursor);
-  (* [gaps] is in descending address order; linking each at the front
-     leaves the free list in ascending address order, so post-migration
-     first-fit keeps preferring low addresses. *)
-  List.iter
-    (fun (off, len) ->
-       let b = slot + off in
-       B.write_tags space b ~size:len ~used:false;
-       link b)
-    !gaps
-
 let unpack_slot space u =
   let slot = Pk.unpack_int u in
   let size = Pk.unpack_int u in
@@ -200,12 +164,14 @@ let unpack_slot space u =
      | 0 ->
        let used =
          Pk.unpack_list u (fun () ->
-             let off = Pk.unpack_int u in
+             let b = slot + Pk.unpack_int u in
              let data, pos, len = Pk.unpack_view u in
-             As.store_sub space (slot + off) data ~pos ~len;
-             (off, len))
+             As.store_sub space b data ~pos ~len;
+             (b, len))
        in
-       rebuild_free_list space slot size used
+       (* The free blocks are the gaps between the used ones. *)
+       Sh.write_free_head space slot
+         (B.rebuild space ~lo:(Sh.blocks_base slot) ~hi:(slot + size) used)
      | tag -> invalid_arg (Printf.sprintf "Migration.unpack: bad slot tag %d" tag));
     (slot, size)
   end

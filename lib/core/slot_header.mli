@@ -27,8 +27,6 @@ type addr = Pm2_vmem.Layout.addr
 val size_of_header : int
 (** 64 bytes. *)
 
-val magic_value : int
-
 type kind = Data | Stack
 
 (** [init sp base ~size ~kind ~owner] writes a fresh header (no blocks,
@@ -40,10 +38,7 @@ val init : space -> addr -> size:int -> kind:kind -> owner:int -> unit
 val check_magic : space -> addr -> unit
 
 val read_size : space -> addr -> int
-val read_next : space -> addr -> addr
-val write_next : space -> addr -> addr -> unit
 val read_prev : space -> addr -> addr
-val write_prev : space -> addr -> addr -> unit
 val read_free_head : space -> addr -> addr
 val write_free_head : space -> addr -> addr -> unit
 val read_kind : space -> addr -> kind

@@ -46,47 +46,21 @@ let create ?(obs = Obs.Collector.null) ?(node = 0) space cost ~charge =
 
 let emit t ev = Obs.Collector.emit t.obs ~node:t.node ev
 
-(* -- free-list management (links live in simulated memory) -- *)
-
-let link_front t b =
-  let head = t.head in
-  B.write_next_free t.space b head;
-  B.write_prev_free t.space b nil;
-  if head <> nil then B.write_prev_free t.space head b;
-  t.head <- b
-
-let unlink t b =
-  let prev = B.read_prev_free t.space b in
-  let next = B.read_next_free t.space b in
-  if prev = nil then t.head <- next else B.write_next_free t.space prev next;
-  if next <> nil then B.write_prev_free t.space next prev
-
 (* -- arena growth -- *)
 
 let min_growth = 64 * 1024
-
-let extend_mapped t grow =
-  As.mmap t.space ~addr:t.brk ~size:grow;
-  t.charge (Cm.mmap_cost t.cost ~pages:(grow / Layout.page_size));
-  let b = ref t.brk and size = ref grow in
-  (* Coalesce with a trailing free block of the old arena, if any. *)
-  if t.brk > Layout.heap_base && not (B.read_used_at_footer t.space t.brk) then begin
-    let psize = B.read_size_at_footer t.space t.brk in
-    let prev = t.brk - psize in
-    unlink t prev;
-    b := prev;
-    size := !size + psize
-  end;
-  t.brk <- t.brk + grow;
-  B.write_tags t.space !b ~size:!size ~used:false;
-  link_front t !b
 
 (* Grow the arena by at least [need]; [false] if the segment is spent. *)
 let extend t need =
   let grow = Layout.page_align_up (max need min_growth) in
   if t.brk + grow > Layout.heap_base + Layout.heap_max_size then false
   else begin
-    extend_mapped t grow;
+    As.mmap t.space ~addr:t.brk ~size:grow;
+    t.charge (Cm.mmap_cost t.cost ~pages:(grow / Layout.page_size));
+    let b = t.brk in
+    t.brk <- t.brk + grow;
+    (* Merges with a trailing free block of the old arena, if any. *)
+    t.head <- B.release t.space ~head:t.head ~lo:Layout.heap_base ~hi:t.brk b ~size:grow;
     true
   end
 
@@ -108,17 +82,10 @@ let find_fit t need =
   r
 
 let place t b need =
-  let bsize = B.read_size t.space b in
-  unlink t b;
-  if bsize - need >= B.min_block then begin
-    let rest = b + need in
-    B.write_tags t.space rest ~size:(bsize - need) ~used:false;
-    link_front t rest;
-    B.write_tags t.space b ~size:need ~used:true;
-    if Obs.Collector.enabled t.obs then
-      emit t (Obs.Event.Block_split { heap = Obs.Event.Local; addr = rest; bytes = bsize - need })
-  end
-  else B.write_tags t.space b ~size:bsize ~used:true;
+  let head, rest = B.carve t.space ~head:t.head b ~need in
+  t.head <- head;
+  if rest > 0 && Obs.Collector.enabled t.obs then
+    emit t (Obs.Event.Block_split { heap = Obs.Event.Local; addr = b + need; bytes = rest });
   let payload = B.payload_addr b in
   Hashtbl.replace t.live payload (B.read_size t.space b);
   t.live_bytes <- t.live_bytes + B.payload_of_block (B.read_size t.space b);
@@ -162,32 +129,17 @@ let validate_live t p =
 let free_live t p =
   t.charge t.cost.Cm.alloc_fixed;
   Hashtbl.remove t.live p;
-  let b = ref (B.block_of_payload p) in
-  let size = ref (B.read_size t.space !b) in
-  t.live_bytes <- t.live_bytes - B.payload_of_block !size;
+  let b = B.block_of_payload p in
+  let size = B.read_size t.space b in
+  t.live_bytes <- t.live_bytes - B.payload_of_block size;
   if Obs.Collector.enabled t.obs then
     emit t
-      (Obs.Event.Block_free
-         { heap = Obs.Event.Local; addr = p; bytes = B.payload_of_block !size });
-  let freed_size = !size in
-  (* Coalesce with the next block. *)
-  let next = !b + !size in
-  if next < t.brk && not (B.read_used t.space next) then begin
-    unlink t next;
-    size := !size + B.read_size t.space next
-  end;
-  (* Coalesce with the previous block. *)
-  if !b > Layout.heap_base && not (B.read_used_at_footer t.space !b) then begin
-    let psize = B.read_size_at_footer t.space !b in
-    let prev = !b - psize in
-    unlink t prev;
-    b := prev;
-    size := !size + psize
-  end;
-  B.write_tags t.space !b ~size:!size ~used:false;
-  link_front t !b;
-  if !size <> freed_size && Obs.Collector.enabled t.obs then
-    emit t (Obs.Event.Block_coalesce { heap = Obs.Event.Local; addr = !b; bytes = !size })
+      (Obs.Event.Block_free { heap = Obs.Event.Local; addr = p; bytes = B.payload_of_block size });
+  let merged = B.release t.space ~head:t.head ~lo:Layout.heap_base ~hi:t.brk b ~size in
+  t.head <- merged;
+  let merged_size = B.read_size t.space merged in
+  if merged_size <> size && Obs.Collector.enabled t.obs then
+    emit t (Obs.Event.Block_coalesce { heap = Obs.Event.Local; addr = merged; bytes = merged_size })
 
 let free t p =
   if Hashtbl.mem t.live p then Ok (free_live t p) else Error (Invalid_free p)
@@ -205,45 +157,7 @@ let live_bytes t = t.live_bytes
 
 let heap_bytes t = t.brk - Layout.heap_base
 
-let free_list_length t =
-  let rec loop n b = if b = nil then n else loop (n + 1) (B.read_next_free t.space b) in
-  loop 0 t.head
-
 let check_invariants t =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  (* Collect the free list, checking link symmetry. *)
-  let free_set = Hashtbl.create 16 in
-  let rec walk_list b prev n =
-    if n > 1_000_000 then fail "free list loop";
-    if b <> nil then begin
-      if B.read_prev_free t.space b <> prev then fail "free list prev link broken at 0x%x" b;
-      if B.read_used t.space b then fail "used block 0x%x on free list" b;
-      Hashtbl.replace free_set b ();
-      walk_list (B.read_next_free t.space b) b (n + 1)
-    end
-  in
-  walk_list t.head nil 0;
-  (* Walk the arena block by block. *)
-  let a = ref Layout.heap_base in
-  let prev_free = ref false in
-  while !a < t.brk do
-    let size = B.read_size t.space !a in
-    if size < B.min_block || size land 7 <> 0 then fail "bad size %d at 0x%x" size !a;
-    if !a + size > t.brk then fail "block 0x%x overruns brk" !a;
-    let used = B.read_used t.space !a in
-    if B.read_size_at_footer t.space (!a + size) <> size then fail "footer mismatch at 0x%x" !a;
-    if B.read_used_at_footer t.space (!a + size) <> used then fail "footer flag mismatch at 0x%x" !a;
-    if used then begin
-      if not (Hashtbl.mem t.live (B.payload_addr !a)) then
-        fail "used block 0x%x not in live table" !a
-    end
-    else begin
-      if !prev_free then fail "uncoalesced free blocks at 0x%x" !a;
-      if not (Hashtbl.mem free_set !a) then fail "free block 0x%x not on free list" !a;
-      Hashtbl.remove free_set !a
-    end;
-    prev_free := not used;
-    a := !a + size
-  done;
-  if !a <> t.brk then fail "arena walk ended at 0x%x, brk 0x%x" !a t.brk;
-  if Hashtbl.length free_set <> 0 then fail "free list contains stale blocks"
+  B.check t.space ~head:t.head ~lo:Layout.heap_base ~hi:t.brk ~used:(fun b ->
+      if not (Hashtbl.mem t.live (B.payload_addr b)) then
+        failwith (Printf.sprintf "used block 0x%x not in live table" b))

@@ -74,9 +74,6 @@ val live_bytes : t -> int
 val heap_bytes : t -> int
 (** Bytes of address space currently claimed from the segment (brk). *)
 
-val free_list_length : t -> int
-(** Blocks on the free list. *)
-
 (** [check_invariants t] walks the whole arena and verifies tag coherence,
     free-list integrity and full coalescing; raises [Failure] with a
     diagnostic on corruption. Used by the property tests. *)

@@ -62,8 +62,6 @@ val is_terminator : int -> bool
 (** Instructions that unconditionally end a basic block (all control
     transfers, [Sys], [Halt]). *)
 
-val int_of_syscall : Isa.syscall -> int
-(** Dense numbering of syscalls, {!Isa.syscall} constructor order. *)
-
 val syscall_of_int : int -> Isa.syscall
-(** Inverse of {!int_of_syscall}. @raise Invalid_argument out of range. *)
+(** The syscall numbered [n] in the dense {!Isa.syscall} constructor
+    order the decoder uses. @raise Invalid_argument out of range. *)

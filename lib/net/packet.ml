@@ -78,8 +78,10 @@ type unpacker = {
 
 let unpacker data = { data; pos = 0 }
 
+(* [n > remaining] rather than [pos + n > length]: a length prefix near
+   [max_int] must not wrap the sum past the check. *)
 let need u n =
-  if u.pos + n > Bytes.length u.data then invalid_arg "Packet: truncated buffer"
+  if n > Bytes.length u.data - u.pos then invalid_arg "Packet: truncated buffer"
 
 let unpack_int u =
   need u 8;
@@ -104,6 +106,7 @@ let unpack_string u = Bytes.to_string (unpack_bytes u)
 
 let unpack_view u =
   let len = unpack_int u in
+  if len < 0 then invalid_arg "Packet.unpack_view: negative length";
   need u len;
   let pos = u.pos in
   u.pos <- u.pos + len;

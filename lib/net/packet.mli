@@ -73,7 +73,8 @@ val unpack_list : unpacker -> (unit -> 'a) -> 'a list
 (** [unpack_view u] consumes a length-prefixed block like {!unpack_bytes}
     but returns a [(data, pos, len)] view into the wire buffer instead of
     copying it out. The view is read-only by convention; it aliases the
-    unpacker's buffer. *)
+    unpacker's buffer.
+    @raise Invalid_argument on a negative length prefix or truncation. *)
 val unpack_view : unpacker -> Bytes.t * int * int
 
 (** [unpack_varint u] reads one {!pack_varint} integer.

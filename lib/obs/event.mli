@@ -170,10 +170,8 @@ and fault_kind =
   | Duplicate
   | Corrupt
 
-val heap_name : heap_kind -> string
 val phase_name : migration_phase -> string
 val span_kind_name : span_kind -> string
-val fault_name : fault_kind -> string
 
 (** Dot-separated taxonomy key, e.g. ["migration.pack"] — the metric name
     used by the {!Metrics} registry. *)

@@ -65,7 +65,6 @@ val dedup_pages : t -> int
 
 val pool_pages : t -> int
 val pool_bytes : t -> int
-val frame_bytes : t -> int
 
 val bytes : t -> int
 (** Total store footprint: pooled content + stored frames. *)

@@ -110,8 +110,6 @@ type status = {
   s_lost : string list;
 }
 
-val status_of_session : Session.status -> status
-
 type response =
   | Welcome of { proto : string; server : string; nodes : int; entries : string list }
   | Submitted of { tid : int }

@@ -1,3 +1,5 @@
+module Vec = Pm2_util.Vec
+
 type align = Left | Right
 
 type t = {

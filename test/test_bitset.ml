@@ -1,4 +1,5 @@
 open Pm2_util
+open Pm2_support
 
 let test_create_empty () =
   let b = Bitset.create 100 in

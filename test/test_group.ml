@@ -264,6 +264,86 @@ let test_group_migration () =
   Alcotest.(check int) "no aborts" 0 (Cluster.aborted_groups c);
   Cluster.check_invariants c
 
+(* -- wire parser fuzzing -- *)
+
+(* The five messages of a real two-node group migration of two small
+   threads (a 24 KB train image): the probe (as sent, and with a trace context), both
+   verdicts, the transfer carrying the actual train image, and an
+   RDLT/RFUL pair over the image's pages. The transfer is built from a
+   non-destructive pack just after [migrate_group] starts, and the
+   migration must then complete with a train of exactly that size. *)
+let group_messages () =
+  let c = cluster () in
+  let env = Cluster.host_env c 0 in
+  let space = Cluster.node_space c 0 in
+  let members =
+    List.init 2 (fun i ->
+        let th = Cluster.host_thread c ~node:0 in
+        let a = Option.get (Iso_heap.isomalloc env th 200) in
+        As.store_word space a (0x600d + i);
+        th)
+  in
+  let gid = match Cluster.migrate_group c members ~dest:1 with Ok g -> g | Error e -> Alcotest.fail e in
+  let ranges = Migration.group_ranges space members in
+  let packed =
+    Migration.pack_group ~unmap:false ~cost:Pm2_sim.Cost_model.default ~space ~gid members
+  in
+  let buffer = packed.Migration.g_buffer in
+  let tid = (List.hd members).Thread.id and page_addr = fst (List.hd ranges) in
+  let messages =
+    [
+      ("probe", Migration.group_probe_message ~gid ~ranges ());
+      ("traced probe", Migration.group_probe_message ~trace:(7, 9) ~gid ~ranges ());
+      ("accept", Migration.group_verdict_message ~gid ~ok:true ~reason:"");
+      ( "reject",
+        Migration.group_verdict_message ~gid ~ok:false
+          ~reason:"destination cannot map the group's slots" );
+      ("transfer", Migration.group_transfer_message ~gid ~ranges ~buffer);
+      ( "delta request",
+        Migration.delta_request_message ~gid ~pages:[ (tid, page_addr, As.page_hash space page_addr) ]
+      );
+      ( "delta full",
+        Migration.delta_full_message ~gid ~pages:[ (tid, page_addr, As.load_bytes space page_addr page) ]
+      );
+    ]
+  in
+  ignore (Cluster.run c);
+  (match Cluster.group_migrations c with
+   | [ g ] -> Alcotest.(check int) "train carried the fuzzed image" (Bytes.length buffer) g.Cluster.g_bytes
+   | l -> Alcotest.failf "%d group records" (List.length l));
+  messages
+
+(* [true] when the matching parser accepts the message. Any exception
+   escapes and fails the test. *)
+let parses name b =
+  match name with
+  | "probe" | "traced probe" -> Migration.parse_group_probe b <> None
+  | "accept" | "reject" -> Migration.parse_group_verdict b <> None
+  | "transfer" -> Result.is_ok (Migration.parse_group_transfer b)
+  | "delta request" -> Migration.parse_delta_request b <> None
+  | _ -> Result.is_ok (Migration.parse_delta_full b)
+
+let test_wire_parsers_total () =
+  List.iter
+    (fun (name, msg) ->
+       let n = Bytes.length msg in
+       Alcotest.(check bool) (name ^ " parses") true (parses name msg);
+       (* a traced probe cut before its two trailing words is the
+          untraced probe, which is well formed *)
+       let untraced_prefix len = name = "traced probe" && len = n - 16 in
+       for len = 0 to n - 1 do
+         if parses name (Bytes.sub msg 0 len) <> untraced_prefix len then
+           Alcotest.failf "%s truncated to %d bytes: wrong verdict" name len
+       done;
+       for i = 0 to n - 1 do
+         let b = Bytes.copy msg in
+         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+         match parses name b with
+         | (_ : bool) -> ()
+         | exception e -> Alcotest.failf "%s with byte %d flipped: %s" name i (Printexc.to_string e)
+       done)
+    (group_messages ())
+
 let test_group_beats_sequential_wire () =
   let wire_of run =
     let c = cluster () in
@@ -386,5 +466,6 @@ let tests =
     Alcotest.test_case "dropped train rolls back atomically" `Quick
       test_group_rollback_on_dropped_train;
     Alcotest.test_case "group validation" `Quick test_group_validation;
+    Alcotest.test_case "wire parsers are total" `Quick test_wire_parsers_total;
     Alcotest.test_case "group-threshold balancer policy" `Quick test_group_threshold_policy;
   ]

@@ -16,27 +16,60 @@ let test_blockfmt_sizes () =
   Alcotest.(check int) "payload addr" 0x1008 (B.payload_addr 0x1000);
   Alcotest.(check int) "block of payload" 0x1000 (B.block_of_payload 0x1008)
 
-let test_blockfmt_tags () =
+(* A one-page region [lo, hi) at 0x10000 holding one free block. *)
+let lo = 0x10000
+let hi = lo + 4096
+
+let region () =
   let sp = As.create ~node:0 () in
-  As.mmap sp ~addr:0x10000 ~size:4096;
-  B.write_tags sp 0x10000 ~size:64 ~used:true;
-  Alcotest.(check int) "size" 64 (B.read_size sp 0x10000);
-  Alcotest.(check bool) "used" true (B.read_used sp 0x10000);
-  Alcotest.(check int) "footer size" 64 (B.read_size_at_footer sp 0x10040);
-  Alcotest.(check bool) "footer used" true (B.read_used_at_footer sp 0x10040);
-  B.write_tags sp 0x10000 ~size:64 ~used:false;
-  Alcotest.(check bool) "freed" false (B.read_used sp 0x10000);
+  As.mmap sp ~addr:lo ~size:4096;
+  (sp, B.release sp ~head:0 ~lo ~hi lo ~size:4096)
+
+let free_blocks sp =
+  B.fold sp ~lo ~hi (fun n _ ~size:_ ~used -> if used then n else n + 1) 0
+
+let test_blockfmt_tags () =
+  let sp, head = region () in
+  Alcotest.(check int) "released block is the head" lo head;
+  Alcotest.(check int) "size" 4096 (B.read_size sp lo);
+  Alcotest.(check bool) "free" false (B.read_used sp lo);
+  let head, rest = B.carve sp ~head lo ~need:64 in
+  Alcotest.(check int) "split rest" (4096 - 64) rest;
+  Alcotest.(check int) "rest heads the list" (lo + 64) head;
+  Alcotest.(check int) "carved size" 64 (B.read_size sp lo);
+  Alcotest.(check bool) "carved used" true (B.read_used sp lo);
+  (* [check] reads every footer back. *)
+  B.check sp ~head ~lo ~hi ~used:ignore;
+  As.store_word sp (lo + 64 - 8) 0;
+  Alcotest.(check bool) "corrupt footer caught" true
+    (try B.check sp ~head ~lo ~hi ~used:ignore; false with Failure _ -> true);
   Alcotest.(check bool) "bad size rejected" true
-    (try B.write_tags sp 0x10000 ~size:20 ~used:false; false
+    (try ignore (B.release sp ~head ~lo ~hi lo ~size:20); false
      with Invalid_argument _ -> true)
 
 let test_blockfmt_links () =
-  let sp = As.create ~node:0 () in
-  As.mmap sp ~addr:0x10000 ~size:4096;
-  B.write_next_free sp 0x10000 0x10100;
-  B.write_prev_free sp 0x10000 0x10200;
-  Alcotest.(check int) "next" 0x10100 (B.read_next_free sp 0x10000);
-  Alcotest.(check int) "prev" 0x10200 (B.read_prev_free sp 0x10000)
+  let sp, head = region () in
+  (* carve three used blocks, then free the first and the third: two
+     free blocks that cannot merge, plus the tail *)
+  let head, _ = B.carve sp ~head lo ~need:64 in
+  let head, _ = B.carve sp ~head (lo + 64) ~need:64 in
+  let head, _ = B.carve sp ~head (lo + 128) ~need:64 in
+  let head = B.release sp ~head ~lo ~hi lo ~size:64 in
+  let head = B.release sp ~head ~lo ~hi (lo + 128) ~size:64 in
+  Alcotest.(check int) "third merged with the tail, at the front" (lo + 128) head;
+  Alcotest.(check int) "next" lo (B.read_next_free sp head);
+  Alcotest.(check int) "end" 0 (B.read_next_free sp lo);
+  Alcotest.(check int) "two free blocks" 2 (free_blocks sp);
+  B.check sp ~head ~lo ~hi ~used:ignore;
+  let head = B.unlink sp ~head (lo + 128) in
+  Alcotest.(check int) "unlinked head" lo head;
+  let head = B.push sp ~head (lo + 128) in
+  B.check sp ~head ~lo ~hi ~used:ignore;
+  (* the rebuilt list holds the gaps in ascending order *)
+  let head = B.rebuild sp ~lo ~hi [ (lo + 64, 64) ] in
+  Alcotest.(check int) "rebuilt head" lo head;
+  Alcotest.(check int) "rebuilt next" (lo + 128) (B.read_next_free sp lo);
+  B.check sp ~head ~lo ~hi ~used:ignore
 
 (* -- Malloc -- *)
 
@@ -73,12 +106,17 @@ let test_free_and_reuse () =
   Malloc.check_invariants h
 
 let test_coalescing () =
-  let h, _, _ = heap () in
+  let h, sp, _ = heap () in
   let blocks = List.init 8 (fun _ -> Malloc.malloc_exn h 1000) in
   List.iter (Malloc.free_exn h) blocks;
   Malloc.check_invariants h;
   (* After freeing everything the arena must have coalesced to one block. *)
-  Alcotest.(check int) "single free block" 1 (Malloc.free_list_length h);
+  let free_blocks =
+    B.fold sp ~lo:Layout.heap_base ~hi:(Layout.heap_base + Malloc.heap_bytes h)
+      (fun n _ ~size:_ ~used -> if used then n else n + 1)
+      0
+  in
+  Alcotest.(check int) "single free block" 1 free_blocks;
   (* And a block as large as all the freed space must fit without growth. *)
   let before = Malloc.heap_bytes h in
   ignore (Malloc.malloc_exn h 7000);

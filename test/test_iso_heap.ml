@@ -170,7 +170,14 @@ let test_invalid_frees () =
   Alcotest.(check bool) "double free rejected" true
     (try Iso_heap.isofree env th a; false with Invalid_argument _ -> true);
   Alcotest.(check bool) "zero size rejected" true
-    (try ignore (Iso_heap.isomalloc env th 0); false with Invalid_argument _ -> true)
+    (try ignore (Iso_heap.isomalloc env th 0); false with Invalid_argument _ -> true);
+  (* the guest zeroed a block header: the walk that validates a free
+     must stop, not spin *)
+  let x = Option.get (Iso_heap.isomalloc env th 100) in
+  let y = Option.get (Iso_heap.isomalloc env th 100) in
+  As.store_word env.Iso_heap.space (x - 8) 0;
+  Alcotest.(check bool) "scribbled header rejected" true
+    (try Iso_heap.isofree env th y; false with Invalid_argument _ -> true)
 
 let test_thread_isolation () =
   let c, env, th_a = setup () in

@@ -14,6 +14,7 @@ let () =
       ("net", Test_net.tests);
       ("fault", Test_fault.tests);
       ("heap", Test_heap.tests);
+      ("heap.placement", Test_placement.tests);
       ("mvm", Test_mvm.tests);
       ("core.slots", Test_slots.tests);
       ("core.iso_heap", Test_iso_heap.tests);

@@ -38,6 +38,26 @@ let test_packet_truncated () =
   Alcotest.(check bool) "truncated rejected" true
     (try ignore (Pk.unpack_int u); false with Invalid_argument _ -> true)
 
+let test_packet_bad_length_prefix () =
+  (* A prefix of -8 followed by 16 bytes: a view must not step back. *)
+  let frame len =
+    let p = Pk.packer () in
+    Pk.pack_int p len;
+    Pk.pack_int p 0;
+    Pk.pack_int p 0;
+    Pk.unpacker (Pk.contents p)
+  in
+  let rejected f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "negative view rejected" true
+    (rejected (fun () -> Pk.unpack_view (frame (-8))));
+  Alcotest.(check bool) "negative bytes rejected" true
+    (rejected (fun () -> Pk.unpack_bytes (frame (-8))));
+  Alcotest.(check bool) "wrapping view rejected" true
+    (rejected (fun () -> Pk.unpack_view (frame max_int)));
+  let u = frame 16 in
+  let _, pos, len = Pk.unpack_view u in
+  Alcotest.(check (pair int int)) "exact view accepted" (8, 16) (pos, len)
+
 let prop_packet_ints =
   QCheck2.Test.make ~name:"packet roundtrips any int list"
     QCheck2.Gen.(list int)
@@ -255,6 +275,7 @@ let tests =
     Alcotest.test_case "packet roundtrip" `Quick test_packet_roundtrip;
     Alcotest.test_case "packet sizes" `Quick test_packet_sizes;
     Alcotest.test_case "packet truncation" `Quick test_packet_truncated;
+    Alcotest.test_case "packet bad length prefix" `Quick test_packet_bad_length_prefix;
     QCheck_alcotest.to_alcotest prop_packet_ints;
     QCheck_alcotest.to_alcotest prop_packer_matches_reference;
     Alcotest.test_case "exact hint hands the buffer over" `Quick

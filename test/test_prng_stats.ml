@@ -1,4 +1,5 @@
 open Pm2_util
+open Pm2_support
 
 (* -- Prng -- *)
 
