@@ -10,7 +10,7 @@
    against.
 
    Experiment ids: e-figs f11-small f11-large t-migration
-   t-migration-payload t-migration-batch t-migration-delta t-mvm
+   t-migration-payload t-host-hop t-migration-batch t-migration-delta t-mvm
    t-trace-overhead t-negotiation t-crash-sweep
    a-distribution a-packing a-slotcache a-pointers a-slotsize
    bechamel perf-smoke *)
@@ -24,6 +24,9 @@ let experiments =
     ( "t-migration-payload",
       "migration latency vs isomalloc'd payload",
       Migration_bench.payload_sweep );
+    ( "t-host-hop",
+      "direct hop on the host: page ownership vs the buffered image",
+      Migration_bench.host_hop );
     ( "t-migration-batch",
       "group migration: one v2 train vs n sequential v1 images",
       Migration_batch.run );

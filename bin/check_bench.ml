@@ -20,7 +20,9 @@
    workload; the loop-heavy guest under the scheduler must allocate at
    most 1 minor-heap word per instruction. For "bitset" the
    round-robin multi-slot search must beat the bit-by-bit reference by
-   at least 10x. `--require-suite NAME` (repeatable)
+   at least 10x. For "migration"/"host-hop" the page-ownership direct
+   hop must beat the buffered pack/unpack image it models by at least
+   2x host time. `--require-suite NAME` (repeatable)
    additionally fails if no entry of suite NAME is present — the @ci
    alias uses it to pin both migration suites into the trajectory. *)
 
@@ -155,6 +157,11 @@ let check_known_suite ~suite ~name metrics =
     ignore (get "wire_bytes");
     if get "migrations" < 1. then
       fail "%s/%s: parity workload never migrated" suite name
+  | "migration", "host-hop" ->
+    if get "speedup_vs_buffered" < 2. then
+      fail "%s/%s: ownership hop %.2fx over the buffered image, below the 2x bar" suite
+        name (get "speedup_vs_buffered");
+    ignore (get "ns_per_kb")
   | "bitset", "find_run_round_robin" ->
     if get "speedup_vs_ref" < 10. then
       fail "%s/%s: round-robin find_run %.2fx over the reference, below the 10x bar"

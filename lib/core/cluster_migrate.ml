@@ -6,8 +6,20 @@ open Cluster_state
 module Layout = Pm2_vmem.Layout
 module Codec = Pm2_net.Codec
 
-(* Pack [th] out of [node]'s space under the configured scheme: the
-   image, its pack cost and slot count, paired with what the heap and
+(* What the direct hop carries: an iso thread's pages, which change
+   owner without a copy, or a relocating thread's wire image. *)
+type cargo =
+  | Pages of Migration.moved
+  | Image of Bytes.t
+
+(* Wire bytes of [cargo]: the image [Migration.pack] would build, for
+   moved pages. *)
+let cargo_bytes = function
+  | Pages m -> m.Migration.m_bytes
+  | Image b -> Bytes.length b
+
+(* Take [th] out of [node]'s space under the configured scheme: the
+   cargo, its pack cost and slot count, paired with what the heap and
    slot manager charged along the way (taken back out of [node]'s
    accumulator). Raises [Relocation.Error] when the relocating scheme
    cannot pack the thread. *)
@@ -15,30 +27,40 @@ let pack_on t node th =
   Node.isolate node (fun () ->
       match t.config.scheme with
       | Iso ->
-        let p =
-          Migration.pack ~obs:t.obs ~node:node.Node.id ~geometry:t.geometry
-            ~cost:t.config.cost ~space:node.Node.space ~packing:t.config.packing th
+        let m =
+          Migration.move_out ~obs:t.obs ~node:node.Node.id ~cost:t.config.cost
+            ~space:node.Node.space ~packing:t.config.packing th
         in
-        (p.Migration.buffer, p.Migration.pack_cost, p.Migration.slots)
+        (Pages m, m.Migration.m_pack_cost, m.Migration.m_slots)
       | Relocating ->
         let p =
           Relocation.pack ~geometry:t.geometry ~cost:t.config.cost
             ~space:node.Node.space ~mgr:node.Node.mgr th
         in
-        (p.Relocation.buffer, p.Relocation.pack_cost, 1))
+        (Image p.Relocation.buffer, p.Relocation.pack_cost, 1))
 
-(* Unpack [th]'s image into [node]'s space under the configured scheme:
-   the unpack cost, paired with what the heap and slot manager charged
-   along the way (taken back out of [node]'s accumulator). *)
-let unpack_on t node th buffer =
+(* Install [th]'s cargo in [node]'s space: the unpack cost, paired with
+   what the heap and slot manager charged along the way (taken back out
+   of [node]'s accumulator). *)
+let unpack_on t node th cargo =
   Node.isolate node (fun () ->
-      match t.config.scheme with
-      | Iso ->
-        Migration.unpack ~obs:t.obs ~node:node.Node.id ~geometry:t.geometry
-          ~cost:t.config.cost ~space:node.Node.space th buffer
-      | Relocating ->
+      match cargo with
+      | Pages m ->
+        Migration.move_in ~obs:t.obs ~node:node.Node.id ~cost:t.config.cost
+          ~space:node.Node.space th m
+      | Image b ->
         Relocation.unpack ~geometry:t.geometry ~cost:t.config.cost
-          ~space:node.Node.space ~mgr:node.Node.mgr th buffer)
+          ~space:node.Node.space ~mgr:node.Node.mgr th b)
+
+(* Ship [cargo] from [src] to [dst] and run [k] on what arrives. Moved
+   pages carry only their modelled size through the network; the direct
+   hop never runs them under a live fault plan ([start] sends those
+   through the group pipeline). *)
+let send_cargo t ~src ~dst cargo k =
+  match cargo with
+  | Pages m ->
+    Network.send_sized t.net ~src ~dst ~bytes:m.Migration.m_bytes (fun () -> k cargo)
+  | Image b -> Network.send t.net ~src ~dst b (fun b -> k (Image b))
 
 (* Restore a [Cached] page of [tid] at [addr] into [space] from
    [cache]'s residual image. *)
@@ -87,16 +109,16 @@ let abandon t ?group ~span note =
 
 (* ===== the direct hop ===== *)
 
-let deliver t (th : Thread.t) ~src ~dest ~started ~slots ~span buffer =
+let deliver t (th : Thread.t) ~src ~dest ~started ~slots ~span cargo =
   if th.Thread.state <> Thread.Migrating then abandon t ~span "source crashed mid-flight"
   else begin
     let dnode = t.nodes.(dest) in
     let arrived = Engine.now t.engine in
-    let unpack_cost, extra = unpack_on t dnode th buffer in
+    let unpack_cost, extra = unpack_on t dnode th cargo in
     let resume_delay = unpack_cost +. extra in
     Node.charge dnode resume_delay;
     move_thread t th ~dest;
-    let bytes = Bytes.length buffer in
+    let bytes = cargo_bytes cargo in
     let phase = migration_phase t ~tid:th.Thread.id ~bytes ~slots ~node:dest in
     let unpack_span =
       Obs.Span.child t.tracer ~at:arrived ~node:dest ~parent:span Obs.Event.Unpack
@@ -129,10 +151,10 @@ let start_direct t node (th : Thread.t) ~dest =
          msg);
     Obs.Span.finish t.tracer ~at:started ~note:("abort: " ^ msg) root;
     t.wake t th
-  | (buffer, pack_cost, slots), extra ->
+  | (cargo, pack_cost, slots), extra ->
     let pack_total = pack_cost +. extra in
     Node.charge node pack_total;
-    let bytes = Bytes.length buffer in
+    let bytes = cargo_bytes cargo in
     let phase = migration_phase t ~tid:th.Thread.id ~bytes ~slots ~node:src in
     phase ~time:started Obs.Event.Pack pack_total;
     let pack_span = Obs.Span.child t.tracer ~at:started ~node:src ~parent:root Obs.Event.Pack in
@@ -145,9 +167,9 @@ let start_direct t node (th : Thread.t) ~dest =
         let train_span =
           Obs.Span.child t.tracer ~at:now ~node:src ~parent:root Obs.Event.Train
         in
-        Network.send t.net ~src ~dst:dest buffer (fun buffer ->
+        send_cargo t ~src ~dst:dest cargo (fun cargo ->
             finish t train_span;
-            deliver t th ~src ~dest ~started ~slots ~span:root buffer))
+            deliver t th ~src ~dest ~started ~slots ~span:root cargo))
 
 let host_migrate t (th : Thread.t) ~dest =
   if not (valid_node t dest) then invalid_arg "Cluster.host_migrate: bad destination";
@@ -155,12 +177,12 @@ let host_migrate t (th : Thread.t) ~dest =
   if src <> dest then begin
     let snode = t.nodes.(src) and dnode = t.nodes.(dest) in
     let started = Engine.now t.engine in
-    let (buffer, pack_cost, slots), extra = pack_on t snode th in
+    let (cargo, pack_cost, slots), extra = pack_on t snode th in
     let pack_total = pack_cost +. extra in
     Node.charge snode pack_total;
-    let bytes = Bytes.length buffer in
+    let bytes = cargo_bytes cargo in
     Network.record_virtual t.net ~src ~dst:dest ~bytes;
-    let unpack_cost, extra = unpack_on t dnode th buffer in
+    let unpack_cost, extra = unpack_on t dnode th cargo in
     let unpack_total = unpack_cost +. extra in
     Node.charge dnode unpack_total;
     move_thread t th ~dest;
@@ -250,7 +272,7 @@ let group_abort t ~gid ~src ~dest ~span members ~reason =
       | None -> ())
     resumed
 
-let group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason =
+let group_rollback t ~gid ~src ~dest ~image ~slots ~span members ~reason =
   if group_interrupted members then
     (* No node to roll back onto: the source's space was rebuilt empty by
        the crash. Abort without touching memory; [group_release] inside
@@ -261,23 +283,24 @@ let group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason =
       Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span
         Obs.Event.Rollback
     in
-    (* The group's memory exists only in [buffer]; remap every member into
+    (* The group's memory exists only in [image]; remap every member into
        the source's own space — iso-addressing guarantees the addresses are
        still free there — then abort. One atomic step: unpack_group either
        applies every member or raises before any queue state changed.
-       A v3 buffer's [Cached] pages restore from the source's own pinned
+       A v3 image's [Cached] pages restore from the source's own pinned
        residual image, whose hashes were computed from these very pages at
        pack time — a restore failure here is a simulation bug, not a
        recoverable condition. *)
     let node = t.nodes.(src) in
     let scache = t.delta.(src) in
+    let buffer, pos, len = image in
     let u, extra =
       Node.isolate node (fun () ->
           Migration.unpack_group ~obs:t.obs ~node:src ~cost:t.config.cost
             ~space:node.Node.space
             ~restore:(restore_cached scache node.Node.space)
             ~lookup:(fun tid -> Hashtbl.find t.threads tid)
-            buffer)
+            ~pos ~len buffer)
     in
     if u.Migration.u_missing <> [] then
       failwith "Cluster.group_rollback: pinned residual image cannot restore its own pages";
@@ -297,7 +320,9 @@ let group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason =
     group_abort t ~gid ~src ~dest ~span members ~reason
   end
 
-let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members buffer =
+(* [image] is the group's codec frame as a [(data, pos, len)] view into
+   the train message it arrived in. *)
+let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members image =
   (* A crash mid-migration hands the members to the checkpoint supervisor:
      committing the late image would race its restore. *)
   let group = (gid, src, dest) in
@@ -306,20 +331,21 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
     let dnode = t.nodes.(dest) in
     let arrived = Engine.now t.engine in
     let dcache = t.delta.(dest) in
+    let buffer, pos, len = image in
     match
       Node.isolate dnode (fun () ->
           Migration.unpack_group ~obs:t.obs ~node:dest
             ~restore:(restore_cached dcache dnode.Node.space) ~cost:t.config.cost
             ~space:dnode.Node.space
             ~lookup:(fun tid -> Hashtbl.find t.threads tid)
-            buffer)
+            ~pos ~len buffer)
     with
     | exception (Invalid_argument _ | Failure _ | Not_found | As.Segfault _) ->
       (* The destination could not apply the image (a collision appeared
          after the probe, or the image is inconsistent): scrub whatever was
          partially mapped and hand the whole group back. *)
       scrub dnode.Node.space ranges;
-      group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members
+      group_rollback t ~gid ~src ~dest ~image ~slots ~span members
         ~reason:"destination failed to unpack the group image"
     | u, extra ->
       (* The frame's trace context (stamped by [pack_group]) parents this
@@ -360,7 +386,7 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
           end;
           let resume_delay = u.Migration.u_cost +. extra in
           Node.charge dnode resume_delay;
-          let bytes = Bytes.length buffer in
+          let bytes = len in
           let n = List.length members in
           let data_pages, zero_pages, cached_pages = pages in
           let phase = group_phase t ~gid ~members:n ~bytes ~slots ~node:dest in
@@ -415,7 +441,7 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
            finish t ~note:reason refetch_span;
            finish t ~note:"rolled back" unpack_span;
            scrub dnode.Node.space ranges;
-           group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason
+           group_rollback t ~gid ~src ~dest ~image ~slots ~span members ~reason
          in
          let expected = Hashtbl.create (List.length missing) in
          List.iter (fun (tid, addr, hash) -> Hashtbl.replace expected (tid, addr) hash) missing;
@@ -484,6 +510,7 @@ let group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
   Node.charge node pack_total;
   let buffer = p.Migration.g_buffer in
   let bytes = Bytes.length buffer in
+  let sent = (buffer, 0, bytes) in
   let slots = p.Migration.g_slots in
   let pages = (p.Migration.g_data_pages, p.Migration.g_zero_pages, p.Migration.g_cached_pages) in
   let phase = group_phase t ~gid ~members:(List.length members) ~bytes ~slots ~node:src in
@@ -503,13 +530,13 @@ let group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
           finish t train_span;
           match Migration.parse_group_transfer msg with
           | Error reason ->
-            group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason
-          | Ok (_, ranges, buffer) ->
+            group_rollback t ~gid ~src ~dest ~image:sent ~slots ~span members ~reason
+          | Ok (_, ranges, image) ->
             group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
-              buffer)
+              image)
         ~on_failed:(fun ~reason ->
           finish t ~note:reason train_span;
-          group_rollback t ~gid ~src ~dest ~buffer ~slots ~span members ~reason))
+          group_rollback t ~gid ~src ~dest ~image:sent ~slots ~span members ~reason))
 
 let start_group t ~src ~dest members =
   let gid = t.next_gid in

@@ -91,8 +91,13 @@ let find_fit env th need =
   (try
      Sh.iter_chain env.space ~head:th.Thread.slots_head (fun slot ->
          if Sh.read_kind env.space slot = Sh.Data then begin
-           let rec scan b =
+           (* The links sit in memory the guest can write: a list longer
+              than the slot can hold blocks is a guest-made cycle. *)
+           let bound = Sh.read_size env.space slot / B.min_block in
+           let rec scan b n =
              if b <> 0 then begin
+               if n >= bound then
+                 invalid_arg (Printf.sprintf "Iso_heap: free-list cycle in slot 0x%x" slot);
                incr steps;
                let bsize = B.read_size env.space b in
                if bsize >= need then begin
@@ -105,10 +110,10 @@ let find_fit env th need =
                     | Some (_, best) when B.read_size env.space best <= bsize -> ()
                     | _ -> result := Some (slot, b))
                end;
-               scan (B.read_next_free env.space b)
+               scan (B.read_next_free env.space b) (n + 1)
              end
            in
-           scan (Sh.read_free_head env.space slot)
+           scan (Sh.read_free_head env.space slot) 0
          end)
    with Exit -> ());
   env.charge (float_of_int !steps *. env.cost.Cm.free_list_step);

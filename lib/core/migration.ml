@@ -144,6 +144,14 @@ let pack_slot space p { slot; size; body } =
          pack_mem space p (slot + off) bsize)
       blocks
 
+(* The used blocks of a blocks-only slot plan, as (address, size). *)
+let used_at slot blocks = List.map (fun (off, bsize) -> (slot + off, bsize)) blocks
+
+(* The free blocks are the gaps between the [used] ones. *)
+let rebuild_free_list space ~slot ~size used =
+  Sh.write_free_head space slot
+    (B.rebuild space ~lo:(Sh.blocks_base slot) ~hi:(slot + size) used)
+
 let unpack_slot space u =
   let slot = Pk.unpack_int u in
   let size = Pk.unpack_int u in
@@ -162,23 +170,43 @@ let unpack_slot space u =
        let data, pos, len = Pk.unpack_view u in
        As.store_sub space (slot + sp_off) data ~pos ~len
      | 0 ->
-       let used =
-         Pk.unpack_list u (fun () ->
-             let b = slot + Pk.unpack_int u in
-             let data, pos, len = Pk.unpack_view u in
-             As.store_sub space b data ~pos ~len;
-             (b, len))
-       in
-       (* The free blocks are the gaps between the used ones. *)
-       Sh.write_free_head space slot
-         (B.rebuild space ~lo:(Sh.blocks_base slot) ~hi:(slot + size) used)
+       rebuild_free_list space ~slot ~size
+         (Pk.unpack_list u (fun () ->
+              let b = slot + Pk.unpack_int u in
+              let data, pos, len = Pk.unpack_view u in
+              As.store_sub space b data ~pos ~len;
+              (b, len)))
      | tag -> invalid_arg (Printf.sprintf "Migration.unpack: bad slot tag %d" tag));
     (slot, size)
   end
 
-let pack ?(obs = Obs.Collector.null) ?(node = 0) ~geometry ~cost ~space ~packing
-    (th : Thread.t) =
-  ignore geometry;
+(* The source side's cost of a hop: freeze, copy-out of [bytes] and
+   unmapping every slot, summed in slot order. *)
+let pack_cost_of cost plans ~bytes =
+  let munmap_total =
+    List.fold_left
+      (fun acc { size; _ } -> acc +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
+      0. plans
+  in
+  cost.Cm.context_switch (* freeze *) +. Cm.memcpy_cost cost ~bytes +. munmap_total
+
+(* The destination side's: mapping every slot (without the zero-fill
+   term: every useful page is populated by the copy-in, which is charged
+   as memcpy), copy-in of [bytes], resume. *)
+let unpack_cost_of cost ranges ~bytes =
+  let mmap_total =
+    List.fold_left
+      (fun acc (_, size) ->
+        acc +. cost.Cm.mmap_base
+        +. (float_of_int (size / Layout.page_size) *. cost.Cm.mmap_per_page))
+      0. ranges
+  in
+  mmap_total +. Cm.memcpy_cost cost ~bytes +. cost.Cm.context_switch (* resume *)
+
+let emit_slot obs ~node event =
+  if Obs.Collector.enabled obs then Obs.Collector.emit obs ~node event
+
+let pack ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space ~packing (th : Thread.t) =
   let plans = plan space packing th in
   let p = Pk.packer ~size:(planned_size th plans) () in
   pack_descriptor p th;
@@ -187,26 +215,76 @@ let pack ?(obs = Obs.Collector.null) ?(node = 0) ~geometry ~cost ~space ~packing
     (fun plan ->
        let before = Pk.packed_size p in
        pack_slot space p plan;
-       if Obs.Collector.enabled obs then
-         Obs.Collector.emit obs ~node
-           (Obs.Event.Pack_slot
-              { tid = th.Thread.id; slot = plan.slot; bytes = Pk.packed_size p - before }))
+       emit_slot obs ~node
+         (Obs.Event.Pack_slot
+            { tid = th.Thread.id; slot = plan.slot; bytes = Pk.packed_size p - before }))
     plans;
   (* Free the source memory: the slots stay owned by the thread (bitmaps
      untouched), but their pages leave this node. *)
-  let munmap_total = ref 0. in
-  List.iter
-    (fun { slot; size; _ } ->
-       As.munmap space ~addr:slot ~size;
-       munmap_total := !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
-    plans;
+  List.iter (fun { slot; size; _ } -> As.munmap space ~addr:slot ~size) plans;
   let buffer = Pk.contents p in
-  let pack_cost =
-    cost.Cm.context_switch (* freeze *)
-    +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
-    +. !munmap_total
+  {
+    buffer;
+    pack_cost = pack_cost_of cost plans ~bytes:(Bytes.length buffer);
+    slots = List.length plans;
+  }
+
+(* ===== the direct hop: page ownership =====
+
+   What [pack] would put on the wire, only the pages move: each slot's
+   page records leave the source space and are adopted at the same
+   addresses in the destination, with the bytes blocks-only packing
+   would not ship cleared. Sizes, costs and events are the buffered
+   pair's, computed from the plan. *)
+
+type moved_pages = (slot_plan * As.pages) list
+
+type moved = {
+  m_bytes : int;
+  m_pack_cost : float;
+  m_slots : int;
+  m_pages : moved_pages;
+}
+
+(* The [(addr, len)] ranges of a slot that [pack_slot] ships, in address
+   order. *)
+let shipped { slot; size; body } =
+  match body with
+  | Whole -> [ (slot, size) ]
+  | Stack_tail sp -> [ (slot, Sh.size_of_header); (sp, slot + size - sp) ]
+  | Blocks blocks -> (slot, Sh.size_of_header) :: used_at slot blocks
+
+let move_out ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space ~packing (th : Thread.t) =
+  let plans = plan space packing th in
+  let bytes = planned_size th plans in
+  List.iter
+    (fun plan ->
+      emit_slot obs ~node
+        (Obs.Event.Pack_slot { tid = th.Thread.id; slot = plan.slot; bytes = slot_size plan }))
+    plans;
+  let m_pages =
+    List.map (fun plan -> (plan, As.take space ~addr:plan.slot ~size:plan.size)) plans
   in
-  { buffer; pack_cost; slots = List.length plans }
+  {
+    m_bytes = bytes;
+    m_pack_cost = pack_cost_of cost plans ~bytes;
+    m_slots = List.length plans;
+    m_pages;
+  }
+
+let move_in ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space (th : Thread.t) m =
+  List.iter
+    (fun (({ slot; size; body } as plan), pages) ->
+      As.adopt space ~ranges:(shipped plan) pages;
+      (match body with
+       | Blocks blocks -> rebuild_free_list space ~slot ~size (used_at slot blocks)
+       | Whole | Stack_tail _ -> ());
+      emit_slot obs ~node
+        (Obs.Event.Unpack_slot { tid = th.Thread.id; slot; bytes = slot_size plan }))
+    m.m_pages;
+  unpack_cost_of cost
+    (List.map (fun ({ slot; size; _ }, _) -> (slot, size)) m.m_pages)
+    ~bytes:m.m_bytes
 
 (* ===== slot ranges and the transfer envelope =====
 
@@ -343,47 +421,38 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
             (Obs.Event.Delta_miss { tid = th.Thread.id; pages = !m_data })
       end)
     all_slots;
-  (* A v3 sender retains a copy of every non-zero page before freeing the
-     source memory: the pinned residual image backs both the rollback
-     path and the full-resend fallback, and becomes the migrate-out
-     residual once the transfer settles. *)
-  let retained =
-    match version with
-    | Codec.V2 -> []
-    | Codec.V3 ->
-      List.map
-        (fun ((th : Thread.t), slots) ->
-          let pages =
-            List.concat_map
-              (fun slot ->
-                let size = Sh.read_size space slot in
-                List.filter_map
-                  (fun i ->
-                    let a = slot + (i * Layout.page_size) in
-                    if As.page_is_zero space a then None
-                    else Some (a, As.load_bytes space a Layout.page_size))
-                  (List.init (size / Layout.page_size) Fun.id))
-              slots
-          in
-          (th.Thread.id, pages))
-        all_slots
-  in
   (* Free the source memory only after every member is packed: the group
-     image either exists in full or the source is untouched. A checkpoint
-     passes [~unmap:false] — the same wire image is produced, but the
-     threads keep running in place. *)
+     image either exists in full or the source is untouched. A v3 sender
+     keeps every non-zero page: the pinned residual image backs both the
+     rollback path and the full-resend fallback, and becomes the
+     migrate-out residual once the transfer settles. Pages about to be
+     unmapped are taken, not copied. A checkpoint passes [~unmap:false]:
+     the same wire image is produced, the threads keep running in place,
+     and the kept pages are copies. *)
+  let retain = version = Codec.V3 in
   let munmap_total = ref 0. in
-  if unmap then
-    List.iter
-      (fun (_, slots) ->
-        List.iter
-          (fun slot ->
-            let size = Sh.read_size space slot in
-            As.munmap space ~addr:slot ~size;
-            munmap_total :=
-              !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
-          slots)
-      all_slots;
+  let slot_pages slot =
+    let size = Sh.read_size space slot in
+    if unmap then begin
+      munmap_total := !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size);
+      if retain then As.nonzero_buffers (As.take space ~addr:slot ~size)
+      else (As.munmap space ~addr:slot ~size; [])
+    end
+    else if retain then
+      List.filter_map
+        (fun i ->
+          let a = slot + (i * Layout.page_size) in
+          if As.page_is_zero space a then None
+          else Some (a, As.load_bytes space a Layout.page_size))
+        (List.init (size / Layout.page_size) Fun.id)
+    else []
+  in
+  let kept =
+    List.map
+      (fun ((th : Thread.t), slots) -> (th.Thread.id, List.concat_map slot_pages slots))
+      all_slots
+  in
+  let retained = if retain then kept else [] in
   let buffer = Codec.frame ?trace version (Pk.contents p) in
   let pack_cost =
     (float_of_int (List.length threads) *. cost.Cm.context_switch)
@@ -415,8 +484,8 @@ type group_unpacked = {
 }
 
 let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
-    ?(restore = fun ~tid:_ ~addr:_ ~hash:_ -> false) ~cost ~space ~lookup buffer =
-  match Codec.decode buffer with
+    ?(restore = fun ~tid:_ ~addr:_ ~hash:_ -> false) ?pos ?len ~cost ~space ~lookup buffer =
+  match Codec.decode ?pos ?len buffer with
   | Error e -> invalid_arg ("Migration.unpack_group: " ^ Codec.error_to_string e)
   | Ok (version, u_trace, u) ->
     let gid = Pk.unpack_varint u in
@@ -455,7 +524,8 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
     if Pk.remaining u <> 0 then invalid_arg "Migration.unpack_group: trailing bytes";
     let unpack_cost =
       !mmap_total
-      +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
+      +. Cm.memcpy_cost cost
+           ~bytes:(Option.value len ~default:(Bytes.length buffer - Option.value pos ~default:0))
       +. (float_of_int members *. cost.Cm.context_switch)
     in
     {
@@ -554,14 +624,14 @@ let parse_group_transfer b =
     let gid = Pk.unpack_int u in
     let ck = Pk.unpack_int u in
     let ranges = unpack_ranges u in
-    let buffer = Pk.unpack_bytes u in
+    let image = Pk.unpack_view u in
     if Pk.remaining u <> 0 then invalid_arg "Migration: trailing group transfer bytes";
-    (gid, ck, ranges, buffer)
+    (gid, ck, ranges, image)
   with
   | exception Invalid_argument _ -> Error "malformed group transfer message"
-  | gid, ck, ranges, buffer ->
-    if Pk.checksum buffer <> ck then Error "group wire buffer checksum mismatch"
-    else Ok (gid, ranges, buffer)
+  | gid, ck, ranges, ((data, pos, len) as image) ->
+    if Pk.checksum data ~pos ~len <> ck then Error "group wire buffer checksum mismatch"
+    else Ok (gid, ranges, image)
 
 (* -- delta fallback messages (RDLT request / RFUL full pages) --
 
@@ -639,26 +709,17 @@ let parse_delta_full b =
   | v -> Ok v
   | exception Invalid_argument _ -> Error "malformed delta full message"
 
-let unpack ?(obs = Obs.Collector.null) ?(node = 0) ~geometry ~cost ~space (th : Thread.t)
-    buffer =
-  ignore geometry;
+let unpack ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space (th : Thread.t) buffer =
   let u = Pk.unpacker buffer in
   unpack_descriptor u th;
   let nslots = Pk.unpack_int u in
-  let mmap_total = ref 0. in
+  let ranges = ref [] in
   for _ = 1 to nslots do
     let before = Pk.remaining u in
     let slot, size = unpack_slot space u in
-    if Obs.Collector.enabled obs then
-      Obs.Collector.emit obs ~node
-        (Obs.Event.Unpack_slot { tid = th.Thread.id; slot; bytes = before - Pk.remaining u });
-    (* Mapping cost without the zero-fill term: every useful page is
-       populated by the copy-in, which is charged as memcpy. *)
-    mmap_total :=
-      !mmap_total +. cost.Cm.mmap_base
-      +. (float_of_int (size / Layout.page_size) *. cost.Cm.mmap_per_page)
+    emit_slot obs ~node
+      (Obs.Event.Unpack_slot { tid = th.Thread.id; slot; bytes = before - Pk.remaining u });
+    ranges := (slot, size) :: !ranges
   done;
   if Pk.remaining u <> 0 then invalid_arg "Migration.unpack: trailing bytes";
-  !mmap_total
-  +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
-  +. cost.Cm.context_switch (* resume *)
+  unpack_cost_of cost (List.rev !ranges) ~bytes:(Bytes.length buffer)

@@ -14,12 +14,15 @@
     internally allocated blocks of each slot are sent, and the free blocks
     are reconstructed from the gaps on arrival.
 
-    {!pack}/{!unpack} serve the direct, fault-free hop that carries the
-    paper's calibrated numbers. Every other migration — a group, or a
-    lone iso thread with delta migration on or under a live fault plan
-    (a group of one) — goes through the group pipeline below: one
-    probe/verdict handshake, one checksummed transfer, and rollback to
-    the source on any failure. *)
+    The direct, fault-free hop that carries the paper's calibrated
+    numbers is {!move_out}/{!move_in}: every node's space lives in one
+    process, so the slots' pages change owner instead of travelling as
+    bytes. {!pack}/{!unpack} build and apply the wire image the hop
+    models; they stay as its byte-for-byte reference. Every other
+    migration — a group, or a lone iso thread with delta migration on or
+    under a live fault plan (a group of one) — goes through the group
+    pipeline below: one probe/verdict handshake, one checksummed
+    transfer, and rollback to the source on any failure. *)
 
 type packing =
   | Blocks_only
@@ -31,15 +34,14 @@ type packed = {
   slots : int; (* chain entries shipped (stack slot included) *)
 }
 
-(** [pack ~geometry ~cost ~space ~packing thread] freezes [thread], packs
-    its resources, and unmaps its slots from [space]. After this the
+(** [pack ~cost ~space ~packing thread] freezes [thread], packs its
+    resources, and unmaps its slots from [space]. After this the
     thread's memory exists only in the buffer. [?obs] receives one
     [Pack_slot] event per chain entry (packed wire bytes), attributed to
     [?node] (default 0). *)
 val pack :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
-  geometry:Slot.t ->
   cost:Pm2_sim.Cost_model.t ->
   space:Pm2_vmem.Address_space.t ->
   packing:packing ->
@@ -54,8 +56,8 @@ val pack :
 val image_size :
   space:Pm2_vmem.Address_space.t -> packing:packing -> Thread.t -> int
 
-(** [unpack ~geometry ~cost ~space thread buffer] maps every packed slot at
-    its original address in [space], restores the contents, and overwrites
+(** [unpack ~cost ~space thread buffer] maps every packed slot at its
+    original address in [space], restores the contents, and overwrites
     [thread]'s descriptor fields (context, slot list head, registered
     pointers) from the wire image. Returns the unpack cost in µs. [?obs]
     receives one [Unpack_slot] event per slot (wire bytes consumed).
@@ -65,11 +67,54 @@ val image_size :
 val unpack :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
-  geometry:Slot.t ->
   cost:Pm2_sim.Cost_model.t ->
   space:Pm2_vmem.Address_space.t ->
   Thread.t ->
   Bytes.t ->
+  float
+
+(** {1 The direct hop: page ownership} *)
+
+type moved_pages
+(** A thread's slots in transit: their pages, taken out of the source
+    space ({!Pm2_vmem.Address_space.take}), and what {!pack} would have
+    shipped of each. These buffers have no other owner. *)
+
+type moved = {
+  m_bytes : int; (* wire bytes: what {!pack}'s image would measure *)
+  m_pack_cost : float; (* {!pack}'s cost for that image, µs *)
+  m_slots : int; (* chain entries moved (stack slot included) *)
+  m_pages : moved_pages;
+}
+
+(** [move_out ~cost ~space ~packing thread] freezes [thread] and takes
+    its slots' pages out of [space], leaving the slots unmapped as
+    {!pack} does. Sizes, cost and [Pack_slot] events equal {!pack}'s. *)
+val move_out :
+  ?obs:Pm2_obs.Collector.t ->
+  ?node:int ->
+  cost:Pm2_sim.Cost_model.t ->
+  space:Pm2_vmem.Address_space.t ->
+  packing:packing ->
+  Thread.t ->
+  moved
+
+(** [move_in ~cost ~space thread moved] installs the moved pages at
+    their addresses in [space] and returns the unpack cost in µs.
+    [space] ends up as {!unpack} of {!pack}'s image would leave it —
+    every page's bytes, store marks, epoch heat, hashes and zero state,
+    and the rebuilt free lists — with the same cost and [Unpack_slot]
+    events. Only {!Pm2_vmem.Address_space.resident_pages} may differ.
+    The descriptor is not touched: the thread never left this process.
+    [moved] must not be used again.
+    @raise Invalid_argument if some target page is already mapped. *)
+val move_in :
+  ?obs:Pm2_obs.Collector.t ->
+  ?node:int ->
+  cost:Pm2_sim.Cost_model.t ->
+  space:Pm2_vmem.Address_space.t ->
+  Thread.t ->
+  moved ->
   float
 
 val packing_to_string : packing -> string
@@ -102,9 +147,10 @@ type group_packed = {
   g_zero_pages : int; (* pages elided by the manifest *)
   g_cached_pages : int; (* pages shipped as hashes only (v3) *)
   g_retained : (int * (int * Bytes.t) list) list;
-      (* v3 only: per member, copies of every non-zero page taken at pack
-         time — the caller pins these in its delta cache to back rollback
-         and the full-resend fallback *)
+      (* v3 only: per member, every non-zero page as it was at pack time —
+         the buffers taken out of the source when it unmaps, copies when
+         it does not — for the caller to pin in its delta cache to back
+         rollback and the full-resend fallback *)
 }
 
 (** [pack_group ~cost ~space ~gid threads] packs every member into one
@@ -152,7 +198,8 @@ type group_unpacked = {
 }
 
 (** [unpack_group ~cost ~space ~lookup buffer] decodes a {!pack_group}
-    image: maps every slot at its original address, stores the data
+    image, read in place from [buffer.[pos .. pos+len-1]] (default: all
+    of [buffer]; the cost charges [len] bytes): maps every slot at its original address, stores the data
     pages, and overwrites each member's descriptor ([lookup tid] resolves
     the thread). For a V3 image, each [Cached] page invokes
     [restore ~tid ~addr ~hash]; the callback must blit the retained page
@@ -165,6 +212,8 @@ val unpack_group :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
   ?restore:(tid:int -> addr:int -> hash:int -> bool) ->
+  ?pos:int ->
+  ?len:int ->
   cost:Pm2_sim.Cost_model.t ->
   space:Pm2_vmem.Address_space.t ->
   lookup:(int -> Thread.t) ->
@@ -191,9 +240,12 @@ val parse_group_verdict : Bytes.t -> (int * bool * string) option
 val group_transfer_message :
   gid:int -> ranges:(int * int) list -> buffer:Bytes.t -> Bytes.t
 
-(** [Ok (gid, ranges, buffer)] after verifying the embedded checksum;
-    [Error reason] on malformation or checksum mismatch. *)
-val parse_group_transfer : Bytes.t -> (int * (int * int) list * Bytes.t, string) result
+(** [Ok (gid, ranges, (data, pos, len))] after verifying the embedded
+    checksum over the image, which is returned as a view into the
+    message: nothing is copied. [Error reason] on malformation or
+    checksum mismatch. *)
+val parse_group_transfer :
+  Bytes.t -> (int * (int * int) list * (Bytes.t * int * int), string) result
 
 (** {1 Delta fallback messages (RDLT / RFUL)}
 

@@ -66,12 +66,16 @@ let extend t need =
 
 (* -- allocation -- *)
 
-(* One search step charged per block inspected. *)
+(* One search step charged per block inspected. The links sit in memory
+   the guest can write: a list longer than the arena can hold blocks is
+   a guest-made cycle. *)
 let find_fit t need =
   let steps = ref 0 in
+  let bound = (t.brk - Layout.heap_base) / B.min_block in
   let rec loop b =
     if b = nil then None
     else begin
+      if !steps >= bound then invalid_arg "Malloc: free-list cycle in the arena";
       incr steps;
       if B.read_size t.space b >= need then Some b
       else loop (B.read_next_free t.space b)

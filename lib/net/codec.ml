@@ -51,9 +51,9 @@ let error_to_string = function
 
 (* The payload is the frame's last field, so an unpacker positioned at
    its start has exactly its bounds: the payload is read where it lies. *)
-let decode buf =
+let decode ?pos ?len buf =
   try
-    let u = Packet.unpacker buf in
+    let u = Packet.unpacker ?pos ?len buf in
     if Packet.unpack_int u <> frame_magic then Error (Bad_manifest "no frame magic")
     else
       let v = Packet.unpack_int u in

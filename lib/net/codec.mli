@@ -21,9 +21,9 @@
     v}
 
     A buffer that does not start with the ["PM2C"] magic is not a frame
-    and decodes to an error. The direct single-thread hop ships its own
-    buffer ([Pm2_core.Migration.pack]) and never passes through this
-    codec.
+    and decodes to an error. The direct single-thread hop moves its
+    pages without any wire image ([Pm2_core.Migration.move_out]) and
+    never passes through this codec.
 
     Range encoding, per slot — one format, whose class tag is 1 bit
     wide in v2 (no [Cached] class) and 2 bits wide in v3:
@@ -62,15 +62,20 @@ type error =
 
 val error_to_string : error -> string
 
-(** [decode buf] opens a frame: its version, its trace context if the
-    trace flag is set (what the destination parents its spans through;
-    [None] for untraced frames), and an unpacker over the payload in
-    place — it aliases [buf], copies nothing and ends where the payload
-    ends. Errors on a missing frame magic, unknown versions (a version
-    word other than 2 or 3, with or without the trace flag), truncation
-    and trailing garbage. *)
+(** [decode ?pos ?len buf] opens the frame held in
+    [buf.[pos .. pos+len-1]] (default: all of [buf]): its version, its
+    trace context if the trace flag is set (what the destination parents
+    its spans through; [None] for untraced frames), and an unpacker over
+    the payload in place — it aliases [buf], copies nothing and ends
+    where the payload ends. Errors on a missing frame magic, unknown
+    versions (a version word other than 2 or 3, with or without the
+    trace flag), truncation, trailing garbage and a window outside
+    [buf]. *)
 val decode :
-  Bytes.t -> (version * (int * int) option * Packet.unpacker, error) result
+  ?pos:int ->
+  ?len:int ->
+  Bytes.t ->
+  (version * (int * int) option * Packet.unpacker, error) result
 
 (** {1 Page ranges} *)
 

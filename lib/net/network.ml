@@ -92,26 +92,35 @@ let send_faulty t ~src ~dst ~bytes ~delay payload k =
         deliver_faulty t ~src ~dst ~bytes ~delay:(delay +. extra_delay) payload k)
       copies
 
-let send t ~src ~dst payload k =
+(* Count and announce a message of [bytes]; its one-way delay. *)
+let depart t ~src ~dst ~bytes =
   check t src;
   check t dst;
-  let bytes = Bytes.length payload in
   record t ~src ~dst ~bytes;
   if Obs.Collector.enabled t.obs then
     Obs.Collector.emit t.obs ~node:src (Obs.Event.Packet_send { src; dst; bytes });
-  let delay =
-    if src = dst then Pm2_sim.Cost_model.memcpy_cost t.cost ~bytes
-    else transfer_time t ~bytes
-  in
-  (* Loop-back traffic never touches the interconnect, so the fault plan
-     does not apply to self-sends; with the plan disabled this branch is
-     the exact pre-fault code path. *)
-  if (not (Fault.Plan.enabled t.faults)) || src = dst then
-    Pm2_sim.Engine.schedule_after t.engine ~delay (fun () ->
-        if Obs.Collector.enabled t.obs then
-          Obs.Collector.emit t.obs ~node:dst (Obs.Event.Packet_deliver { src; dst; bytes });
-        k payload)
-  else send_faulty t ~src ~dst ~bytes ~delay payload k
+  if src = dst then Pm2_sim.Cost_model.memcpy_cost t.cost ~bytes else transfer_time t ~bytes
+
+(* The fault-free delivery: [k] runs at the modelled arrival time. *)
+let arrive t ~src ~dst ~bytes ~delay k =
+  Pm2_sim.Engine.schedule_after t.engine ~delay (fun () ->
+      if Obs.Collector.enabled t.obs then
+        Obs.Collector.emit t.obs ~node:dst (Obs.Event.Packet_deliver { src; dst; bytes });
+      k ())
+
+(* Loop-back traffic never touches the interconnect, so the fault plan
+   does not apply to self-sends. *)
+let faulty t ~src ~dst = Fault.Plan.enabled t.faults && src <> dst
+
+let send t ~src ~dst payload k =
+  let bytes = Bytes.length payload in
+  let delay = depart t ~src ~dst ~bytes in
+  if faulty t ~src ~dst then send_faulty t ~src ~dst ~bytes ~delay payload k
+  else arrive t ~src ~dst ~bytes ~delay (fun () -> k payload)
+
+let send_sized t ~src ~dst ~bytes k =
+  if faulty t ~src ~dst then invalid_arg "Network.send_sized: a fault plan is live";
+  arrive t ~src ~dst ~bytes ~delay:(depart t ~src ~dst ~bytes) k
 
 let messages_sent t = Array.fold_left ( + ) 0 t.msg_count
 

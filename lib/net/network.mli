@@ -43,6 +43,15 @@ val faults : t -> Pm2_fault.Plan.t
     @raise Invalid_argument on a bad node id. *)
 val send : t -> src:int -> dst:int -> Bytes.t -> (Bytes.t -> unit) -> unit
 
+(** [send_sized t ~src ~dst ~bytes k] is {!send} of a message whose
+    contents never leave the process: only its modelled size [bytes]
+    travels, through the same counters, events and delay, and [k ()]
+    runs at the arrival time. Nothing is there to corrupt, so it has no
+    faulty path.
+    @raise Invalid_argument if a fault plan is live ({!faults}) and
+    [src <> dst], or on a bad node id. *)
+val send_sized : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
+
 (** [transfer_time t ~bytes] is the modelled one-way time for a message of
     [bytes] (used by protocols that account time without scheduling a
     delivery event, e.g. the synchronous-state negotiation). *)

@@ -74,14 +74,23 @@ let contents p =
 type unpacker = {
   data : Bytes.t;
   mutable pos : int;
+  stop : int; (* end of the readable window *)
 }
 
-let unpacker data = { data; pos = 0 }
+(* [pos] and [len] default to the whole buffer. *)
+let window who ?(pos = 0) ?len b =
+  let len = Option.value len ~default:(Bytes.length b - pos) in
+  if pos < 0 || len < 0 || len > Bytes.length b - pos then invalid_arg who;
+  (pos, len)
 
-(* [n > remaining] rather than [pos + n > length]: a length prefix near
+let unpacker ?pos ?len data =
+  let pos, len = window "Packet.unpacker" ?pos ?len data in
+  { data; pos; stop = pos + len }
+
+(* [n > remaining] rather than [pos + n > stop]: a length prefix near
    [max_int] must not wrap the sum past the check. *)
 let need u n =
-  if n > Bytes.length u.data - u.pos then invalid_arg "Packet: truncated buffer"
+  if n > u.stop - u.pos then invalid_arg "Packet: truncated buffer"
 
 let unpack_int u =
   need u 8;
@@ -136,13 +145,14 @@ let unpack_take u len =
   u.pos <- u.pos + len;
   (u.data, pos)
 
-let remaining u = Bytes.length u.data - u.pos
+let remaining u = u.stop - u.pos
 
 (* FNV-1a 64, folded to a non-negative OCaml int, for end-to-end wire
    integrity checks (reliable delivery, migration transfer). *)
-let checksum b =
+let checksum ?pos ?len b =
+  let pos, len = window "Packet.checksum" ?pos ?len b in
   let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Bytes.length b - 1 do
+  for i = pos to pos + len - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
         0x100000001b3L
   done;

@@ -62,7 +62,10 @@ val contents : packer -> Bytes.t
 
 type unpacker
 
-val unpacker : Bytes.t -> unpacker
+(** [unpacker ?pos ?len b] reads [b.[pos .. pos+len-1]] in place
+    (default: all of [b]); {!remaining} counts to the end of that window.
+    @raise Invalid_argument if the window falls outside [b]. *)
+val unpacker : ?pos:int -> ?len:int -> Bytes.t -> unpacker
 
 val unpack_int : unpacker -> int
 val unpack_float : unpacker -> float
@@ -92,7 +95,9 @@ val remaining : unpacker -> int
 
 (** {1 Integrity} *)
 
-val checksum : Bytes.t -> int
-(** FNV-1a 64-bit hash folded to a non-negative OCaml [int]. Used by the
-    reliable-delivery layer and the migration pipeline's transfer
-    messages to detect corrupted wire buffers. *)
+val checksum : ?pos:int -> ?len:int -> Bytes.t -> int
+(** FNV-1a 64-bit hash of [b.[pos .. pos+len-1]] (default: all of [b])
+    folded to a non-negative OCaml [int]. Used by the reliable-delivery
+    layer and the migration pipeline's transfer messages to detect
+    corrupted wire buffers.
+    @raise Invalid_argument if the window falls outside [b]. *)

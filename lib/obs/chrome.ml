@@ -1,15 +1,46 @@
-module Vec = Pm2_util.Vec
+(* One column per field, so recording an event allocates nothing but
+   the occasional doubling: no tuple, no boxed time. *)
+type t = {
+  mutable times : Float.Array.t;
+  mutable nodes : int array;
+  mutable events : Event.t array;
+  mutable n : int;
+}
 
-type t = { records : (float * int * Event.t) Vec.t }
+let create () = { times = Float.Array.create 0; nodes = [||]; events = [||]; n = 0 }
 
-let create () = { records = Vec.create () }
+let length t = t.n
 
-let length t = Vec.length t.records
+let clear t =
+  t.times <- Float.Array.create 0;
+  t.nodes <- [||];
+  t.events <- [||];
+  t.n <- 0
 
-let clear t = Vec.clear t.records
+let push t ~time ~node ev =
+  if t.n = Array.length t.events then begin
+    let cap = max 256 (2 * t.n) in
+    let times = Float.Array.create cap in
+    Float.Array.blit t.times 0 times 0 t.n;
+    let nodes = Array.make cap 0 in
+    Array.blit t.nodes 0 nodes 0 t.n;
+    let events = Array.make cap ev in
+    Array.blit t.events 0 events 0 t.n;
+    t.times <- times;
+    t.nodes <- nodes;
+    t.events <- events
+  end;
+  Float.Array.unsafe_set t.times t.n time;
+  Array.unsafe_set t.nodes t.n node;
+  Array.unsafe_set t.events t.n ev;
+  t.n <- t.n + 1
 
-let sink t =
-  Sink.make ~name:"chrome" (fun ~time ~node ev -> Vec.push t.records (time, node, ev))
+let iter t f =
+  for i = 0 to t.n - 1 do
+    f (Float.Array.get t.times i) t.nodes.(i) t.events.(i)
+  done
+
+let sink t = Sink.make ~name:"chrome" (fun ~time ~node ev -> push t ~time ~node ev)
 
 let category : Event.t -> string = function
   | Slot_reserve _ | Slot_release _ | Slot_transfer _ -> "slot"
@@ -63,38 +94,34 @@ let add_event buf ~time ~node ev =
   Buffer.add_char buf '}'
 
 let to_buffer t =
-  let buf = Buffer.create (256 * (1 + Vec.length t.records)) in
+  let buf = Buffer.create (256 * (1 + t.n)) in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "{\"traceEvents\":[";
   let first = ref true in
   let comma () = if !first then first := false else Buffer.add_char buf ',' in
   (* Process-name metadata so chrome://tracing labels each pid "node N". *)
   let pids = Hashtbl.create 8 in
-  Vec.iter (fun (_, node, _) -> Hashtbl.replace pids node ()) t.records;
+  iter t (fun _ node _ -> Hashtbl.replace pids node ());
   Hashtbl.fold (fun pid () acc -> pid :: acc) pids []
   |> List.sort compare
   |> List.iter (fun pid ->
       comma ();
       addf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"node %d\"}}"
         pid pid);
-  Vec.iter
-    (fun (time, node, ev) ->
-       comma ();
-       add_event buf ~time ~node ev)
-    t.records;
+  iter t (fun time node ev ->
+      comma ();
+      add_event buf ~time ~node ev);
   (* Cross-node causality: wherever a span's parent ran on a different
      node, bind the two slices with a flow arrow — step "s" inside the
      parent slice, step "f" (bp:"e") inside the child slice, keyed by the
      child span id. This is what makes one migration readable as a single
      tree across source and destination tracks in Perfetto. *)
   let spans = Hashtbl.create 64 in
-  Vec.iter
-    (fun (_, node, ev) ->
-       match (ev : Event.t) with
-       | Span_end { span; trace; parent; start; dur; _ } ->
-         Hashtbl.replace spans span (node, trace, parent, start, dur)
-       | _ -> ())
-    t.records;
+  iter t (fun _ node ev ->
+      match (ev : Event.t) with
+      | Span_end { span; trace; parent; start; dur; _ } ->
+        Hashtbl.replace spans span (node, trace, parent, start, dur)
+      | _ -> ());
   Hashtbl.fold (fun span info acc -> (span, info) :: acc) spans []
   |> List.sort compare
   |> List.iter (fun (span, (node, trace, parent, start, _)) ->

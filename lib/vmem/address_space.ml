@@ -14,9 +14,19 @@ type page = {
   mutable hash : int;
 }
 
+(* Page indices are non-negative and come in runs, so the index itself
+   spreads them over the buckets: no call to the polymorphic hash per
+   probe. Nothing iterates the table, so its order never shows. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p land max_int
+end)
+
 type t = {
   node : int;
-  pages : (int, page) Hashtbl.t; (* page index -> its record *)
+  pages : page Pages.t; (* page index -> its record *)
   mutable mmap_calls : int;
   mutable resident : int; (* mapped pages whose [data] is allocated *)
   (* One-entry page cache: guest word/byte accesses show heavy page
@@ -48,7 +58,7 @@ let fresh = { data = untouched; stored = -1; hash = -1 }
 let create ~node () =
   {
     node;
-    pages = Hashtbl.create 1024;
+    pages = Pages.create 1024;
     mmap_calls = 0;
     resident = 0;
     last_page = -1;
@@ -69,25 +79,55 @@ let mmap t ~addr ~size =
   let first = Layout.page_of_addr addr in
   let n = size / Layout.page_size in
   for p = first to first + n - 1 do
-    if Hashtbl.mem t.pages p then
+    if Pages.mem t.pages p then
       invalid_arg (Printf.sprintf "Address_space.mmap: page 0x%x already mapped"
                      (Layout.addr_of_page p))
   done;
   for p = first to first + n - 1 do
-    Hashtbl.replace t.pages p fresh
+    Pages.replace t.pages p fresh
   done;
   t.mmap_calls <- t.mmap_calls + 1
 
+(* Page buffers a space let go of, kept for the next page any space
+   allocates: a thread hop moves its buffers rather than freeing them,
+   so without this cache every page a spawn or a slot acquisition first
+   touches would be a fresh allocation from the system. Process-wide
+   and bounded; a buffer in it belongs to no space. *)
+let spare = Array.make 512 untouched
+
+let spares = ref 0
+
+let recycle b =
+  if !spares < Array.length spare then begin
+    spare.(!spares) <- b;
+    incr spares
+  end
+
+(* A zero-filled page buffer. *)
+let new_buffer () =
+  if !spares = 0 then Bytes.make Layout.page_size '\000'
+  else begin
+    decr spares;
+    let b = spare.(!spares) in
+    spare.(!spares) <- untouched;
+    Bytes.fill b 0 Layout.page_size '\000';
+    b
+  end
+
 let drop_page t p =
-  if (Hashtbl.find t.pages p).data != untouched then t.resident <- t.resident - 1;
-  Hashtbl.remove t.pages p
+  let r = Pages.find t.pages p in
+  if r.data != untouched then begin
+    t.resident <- t.resident - 1;
+    recycle r.data
+  end;
+  Pages.remove t.pages p
 
 let munmap t ~addr ~size =
   check_aligned "munmap" ~addr ~size;
   let first = Layout.page_of_addr addr in
   let n = size / Layout.page_size in
   for p = first to first + n - 1 do
-    if not (Hashtbl.mem t.pages p) then
+    if not (Pages.mem t.pages p) then
       invalid_arg (Printf.sprintf "Address_space.munmap: page 0x%x not mapped"
                      (Layout.addr_of_page p))
   done;
@@ -96,18 +136,18 @@ let munmap t ~addr ~size =
   done;
   t.last_page <- -1
 
-let is_mapped t a = Hashtbl.mem t.pages (Layout.page_of_addr a)
+let is_mapped t a = Pages.mem t.pages (Layout.page_of_addr a)
 
 let range_mapped t ~addr ~size =
   let first = Layout.page_of_addr addr in
   let last = Layout.page_of_addr (addr + size - 1) in
-  let rec loop p = p > last || (Hashtbl.mem t.pages p && loop (p + 1)) in
+  let rec loop p = p > last || (Pages.mem t.pages p && loop (p + 1)) in
   size = 0 || loop first
 
 let range_unmapped t ~addr ~size =
   let first = Layout.page_of_addr addr in
   let last = Layout.page_of_addr (addr + size - 1) in
-  let rec loop p = p > last || ((not (Hashtbl.mem t.pages p)) && loop (p + 1)) in
+  let rec loop p = p > last || ((not (Pages.mem t.pages p)) && loop (p + 1)) in
   size = 0 || loop first
 
 let scrub_range t ~addr ~size =
@@ -116,7 +156,7 @@ let scrub_range t ~addr ~size =
   let n = ref 0 in
   if size > 0 then begin
     for p = first to last do
-      if Hashtbl.mem t.pages p then begin
+      if Pages.mem t.pages p then begin
         drop_page t p;
         incr n
       end
@@ -125,7 +165,7 @@ let scrub_range t ~addr ~size =
   end;
   !n
 
-let mapped_pages t = Hashtbl.length t.pages
+let mapped_pages t = Pages.length t.pages
 
 let resident_pages t = t.resident
 
@@ -137,7 +177,7 @@ let[@inline] own t p r =
   if r != fresh then r
   else begin
     let r = { data = untouched; stored = -1; hash = -1 } in
-    Hashtbl.replace t.pages p r;
+    Pages.replace t.pages p r;
     r
   end
 
@@ -146,7 +186,7 @@ let[@inline] own t p r =
 let[@inline] materialise t p r =
   let r = own t p r in
   if r.data == untouched then begin
-    r.data <- Bytes.make Layout.page_size '\000';
+    r.data <- new_buffer ();
     t.resident <- t.resident + 1
   end;
   t.last_page <- p;
@@ -157,7 +197,7 @@ let record t what a =
   let p = Layout.page_of_addr a in
   if p = t.last_page then t.last
   else
-    match Hashtbl.find_opt t.pages p with
+    match Pages.find_opt t.pages p with
     | Some r -> materialise t p r
     | None -> segv t a what
 
@@ -175,7 +215,7 @@ let wpage t what a =
   r.data
 
 let page_dirty t a =
-  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  match Pages.find_opt t.pages (Layout.page_of_addr a) with
   | Some r -> r.stored >= 0
   | None -> false
 
@@ -190,7 +230,7 @@ let dirty_in_epoch t ~addr ~size =
     let last = Layout.page_of_addr (addr + size - 1) in
     let n = ref 0 in
     for p = first to last do
-      match Hashtbl.find_opt t.pages p with
+      match Pages.find_opt t.pages p with
       | Some r when r.stored = t.epoch -> incr n
       | _ -> ()
     done;
@@ -222,7 +262,7 @@ let is_zero_sub b ~pos ~len =
   !zero
 
 let page_is_zero t a =
-  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  match Pages.find_opt t.pages (Layout.page_of_addr a) with
   | None -> segv t a "is_zero"
   | Some r ->
     (* Untouched, or never stored to since mapping: still the zero fill
@@ -255,12 +295,107 @@ let page_bytes_hash bytes =
 let zero_page_hash = page_bytes_hash (Bytes.make Layout.page_size '\000')
 
 let page_hash t a =
-  match Hashtbl.find_opt t.pages (Layout.page_of_addr a) with
+  match Pages.find_opt t.pages (Layout.page_of_addr a) with
   | None -> segv t a "page_hash"
   | Some r when r.data == untouched -> zero_page_hash
   | Some r ->
     if r.hash < 0 then r.hash <- page_bytes_hash r.data;
     r.hash
+
+(* ===== moving pages between spaces =====
+
+   Every node's space lives in one process, so a page changes owner by
+   moving its record from one table to the other: no byte is copied. A
+   taken record is in no table, so each buffer has exactly one owner at
+   any time. *)
+
+type pages = { base : addr; recs : page array }
+
+let take t ~addr ~size =
+  check_aligned "take" ~addr ~size;
+  let first = Layout.page_of_addr addr in
+  let recs =
+    Array.init (size / Layout.page_size) (fun i ->
+        match Pages.find t.pages (first + i) with
+        | r -> r
+        | exception Not_found ->
+          invalid_arg (Printf.sprintf "Address_space.take: page 0x%x not mapped"
+                         (Layout.addr_of_page (first + i))))
+  in
+  Array.iteri
+    (fun i r ->
+      if r.data != untouched then t.resident <- t.resident - 1;
+      Pages.remove t.pages (first + i))
+    recs;
+  t.last_page <- -1;
+  { base = addr; recs }
+
+let nonzero_buffers { base; recs } =
+  let out = ref [] in
+  for i = Array.length recs - 1 downto 0 do
+    let r = recs.(i) in
+    if r.data != untouched && r.stored >= 0
+       && not (is_zero_sub r.data ~pos:0 ~len:Layout.page_size)
+    then out := (base + (i * Layout.page_size), r.data) :: !out
+  done;
+  !out
+
+(* [adopt] leaves each page as [mmap] and a [store_sub] of every listed
+   range would: bytes outside the ranges read zero, a page a non-empty
+   range touches carries the store mark, and any other page is the
+   shared untouched record. A taken buffer is kept, with its unlisted
+   bytes cleared, only where a range touches it. *)
+let adopt t ~ranges { base; recs } =
+  let n = Array.length recs in
+  let first = Layout.page_of_addr base in
+  let limit = base + (n * Layout.page_size) in
+  ignore
+    (List.fold_left
+       (fun from (a, len) ->
+         if len < 0 || a < from || a + len > limit then
+           invalid_arg (Printf.sprintf "Address_space.adopt: bad range (0x%x, %d)" a len);
+         a + len)
+       base ranges);
+  for p = first to first + n - 1 do
+    if Pages.mem t.pages p then
+      invalid_arg (Printf.sprintf "Address_space.adopt: page 0x%x already mapped"
+                     (Layout.addr_of_page p))
+  done;
+  let rest = ref (List.filter (fun (_, len) -> len > 0) ranges) in
+  for i = 0 to n - 1 do
+    let lo = base + (i * Layout.page_size) in
+    let hi = lo + Layout.page_size in
+    (* Ranges ending at or before this page are done with. *)
+    let rec skip = function (a, len) :: tl when a + len <= lo -> skip tl | l -> l in
+    rest := skip !rest;
+    let r = recs.(i) in
+    let shipped = match !rest with (a, _) :: _ -> a < hi | [] -> false in
+    let r =
+      if not shipped then begin
+        if r.data != untouched then recycle r.data;
+        fresh
+      end
+      else begin
+        let r = if r == fresh then { data = untouched; stored = -1; hash = -1 } else r in
+        if r.data != untouched then begin
+          (* Clear the gaps between the ranges' parts inside the page. *)
+          let rec clear from = function
+            | (a, len) :: tl when a < hi ->
+              let s = max a lo in
+              if s > from then Bytes.fill r.data (from - lo) (s - from) '\000';
+              clear (min (a + len) hi) tl
+            | _ -> if hi > from then Bytes.fill r.data (from - lo) (hi - from) '\000'
+          in
+          clear lo !rest;
+          t.resident <- t.resident + 1
+        end;
+        mark t r;
+        r
+      end
+    in
+    Pages.add t.pages (first + i) r
+  done;
+  t.mmap_calls <- t.mmap_calls + 1
 
 (* Raw page handles for the MVM execution engine's inlined load/store
    fast path. [page_for_read]/[page_for_write] are exactly the internal
@@ -352,7 +487,7 @@ let store_sub t a b ~pos ~len =
       Bytes.blit b src t.last.data off chunk
     end
     else begin
-      match Hashtbl.find_opt t.pages p with
+      match Pages.find_opt t.pages p with
       | None -> segv t addr "store"
       | Some r when r.data == untouched && is_zero_sub b ~pos:src ~len:chunk ->
         mark t (own t p r)
@@ -378,7 +513,7 @@ let load_into t ~addr ~len dst ~pos =
     let p = Layout.page_of_addr a in
     if p = t.last_page then Bytes.blit t.last.data off dst at chunk
     else begin
-      match Hashtbl.find_opt t.pages p with
+      match Pages.find_opt t.pages p with
       | None -> segv t a "load"
       | Some r when r.data == untouched -> Bytes.fill dst at chunk '\000'
       | Some r -> Bytes.blit (materialise t p r).data off dst at chunk

@@ -30,7 +30,10 @@ val node : t -> int
 
 (** [mmap t ~addr ~size] maps (and zero-fills) the page-aligned range.
     It allocates nothing per page: every page shares one never-written
-    record until its first access or store.
+    record until its first access or store. A page's buffer, allocated
+    on that first access, is taken from a small process-wide cache of
+    buffers that {!munmap}, {!scrub_range} and {!adopt} let go of, and
+    zero-filled.
     @raise Invalid_argument if the range is not page aligned or any page in
     it is already mapped (MAP_FIXED without overwrite — the iso-address
     discipline must guarantee this never happens across nodes). *)
@@ -127,13 +130,56 @@ val page_bytes_hash : Bytes.t -> int
     residual pages. @raise Invalid_argument if [b] is not exactly one
     page long. *)
 
+(** {1 Moving pages between spaces}
+
+    Every node's space lives in one process, so a migration can hand a
+    page's buffer to the destination instead of copying its bytes. The
+    rule is that a buffer has exactly one owner: a mapped page of one
+    space, or one {!pages} value in transit. *)
+
+type pages
+(** Page records taken out of a space: contents, store marks and hash
+    memos, in address order. *)
+
+(** [take t ~addr ~size] unmaps the range like {!munmap} and hands back
+    its pages. As with [munmap], every page handle
+    ({!page_for_read}/{!page_for_write}) into the range becomes invalid
+    in [t]; worse, once the pages are adopted elsewhere a stale handle
+    writes into another space, so callers must drop theirs at any point
+    a [take] could run.
+    @raise Invalid_argument if not page aligned or any page is not
+    mapped. *)
+val take : t -> addr:addr -> size:int -> pages
+
+(** [adopt t ~ranges pages] maps [pages] back at the addresses they were
+    taken from, in [t], leaving exactly what {!mmap} followed by one
+    {!store_sub} of each listed [(addr, len)] range, with the bytes the
+    pages held there, would: bytes outside the ranges read zero, a page
+    a non-empty range touches carries [t]'s store mark (current epoch,
+    hash memo dropped), and any other page is untouched again. Only
+    {!resident_pages} may differ: a page keeps its buffer where a range
+    touches it, even if the bytes stored there are zero. Counts as one
+    {!mmap_calls}. [pages] must not be used again.
+    @raise Invalid_argument, having changed nothing, if any page is
+    already mapped in [t] or the ranges are not ascending, disjoint and
+    inside the pages' span. *)
+val adopt : t -> ranges:(addr * int) list -> pages -> unit
+
+(** [nonzero_buffers pages] is the [(page address, buffer)] of every
+    taken page that is not all zero ({!page_is_zero}), in address order.
+    The caller becomes the buffers' one owner: [pages] must not be
+    adopted afterwards. *)
+val nonzero_buffers : pages -> (addr * Bytes.t) list
+
 (** {1 Typed access} *)
 
 (** [page_for_read t a] is the live page buffer containing [a] — the
     building block of the MVM engine's inlined word-access fast path.
     The handle aliases the mapped page and stays valid only until the
-    next {!munmap}/{!scrub_range}; callers must re-fetch it at any point
-    such a call could run. @raise Segfault if the page is unmapped. *)
+    next {!munmap}/{!scrub_range}/{!take}; callers must re-fetch it at
+    any point such a call could run. After an unmap the buffer may be
+    reused for a page of any space, so a stale handle writes into
+    another page. @raise Segfault if the page is unmapped. *)
 val page_for_read : t -> addr -> Bytes.t
 
 (** [page_for_write t a] is {!page_for_read} plus the dirty-page mark of

@@ -42,6 +42,81 @@ let test_page_hash () =
     (Invalid_argument "Address_space.page_bytes_hash: not a page-sized buffer")
     (fun () -> ignore (As.page_bytes_hash (Bytes.make 100 'x')))
 
+(* -- the v3 residual image -- *)
+
+(* A v3 pack that unmaps its source keeps the page buffers it takes out,
+   not copies: each retained page holds the pre-pack bytes, rollback
+   restores them, and no retained buffer is a page still mapped in any
+   space. *)
+let test_retained_pages_are_taken () =
+  let c = cluster () in
+  let env = Cluster.host_env c 0 and space = Cluster.node_space c 0 in
+  let th = Cluster.host_thread c ~node:0 and other = Cluster.host_thread c ~node:0 in
+  let big = Option.get (Iso_heap.isomalloc env th (6 * page)) in
+  As.store_word space (big + (3 * page)) 0xfeed;
+  let small = Option.get (Iso_heap.isomalloc env th 200) in
+  As.store_word space small 0xbeef;
+  As.store_word space (Option.get (Iso_heap.isomalloc env other 200)) 0xcafe;
+  let ranges = Migration.slot_ranges space th in
+  let pages_of (addr, size) = List.init (size / page) (fun i -> addr + (i * page)) in
+  let nonzero =
+    List.filter_map
+      (fun a -> if As.page_is_zero space a then None else Some (a, As.load_bytes space a page))
+      (List.concat_map pages_of ranges)
+  in
+  let buffers = List.map (fun (a, _) -> As.page_for_read space a) nonzero in
+  let p =
+    Migration.pack_group ~version:Codec.V3 ~cost:Pm2_sim.Cost_model.default ~space ~gid:1
+      [ th ]
+  in
+  let retained = List.assoc th.Thread.id p.Migration.g_retained in
+  Alcotest.(check (list int)) "every non-zero page retained" (List.map fst nonzero)
+    (List.map fst retained);
+  List.iter2
+    (fun (a, before) (_, kept) ->
+      Alcotest.(check bytes) (Printf.sprintf "page 0x%x as before the pack" a) before kept)
+    nonzero retained;
+  Alcotest.(check bool) "the mapped buffers themselves, not copies" true
+    (List.for_all2 (fun b (_, kept) -> b == kept) buffers retained);
+  Alcotest.(check bool) "source unmapped" true
+    (List.for_all (fun (addr, size) -> As.range_unmapped space ~addr ~size) ranges);
+  (* Every page mapped anywhere: the other thread's and, after the
+     rollback, this one's. *)
+  let shares_mapped () =
+    List.exists
+      (fun n ->
+        let sp = Cluster.node_space c n in
+        let mapped =
+          List.concat_map pages_of
+            (Migration.slot_ranges space other @ ranges)
+          |> List.filter (As.is_mapped sp)
+        in
+        List.exists
+          (fun a -> List.exists (fun (_, kept) -> As.page_for_read sp a == kept) retained)
+          mapped)
+      [ 0; 1 ]
+  in
+  Alcotest.(check bool) "no retained buffer is mapped" false (shares_mapped ());
+  (* Roll back from the image, restoring cached pages from the kept ones. *)
+  let u =
+    Migration.unpack_group ~cost:Pm2_sim.Cost_model.default ~space
+      ~restore:(fun ~tid:_ ~addr ~hash ->
+        match List.assoc_opt addr retained with
+        | Some kept when As.page_bytes_hash kept = hash ->
+          As.store_bytes space addr kept;
+          true
+        | _ -> false)
+      ~lookup:(fun _ -> th) p.Migration.g_buffer
+  in
+  Alcotest.(check int) "nothing missing" 0 (List.length u.Migration.u_missing);
+  List.iter
+    (fun (a, before) ->
+      Alcotest.(check bytes) (Printf.sprintf "page 0x%x restored" a) before
+        (As.load_bytes space a page))
+    nonzero;
+  Alcotest.(check bool) "no retained buffer is mapped after the rollback" false
+    (shares_mapped ())
+
 (* -- the v3 manifest -- *)
 
 let test_delta_manifest_classifies () =
@@ -499,4 +574,6 @@ let tests =
       test_guest_output_unchanged_with_delta;
     Alcotest.test_case "cache-affinity hint" `Quick test_cache_affinity_policy;
     Alcotest.test_case "cache-affinity policy balances" `Quick test_cache_affinity_balances;
+    Alcotest.test_case "v3 pack keeps the pages it unmaps" `Quick
+      test_retained_pages_are_taken;
   ]

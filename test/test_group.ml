@@ -74,6 +74,25 @@ let test_decode_in_place () =
    | _ -> Alcotest.fail "frame did not decode");
   if allocated >= 1024. then Alcotest.failf "opening the frame allocated %.0f bytes" allocated
 
+let test_transfer_parses_in_place () =
+  (* The train message's image comes back as a view and its checksum is
+     taken where it lies: no copy of a 64 KB image. *)
+  let size = 64 * 1024 in
+  let buffer = Codec.frame Codec.V2 (Bytes.make size 'x') in
+  let msg =
+    Migration.group_transfer_message ~gid:3 ~ranges:[ (0x40000, 65536) ] ~buffer
+  in
+  let before = Gc.allocated_bytes () in
+  let parsed = Migration.parse_group_transfer msg in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match parsed with
+   | Ok (3, [ (0x40000, 65536) ], (data, pos, len)) ->
+     Alcotest.(check bool) "a view into the message" true (data == msg);
+     Alcotest.(check bytes) "the image" buffer (Bytes.sub data pos len)
+   | Ok _ -> Alcotest.fail "wrong header"
+   | Error e -> Alcotest.fail e);
+  if allocated >= 1024. then Alcotest.failf "parsing the transfer allocated %.0f bytes" allocated
+
 let test_bare_buffer_rejected () =
   (* A buffer without the frame magic is not a codec image: neither a
      stray byte string nor the direct hop's image, which never passes
@@ -82,7 +101,7 @@ let test_bare_buffer_rejected () =
   let th = Cluster.host_thread c ~node:0 in
   let direct =
     Migration.pack
-      ~obs:(Cluster.obs c) ~node:0 ~geometry:(Cluster.geometry c)
+      ~obs:(Cluster.obs c) ~node:0
       ~cost:(Cluster.config c).Cluster.cost ~space:(Cluster.node_space c 0)
       ~packing:Migration.Blocks_only th
   in
@@ -455,6 +474,7 @@ let tests =
     Alcotest.test_case "varint compactness" `Quick test_varint_compact;
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame opens in place" `Quick test_decode_in_place;
+    Alcotest.test_case "transfer parses in place" `Quick test_transfer_parses_in_place;
     Alcotest.test_case "bare buffer is rejected" `Quick test_bare_buffer_rejected;
     Alcotest.test_case "truncated frame rejected" `Quick test_truncated_frame_rejected;
     Alcotest.test_case "manifest classifies runs" `Quick test_manifest_classifies_runs;

@@ -136,6 +136,19 @@ let test_free_interior_coalesce () =
   Malloc.free_exn h c;
   Malloc.check_invariants h
 
+(* A guest that links a freed block to itself makes the fit search's
+   list a cycle: the next search that does not fit earlier must fail as
+   a runtime error, not spin. *)
+let test_free_list_cycle_rejected () =
+  let h, sp, _ = heap () in
+  let a = Malloc.malloc_exn h 100 in
+  ignore (Malloc.malloc_exn h 100);
+  Malloc.free_exn h a;
+  As.store_word sp a (a - 8);
+  match Malloc.malloc h 60000 with
+  | _ -> Alcotest.fail "the search returned through a free-list cycle"
+  | exception Invalid_argument _ -> ()
+
 let test_bad_free_rejected () =
   let h, _, _ = heap () in
   let a = Malloc.malloc_exn h 100 in
@@ -236,6 +249,7 @@ let tests =
     Alcotest.test_case "full coalescing" `Quick test_coalescing;
     Alcotest.test_case "interior coalescing" `Quick test_free_interior_coalesce;
     Alcotest.test_case "bad frees rejected" `Quick test_bad_free_rejected;
+    Alcotest.test_case "free-list cycle rejected" `Quick test_free_list_cycle_rejected;
     Alcotest.test_case "large allocation grows arena" `Quick test_large_alloc_grows;
     Alcotest.test_case "growth cost linear in size" `Quick test_growth_cost_linear;
     Alcotest.test_case "live bytes accounting" `Quick test_live_bytes_accounting;

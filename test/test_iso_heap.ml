@@ -22,6 +22,19 @@ let setup ?nodes ?distribution ?cache () =
 
 let slot_payload = Iso_heap.slot_capacity Slot.default
 
+(* A guest that links a freed block to itself makes the slot's free
+   list a cycle: the next search that does not fit earlier must fail as
+   a runtime error, not spin. *)
+let test_free_list_cycle_rejected () =
+  let _, env, th = setup () in
+  let a = Option.get (Iso_heap.isomalloc env th 100) in
+  ignore (Option.get (Iso_heap.isomalloc env th 100));
+  Iso_heap.isofree env th a;
+  As.store_word env.Iso_heap.space a (a - 8);
+  match Iso_heap.isomalloc env th 60000 with
+  | _ -> Alcotest.fail "the search returned through a free-list cycle"
+  | exception Invalid_argument _ -> ()
+
 let test_basic_alloc () =
   let c, env, th = setup () in
   let a = Option.get (Iso_heap.isomalloc env th 100) in
@@ -297,6 +310,7 @@ let tests =
     Alcotest.test_case "absurd request returns None" `Quick test_absurd_request_returns_none;
     Alcotest.test_case "oversize requests refused" `Quick test_oversize_requests_refused;
     Alcotest.test_case "invalid frees rejected" `Quick test_invalid_frees;
+    Alcotest.test_case "free-list cycle rejected" `Quick test_free_list_cycle_rejected;
     Alcotest.test_case "thread isolation" `Quick test_thread_isolation;
     Alcotest.test_case "stack slot lifecycle" `Quick test_stack_slot_lifecycle;
     Alcotest.test_case "negotiation cost charged" `Quick test_charges_include_negotiation;

@@ -220,11 +220,12 @@ let test_untouched_memory_across_hop () =
     (fun a -> Alcotest.(check bool) "interior never written" false (As.page_dirty src a))
     interior;
   let sum = chain_sum src head in
-  let geometry = Cluster.geometry c and cost = Pm2_sim.Cost_model.default in
+  let cost = Pm2_sim.Cost_model.default in
   let image = Migration.image_size ~space:src ~packing:Migration.Blocks_only th in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let packed =
-    Migration.pack ~geometry ~cost ~space:src ~packing:Migration.Blocks_only th
+    Migration.pack ~cost ~space:src ~packing:Migration.Blocks_only th
   in
   let allocated = Gc.allocated_bytes () -. before in
   Alcotest.(check int) "one exact-size image" image (Bytes.length packed.Migration.buffer);
@@ -234,7 +235,7 @@ let test_untouched_memory_across_hop () =
     (allocated < float_of_int (image + (8 * pg)));
   As.advance_epoch dst;
   let mapped0 = As.mapped_pages dst and resident0 = As.resident_pages dst in
-  ignore (Migration.unpack ~geometry ~cost ~space:dst th packed.Migration.buffer);
+  ignore (Migration.unpack ~cost ~space:dst th packed.Migration.buffer);
   let mapped = As.mapped_pages dst - mapped0 in
   let resident = As.resident_pages dst - resident0 in
   Alcotest.(check bool)
@@ -411,6 +412,191 @@ let prop_mixed_ops_with_migrations =
        Cluster.check_invariants c;
        true)
 
+(* -- the ownership hop against the buffered reference --
+
+   The direct hop moves page buffers; [Migration.pack]/[unpack] build
+   and apply the wire image it models. On random iso heaps the two must
+   leave the destination identical in everything a guest, the codecs or
+   the balancer can observe, and charge and report the same. *)
+
+module B = Pm2_heap.Blockfmt
+module Sh = Slot_header
+
+type heap_op =
+  | H_alloc of int
+  | H_free of int (* index into the live blocks *)
+  | H_store of int * int * int (* live block index, word index, value *)
+
+(* Everything the generator draws: heap operations, stores into the free
+   blocks left at the end, the stack depth with stores above and below
+   [sp], and how many epochs each side has opened. *)
+type heap_case = {
+  full : bool;
+  ops : heap_op list;
+  freed_stores : (int * int * int) list; (* free block index, word index, value *)
+  depth : int; (* words below the stack top *)
+  stack_stores : (int * int) list; (* word offset from sp (negative: dead), value *)
+  src_epochs : int;
+  dst_epochs : int;
+}
+
+let gen_heap_case =
+  let open QCheck2.Gen in
+  let size =
+    frequency [ (6, int_range 1 600); (3, int_range 600 9000); (1, int_range 60_000 150_000) ]
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun n -> H_alloc n) size);
+        (2, map (fun i -> H_free i) nat);
+        (3, map3 (fun i w v -> H_store (i, w, v)) nat nat int);
+      ]
+  in
+  let* full = bool in
+  let* ops = list_size (int_range 1 30) op in
+  let* freed_stores = list_size (int_range 0 12) (triple nat nat int) in
+  let* depth = int_range 0 1500 in
+  let* stack_stores = list_size (int_range 0 12) (pair (int_range (-200) 200) int) in
+  let* src_epochs = int_range 0 2 in
+  let* dst_epochs = int_range 0 2 in
+  return { full; ops; freed_stores; depth; stack_stores; src_epochs; dst_epochs }
+
+let show_heap_case hc =
+  Printf.sprintf "%s, %d ops, %d freed stores, depth %d, epochs %d/%d"
+    (if hc.full then "full slots" else "blocks only")
+    (List.length hc.ops) (List.length hc.freed_stores) hc.depth hc.src_epochs hc.dst_epochs
+
+(* The free blocks of every data slot of [th], in address order. *)
+let free_blocks space th =
+  List.concat_map
+    (fun slot ->
+      if Sh.read_kind space slot <> Sh.Data then []
+      else
+        B.fold space ~lo:(Sh.blocks_base slot) ~hi:(slot + Sh.read_size space slot)
+          (fun acc b ~size ~used -> if used then acc else (b, size) :: acc)
+          []
+        |> List.rev)
+    (Sh.chain_to_list space ~head:th.Thread.slots_head)
+
+(* A two-node cluster whose node-0 thread holds [hc]'s heap. Building it
+   twice from the same case gives two identical sources. *)
+let build_heap hc =
+  let packing = if hc.full then Migration.Full_slots else Migration.Blocks_only in
+  let c = cluster ~packing () in
+  let th = Cluster.host_thread c ~node:0 in
+  let env = Cluster.host_env c 0 and space = Cluster.node_space c 0 in
+  let live = ref [] in
+  let nth l i = List.nth l (i mod List.length l) in
+  List.iter
+    (function
+      | H_alloc n -> Option.iter (fun a -> live := (a, n) :: !live) (Iso_heap.isomalloc env th n)
+      | H_free i when !live <> [] ->
+        let a, _ = nth !live i in
+        Iso_heap.isofree env th a;
+        live := List.filter (fun (b, _) -> b <> a) !live
+      | H_store (i, w, v) when !live <> [] ->
+        let a, n = nth !live i in
+        if n >= 8 then As.store_word space (a + (8 * (w mod (n / 8)))) v
+      | H_free _ | H_store _ -> ())
+    hc.ops;
+  (match free_blocks space th with
+   | [] -> ()
+   | frees ->
+     List.iter
+       (fun (i, w, v) ->
+         (* Inside the block, clear of its tags and list links. *)
+         let b, size = nth frees i in
+         if size > 32 then As.store_word space (b + 24 + (8 * (w mod ((size - 32) / 8)))) v)
+       hc.freed_stores);
+  let ctx = th.Thread.ctx in
+  ctx.Interp.sp <- ctx.Interp.sp - (8 * hc.depth);
+  let floor = th.Thread.stack_slot + Sh.size_of_header in
+  let top = th.Thread.stack_slot + Sh.read_size space th.Thread.stack_slot in
+  List.iter
+    (fun (off, v) ->
+      let a = ctx.Interp.sp + (8 * off) in
+      if a >= floor && a + 8 <= top then As.store_word space a v)
+    hc.stack_stores;
+  for _ = 1 to hc.src_epochs do As.advance_epoch space done;
+  for _ = 1 to hc.dst_epochs do As.advance_epoch (Cluster.node_space c 1) done;
+  (c, th, packing)
+
+(* Every event the hop emits, in order. *)
+let recording () =
+  let events = ref [] in
+  let obs = Pm2_obs.Collector.create ~now:(fun () -> 0.) () in
+  Pm2_obs.Collector.attach obs
+    (Pm2_obs.Sink.make ~name:"hop" (fun ~time:_ ~node ev -> events := (node, ev) :: !events));
+  (obs, fun () -> List.rev !events)
+
+(* The destination and source state one side of the oracle observes. *)
+let observe c th ranges =
+  let src = Cluster.node_space c 0 and dst = Cluster.node_space c 1 in
+  let pages =
+    List.concat_map
+      (fun (addr, size) ->
+        List.init (size / Layout.page_size) (fun i ->
+            let a = addr + (i * Layout.page_size) in
+            ( a,
+              As.page_dirty dst a,
+              As.dirty_in_epoch dst ~addr:a ~size:Layout.page_size,
+              As.page_hash dst a,
+              As.page_is_zero dst a )))
+      ranges
+  in
+  let free_lists =
+    List.map
+      (fun slot ->
+        let rec walk b acc =
+          if b = 0 then List.rev acc else walk (B.read_next_free dst b) (b :: acc)
+        in
+        (slot, walk (Sh.read_free_head dst slot) []))
+      (Sh.chain_to_list dst ~head:th.Thread.slots_head)
+  in
+  let bytes = List.map (fun (addr, size) -> As.load_bytes dst addr size) ranges in
+  let unmapped = List.for_all (fun (addr, size) -> As.range_unmapped src ~addr ~size) ranges in
+  (pages, free_lists, bytes, unmapped, As.mapped_pages src, As.mapped_pages dst)
+
+let prop_ownership_hop_matches_buffered =
+  QCheck2.Test.make ~name:"ownership hop leaves what pack/unpack leaves" ~count:150
+    ~print:show_heap_case gen_heap_case (fun hc ->
+      let cost = Pm2_sim.Cost_model.default in
+      (* The reference: the wire image, packed and unpacked. *)
+      let c1, th1, packing = build_heap hc in
+      let ranges = Migration.slot_ranges (Cluster.node_space c1 0) th1 in
+      let obs1, events1 = recording () in
+      let packed =
+        Migration.pack ~obs:obs1 ~cost ~space:(Cluster.node_space c1 0) ~packing th1
+      in
+      let unpack_cost =
+        Migration.unpack ~obs:obs1 ~node:1 ~cost ~space:(Cluster.node_space c1 1) th1
+          packed.Migration.buffer
+      in
+      (* The hop. *)
+      let c2, th2, _ = build_heap hc in
+      let obs2, events2 = recording () in
+      let moved =
+        Migration.move_out ~obs:obs2 ~cost ~space:(Cluster.node_space c2 0) ~packing th2
+      in
+      let move_cost =
+        Migration.move_in ~obs:obs2 ~node:1 ~cost ~space:(Cluster.node_space c2 1) th2 moved
+      in
+      let check what ok = if not ok then QCheck2.Test.fail_reportf "%s differs" what in
+      check "wire bytes" (moved.Migration.m_bytes = Bytes.length packed.Migration.buffer);
+      check "pack cost" (moved.Migration.m_pack_cost = packed.Migration.pack_cost);
+      check "slots" (moved.Migration.m_slots = packed.Migration.slots);
+      check "unpack cost" (move_cost = unpack_cost);
+      check "events" (events1 () = events2 ());
+      let pages1, lists1, bytes1, unmapped1, src1, dst1 = observe c1 th1 ranges in
+      let pages2, lists2, bytes2, unmapped2, src2, dst2 = observe c2 th2 ranges in
+      check "page marks, heat, hashes or zero state" (pages1 = pages2);
+      check "rebuilt free lists" (lists1 = lists2);
+      check "page bytes" (List.equal Bytes.equal bytes1 bytes2);
+      check "source left mapped" (unmapped1 && unmapped2);
+      check "mapped page counts" (src1 = src2 && dst1 = dst2);
+      true)
+
 let tests =
   [
     Alcotest.test_case "roundtrip (blocks-only)" `Quick (test_roundtrip Migration.Blocks_only);
@@ -441,4 +627,5 @@ let tests =
       test_relocation_releases_source_slot;
     QCheck_alcotest.to_alcotest prop_iso_migration_preserves_blocks;
     QCheck_alcotest.to_alcotest prop_mixed_ops_with_migrations;
+    QCheck_alcotest.to_alcotest prop_ownership_hop_matches_buffered;
   ]

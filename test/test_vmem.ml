@@ -304,6 +304,29 @@ module Model = struct
         end
         else n)
       0 (pages_of ~addr ~size)
+
+  (* [munmap], handing back the records in address order. *)
+  let take m ~addr ~size =
+    let ps = pages_of ~addr ~size in
+    if not (List.for_all (Hashtbl.mem m.pages) ps) then invalid_arg "unmapped";
+    let recs = List.map (Hashtbl.find m.pages) ps in
+    List.iter (Hashtbl.remove m.pages) ps;
+    recs
+
+  (* [mmap], then each range's bytes stored from the taken records. A
+     page keeps the taken page's allocation only where a range lands. *)
+  let adopt m ~addr ~ranges recs =
+    let size = pg * List.length recs in
+    mmap m ~addr ~size;
+    let taken = Array.of_list recs in
+    List.iter
+      (fun (a, len) ->
+        for i = a to a + len - 1 do
+          let src = taken.((i - addr) / pg) in
+          store m i (Bytes.get src.bytes (i mod pg));
+          if src.touched then (find m i).touched <- true
+        done)
+      ranges
 end
 
 let window = 8
@@ -322,8 +345,14 @@ type op =
   | Advance_epoch
   | Page_hash of int (* page of the window *)
   | Raw_write of int * int (* window offset, byte: page_for_write + Bytes.set *)
+  | On_b of op (* the same operation on the second space *)
+  | Hop of bool * int * int * int list
+      (* towards the second space?, first page, page count, cut points:
+         [take] the run from one space and [adopt] it in the other with
+         the ranges between successive cut points *)
+  | Take of int * int (* [take] from the first space, keep the non-zero buffers *)
 
-let show_op = function
+let rec show_op = function
   | Mmap (p, n) -> Printf.sprintf "mmap %d+%d" p n
   | Munmap (p, n) -> Printf.sprintf "munmap %d+%d" p n
   | Scrub (p, n) -> Printf.sprintf "scrub %d+%d" p n
@@ -337,6 +366,11 @@ let show_op = function
   | Advance_epoch -> "advance_epoch"
   | Page_hash p -> Printf.sprintf "page_hash %d" p
   | Raw_write (o, b) -> Printf.sprintf "raw_write %#x %d" o b
+  | On_b op -> "b:" ^ show_op op
+  | Hop (ab, p, n, cuts) ->
+    Printf.sprintf "hop %s %d+%d [%s]" (if ab then "a->b" else "b->a") p n
+      (String.concat "," (List.map string_of_int cuts))
+  | Take (p, n) -> Printf.sprintf "take %d+%d" p n
 
 let gen_op =
   let open QCheck2.Gen in
@@ -351,6 +385,10 @@ let gen_op =
   in
   let length = oneof [ int_range 0 64; int_range 0 (3 * page) ] in
   let run = map2 (fun p n -> (p, n)) page_no (int_range 1 3) in
+  let cut =
+    oneof [ int_range 0 (3 * page); map (fun o -> o * page) (int_range 0 3); oneofl [ 8; 4088; 4104 ] ]
+  in
+  let one_side =
   frequency
     [
       (3, map (fun (p, n) -> Mmap (p, n)) run);
@@ -369,6 +407,17 @@ let gen_op =
       (1, map (fun p -> Page_hash p) page_no);
       (2, map2 (fun o b -> Raw_write (o, b)) offset (int_range 0 255));
     ]
+  in
+  frequency
+    [
+      (6, one_side);
+      (3, map (fun op -> On_b op) one_side);
+      ( 2,
+        map3
+          (fun ab (p, n) cuts -> Hop (ab, p, n, cuts))
+          bool run (list_size (int_range 0 6) cut) );
+      (1, map (fun (p, n) -> Take (p, n)) run);
+    ]
 
 type outcome = Unit | Int of int | Str of string | Segv | Invalid
 
@@ -385,11 +434,35 @@ let show_outcome = function
   | Segv -> "segfault"
   | Invalid -> "invalid_argument"
 
-let run_real sp op =
+let range p n = (window_base + (p * page), n * page)
+
+(* The ranges a [Hop] adopts: successive pairs of its cut points,
+   clipped to the run and sorted, so they are ascending and disjoint. *)
+let hop_ranges ~addr ~size cuts =
+  let rec pairs = function
+    | a :: b :: tl -> (addr + a, b - a) :: pairs tl
+    | _ -> []
+  in
+  pairs (List.sort compare (List.map (fun c -> min c size) cuts))
+
+(* The non-zero buffers [Take] keeps, as one observable string. *)
+let show_buffers l =
+  String.concat "" (List.map (fun (a, b) -> Printf.sprintf "%x:%s" a (Bytes.to_string b)) l)
+
+let rec run_real (sa, sb) op =
+  let sp = sa in
   let a o = window_base + o in
-  let range p n = (window_base + (p * page), n * page) in
   outcome (fun () ->
       match op with
+      | On_b op -> run_real (sb, sa) op
+      | Hop (ab, p, n, cuts) ->
+        let addr, size = range p n in
+        let src, dst = if ab then (sa, sb) else (sb, sa) in
+        As.adopt dst ~ranges:(hop_ranges ~addr ~size cuts) (As.take src ~addr ~size);
+        Unit
+      | Take (p, n) ->
+        let addr, size = range p n in
+        Str (show_buffers (As.nonzero_buffers (As.take sa ~addr ~size)))
       | Mmap (p, n) ->
         let addr, size = range p n in
         As.mmap sp ~addr ~size;
@@ -425,18 +498,35 @@ let run_real sp op =
         Bytes.set bytes ((a o) land (page - 1)) (Char.chr b);
         Unit)
 
-let run_model m op =
+let rec run_model (ma, mb) op =
+  let m = ma in
   let a o = window_base + o in
-  let range p n = (window_base + (p * page), n * page) in
   let store_all addr s = String.iteri (fun i c -> Model.store m (addr + i) c) s in
   (match op with
    | Store_word (o, _) | Load_word o -> Model.touch m (a o) 8
    | Fill (o, n, _) | Load_into (o, n) -> Model.touch m (a o) n
    | Store_sub (o, b) -> Model.touch m (a o) (String.length b)
    | Raw_write (o, _) -> Model.touch m (a o) 1
-   | Mmap _ | Munmap _ | Scrub _ | Advance_epoch | Page_hash _ -> ());
+   | Mmap _ | Munmap _ | Scrub _ | Advance_epoch | Page_hash _ | On_b _ | Hop _ | Take _ -> ());
   outcome (fun () ->
       match op with
+      | On_b op -> run_model (mb, ma) op
+      | Hop (ab, p, n, cuts) ->
+        let addr, size = range p n in
+        let src, dst = if ab then (ma, mb) else (mb, ma) in
+        Model.adopt dst ~addr ~ranges:(hop_ranges ~addr ~size cuts) (Model.take src ~addr ~size);
+        Unit
+      | Take (p, n) ->
+        let addr, size = range p n in
+        let recs = Model.take m ~addr ~size in
+        Str
+          (show_buffers
+             (List.concat
+                (List.mapi
+                   (fun i r ->
+                     if Bytes.for_all (( = ) '\000') r.Model.bytes then []
+                     else [ (addr + (i * page), r.Model.bytes) ])
+                   recs)))
       | Mmap (p, n) ->
         let addr, size = range p n in
         Model.mmap m ~addr ~size;
@@ -513,16 +603,21 @@ let prop_page_table_model =
     ~print:(fun ops -> String.concat "; " (List.map show_op ops))
     QCheck2.Gen.(list_size (int_range 1 60) gen_op)
     (fun ops ->
-      let sp = space () and m = Model.create () in
+      let sa = space () and sb = As.create ~node:1 () in
+      let ma = Model.create () and mb = Model.create () in
       List.iteri
         (fun i op ->
-          let real = run_real sp op and model = run_model m op in
+          let real = run_real (sa, sb) op and model = run_model (ma, mb) op in
           if real <> model then
             QCheck2.Test.fail_reportf "step %d (%s): got %s, reference %s" i (show_op op)
               (show_outcome real) (show_outcome model);
-          try agree sp m
-          with Failure what ->
-            QCheck2.Test.fail_reportf "step %d (%s): %s disagrees" i (show_op op) what)
+          List.iter
+            (fun (side, sp, m) ->
+              try agree sp m
+              with Failure what ->
+                QCheck2.Test.fail_reportf "step %d (%s): %s disagrees on space %s" i
+                  (show_op op) what side)
+            [ ("a", sa, ma); ("b", sb, mb) ])
         ops;
       true)
 
