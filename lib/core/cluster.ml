@@ -444,14 +444,12 @@ and rpc t ~src ~dest ~pc ~arg =
     if give_stack t th ~pc ~arg then enqueue t th
     else exit_thread t t.nodes.(dest) th (Thread.Faulted (Interp.Segv 0))
   in
-  if Fault.Plan.enabled t.config.faults then
-    (* A lost request would strand the remote thread forever in Blocked;
-       the reliable layer retransmits, and on give-up the thread faults so
-       any joiner wakes. *)
-    Reliable.send t.rel ~src ~dst:dest request ~on_delivered:on_arrival
-      ~on_failed:(fun ~reason:_ ->
-        exit_thread t t.nodes.(dest) th (Thread.Faulted (Interp.Segv 0)))
-  else Network.send t.net ~src ~dst:dest request on_arrival;
+  (* A lost request would strand the remote thread forever in Blocked;
+     the reliable layer retransmits, and on give-up the thread faults so
+     any joiner wakes. *)
+  Reliable.send t.rel ~src ~dst:dest request ~on_delivered:on_arrival
+    ~on_failed:(fun ~reason:_ ->
+      exit_thread t t.nodes.(dest) th (Thread.Faulted (Interp.Segv 0)));
   th
 
 (* -- access-heat telemetry --

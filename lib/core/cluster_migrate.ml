@@ -52,16 +52,6 @@ let unpack_on t node th cargo =
         Relocation.unpack ~geometry:t.geometry ~cost:t.config.cost
           ~space:node.Node.space ~mgr:node.Node.mgr th b)
 
-(* Ship [cargo] from [src] to [dst] and run [k] on what arrives. Moved
-   pages carry only their modelled size through the network; the direct
-   hop never runs them under a live fault plan ([start] sends those
-   through the group pipeline). *)
-let send_cargo t ~src ~dst cargo k =
-  match cargo with
-  | Pages m ->
-    Network.send_sized t.net ~src ~dst ~bytes:m.Migration.m_bytes (fun () -> k cargo)
-  | Image b -> Network.send t.net ~src ~dst b (fun b -> k (Image b))
-
 (* Restore a [Cached] page of [tid] at [addr] into [space] from
    [cache]'s residual image. *)
 let restore_cached cache space ~tid ~addr ~hash =
@@ -135,6 +125,29 @@ let deliver t (th : Thread.t) ~src ~dest ~started ~slots ~span cargo =
         t.wake t th)
   end
 
+(* [th]'s direct hop failed for [reason]: say so, close its root [span]
+   and let it run on where it is. *)
+let stay_home t (th : Thread.t) ~span ~reason =
+  Trace.emit t.trace ~time:(Engine.now t.engine) ~node:th.Thread.node
+    (Printf.sprintf "migration of thread %x aborted: %s" (handle_of_tid th.Thread.id) reason);
+  finish t ~note:("abort: " ^ reason) span;
+  t.wake t th
+
+(* The image never reached [dest]: the source unpacks it back into its
+   own space and resumes the thread there, one aborted migration offered
+   to the abort hook. A thread that left [Migrating] meanwhile belongs to
+   the recovery supervisor and is abandoned instead. *)
+let take_back t (th : Thread.t) ~dest ~span cargo ~reason =
+  if th.Thread.state <> Thread.Migrating then abandon t ~span "source crashed mid-flight"
+  else begin
+    let node = t.nodes.(th.Thread.node) in
+    let unpack_cost, extra = unpack_on t node th cargo in
+    Node.charge node (unpack_cost +. extra);
+    stay_home t th ~span ~reason;
+    t.aborted_migrations <- t.aborted_migrations + 1;
+    Option.iter (fun retry -> retry th ~failed:dest) t.on_migration_abort
+  end
+
 let start_direct t node (th : Thread.t) ~dest =
   th.Thread.state <- Thread.Migrating;
   let started = Engine.now t.engine in
@@ -146,11 +159,7 @@ let start_direct t node (th : Thread.t) ~dest =
     (* The legacy scheme cannot pack this thread (e.g. it holds dynamic
        data slots): abort the migration and let the thread keep running
        where it is — precisely the limitation isomalloc removes. *)
-    Trace.emit t.trace ~time:started ~node:src
-      (Printf.sprintf "migration of thread %x aborted: %s" (handle_of_tid th.Thread.id)
-         msg);
-    Obs.Span.finish t.tracer ~at:started ~note:("abort: " ^ msg) root;
-    t.wake t th
+    stay_home t th ~span:root ~reason:msg
   | (cargo, pack_cost, slots), extra ->
     let pack_total = pack_cost +. extra in
     Node.charge node pack_total;
@@ -167,9 +176,24 @@ let start_direct t node (th : Thread.t) ~dest =
         let train_span =
           Obs.Span.child t.tracer ~at:now ~node:src ~parent:root Obs.Event.Train
         in
-        send_cargo t ~src ~dst:dest cargo (fun cargo ->
-            finish t train_span;
-            deliver t th ~src ~dest ~started ~slots ~span:root cargo))
+        let landed cargo =
+          finish t train_span;
+          deliver t th ~src ~dest ~started ~slots ~span:root cargo
+        in
+        (* Moved pages carry only their modelled size through the network;
+           the direct hop never runs them under a live fault plan ([start]
+           sends those through the group pipeline). A relocating image
+           rides {!Reliable}, a plain send when the plan is off. *)
+        match cargo with
+        | Pages m ->
+          Network.send_sized t.net ~src ~dst:dest ~bytes:m.Migration.m_bytes (fun () ->
+              landed cargo)
+        | Image b ->
+          Reliable.send t.rel ~src ~dst:dest b
+            ~on_delivered:(fun b -> landed (Image b))
+            ~on_failed:(fun ~reason ->
+              finish t ~note:reason train_span;
+              take_back t th ~dest ~span:root cargo ~reason))
 
 let host_migrate t (th : Thread.t) ~dest =
   if not (valid_node t dest) then invalid_arg "Cluster.host_migrate: bad destination";

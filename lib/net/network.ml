@@ -29,8 +29,6 @@ let engine t = t.engine
 
 let cost_model t = t.cost
 
-let faults t = t.faults
-
 let check t who = if who < 0 || who >= t.nodes then invalid_arg "Network: bad node id"
 
 let record t ~src ~dst ~bytes =

@@ -32,10 +32,11 @@ val engine : t -> Pm2_sim.Engine.t
 
 val cost_model : t -> Pm2_sim.Cost_model.t
 
-(** The fault plan this network was created with ({!Pm2_fault.Plan.none}
-    by default). Protocol layers use it to decide whether the hardened
-    (two-phase, retransmitting) code paths are active. *)
-val faults : t -> Pm2_fault.Plan.t
+(** [faulty t ~src ~dst] is true iff traffic from [src] to [dst] runs
+    through the fault plan: the plan is live and [src <> dst]. Protocol
+    layers use it to decide whether their hardened (framed, acknowledged,
+    retransmitted) paths are active. *)
+val faulty : t -> src:int -> dst:int -> bool
 
 (** [send t ~src ~dst payload k] ships [payload] from node [src] to node
     [dst] and runs [k payload] at the modelled arrival time. Self-sends are

@@ -2,31 +2,34 @@
 
     BIP/Myrinet gave the original PM2 a reliable transport for free; once
     the fault plan can drop, duplicate or corrupt messages, the protocols
-    that carry thread state need these guarantees back. This layer
-    provides at-most-once delivery with best-effort retransmission:
+    that carry thread state need it back. This layer provides
+    at-most-once delivery with best-effort retransmission through one
+    session machine. A session is an id, the frames each attempt
+    (re)sends and the tables that id lives in: {!send} opens one over a
+    single [RELD] frame keyed by its sequence number, {!send_train} one
+    over N [RELT] fragments keyed by its train id. Both share the rest:
 
-    - every message carries a sequence number and an FNV checksum;
-    - the receiver acknowledges each copy, suppresses duplicates (a
-      per-connection dedup table) and silently discards corrupt frames;
-    - the sender retransmits on an RTT-derived timeout with exponential
-      backoff, up to a bounded number of attempts, then gives up and runs
-      the failure continuation.
+    - an FNV checksum over each frame's id and payload; a frame that does
+      not {!decode} is silently dropped;
+    - acks ([RELA], [RELK]) and duplicate suppression through one table
+      of delivered ids per id space, for the whole layer;
+    - an RTT-derived timeout with exponential backoff up to a bounded
+      number of attempts, then a give-up that poisons the id and runs the
+      failure continuation ([Net_retransmit] or [Train_retransmit],
+      [Net_dup_suppress] and [Net_give_up] in the event stream).
 
-    Retransmissions, duplicate suppressions and give-ups are emitted
-    through the observability taxonomy ([Net_retransmit],
-    [Net_dup_suppress], [Net_give_up]).
-
-    When the network's fault plan is disabled — or for self-sends — the
-    layer degrades to a plain {!Network.send} with no header, no acks and
-    no timers, so fault-free runs are unchanged. *)
+    Receipt reads each frame where it lies: a message's payload is copied
+    out once, and a train is assembled from fragment views into one
+    buffer of its exact size. Traffic that {!Network.faulty} keeps off
+    the fault plan — a disabled plan, or a self-send — is a plain
+    {!Network.send}: no header, no acks, no timers. *)
 
 type t
 
 (** [create ?obs ?max_attempts net] — [max_attempts] (default 12)
-    bounds the retransmission budget of {!send} and {!send_train}. The
-    timeout of attempt [n] is [base * 2 ^ min (n-1) 6], and
-    {!send_train} cuts its payload into 16 KB fragments.
-    @raise Invalid_argument if [max_attempts < 1]. *)
+    bounds every session's attempts; the timeout of attempt [n] is
+    [base * 2 ^ min (n-1) 6]. @raise Invalid_argument if
+    [max_attempts < 1]. *)
 val create :
   ?obs:Pm2_obs.Collector.t ->
   ?max_attempts:int ->
@@ -37,8 +40,6 @@ val create :
     a [Train] span (first fragment arrival → assembly) parented through
     the trace context carried by the fragments. *)
 val set_tracer : t -> Pm2_obs.Span.t -> unit
-
-val network : t -> Network.t
 
 (** [send t ~src ~dst payload ~on_delivered ~on_failed] ships [payload]
     with retransmission. [on_delivered payload] runs at the destination
@@ -55,22 +56,18 @@ val send :
   unit
 
 (** [send_train t ~src ~dst payload ~on_delivered ~on_failed] ships a
-    large payload as one {e packet train}: the payload is cut into
-    fragments (each its own checksummed frame), and the receiver
-    reassembles them and acknowledges the train {e as a single unit} once
-    every fragment has arrived. On timeout the whole train is resent —
-    the receiver drops fragments it already holds, so a resend costs only
-    suppressed duplicates. [on_delivered] runs at the destination with
-    the reassembled payload exactly once; [on_failed] runs at the sender
-    if the attempt budget is exhausted, and the train id is poisoned so a
-    straggler can never complete it afterwards (the all-or-nothing
-    delivery the group-migration rollback relies on). Fault-free
-    networks and self-sends degrade to one plain {!Network.send}.
+    large payload as one {e packet train}: one checksummed fragment
+    frame per 16 KB, acknowledged {e as a single unit} once every
+    fragment has arrived. On timeout the whole train is resent; the
+    receiver drops fragments it already holds. [on_delivered] runs at
+    the destination with the whole payload exactly once; on [on_failed]
+    the train id is poisoned, so a straggler can never complete it
+    afterwards (the all-or-nothing delivery the group-migration rollback
+    relies on). Bypassed traffic is one plain {!Network.send}.
 
     [trace] is a [(trace id, parent span id)] context appended to each
-    fragment (two trailing words; absent when omitted, keeping untraced
-    fragments byte-identical) — what parents the destination-side [Train]
-    span when a tracer is attached via {!set_tracer}. *)
+    fragment; it parents the destination-side [Train] span when a tracer
+    is attached via {!set_tracer}. *)
 val send_train :
   ?trace:int * int ->
   t ->
@@ -105,6 +102,49 @@ val send_heartbeat :
     and give up on their own schedule (or succeed after a restart).
     Returns how many sessions were torn down. *)
 val forget_node : t -> node:int -> int
+
+(** {1 Frames}
+
+    Exposed so tests can build, flip and cut frames. A frame is
+    [[magic][checksum][length][inner]], one little-endian word each,
+    the checksum being {!Packet.checksum} over the inner region. *)
+
+(** The id space of a session and of its acknowledgement. *)
+type kind =
+  | Message
+  | Train
+
+type frame =
+  | Data of { seq : int; payload : Bytes.t * int * int }
+      (** [RELD]: one message; [payload] is a [(data, pos, len)] slice. *)
+  | Frag of {
+      train : int;
+      idx : int;
+      nfrags : int;
+      payload : Bytes.t * int * int;
+      trace : (int * int) option;
+    }
+      (** [RELT]: fragment [idx] of [nfrags], with its trace context as
+          two trailing words when present. *)
+  | Ack of kind * int  (** [RELA] for a message, [RELK] for a whole train. *)
+  | Heartbeat of { node : int; gen : int }  (** [HBEA]: one beacon. *)
+
+val encode : frame -> Bytes.t
+
+(** [decode b] is the one frame [b] holds, or [None]; it never raises.
+    It refuses a wrong length, a checksum mismatch, an unknown magic,
+    an inner region not parsed to its last byte, and a fragment index
+    outside [0, nfrags). Payloads are views into [b]. *)
+val decode : Bytes.t -> frame option
+
+(** [receive t kind ~src ~dst ~on_delivered b] is what [dst] does with
+    [b] arriving from [src] on a [kind] session, and what every session
+    copy goes through: ack and deliver a [Data] frame once per id, or
+    store a [Frag] (a view of [b], which must not change afterwards) and
+    ack and deliver the train when it is whole. Anything else is dropped
+    without a reply. *)
+val receive :
+  t -> kind -> src:int -> dst:int -> on_delivered:(Bytes.t -> unit) -> Bytes.t -> unit
 
 (** {1 Statistics} *)
 

@@ -194,6 +194,7 @@ let test_scans_allocate_nothing () =
   done;
   let calls = 1000 in
   let words_per_call f =
+    Gc.minor ();
     let before = Gc.minor_words () in
     for i = 1 to calls do
       f i

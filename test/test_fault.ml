@@ -155,6 +155,216 @@ let test_reliable_rejects_corruption () =
   ignore (Engine.run e);
   Alcotest.(check string) "never delivered corrupt" "failed" !outcome
 
+(* -- the reliable layer's transcript, pinned --
+
+   One seeded plan mixing every fault kind drives interleaved messages
+   and trains of 1 byte up to five fragments between three nodes: a
+   self-send, a traced train, give-ups across a partition and a killed
+   interface, and a crash teardown mid-run. The digest covers every
+   event, every continuation (payload hash, virtual time, failure
+   reason) and every counter; it was taken before messages and trains
+   shared one session machine, so any drift in the protocol fails it. *)
+
+let transcript_spec =
+  "loss=0.15,dup=0.1,corrupt=0.05,reorder=0.1,delay=30,part=0-2@2000-6000,kill=1@9000-15000"
+
+let transcript () =
+  let e = Engine.create () in
+  let obs = Pm2_obs.Collector.create ~now:(fun () -> Engine.now e) () in
+  let ring = Pm2_obs.Ring.create ~capacity:200_000 in
+  Pm2_obs.Collector.attach obs (Pm2_obs.Ring.sink ring);
+  let faults = Plan.create ~seed:17 (spec_of transcript_spec) in
+  let net = Network.create ~obs ~faults e Cm.default ~nodes:3 in
+  let rel = Reliable.create ~obs ~max_attempts:5 net in
+  Reliable.set_tracer rel (Pm2_obs.Span.create ~enabled:true obs);
+  let log = Buffer.create 4096 in
+  let payload i len = Bytes.init len (fun j -> Char.chr (((i * 31) + (j * 7)) land 0xff)) in
+  let continuations i =
+    ( (fun b ->
+        Printf.bprintf log "d%d %.3f %d %d\n" i (Engine.now e) (Bytes.length b)
+          (Pm2_net.Packet.checksum b)),
+      fun ~reason -> Printf.bprintf log "f%d %.3f %s\n" i (Engine.now e) reason )
+  in
+  let msg i ~at ~src ~dst len =
+    Engine.schedule e ~at (fun () ->
+        let on_delivered, on_failed = continuations i in
+        Reliable.send rel ~src ~dst (payload i len) ~on_delivered ~on_failed)
+  in
+  let train ?trace i ~at ~src ~dst len =
+    Engine.schedule e ~at (fun () ->
+        let on_delivered, on_failed = continuations i in
+        Reliable.send_train ?trace rel ~src ~dst (payload i len) ~on_delivered ~on_failed)
+  in
+  let frag = 16384 in
+  msg 0 ~at:0. ~src:0 ~dst:1 1;
+  train 1 ~at:5. ~src:0 ~dst:1 (3 * frag);
+  msg 2 ~at:10. ~src:1 ~dst:0 100;
+  train 3 ~at:20. ~src:1 ~dst:2 1;
+  msg 4 ~at:30. ~src:2 ~dst:2 64 (* loop-back *);
+  train 5 ~at:40. ~src:2 ~dst:2 (frag + 1) (* loop-back *);
+  train ~trace:(7, 3) 6 ~at:50. ~src:0 ~dst:2 ((4 * frag) + 5);
+  for i = 0 to 11 do
+    let at = 100. +. (float_of_int i *. 170.) in
+    msg (10 + i) ~at ~src:(i mod 3) ~dst:((i + 1) mod 3) (1 + (i * 997));
+    train (30 + i) ~at:(at +. 60.) ~src:((i + 2) mod 3) ~dst:(i mod 3)
+      ((i * 6151) mod (5 * frag))
+  done;
+  (* across the 0-2 partition: these give up *)
+  msg 50 ~at:2100. ~src:0 ~dst:2 200;
+  train 51 ~at:2150. ~src:2 ~dst:0 (2 * frag);
+  (* into and out of node 1 just before its interface dies *)
+  for i = 0 to 3 do
+    let at = 8700. +. (float_of_int i *. 60.) in
+    train (60 + i) ~at ~src:1 ~dst:(2 * (i mod 2)) ((i + 2) * frag);
+    train (70 + i) ~at:(at +. 20.) ~src:(2 * (i mod 2)) ~dst:1 ((i + 2) * frag);
+    msg (80 + i) ~at:(at +. 40.) ~src:(2 * (i mod 2)) ~dst:1 (500 * (i + 1))
+  done;
+  let torn = ref (-1) in
+  Engine.schedule e ~at:9000. (fun () -> torn := Reliable.forget_node rel ~node:1);
+  msg 90 ~at:16000. ~src:1 ~dst:0 42;
+  train 91 ~at:16050. ~src:0 ~dst:1 (frag + 7);
+  ignore (Engine.run e);
+  Alcotest.(check int) "ring kept every event" 0 (Pm2_obs.Ring.dropped ring);
+  let counters = Buffer.create 256 in
+  Printf.bprintf counters "torn=%d rt=%d trt=%d dups=%d gu=%d\n" !torn
+    (Reliable.retransmits rel) (Reliable.train_retransmits rel)
+    (Reliable.duplicates_suppressed rel) (Reliable.give_ups rel);
+  for s = 0 to 2 do
+    for d = 0 to 2 do
+      let m, b = Network.link_stats net ~src:s ~dst:d in
+      Printf.bprintf counters "%d>%d %d %d %d\n" s d
+        (Reliable.link_dup_suppressed rel ~src:s ~dst:d) m b
+    done
+  done;
+  let events = Buffer.create (1 lsl 16) in
+  Pm2_obs.Ring.iter
+    (fun (r : Pm2_obs.Ring.record) ->
+      (* host time spent inside a span is the one field that is not virtual *)
+      let r =
+        match r.event with
+        | Pm2_obs.Event.Span_end s ->
+          { r with event = Pm2_obs.Event.Span_end { s with host_us = 0. } }
+        | _ -> r
+      in
+      Buffer.add_string events (Marshal.to_string r [ Marshal.No_sharing ]))
+    ring;
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|"
+            [ Buffer.contents events; Buffer.contents log; Buffer.contents counters ]))
+  in
+  (digest, rel, !torn, Pm2_obs.Ring.length ring)
+
+let test_reliable_transcript () =
+  let digest, rel, torn, events = transcript () in
+  Alcotest.(check string) "transcript digest" "06d8e4e7be1f4edc7162a2c7917923ac" digest;
+  (* The scenario reaches every path the digest is meant to pin. *)
+  Alcotest.(check bool) "some sends gave up" true (Reliable.give_ups rel >= 2);
+  Alcotest.(check bool) "some trains were resent" true (Reliable.train_retransmits rel > 0);
+  Alcotest.(check bool) "messages were resent too" true
+    (Reliable.retransmits rel > Reliable.train_retransmits rel);
+  Alcotest.(check bool) "duplicates were suppressed" true
+    (Reliable.duplicates_suppressed rel > 0);
+  Alcotest.(check bool) "the teardown found sessions" true (torn > 0);
+  Alcotest.(check bool) "events were recorded" true (events > 500)
+
+let test_receipt_allocation () =
+  (* A lossless live plan frames, checksums and acks every message but
+     drops none, so one run is exactly one receipt. Receipt reads each
+     frame where it lies: a message's payload is copied out once, and a
+     train is assembled into one buffer of its exact size. *)
+  let check_receipt (name, size, send) =
+    let e = Engine.create () in
+    let net = Network.create ~faults:(Plan.create ~seed:1 (spec_of "")) e Cm.default ~nodes:2 in
+    let rel = Reliable.create net in
+    let got = ref Bytes.empty in
+    send rel ~src:0 ~dst:1 (Bytes.make size 'x')
+      ~on_delivered:(fun b -> got := b)
+      ~on_failed:(fun ~reason -> Alcotest.failf "%s: %s" name reason);
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Engine.run e);
+    let allocated = Gc.allocated_bytes () -. before in
+    Alcotest.(check bytes) (name ^ ": payload") (Bytes.make size 'x') !got;
+    if allocated > 1.5 *. float_of_int size then
+      Alcotest.failf "%s: receipt allocated %.0f bytes (%.2fx the payload)" name allocated
+        (allocated /. float_of_int size)
+  in
+  List.iter check_receipt
+    [ ("64 KB train", 64 * 1024, Reliable.send_train ?trace:None);
+      ("256 KB train", 256 * 1024, Reliable.send_train ?trace:None);
+      ("64 KB message", 64 * 1024, Reliable.send) ]
+
+let test_frame_decoder_fuzz () =
+  (* One frame of each kind, a fragment with and without trace words.
+     The decoder is total: flipping any byte (all its bits) or cutting
+     the frame at any length is refused, never raised on; so is any
+     single-byte change to the inner region, because FNV-1a over a
+     buffer changes under every single-byte change. The receive path
+     never acks or delivers a refused frame. *)
+  let view = (Bytes.of_string "..payload..", 2, 7) in
+  let frames =
+    Reliable.
+      [ ("RELD", Message, encode (Data { seq = 5; payload = view }));
+        ("RELT", Train,
+          encode (Frag { train = 3; idx = 1; nfrags = 2; payload = view; trace = None }));
+        ("RELT traced", Train,
+          encode (Frag { train = 4; idx = 0; nfrags = 1; payload = view; trace = Some (7, 9) }));
+        ("RELA", Message, encode (Ack (Message, 5)));
+        ("RELK", Train, encode (Ack (Train, 3)));
+        ("HBEA", Message, encode (Heartbeat { node = 1; gen = 2 })) ]
+  in
+  let e = Engine.create () in
+  let net = Network.create ~faults:(Plan.create ~seed:1 (spec_of "")) e Cm.default ~nodes:2 in
+  let rel = Reliable.create net in
+  let delivered = ref 0 in
+  let receive kind b =
+    Reliable.receive rel kind ~src:0 ~dst:1 ~on_delivered:(fun _ -> incr delivered) b
+  in
+  let refused name what b =
+    match Reliable.decode b with
+    | None -> ()
+    | Some _ -> Alcotest.failf "%s: %s was accepted" name what
+  in
+  List.iter
+    (fun (name, _, b) ->
+      let n = Bytes.length b in
+      (match Reliable.decode b with
+       | Some f -> Alcotest.(check bytes) (name ^ " round-trips") b (Reliable.encode f)
+       | None -> Alcotest.failf "%s: intact frame refused" name);
+      for len = 0 to n - 1 do
+        refused name (Printf.sprintf "a cut at %d" len) (Bytes.sub b 0 len)
+      done;
+      refused name "a trailing byte" (Bytes.cat b (Bytes.make 1 '\000'));
+      for i = 0 to n - 1 do
+        let changed mask =
+          let c = Bytes.copy b in
+          Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor mask));
+          c
+        in
+        let flipped = changed 0xff in
+        refused name (Printf.sprintf "a flip at %d" i) flipped;
+        receive Reliable.Message flipped;
+        receive Reliable.Train flipped;
+        for mask = 1 to 255 do
+          let c = changed mask in
+          if Pm2_net.Packet.checksum c = Pm2_net.Packet.checksum b then
+            Alcotest.failf "%s: FNV-1a missed byte %d ^ %d" name i mask;
+          if i >= 24 then refused name (Printf.sprintf "byte %d ^ %d" i mask) c
+        done
+      done)
+    frames;
+  ignore (Engine.run e);
+  Alcotest.(check int) "no refused frame delivered" 0 !delivered;
+  Alcotest.(check int) "no refused frame acked" 0 (Network.messages_sent net);
+  (* The intact frames through the same path: each session frame is
+     delivered and acked once, and the others are not for this path. *)
+  List.iter (fun (_, kind, b) -> receive kind b) frames;
+  ignore (Engine.run e);
+  Alcotest.(check int) "the message and the one-fragment train delivered" 2 !delivered;
+  Alcotest.(check int) "and acked" 2 (Network.messages_sent net)
+
 (* -- guest programs under faults -- *)
 
 let run_faulty ?(nodes = 2) ?faults ?seed ~entry ~arg () =
@@ -255,6 +465,50 @@ let test_migration_aborts_to_dead_destination () =
   Alcotest.(check int) "one group of one aborted" 1 (Cluster.aborted_groups c);
   Alcotest.(check bool) "probe gave up" true
     (Reliable.give_ups (Cluster.reliable c) >= 1)
+
+let test_relocating_hop_under_faults () =
+  (* The relocating scheme always takes the direct hop. Under a live plan
+     its image rides the reliable layer: loss only delays the hop, and a
+     dead destination hands the thread back to its source, where it
+     resumes as an aborted migration. *)
+  let relocating faults ~seed =
+    let config =
+      { (Cluster.default_config ~nodes:2) with
+        Cluster.scheme = Cluster.Relocating;
+        faults = Plan.create ~seed (spec_of faults) }
+    in
+    let c = Cluster.create config program in
+    let hooked = ref [] in
+    Cluster.set_migration_abort_handler c (fun th ~failed ->
+        hooked := (th.Thread.id, failed) :: !hooked);
+    let th = Cluster.spawn c ~node:0 ~entry:"pingpong" ~arg:4 () in
+    ignore (Cluster.run c);
+    Cluster.check_invariants c;
+    let label what = Printf.sprintf "%s seed %d: %s" faults seed what in
+    Alcotest.(check int) (label "quiesced") 0 (Cluster.live_threads c);
+    List.iter
+      (fun (th : Thread.t) ->
+        Alcotest.(check bool) (label "no thread left migrating") false
+          (th.Thread.state = Thread.Migrating))
+      (Cluster.threads c);
+    Alcotest.(check bool) (label "thread halted") true
+      (th.Thread.state = Thread.Exited Thread.Halted);
+    (c, th, label, !hooked)
+  in
+  for seed = 1 to 10 do
+    let c, _, label, _ = relocating "loss=0.5" ~seed in
+    Alcotest.(check int) (label "every hop landed") 8 (List.length (Cluster.migrations c));
+    Alcotest.(check int) (label "none aborted") 0 (Cluster.aborted_migrations c)
+  done;
+  let c, th, label, hooked = relocating "kill=1@0" ~seed:1 in
+  Alcotest.(check int) (label "no hop landed") 0 (List.length (Cluster.migrations c));
+  Alcotest.(check int) (label "finished at home") 0 th.Thread.node;
+  (* every hop out to node 1 gives up; the hops home are no-ops *)
+  Alcotest.(check int) (label "each image gave up") 4 (Reliable.give_ups (Cluster.reliable c));
+  Alcotest.(check int) (label "each give-up aborted") 4 (Cluster.aborted_migrations c);
+  Alcotest.(check (list (pair int int))) (label "hook ran per abort, failed = 1")
+    (List.init 4 (fun _ -> (th.Thread.id, 1)))
+    hooked
 
 let test_negotiation_lease_expires () =
   (* Requester 0's interface dies inside its critical-section window: the
@@ -379,4 +633,10 @@ let tests =
     Alcotest.test_case "negotiation lease expiry" `Quick test_negotiation_lease_expires;
     Alcotest.test_case "acceptance: loss + mid-run kill" `Quick
       test_acceptance_loss_and_kill;
+    Alcotest.test_case "reliable: transcript pinned" `Quick test_reliable_transcript;
+    Alcotest.test_case "reliable: receipt reads frames in place" `Quick
+      test_receipt_allocation;
+    Alcotest.test_case "relocating hop under faults" `Quick
+      test_relocating_hop_under_faults;
+    Alcotest.test_case "reliable: frame decoder fuzz" `Quick test_frame_decoder_fuzz;
   ]

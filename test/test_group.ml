@@ -66,6 +66,7 @@ let test_decode_in_place () =
      the payload where it lies: no copy of a 64 KB image. *)
   let size = 64 * 1024 in
   let frame = Codec.frame Codec.V3 (Bytes.make size 'x') in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let opened = Codec.decode frame in
   let allocated = Gc.allocated_bytes () -. before in
@@ -82,6 +83,7 @@ let test_transfer_parses_in_place () =
   let msg =
     Migration.group_transfer_message ~gid:3 ~ranges:[ (0x40000, 65536) ] ~buffer
   in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let parsed = Migration.parse_group_transfer msg in
   let allocated = Gc.allocated_bytes () -. before in
