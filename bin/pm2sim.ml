@@ -8,34 +8,12 @@
 
 open Cmdliner
 open Pm2_core
+open Flags
 module Session = Pm2_svc.Session
 
 let program = Pm2_programs.Figures.image ()
 
 (* -- shared options -- *)
-
-let nodes_arg =
-  Arg.(value & opt int 2 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size (container processes).")
-
-let scheme_conv =
-  let parse = function
-    | "iso" -> Ok Cluster.Iso
-    | "relocating" | "reloc" -> Ok Cluster.Relocating
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S (iso|relocating)" s))
-  in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with Cluster.Iso -> "iso" | Cluster.Relocating -> "relocating")
-  in
-  Arg.conv (parse, print)
-
-let scheme_arg =
-  Arg.(
-    value
-    & opt scheme_conv Cluster.Iso
-    & info [ "scheme" ] ~docv:"SCHEME"
-        ~doc:"Migration scheme: $(b,iso) (the paper's iso-address scheme) or \
-              $(b,relocating) (the legacy pointer-registration scheme).")
 
 let distribution_conv =
   let parse s =
@@ -115,23 +93,6 @@ let flight_recorder_arg =
               events per node) to FILE as JSON whenever a migration abort, \
               rollback or train give-up occurs.")
 
-let delta_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "delta" ] ~docv:"BYTES"
-        ~doc:"Per-node residual image cache budget; positive enables delta \
-              migration (v3 codec) and routes every migration through the \
-              group pipeline.")
-
-let faults_conv =
-  let parse s =
-    match Pm2_fault.Plan.spec_of_string s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf spec ->
-      Format.pp_print_string ppf (Pm2_fault.Plan.spec_to_string spec))
-
 let faults_arg =
   Arg.(
     value
@@ -146,25 +107,6 @@ let faults_arg =
               $(b,crash=N\\@T[-T1]) (destroy node N's memory at time T, \
               optionally restarting it empty at T1); the empty string \
               enables the hardened paths without injecting anything.")
-
-let checkpoint_interval_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "checkpoint-interval" ] ~docv:"US"
-        ~doc:"Checkpoint period in virtual microseconds; positive snapshots \
-              every dirty thread into the content-addressed image store at \
-              each period, enabling automatic failover when $(b,--faults) \
-              contains $(b,crash=N\\@T). Guest output is buffered and \
-              committed at checkpoints, so a replayed thread never prints a \
-              line twice.")
-
-let seed_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "seed" ] ~docv:"N"
-        ~doc:"Seed for the fault plan's random stream (with $(b,--faults)); \
-              same seed and spec reproduce the same failures and the same \
-              trace.")
 
 let plan_of ~faults ~seed =
   match faults with
@@ -275,19 +217,6 @@ let setup_obs ?trace_stream ?metrics_interval ?flight_recorder cluster ~trace_js
       flight_recorder;
     Option.iter (fun m -> if metrics then print_string (Pm2_obs.Metrics.report m)) registry
 
-let config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
-    ~checkpoint_interval =
-  {
-    (Cluster.default_config ~nodes:(max nodes 2)) with
-    Cluster.scheme;
-    distribution;
-    slot_size;
-    faults;
-    delta_cache_bytes = max 0 delta;
-    tracing;
-    checkpoint_interval = max 0. checkpoint_interval;
-  }
-
 (* -- run -- *)
 
 let entries () = List.map fst program.Pm2_mvm.Program.entries
@@ -310,8 +239,11 @@ let run_cmd =
       let session =
         Session.create
           ~config:
-            (config ~nodes ~scheme ~distribution ~slot_size ~faults ~delta ~tracing
-               ~checkpoint_interval)
+            {
+              (config ~scheme ~nodes ~faults ~delta ~tracing ~checkpoint_interval ()) with
+              Cluster.distribution;
+              slot_size;
+            }
           ~program ()
       in
       (* The batch command is a thin client of the service control plane;
@@ -387,13 +319,8 @@ let balance_cmd =
       let session =
         Session.create
           ~config:
-            {
-              (Cluster.default_config ~nodes:(max nodes 2)) with
-              Cluster.faults = plan_of ~faults ~seed;
-              delta_cache_bytes = max 0 delta;
-              tracing = trace || trace_stream <> None;
-              checkpoint_interval = max 0. checkpoint_interval;
-            }
+            (config ~nodes ~faults:(plan_of ~faults ~seed) ~delta
+               ~tracing:(trace || trace_stream <> None) ~checkpoint_interval ())
           ~program ()
       in
       let finish_obs =

@@ -17,7 +17,6 @@
 open Cmdliner
 module Session = Pm2_svc.Session
 module Protocol = Pm2_svc.Protocol
-module Cluster = Pm2_core.Cluster
 
 (* Events per stepping slice while run-to-quiescence requests are
    outstanding: small enough to keep the socket responsive, large enough
@@ -276,41 +275,10 @@ let socket_arg =
               on shutdown). A stale socket file from a crashed daemon is \
               replaced.")
 
-let nodes_arg =
-  Arg.(value & opt int 2 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size (container processes).")
-
-let scheme_conv =
-  let parse = function
-    | "iso" -> Ok Cluster.Iso
-    | "relocating" | "reloc" -> Ok Cluster.Relocating
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S (iso|relocating)" s))
-  in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with Cluster.Iso -> "iso" | Cluster.Relocating -> "relocating")
-  in
-  Arg.conv (parse, print)
-
-let scheme_arg =
-  Arg.(
-    value
-    & opt scheme_conv Cluster.Iso
-    & info [ "scheme" ] ~docv:"SCHEME"
-        ~doc:"Migration scheme: $(b,iso) or $(b,relocating).")
-
-let faults_conv =
-  let parse s =
-    match Pm2_fault.Plan.spec_of_string s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf spec ->
-      Format.pp_print_string ppf (Pm2_fault.Plan.spec_to_string spec))
-
 let faults_arg =
   Arg.(
     value
-    & opt faults_conv Pm2_fault.Plan.default_spec
+    & opt Flags.faults_conv Pm2_fault.Plan.default_spec
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:"Initial fault-plan spec (the $(b,pm2sim run --faults) \
               grammar). The daemon always arms an enabled plan — so its \
@@ -318,26 +286,6 @@ let faults_arg =
               lone thread as a group of one — and \
               $(b,inject-faults) requests can retarget it at runtime; the \
               default injects nothing.")
-
-let seed_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "seed" ] ~docv:"N" ~doc:"Seed for the fault plan's random stream.")
-
-let delta_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "delta" ] ~docv:"BYTES"
-        ~doc:"Per-node residual image cache budget; positive enables delta \
-              migration.")
-
-let checkpoint_interval_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "checkpoint-interval" ] ~docv:"US"
-        ~doc:"Checkpoint period in virtual microseconds (0 disables periodic \
-              checkpointing; explicit $(b,checkpoint) requests work either \
-              way).")
 
 let trace_arg =
   Arg.(
@@ -348,14 +296,8 @@ let trace_arg =
 
 let main socket nodes scheme faults seed delta checkpoint_interval trace =
   let config =
-    {
-      (Cluster.default_config ~nodes:(max nodes 2)) with
-      Cluster.scheme;
-      faults = Pm2_fault.Plan.create ~seed faults;
-      delta_cache_bytes = max 0 delta;
-      tracing = trace;
-      checkpoint_interval = max 0. checkpoint_interval;
-    }
+    Flags.config ~scheme ~nodes ~faults:(Pm2_fault.Plan.create ~seed faults) ~delta
+      ~tracing:trace ~checkpoint_interval ()
   in
   let session = Session.create ~config () in
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -393,7 +335,7 @@ let cmd =
   Cmd.v
     (Cmd.info "pm2simd" ~doc)
     Term.(
-      const main $ socket_arg $ nodes_arg $ scheme_arg $ faults_arg $ seed_arg
-      $ delta_arg $ checkpoint_interval_arg $ trace_arg)
+      const main $ socket_arg $ Flags.nodes_arg $ Flags.scheme_arg $ faults_arg
+      $ Flags.seed_arg $ Flags.delta_arg $ Flags.checkpoint_interval_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

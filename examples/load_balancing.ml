@@ -37,7 +37,7 @@ let () =
        let makespan, balancer, cluster = run ~nodes ~workers ~policy:(Some policy) in
        let stats = Balancer.stats (Option.get balancer) in
        Printf.printf "%-28s makespan %8.0f us   (speedup %.2fx, %d migrations)\n"
-         (Balancer.policy_to_string policy)
+         (Balancer.Policy.to_string policy)
          makespan (baseline /. makespan)
          (List.length (Cluster.migrations cluster));
        ignore stats)

@@ -3,7 +3,6 @@
    back to a run queue goes through [t.wake]. *)
 
 open Cluster_state
-module Layout = Pm2_vmem.Layout
 module Codec = Pm2_net.Codec
 
 (* What the direct hop carries: an iso thread's pages, which change
@@ -391,18 +390,9 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
             List.iter
               (fun (tid, slot_ranges) ->
                 Delta_cache.drop_image dcache ~tid;
-                let hashes =
-                  List.concat_map
-                    (fun (addr, size) ->
-                      List.filter_map
-                        (fun i ->
-                          let a = addr + (i * Layout.page_size) in
-                          if As.page_is_zero dnode.Node.space a then None
-                          else Some (a, As.page_hash dnode.Node.space a))
-                        (List.init (size / Layout.page_size) Fun.id))
-                    slot_ranges
-                in
-                Delta_cache.record_knowledge dcache ~tid ~peer:src hashes)
+                let dspace = dnode.Node.space in
+                Delta_cache.record_knowledge dcache ~tid ~peer:src
+                  (map_nonzero_pages dspace slot_ranges (fun a -> (a, As.page_hash dspace a))))
               u.Migration.u_ranges;
             List.iter
               (fun ((th : Thread.t), _) -> Delta_cache.unpin t.delta.(src) ~tid:th.Thread.id)
@@ -470,17 +460,17 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
          let expected = Hashtbl.create (List.length missing) in
          List.iter (fun (tid, addr, hash) -> Hashtbl.replace expected (tid, addr) hash) missing;
          Reliable.send t.rel ~src:dest ~dst:src
-           (Migration.delta_request_message ~gid ~pages:missing)
+           (Migration.encode (Migration.Delta_request { gid; pages = missing }))
            ~on_delivered:(fun req ->
-             match Migration.parse_delta_request req with
-             | None -> fail "malformed delta request"
-             | Some (_, pages) ->
+             match Migration.decode req with
+             | Ok (Migration.Delta_request { pages; _ }) ->
                let scache = t.delta.(src) in
+               (* The pinned pages themselves: [encode] copies them. *)
                let served =
                  List.filter_map
                    (fun (tid, addr, _hash) ->
                      Option.map
-                       (fun page -> (tid, addr, Bytes.copy page))
+                       (fun page -> (tid, addr, page))
                        (Delta_cache.lookup_page scache ~tid ~addr))
                    pages
                in
@@ -488,11 +478,10 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
                  fail "source lost its pinned residual image"
                else
                  Reliable.send t.rel ~src ~dst:dest
-                   (Migration.delta_full_message ~gid ~pages:served)
+                   (Migration.encode (Migration.Delta_full { gid; pages = served }))
                    ~on_delivered:(fun full ->
-                     match Migration.parse_delta_full full with
-                     | Error reason -> fail reason
-                     | Ok (_, pages) ->
+                     match Migration.decode full with
+                     | Ok (Migration.Delta_full { pages; _ }) ->
                        let ok =
                          List.for_all
                            (fun (tid, addr, page) ->
@@ -506,8 +495,11 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
                          finish t ~note refetch_span;
                          commit ()
                        end
-                       else fail "delta fallback page failed its hash check")
-                   ~on_failed:(fun ~reason -> fail ("delta full undeliverable: " ^ reason)))
+                       else fail "delta fallback page failed its hash check"
+                     | Ok _ -> fail "malformed delta full message"
+                     | Error reason -> fail reason)
+                   ~on_failed:(fun ~reason -> fail ("delta full undeliverable: " ^ reason))
+             | Ok _ | Error _ -> fail "malformed delta request")
            ~on_failed:(fun ~reason -> fail ("delta request undeliverable: " ^ reason)))
 
 let group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
@@ -549,15 +541,18 @@ let group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
       (* The train context rides every fragment: {!Reliable} closes a
          destination-side [Train] span at assembly, parented here. *)
       Reliable.send_train ?trace:(Obs.Span.ctx train_span) t.rel ~src ~dst:dest
-        (Migration.group_transfer_message ~gid ~ranges ~buffer)
+        (Migration.encode (Migration.Transfer { gid; ranges; image = sent }))
         ~on_delivered:(fun msg ->
           finish t train_span;
-          match Migration.parse_group_transfer msg with
-          | Error reason ->
-            group_rollback t ~gid ~src ~dest ~image:sent ~slots ~span members ~reason
-          | Ok (_, ranges, image) ->
+          match Migration.decode msg with
+          | Ok (Migration.Transfer { ranges; image; _ }) ->
             group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
-              image)
+              image
+          | Ok _ ->
+            group_rollback t ~gid ~src ~dest ~image:sent ~slots ~span members
+              ~reason:"malformed group transfer message"
+          | Error reason ->
+            group_rollback t ~gid ~src ~dest ~image:sent ~slots ~span members ~reason)
         ~on_failed:(fun ~reason ->
           finish t ~note:reason train_span;
           group_rollback t ~gid ~src ~dest ~image:sent ~slots ~span members ~reason))
@@ -578,13 +573,10 @@ let start_group t ~src ~dest members =
   (* The probe carries the negotiate span's context as trailing words, so
      the destination-side probe span parents across the wire. *)
   Reliable.send t.rel ~src ~dst:dest
-    (Migration.group_probe_message ?trace:(Obs.Span.ctx neg) ~gid ~ranges ())
+    (Migration.encode (Migration.Probe { gid; ranges; trace = Obs.Span.ctx neg }))
     ~on_delivered:(fun probe ->
-      match Migration.parse_group_probe probe with
-      | None ->
-        finish t neg;
-        group_abort t ~gid ~src ~dest ~span:root members ~reason:"malformed probe"
-      | Some (_, ranges, p_trace) ->
+      match Migration.decode probe with
+      | Ok (Migration.Probe { ranges; trace = p_trace; _ }) ->
         let probe_span =
           Obs.Span.remote t.tracer ~at:(Engine.now t.engine) ~node:dest ~ctx:p_trace
             Obs.Event.Probe
@@ -598,22 +590,25 @@ let start_group t ~src ~dest members =
         let reason = if ok then "" else "destination cannot map the group's slots" in
         finish t ~note:(if ok then "accept" else "reject") probe_span;
         Reliable.send t.rel ~src:dest ~dst:src
-          (Migration.group_verdict_message ~gid ~ok ~reason)
+          (Migration.encode (Migration.Verdict { gid; ok; reason }))
           ~on_delivered:(fun verdict ->
             finish t neg;
-            match Migration.parse_group_verdict verdict with
-            | Some (_, true, _) ->
+            match Migration.decode verdict with
+            | Ok (Migration.Verdict { ok = true; _ }) ->
               group_transfer t ~gid ~src ~dest ~started ~ranges ~span:root members
-            | Some (_, false, reason) ->
+            | Ok (Migration.Verdict { reason; _ }) ->
               group_abort t ~gid ~src ~dest ~span:root members
                 ~reason:("rejected: " ^ reason)
-            | None ->
+            | Ok _ | Error _ ->
               group_abort t ~gid ~src ~dest ~span:root members
                 ~reason:"malformed verdict")
           ~on_failed:(fun ~reason ->
             finish t neg;
             group_abort t ~gid ~src ~dest ~span:root members
-              ~reason:("verdict undeliverable: " ^ reason)))
+              ~reason:("verdict undeliverable: " ^ reason))
+      | Ok _ | Error _ ->
+        finish t neg;
+        group_abort t ~gid ~src ~dest ~span:root members ~reason:"malformed probe")
     ~on_failed:(fun ~reason ->
       finish t neg;
       group_abort t ~gid ~src ~dest ~span:root members

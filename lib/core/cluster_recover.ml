@@ -63,17 +63,16 @@ let checkpoint_thread t (th : Thread.t) =
   | p, extra ->
     Node.charge node (p.Migration.g_pack_cost +. extra);
     let frame = p.Migration.g_buffer in
+    let ranges = Migration.slot_ranges space th in
+    (* Every non-zero page, by the hash [known] has just memoised; the
+       store reads only the pages its pool lacks. *)
     let pages =
-      match p.Migration.g_retained with
-      | [ (_, pages) ] ->
-        List.map (fun (_, page) -> (As.page_bytes_hash page, page)) pages
-      | _ -> []
+      map_nonzero_pages space ranges (fun a ->
+          (As.page_hash space a, fun () -> As.load_bytes space a Layout.page_size))
     in
     let new_pages =
       Image_store.save t.store ~tid:th.Thread.id ~node:n ~gen:t.node_gen.(n)
-        ~at:(Engine.now t.engine) ~frame
-        ~ranges:(Migration.slot_ranges space th)
-        ~pages
+        ~at:(Engine.now t.engine) ~frame ~ranges ~pages
     in
     t.checkpoint_count <- t.checkpoint_count + 1;
     Hashtbl.remove t.ckpt_dirty th.Thread.id;
@@ -210,17 +209,18 @@ let rec try_failover t ~tid ~gen ~from_node e ~supervisor = function
        destination because the image is served from the durable store,
        not from a crashable peer. *)
     Reliable.send t.rel ~src:supervisor ~dst:dest
-      (Migration.group_probe_message ~gid:0 ~ranges:e.Image_store.e_ranges ())
+      (Migration.encode
+         (Migration.Probe { gid = 0; ranges = e.Image_store.e_ranges; trace = None }))
       ~on_delivered:(fun probe ->
         if Hashtbl.mem t.stranded tid then begin
           let ok =
-            match Migration.parse_group_probe probe with
-            | None -> false
-            | Some (_, ranges, _) ->
+            match Migration.decode probe with
+            | Ok (Migration.Probe { ranges; _ }) ->
               List.for_all
                 (fun (addr, size) ->
                   As.range_unmapped t.nodes.(dest).Node.space ~addr ~size)
                 ranges
+            | Ok _ | Error _ -> false
           in
           if
             not

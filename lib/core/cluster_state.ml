@@ -497,6 +497,18 @@ let handle_of_tid id = 0xeeff0000 + id
 let scrub space ranges =
   List.iter (fun (addr, size) -> ignore (As.scrub_range space ~addr ~size)) ranges
 
+(* [f addr] for every non-zero page of [ranges], in address order. *)
+let map_nonzero_pages space ranges f =
+  let page = Pm2_vmem.Layout.page_size in
+  List.concat_map
+    (fun (addr, size) ->
+      List.filter_map
+        (fun i ->
+          let a = addr + (i * page) in
+          if As.page_is_zero space a then None else Some (f a))
+        (List.init (size / page) Fun.id))
+    ranges
+
 (* Store [page] at [addr] only if it hashes to [hash]: a stale or
    corrupted copy is reported as missing rather than silently kept. *)
 let restore_page space ~addr ~hash page =

@@ -23,39 +23,51 @@ let packing_to_string = function
 
 let wire_magic = 0x4d494752 (* "MIGR" *)
 
-let pack_descriptor p (th : Thread.t) =
-  Pk.pack_int p wire_magic;
-  Pk.pack_int p th.id;
-  let ctx = th.ctx in
-  Pk.pack_int p ctx.Interp.pc;
-  Pk.pack_int p ctx.Interp.sp;
-  Pk.pack_int p ctx.Interp.fp;
-  Array.iter (Pk.pack_int p) ctx.Interp.regs;
-  Pk.pack_int p th.slots_head;
-  Pk.pack_int p th.stack_slot;
-  Pk.pack_int p th.next_key;
-  let cells = Hashtbl.fold (fun k a acc -> (k, a) :: acc) th.registry [] in
-  Pk.pack_list p (fun (k, a) -> Pk.pack_int p k; Pk.pack_int p a) cells
+(* ===== the descriptor =====
 
-let unpack_descriptor u (th : Thread.t) =
-  if Pk.unpack_int u <> wire_magic then invalid_arg "Migration.unpack: bad magic";
-  let id = Pk.unpack_int u in
-  if id <> th.Thread.id then invalid_arg "Migration.unpack: thread id mismatch";
-  let pc = Pk.unpack_int u in
-  let sp = Pk.unpack_int u in
-  let fp = Pk.unpack_int u in
-  let regs = Array.init Pm2_mvm.Isa.num_regs (fun _ -> Pk.unpack_int u) in
+   Both images carry the same fields in the same order: the thread id,
+   the context, the chain and stack heads, the next registry key and the
+   registry cells. [word] is the integer codec: fixed 8-byte words in a
+   {!pack} image ({!Pk.pack_int}), varints in a group image
+   ({!Pk.pack_varint}). *)
+
+let write_descriptor word p (th : Thread.t) =
+  word p th.id;
+  let ctx = th.ctx in
+  word p ctx.Interp.pc;
+  word p ctx.Interp.sp;
+  word p ctx.Interp.fp;
+  Array.iter (word p) ctx.Interp.regs;
+  word p th.slots_head;
+  word p th.stack_slot;
+  word p th.next_key;
+  let cells = Hashtbl.fold (fun k a acc -> (k, a) :: acc) th.registry [] in
+  word p (List.length cells);
+  List.iter
+    (fun (k, a) ->
+      word p k;
+      word p a)
+    cells
+
+(* Everything after the thread id, which the caller has read to select
+   or check [th]. *)
+let read_descriptor word u (th : Thread.t) =
+  let pc = word u in
+  let sp = word u in
+  let fp = word u in
+  let regs = Array.init Pm2_mvm.Isa.num_regs (fun _ -> word u) in
   th.ctx <- { Interp.regs; pc; sp; fp };
-  th.slots_head <- Pk.unpack_int u;
-  th.stack_slot <- Pk.unpack_int u;
-  th.next_key <- Pk.unpack_int u;
+  th.slots_head <- word u;
+  th.stack_slot <- word u;
+  th.next_key <- word u;
   Hashtbl.reset th.registry;
-  let cells = Pk.unpack_list u (fun () ->
-      let k = Pk.unpack_int u in
-      let a = Pk.unpack_int u in
-      (k, a))
-  in
-  List.iter (fun (k, a) -> Hashtbl.replace th.registry k a) cells
+  let n = word u in
+  if n < 0 then invalid_arg "Migration: negative registry cell count";
+  for _ = 1 to n do
+    let k = word u in
+    let a = word u in
+    Hashtbl.replace th.registry k a
+  done
 
 (* Live blocks of a data slot, in address order: (offset, size) pairs. *)
 let used_blocks space slot =
@@ -102,8 +114,8 @@ let plan_slot space packing (th : Thread.t) slot =
 let plan space packing (th : Thread.t) =
   List.map (plan_slot space packing th) (Sh.chain_to_list space ~head:th.slots_head)
 
-(* Wire sizes, word by word as [pack_descriptor] and [pack_slot] emit
-   them. *)
+(* Wire sizes, word by word as [pack] and [pack_slot] emit them: the
+   magic word and the descriptor in 8-byte words. *)
 let descriptor_size (th : Thread.t) =
   (8 * (9 + Array.length th.ctx.Interp.regs)) + (16 * Hashtbl.length th.registry)
 
@@ -180,28 +192,39 @@ let unpack_slot space u =
     (slot, size)
   end
 
-(* The source side's cost of a hop: freeze, copy-out of [bytes] and
-   unmapping every slot, summed in slot order. *)
-let pack_cost_of cost plans ~bytes =
+(* ===== the cost model =====
+
+   One formula per side, for every way a thread leaves or arrives: the
+   oracle, the direct hop, the group pipeline and checkpoints. [sizes]
+   are the slots' sizes in chain order, member after member; the folds
+   add them one by one from [0.], so the charge does not depend on which
+   path built the list. *)
+
+(* The source side: one freeze per member, the copy-out of [bytes], and
+   unmapping [sizes] (none for a checkpoint, which unmaps nothing). *)
+let pack_cost cost ~members ~bytes sizes =
   let munmap_total =
     List.fold_left
-      (fun acc { size; _ } -> acc +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
-      0. plans
+      (fun acc size -> acc +. Cm.munmap_cost cost ~pages:(size / Layout.page_size))
+      0. sizes
   in
-  cost.Cm.context_switch (* freeze *) +. Cm.memcpy_cost cost ~bytes +. munmap_total
+  (float_of_int members *. cost.Cm.context_switch)
+  +. Cm.memcpy_cost cost ~bytes +. munmap_total
 
-(* The destination side's: mapping every slot (without the zero-fill
-   term: every useful page is populated by the copy-in, which is charged
-   as memcpy), copy-in of [bytes], resume. *)
-let unpack_cost_of cost ranges ~bytes =
+(* The destination side: mapping [sizes] (without the zero-fill term:
+   every useful page is populated by the copy-in, which is charged as
+   memcpy), the copy-in of [bytes], and one resume per member. *)
+let unpack_cost cost ~members ~bytes sizes =
   let mmap_total =
     List.fold_left
-      (fun acc (_, size) ->
+      (fun acc size ->
         acc +. cost.Cm.mmap_base
         +. (float_of_int (size / Layout.page_size) *. cost.Cm.mmap_per_page))
-      0. ranges
+      0. sizes
   in
-  mmap_total +. Cm.memcpy_cost cost ~bytes +. cost.Cm.context_switch (* resume *)
+  mmap_total +. Cm.memcpy_cost cost ~bytes +. (float_of_int members *. cost.Cm.context_switch)
+
+let plan_sizes plans = List.map (fun { size; _ } -> size) plans
 
 let emit_slot obs ~node event =
   if Obs.Collector.enabled obs then Obs.Collector.emit obs ~node event
@@ -209,7 +232,8 @@ let emit_slot obs ~node event =
 let pack ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space ~packing (th : Thread.t) =
   let plans = plan space packing th in
   let p = Pk.packer ~size:(planned_size th plans) () in
-  pack_descriptor p th;
+  Pk.pack_int p wire_magic;
+  write_descriptor Pk.pack_int p th;
   Pk.pack_int p (List.length plans);
   List.iter
     (fun plan ->
@@ -225,9 +249,27 @@ let pack ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space ~packing (th : Thr
   let buffer = Pk.contents p in
   {
     buffer;
-    pack_cost = pack_cost_of cost plans ~bytes:(Bytes.length buffer);
+    pack_cost =
+      pack_cost cost ~members:1 ~bytes:(Bytes.length buffer) (plan_sizes plans);
     slots = List.length plans;
   }
+
+let unpack ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space (th : Thread.t) buffer =
+  let u = Pk.unpacker buffer in
+  if Pk.unpack_int u <> wire_magic then invalid_arg "Migration.unpack: bad magic";
+  if Pk.unpack_int u <> th.Thread.id then invalid_arg "Migration.unpack: thread id mismatch";
+  read_descriptor Pk.unpack_int u th;
+  let nslots = Pk.unpack_int u in
+  let sizes = ref [] in
+  for _ = 1 to nslots do
+    let before = Pk.remaining u in
+    let slot, size = unpack_slot space u in
+    emit_slot obs ~node
+      (Obs.Event.Unpack_slot { tid = th.Thread.id; slot; bytes = before - Pk.remaining u });
+    sizes := size :: !sizes
+  done;
+  if Pk.remaining u <> 0 then invalid_arg "Migration.unpack: trailing bytes";
+  unpack_cost cost ~members:1 ~bytes:(Bytes.length buffer) (List.rev !sizes)
 
 (* ===== the direct hop: page ownership =====
 
@@ -267,7 +309,7 @@ let move_out ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space ~packing (th :
   in
   {
     m_bytes = bytes;
-    m_pack_cost = pack_cost_of cost plans ~bytes;
+    m_pack_cost = pack_cost cost ~members:1 ~bytes (plan_sizes plans);
     m_slots = List.length plans;
     m_pages;
   }
@@ -282,38 +324,16 @@ let move_in ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space (th : Thread.t)
       emit_slot obs ~node
         (Obs.Event.Unpack_slot { tid = th.Thread.id; slot; bytes = slot_size plan }))
     m.m_pages;
-  unpack_cost_of cost
-    (List.map (fun ({ slot; size; _ }, _) -> (slot, size)) m.m_pages)
-    ~bytes:m.m_bytes
-
-(* ===== slot ranges and the transfer envelope =====
-
-   The group pipeline's probe, verdict and transfer messages carry slot
-   ranges as [(base, size)] pairs; the transfer wraps the image with its
-   own checksum, so a corrupted buffer is detected end-to-end and
-   nacked. *)
+  unpack_cost cost ~members:1 ~bytes:m.m_bytes (List.map (fun (plan, _) -> plan.size) m.m_pages)
 
 let slot_ranges space (th : Thread.t) =
   List.map
     (fun slot -> (slot, Sh.read_size space slot))
     (Sh.chain_to_list space ~head:th.slots_head)
 
-let pack_ranges p ranges =
-  Pk.pack_list p
-    (fun (a, s) ->
-      Pk.pack_int p a;
-      Pk.pack_int p s)
-    ranges
+let group_ranges space threads = List.concat_map (slot_ranges space) threads
 
-let unpack_ranges u =
-  Pk.unpack_list u (fun () ->
-      let a = Pk.unpack_int u in
-      let s = Pk.unpack_int u in
-      (a, s))
-
-(* Exact size of a transfer message: three words, the ranges and the
-   length-prefixed image. *)
-let transfer_size ~ranges ~buffer = 40 + (16 * List.length ranges) + Bytes.length buffer
+let range_sizes ranges = List.map snd ranges
 
 (* ===== group migration: v2/v3 codec =====
 
@@ -337,42 +357,6 @@ type group_packed = {
   g_retained : (int * (int * Bytes.t) list) list;
 }
 
-let pack_descriptor_v2 p (th : Thread.t) =
-  Pk.pack_varint p th.id;
-  let ctx = th.ctx in
-  Pk.pack_varint p ctx.Interp.pc;
-  Pk.pack_varint p ctx.Interp.sp;
-  Pk.pack_varint p ctx.Interp.fp;
-  Array.iter (Pk.pack_varint p) ctx.Interp.regs;
-  Pk.pack_varint p th.slots_head;
-  Pk.pack_varint p th.stack_slot;
-  Pk.pack_varint p th.next_key;
-  let cells = Hashtbl.fold (fun k a acc -> (k, a) :: acc) th.registry [] in
-  Pk.pack_varint p (List.length cells);
-  List.iter
-    (fun (k, a) ->
-      Pk.pack_varint p k;
-      Pk.pack_varint p a)
-    cells
-
-(* The thread id has already been consumed (it selects [th]). *)
-let unpack_descriptor_v2 u (th : Thread.t) =
-  let pc = Pk.unpack_varint u in
-  let sp = Pk.unpack_varint u in
-  let fp = Pk.unpack_varint u in
-  let regs = Array.init Pm2_mvm.Isa.num_regs (fun _ -> Pk.unpack_varint u) in
-  th.ctx <- { Interp.regs; pc; sp; fp };
-  th.slots_head <- Pk.unpack_varint u;
-  th.stack_slot <- Pk.unpack_varint u;
-  th.next_key <- Pk.unpack_varint u;
-  Hashtbl.reset th.registry;
-  let n = Pk.unpack_varint u in
-  for _ = 1 to n do
-    let k = Pk.unpack_varint u in
-    let a = Pk.unpack_varint u in
-    Hashtbl.replace th.registry k a
-  done
-
 let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
     ?(known = fun ~tid:_ _ -> None) ?trace ?(unmap = true) ~cost ~space ~gid
     threads =
@@ -381,19 +365,14 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
   Pk.pack_varint p (List.length threads);
   let nslots = ref 0 and data_pages = ref 0 and zero_pages = ref 0 in
   let cached_pages = ref 0 in
-  let all_slots =
-    List.map
-      (fun (th : Thread.t) -> (th, Sh.chain_to_list space ~head:th.slots_head))
-      threads
-  in
+  let members = List.map (fun th -> (th, slot_ranges space th)) threads in
   List.iter
-    (fun ((th : Thread.t), slots) ->
-      pack_descriptor_v2 p th;
-      Pk.pack_varint p (List.length slots);
+    (fun ((th : Thread.t), ranges) ->
+      write_descriptor Pk.pack_varint p th;
+      Pk.pack_varint p (List.length ranges);
       let m_data = ref 0 and m_cached = ref 0 in
       List.iter
-        (fun slot ->
-          let size = Sh.read_size space slot in
+        (fun (slot, size) ->
           let before = Pk.packed_size p in
           Pk.pack_varint p slot;
           Pk.pack_varint p size;
@@ -407,11 +386,10 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
           m_data := !m_data + d;
           m_cached := !m_cached + c;
           nslots := !nslots + 1;
-          if Obs.Collector.enabled obs then
-            Obs.Collector.emit obs ~node
-              (Obs.Event.Pack_slot
-                 { tid = th.Thread.id; slot; bytes = Pk.packed_size p - before }))
-        slots;
+          emit_slot obs ~node
+            (Obs.Event.Pack_slot
+               { tid = th.Thread.id; slot; bytes = Pk.packed_size p - before }))
+        ranges;
       if version = Codec.V3 && Obs.Collector.enabled obs then begin
         if !m_cached > 0 then
           Obs.Collector.emit obs ~node
@@ -420,53 +398,40 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
           Obs.Collector.emit obs ~node
             (Obs.Event.Delta_miss { tid = th.Thread.id; pages = !m_data })
       end)
-    all_slots;
+    members;
   (* Free the source memory only after every member is packed: the group
      image either exists in full or the source is untouched. A v3 sender
-     keeps every non-zero page: the pinned residual image backs both the
-     rollback path and the full-resend fallback, and becomes the
-     migrate-out residual once the transfer settles. Pages about to be
-     unmapped are taken, not copied. A checkpoint passes [~unmap:false]:
-     the same wire image is produced, the threads keep running in place,
-     and the kept pages are copies. *)
-  let retain = version = Codec.V3 in
-  let munmap_total = ref 0. in
-  let slot_pages slot =
-    let size = Sh.read_size space slot in
-    if unmap then begin
-      munmap_total := !munmap_total +. Cm.munmap_cost cost ~pages:(size / Layout.page_size);
-      if retain then As.nonzero_buffers (As.take space ~addr:slot ~size)
-      else (As.munmap space ~addr:slot ~size; [])
+     keeps every non-zero page it unmaps — taken, not copied: the pinned
+     residual image backs both the rollback path and the full-resend
+     fallback, and becomes the migrate-out residual once the transfer
+     settles. A checkpoint passes [~unmap:false]: the same wire image is
+     produced, the threads keep running in place, and nothing is kept. *)
+  let v3 = version = Codec.V3 in
+  let release (addr, size) =
+    if v3 then As.nonzero_buffers (As.take space ~addr ~size)
+    else begin
+      As.munmap space ~addr ~size;
+      []
     end
-    else if retain then
-      List.filter_map
-        (fun i ->
-          let a = slot + (i * Layout.page_size) in
-          if As.page_is_zero space a then None
-          else Some (a, As.load_bytes space a Layout.page_size))
-        (List.init (size / Layout.page_size) Fun.id)
-    else []
   in
   let kept =
-    List.map
-      (fun ((th : Thread.t), slots) -> (th.Thread.id, List.concat_map slot_pages slots))
-      all_slots
+    if unmap then
+      List.map
+        (fun ((th : Thread.t), ranges) -> (th.Thread.id, List.concat_map release ranges))
+        members
+    else []
   in
-  let retained = if retain then kept else [] in
+  let unmapped = if unmap then List.concat_map (fun (_, r) -> range_sizes r) members else [] in
   let buffer = Codec.frame ?trace version (Pk.contents p) in
-  let pack_cost =
-    (float_of_int (List.length threads) *. cost.Cm.context_switch)
-    +. Cm.memcpy_cost cost ~bytes:(Bytes.length buffer)
-    +. !munmap_total
-  in
   {
     g_buffer = buffer;
-    g_pack_cost = pack_cost;
+    g_pack_cost =
+      pack_cost cost ~members:(List.length threads) ~bytes:(Bytes.length buffer) unmapped;
     g_slots = !nslots;
     g_data_pages = !data_pages;
     g_zero_pages = !zero_pages;
     g_cached_pages = !cached_pages;
-    g_retained = retained;
+    g_retained = (if v3 then kept else []);
   }
 
 type group_unpacked = {
@@ -491,14 +456,12 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
     let gid = Pk.unpack_varint u in
     let members = Pk.unpack_varint u in
     if members <= 0 then invalid_arg "Migration.unpack_group: empty group";
-    let mmap_total = ref 0. in
     let tids = ref [] in
     let missing = ref [] in
     let ranges = ref [] in
     for _ = 1 to members do
       let tid = Pk.unpack_varint u in
-      let th : Thread.t = lookup tid in
-      unpack_descriptor_v2 u th;
+      read_descriptor Pk.unpack_varint u (lookup tid);
       tids := tid :: !tids;
       let nslots = Pk.unpack_varint u in
       let member_ranges = ref [] in
@@ -512,214 +475,185 @@ let unpack_group ?(obs = Obs.Collector.null) ?(node = 0)
         in
         List.iter (fun (a, h) -> missing := (tid, a, h) :: !missing) miss;
         member_ranges := (slot, size) :: !member_ranges;
-        if Obs.Collector.enabled obs then
-          Obs.Collector.emit obs ~node
-            (Obs.Event.Unpack_slot { tid; slot; bytes = before - Pk.remaining u });
-        mmap_total :=
-          !mmap_total +. cost.Cm.mmap_base
-          +. (float_of_int (size / Layout.page_size) *. cost.Cm.mmap_per_page)
+        emit_slot obs ~node
+          (Obs.Event.Unpack_slot { tid; slot; bytes = before - Pk.remaining u })
       done;
       ranges := (tid, List.rev !member_ranges) :: !ranges
     done;
     if Pk.remaining u <> 0 then invalid_arg "Migration.unpack_group: trailing bytes";
-    let unpack_cost =
-      !mmap_total
-      +. Cm.memcpy_cost cost
-           ~bytes:(Option.value len ~default:(Bytes.length buffer - Option.value pos ~default:0))
-      +. (float_of_int members *. cost.Cm.context_switch)
-    in
+    let u_ranges = List.rev !ranges in
+    let bytes = Option.value len ~default:(Bytes.length buffer - Option.value pos ~default:0) in
     {
       u_gid = gid;
       u_tids = List.rev !tids;
-      u_cost = unpack_cost;
+      u_cost =
+        unpack_cost cost ~members ~bytes (List.concat_map (fun (_, r) -> range_sizes r) u_ranges);
       u_missing = List.rev !missing;
-      u_ranges = List.rev !ranges;
+      u_ranges;
       u_trace;
     }
 
-(* -- group two-phase messages (probe / verdict / train payload) -- *)
+(* ===== control messages =====
 
-let group_probe_magic = 0x4750524f (* "GPRO" *)
-
-let group_verdict_magic = 0x47564552 (* "GVER" *)
-
-let group_transfer_magic = 0x47584652 (* "GXFR" *)
-
-let group_ranges space threads =
-  List.concat_map (fun th -> slot_ranges space th) threads
-
-(* [trace] rides as two trailing words, exactly as in the reliable
-   layer's fragments: absent when tracing is off, so untraced probes keep
-   their historic bytes; detected by the 16 bytes left after the
-   ranges. *)
-let group_probe_message ?trace ~gid ~ranges () =
-  let p = Pk.packer () in
-  Pk.pack_int p group_probe_magic;
-  Pk.pack_int p gid;
-  pack_ranges p ranges;
-  (match trace with
-   | None -> ()
-   | Some (tid, parent) ->
-     Pk.pack_int p tid;
-     Pk.pack_int p parent);
-  Pk.contents p
-
-let parse_group_probe b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> group_probe_magic then
-      invalid_arg "Migration: bad group probe magic";
-    let gid = Pk.unpack_int u in
-    let ranges = unpack_ranges u in
-    let trace =
-      if Pk.remaining u = 16 then begin
-        let tid = Pk.unpack_int u in
-        let parent = Pk.unpack_int u in
-        Some (tid, parent)
-      end
-      else None
-    in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing group probe bytes";
-    (gid, ranges, trace)
-  with
-  | v -> Some v
-  | exception Invalid_argument _ -> None
-
-let group_verdict_message ~gid ~ok ~reason =
-  let p = Pk.packer () in
-  Pk.pack_int p group_verdict_magic;
-  Pk.pack_int p gid;
-  Pk.pack_int p (if ok then 1 else 0);
-  Pk.pack_string p reason;
-  Pk.contents p
-
-let parse_group_verdict b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> group_verdict_magic then
-      invalid_arg "Migration: bad group verdict magic";
-    let gid = Pk.unpack_int u in
-    let ok = Pk.unpack_int u <> 0 in
-    let reason = Pk.unpack_string u in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing group verdict bytes";
-    (gid, ok, reason)
-  with
-  | v -> Some v
-  | exception Invalid_argument _ -> None
-
-let group_transfer_message ~gid ~ranges ~buffer =
-  let p = Pk.packer ~size:(transfer_size ~ranges ~buffer) () in
-  Pk.pack_int p group_transfer_magic;
-  Pk.pack_int p gid;
-  Pk.pack_int p (Pk.checksum buffer);
-  pack_ranges p ranges;
-  Pk.pack_bytes p buffer;
-  Pk.contents p
-
-let parse_group_transfer b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> group_transfer_magic then
-      invalid_arg "Migration: bad group transfer magic";
-    let gid = Pk.unpack_int u in
-    let ck = Pk.unpack_int u in
-    let ranges = unpack_ranges u in
-    let image = Pk.unpack_view u in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing group transfer bytes";
-    (gid, ck, ranges, image)
-  with
-  | exception Invalid_argument _ -> Error "malformed group transfer message"
-  | gid, ck, ranges, ((data, pos, len) as image) ->
-    if Pk.checksum data ~pos ~len <> ck then Error "group wire buffer checksum mismatch"
-    else Ok (gid, ranges, image)
-
-(* -- delta fallback messages (RDLT request / RFUL full pages) --
+   The group pipeline's handshake (probe, verdict), its transfer, and the
+   delta fallback share one codec: 8-byte words, a magic word and the
+   group id first. A probe may end with a causal-trace context as two
+   words, exactly as the reliable layer's fragments do: absent when
+   tracing is off, so untraced probes keep their historic bytes, and
+   detected by the 16 bytes left after the ranges. The transfer wraps the
+   image with its own checksum, so a corrupted buffer is detected
+   end-to-end and nacked.
 
    When a v3 destination cannot restore a [Cached] page (evicted image,
    or hash mismatch after corruption) it asks the source for the raw
-   bytes. The source serves them from the pinned residual image it kept
-   at pack time, so the answer is always available while the transfer is
-   in flight. *)
+   bytes (RDLT). The source serves them (RFUL) from the pinned residual
+   image it kept at pack time, so the answer is always available while
+   the transfer is in flight. *)
+
+type msg =
+  | Probe of { gid : int; ranges : (int * int) list; trace : (int * int) option }
+  | Verdict of { gid : int; ok : bool; reason : string }
+  | Transfer of { gid : int; ranges : (int * int) list; image : Bytes.t * int * int }
+  | Delta_request of { gid : int; pages : (int * int * int) list }
+  | Delta_full of { gid : int; pages : (int * int * Bytes.t) list }
+
+let probe_magic = 0x4750524f (* "GPRO" *)
+
+let verdict_magic = 0x47564552 (* "GVER" *)
+
+let transfer_magic = 0x47584652 (* "GXFR" *)
 
 let delta_request_magic = 0x52444c54 (* "RDLT" *)
 
 let delta_full_magic = 0x5246554c (* "RFUL" *)
 
-let delta_request_message ~gid ~pages =
-  let p = Pk.packer () in
-  Pk.pack_int p delta_request_magic;
-  Pk.pack_int p gid;
-  Pk.pack_list p
-    (fun (tid, addr, hash) ->
-      Pk.pack_int p tid;
-      Pk.pack_int p addr;
-      Pk.pack_int p hash)
-    pages;
+(* What a buffer that does not decode is called, after the kind its
+   magic announces. *)
+let malformed magic =
+  if magic = probe_magic then "malformed probe"
+  else if magic = verdict_magic then "malformed verdict"
+  else if magic = transfer_magic then "malformed group transfer message"
+  else if magic = delta_request_magic then "malformed delta request"
+  else if magic = delta_full_magic then "malformed delta full message"
+  else "malformed message"
+
+let encode m =
+  let ranges_size ranges = 8 + (16 * List.length ranges) in
+  let magic, gid, size =
+    match m with
+    | Probe { gid; ranges; trace } ->
+      (probe_magic, gid, 16 + ranges_size ranges + if trace = None then 0 else 16)
+    | Verdict { gid; reason; _ } -> (verdict_magic, gid, 32 + String.length reason)
+    | Transfer { gid; ranges; image = _, _, len } ->
+      (transfer_magic, gid, 32 + ranges_size ranges + len)
+    | Delta_request { gid; pages } -> (delta_request_magic, gid, 24 + (24 * List.length pages))
+    | Delta_full { gid; pages } ->
+      ( delta_full_magic,
+        gid,
+        List.fold_left (fun acc (_, _, page) -> acc + 24 + Bytes.length page) 24 pages )
+  in
+  let p = Pk.packer ~size () in
+  let word = Pk.pack_int p in
+  let pack_ranges =
+    Pk.pack_list p (fun (a, s) ->
+        word a;
+        word s)
+  in
+  word magic;
+  word gid;
+  (match m with
+   | Probe { ranges; trace; _ } ->
+     pack_ranges ranges;
+     Option.iter
+       (fun (tid, parent) ->
+         word tid;
+         word parent)
+       trace
+   | Verdict { ok; reason; _ } ->
+     word (if ok then 1 else 0);
+     Pk.pack_string p reason
+   | Transfer { ranges; image = data, pos, len; _ } ->
+     word (Pk.checksum data ~pos ~len);
+     pack_ranges ranges;
+     Pk.pack_raw p ~len (fun buf at -> Bytes.blit data pos buf at len)
+   | Delta_request { pages; _ } ->
+     Pk.pack_list p
+       (fun (tid, addr, hash) ->
+         word tid;
+         word addr;
+         word hash)
+       pages
+   | Delta_full { pages; _ } ->
+     Pk.pack_list p
+       (fun (tid, addr, page) ->
+         word tid;
+         word addr;
+         Pk.pack_bytes p page)
+       pages);
   Pk.contents p
 
-let parse_delta_request b =
+let decode b =
+  let u = Pk.unpacker b in
+  let word () = Pk.unpack_int u in
+  let unpack_ranges () =
+    Pk.unpack_list u (fun () ->
+        let a = word () in
+        (a, word ()))
+  in
+  let magic = ref 0 in
   match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> delta_request_magic then
-      invalid_arg "Migration: bad delta request magic";
-    let gid = Pk.unpack_int u in
-    let pages =
-      Pk.unpack_list u (fun () ->
-          let tid = Pk.unpack_int u in
-          let addr = Pk.unpack_int u in
-          let hash = Pk.unpack_int u in
-          (tid, addr, hash))
+    magic := word ();
+    let gid = word () in
+    let m =
+      if !magic = probe_magic then begin
+        let ranges = unpack_ranges () in
+        let trace =
+          if Pk.remaining u = 16 then begin
+            let tid = word () in
+            Some (tid, word ())
+          end
+          else None
+        in
+        Ok (Probe { gid; ranges; trace })
+      end
+      else if !magic = verdict_magic then begin
+        let ok = word () <> 0 in
+        Ok (Verdict { gid; ok; reason = Pk.unpack_string u })
+      end
+      else if !magic = transfer_magic then begin
+        let sum = word () in
+        let ranges = unpack_ranges () in
+        let ((data, pos, len) as image) = Pk.unpack_view u in
+        (* Checked in place, and only on an otherwise well-formed message. *)
+        if Pk.remaining u = 0 && Pk.checksum data ~pos ~len <> sum then
+          Error "group wire buffer checksum mismatch"
+        else Ok (Transfer { gid; ranges; image })
+      end
+      else if !magic = delta_request_magic then begin
+        let pages =
+          Pk.unpack_list u (fun () ->
+              let tid = word () in
+              let addr = word () in
+              (tid, addr, word ()))
+        in
+        Ok (Delta_request { gid; pages })
+      end
+      else if !magic = delta_full_magic then begin
+        let pages =
+          Pk.unpack_list u (fun () ->
+              let tid = word () in
+              let addr = word () in
+              let page = Pk.unpack_bytes u in
+              if Bytes.length page <> Layout.page_size then
+                invalid_arg "Migration.decode: delta full page is not page-sized";
+              (tid, addr, page))
+        in
+        Ok (Delta_full { gid; pages })
+      end
+      else invalid_arg "Migration.decode: unknown magic"
     in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing delta request bytes";
-    (gid, pages)
+    if Pk.remaining u <> 0 then invalid_arg "Migration.decode: trailing bytes";
+    m
   with
-  | v -> Some v
-  | exception Invalid_argument _ -> None
-
-let delta_full_message ~gid ~pages =
-  let p = Pk.packer () in
-  Pk.pack_int p delta_full_magic;
-  Pk.pack_int p gid;
-  Pk.pack_list p
-    (fun (tid, addr, page) ->
-      Pk.pack_int p tid;
-      Pk.pack_int p addr;
-      Pk.pack_bytes p page)
-    pages;
-  Pk.contents p
-
-let parse_delta_full b =
-  match
-    let u = Pk.unpacker b in
-    if Pk.unpack_int u <> delta_full_magic then
-      invalid_arg "Migration: bad delta full magic";
-    let gid = Pk.unpack_int u in
-    let pages =
-      Pk.unpack_list u (fun () ->
-          let tid = Pk.unpack_int u in
-          let addr = Pk.unpack_int u in
-          let page = Pk.unpack_bytes u in
-          if Bytes.length page <> Layout.page_size then
-            invalid_arg "Migration: delta full page is not page-sized";
-          (tid, addr, page))
-    in
-    if Pk.remaining u <> 0 then invalid_arg "Migration: trailing delta full bytes";
-    (gid, pages)
-  with
-  | v -> Ok v
-  | exception Invalid_argument _ -> Error "malformed delta full message"
-
-let unpack ?(obs = Obs.Collector.null) ?(node = 0) ~cost ~space (th : Thread.t) buffer =
-  let u = Pk.unpacker buffer in
-  unpack_descriptor u th;
-  let nslots = Pk.unpack_int u in
-  let ranges = ref [] in
-  for _ = 1 to nslots do
-    let before = Pk.remaining u in
-    let slot, size = unpack_slot space u in
-    emit_slot obs ~node
-      (Obs.Event.Unpack_slot { tid = th.Thread.id; slot; bytes = before - Pk.remaining u });
-    ranges := (slot, size) :: !ranges
-  done;
-  if Pk.remaining u <> 0 then invalid_arg "Migration.unpack: trailing bytes";
-  unpack_cost_of cost (List.rev !ranges) ~bytes:(Bytes.length buffer)
+  | exception Invalid_argument _ -> Error (malformed !magic)
+  | m -> m

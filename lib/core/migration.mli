@@ -22,7 +22,15 @@
     migration — a group, or a lone iso thread with delta migration on or
     under a live fault plan (a group of one) — goes through the group
     pipeline below: one probe/verdict handshake, one checksummed
-    transfer, and rollback to the source on any failure. *)
+    transfer, and rollback to the source on any failure.
+
+    Each part of the wire exists once. One descriptor writer and one
+    reader serve both images, parameterised by the word codec (8-byte
+    words in a {!pack} image, varints in a group image). One pack-cost
+    and one unpack-cost formula charge every path — the oracle, the
+    direct hop, the group pipeline and checkpoints. The pipeline's
+    control messages are one {!msg} type with one {!encode} and one total
+    {!decode}. *)
 
 type packing =
   | Blocks_only
@@ -126,8 +134,10 @@ val slot_ranges : Pm2_vmem.Address_space.t -> Thread.t -> (int * int) list
 
     N threads moving between the same pair of nodes share one pipeline:
     one probe/verdict handshake covering every member's ranges, one
-    {!Pm2_net.Codec} V2 or V3 wire image, one reliable packet train.
-    Inside the image, descriptors are varint-encoded and every slot ships
+    {!Pm2_net.Codec} V2 or V3 wire image, one reliable packet train, all
+    carried by the {!msg} codec below. Inside the image, each descriptor
+    is {!pack}'s field list written as varints (without the magic word),
+    its cost is {!pack}'s formula summed over the members, and every slot ships
     as a page manifest plus only its non-zero pages — untouched and
     all-zero pages are recreated by the destination's [mmap] zero-fill
     (zero-page elision), and because pages carry slot headers and block
@@ -136,8 +146,8 @@ val slot_ranges : Pm2_vmem.Address_space.t -> Thread.t -> (int * int) list
     A V3 image additionally classifies pages the destination is believed
     to retain (from a previous hop) as [Cached] and ships only their
     content hash — delta migration. The destination restores those pages
-    from its residual image cache and fetches any it cannot restore via
-    the RDLT/RFUL fallback below. *)
+    from its residual image cache and fetches any it cannot restore with
+    a {!Delta_request}/{!Delta_full} exchange. *)
 
 type group_packed = {
   g_buffer : Bytes.t; (* Codec V2/V3 frame: what travels in the train *)
@@ -147,10 +157,10 @@ type group_packed = {
   g_zero_pages : int; (* pages elided by the manifest *)
   g_cached_pages : int; (* pages shipped as hashes only (v3) *)
   g_retained : (int * (int * Bytes.t) list) list;
-      (* v3 only: per member, every non-zero page as it was at pack time —
-         the buffers taken out of the source when it unmaps, copies when
-         it does not — for the caller to pin in its delta cache to back
-         rollback and the full-resend fallback *)
+      (* v3 with [unmap] only: per member, every non-zero page it had —
+         the buffers taken out of the source, not copies — for the caller
+         to pin in its delta cache to back rollback and the full-resend
+         fallback *)
 }
 
 (** [pack_group ~cost ~space ~gid threads] packs every member into one
@@ -160,14 +170,14 @@ type group_packed = {
     [V3], [known ~tid] is the sender's believed destination knowledge
     (page address → hash, typically {!Delta_cache.known}); pages whose
     current hash matches ship as [Cached], and [g_retained] carries the
-    page copies to pin. [?obs] receives one [Pack_slot] event per slot,
+    pages to pin. [?obs] receives one [Pack_slot] event per slot,
     plus per-member [Delta_hit]/[Delta_miss] under [V3]. [?trace] is the
     causal-trace context stamped into the codec frame
     ({!Pm2_net.Codec.frame}) for destination-side span parenting.
     [?unmap:false] builds the identical image {e without} freeing the
-    source memory (and without charging the munmaps) — the
-    non-destructive snapshot a checkpoint takes of a still-running
-    thread. *)
+    source memory (and without charging the munmaps) and retains
+    nothing — the non-destructive snapshot a checkpoint takes of a
+    still-running thread. *)
 val pack_group :
   ?obs:Pm2_obs.Collector.t ->
   ?node:int ->
@@ -188,8 +198,8 @@ type group_unpacked = {
   u_cost : float; (* unpack cost, µs *)
   u_missing : (int * int * int) list;
       (* (tid, page addr, hash): v3 [Cached] pages the restore callback
-         could not reconstruct; the caller fetches them with
-         {!delta_request_message} before the group may commit *)
+         could not reconstruct; the caller fetches them with a
+         {!Delta_request} before the group may commit *)
   u_ranges : (int * (int * int) list) list;
       (* per member, its slot (addr, size) ranges as decoded *)
   u_trace : (int * int) option;
@@ -223,51 +233,41 @@ val unpack_group :
 (** Concatenated {!slot_ranges} of every member, in member order. *)
 val group_ranges : Pm2_vmem.Address_space.t -> Thread.t list -> (int * int) list
 
-(** [?trace] appends a [(trace id, parent span id)] context as two
-    trailing words (absent when omitted — untraced probes keep their
-    historic bytes). *)
-val group_probe_message :
-  ?trace:int * int -> gid:int -> ranges:(int * int) list -> unit -> Bytes.t
+(** {1 Control messages}
 
-(** [Some (gid, ranges, trace)], or [None] on a malformed buffer. *)
-val parse_group_probe : Bytes.t -> (int * (int * int) list * (int * int) option) option
-
-val group_verdict_message : gid:int -> ok:bool -> reason:string -> Bytes.t
-
-(** [Some (gid, ok, reason)], or [None] on a malformed buffer. *)
-val parse_group_verdict : Bytes.t -> (int * bool * string) option
-
-val group_transfer_message :
-  gid:int -> ranges:(int * int) list -> buffer:Bytes.t -> Bytes.t
-
-(** [Ok (gid, ranges, (data, pos, len))] after verifying the embedded
-    checksum over the image, which is returned as a view into the
-    message: nothing is copied. [Error reason] on malformation or
-    checksum mismatch. *)
-val parse_group_transfer :
-  Bytes.t -> (int * (int * int) list * (Bytes.t * int * int), string) result
-
-(** {1 Delta fallback messages (RDLT / RFUL)}
+    The group pipeline's messages, one type with one codec. Each is
+    8-byte words: a magic word ("GPRO", "GVER", "GXFR", "RDLT" or
+    "RFUL"), the group id, then the fields below in order.
 
     When a v3 destination cannot restore a [Cached] page — its residual
     image was evicted, or the retained copy's hash no longer matches
-    (corruption) — it sends the source an RDLT request naming the pages;
-    the source answers with an RFUL message carrying their raw bytes,
-    served from the pinned image it kept at pack time. Correctness never
-    depends on cache contents: a failed restore always degrades to a
-    full-page resend, never to a silently wrong image. *)
+    (corruption) — it sends the source a {!Delta_request} naming the
+    pages; the source answers with a {!Delta_full} carrying their raw
+    bytes, served from the pinned image it kept at pack time. Correctness
+    never depends on cache contents: a failed restore always degrades to
+    a full-page resend, never to a silently wrong image. *)
 
-(** [delta_request_message ~gid ~pages] with [pages] =
-    [(tid, page addr, expected hash)]. *)
-val delta_request_message : gid:int -> pages:(int * int * int) list -> Bytes.t
+type msg =
+  | Probe of { gid : int; ranges : (int * int) list; trace : (int * int) option }
+      (** The slot ranges the destination must be able to map. [trace] is
+          a [(trace id, parent span id)] context, sent as two trailing
+          words when present (an untraced probe keeps its historic
+          bytes). *)
+  | Verdict of { gid : int; ok : bool; reason : string }
+  | Transfer of { gid : int; ranges : (int * int) list; image : Bytes.t * int * int }
+      (** The image as a [(data, pos, len)] view, behind its own
+          checksum. *)
+  | Delta_request of { gid : int; pages : (int * int * int) list }
+      (** [(tid, page addr, expected hash)] of every page to resend. *)
+  | Delta_full of { gid : int; pages : (int * int * Bytes.t) list }
+      (** [(tid, page addr, page bytes)]; every page is page-sized. *)
 
-(** [Some (gid, pages)], or [None] on a malformed buffer. *)
-val parse_delta_request : Bytes.t -> (int * (int * int * int) list) option
+(** [encode m] is the message's wire bytes, in one exact-size buffer. *)
+val encode : msg -> Bytes.t
 
-(** [delta_full_message ~gid ~pages] with [pages] =
-    [(tid, page addr, page bytes)]. *)
-val delta_full_message : gid:int -> pages:(int * int * Bytes.t) list -> Bytes.t
-
-(** [Ok (gid, pages)] with every page validated to be exactly page-sized;
-    [Error reason] on malformation. *)
-val parse_delta_full : Bytes.t -> (int * (int * int * Bytes.t) list, string) result
+(** [decode b] is total. A transfer's image comes back as a view into
+    [b] (nothing is copied) after its checksum is verified in place.
+    [Error reason] names the kind the magic announces ("malformed probe",
+    "malformed group transfer message", ...; "malformed message" for an
+    unknown magic), or is "group wire buffer checksum mismatch". *)
+val decode : Bytes.t -> (msg, string) result

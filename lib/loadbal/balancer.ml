@@ -25,16 +25,6 @@ type t = {
   stats : stats;
 }
 
-let policy_to_string = function
-  | Threshold { high; low } -> Printf.sprintf "threshold(high=%d,low=%d)" high low
-  | Group_threshold { high; low; limit } ->
-    Printf.sprintf "group-threshold(high=%d,low=%d,limit=%d)" high low limit
-  | Least_loaded -> "least-loaded"
-  | Round_robin_spread -> "round-robin-spread"
-  | Cache_affinity -> "cache-affinity"
-  | Access_imbalance { ratio; min_pages } ->
-    Printf.sprintf "access-imbalance(ratio=%g,min_pages=%d)" ratio min_pages
-
 module Policy = struct
   type nonrec t = policy
 

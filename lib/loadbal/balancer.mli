@@ -52,8 +52,8 @@ type policy =
     v}
 
     [of_string (to_string p) = Ok p] for every policy; parse errors list
-    the valid policies. ({!policy_to_string} below remains the
-    human-readable display form used in reports.) *)
+    the valid policies. {!Policy.to_string} is the one printed form of a
+    policy. *)
 module Policy : sig
   type nonrec t = policy
 
@@ -90,8 +90,6 @@ type t
 val attach : Pm2_core.Cluster.t -> policy:policy -> period:float -> t
 
 val stats : t -> stats
-
-val policy_to_string : policy -> string
 
 (** [imbalance cluster] is [max load - min load] across nodes, a simple
     scalar the experiments report. *)

@@ -92,9 +92,13 @@ let unpacker ?pos ?len data =
 let need u n =
   if n > u.stop - u.pos then invalid_arg "Packet: truncated buffer"
 
+(* Every word is written sign-extended from an OCaml int, so bit 63
+   equals bit 62; a word where they differ was never written. *)
 let unpack_int u =
   need u 8;
-  let v = Int64.to_int (Bytes.get_int64_le u.data u.pos) in
+  let w = Bytes.get_int64_le u.data u.pos in
+  let v = Int64.to_int w in
+  if Int64.of_int v <> w then invalid_arg "Packet: word out of int range";
   u.pos <- u.pos + 8;
   v
 

@@ -67,7 +67,12 @@ type unpacker
     @raise Invalid_argument if the window falls outside [b]. *)
 val unpacker : ?pos:int -> ?len:int -> Bytes.t -> unpacker
 
+(** [unpack_int u] reads one {!pack_int} word.
+    @raise Invalid_argument on truncation, or on a word whose bit 63
+    differs from bit 62: {!pack_int} sign-extends every int, so no
+    packer writes one. *)
 val unpack_int : unpacker -> int
+
 val unpack_float : unpacker -> float
 val unpack_bytes : unpacker -> Bytes.t
 val unpack_string : unpacker -> string

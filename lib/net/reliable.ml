@@ -76,39 +76,37 @@ let encode frame =
    decodes to [None]. Payloads come back as views into [b]. *)
 let decode b =
   let n = Bytes.length b in
-  let word at = Int64.to_int (Bytes.get_int64_le b at) in
-  if n < 24 || word 16 <> n - 24 || Packet.checksum ~pos:24 ~len:(n - 24) b <> word 8
-  then None
-  else
-    let u = Packet.unpacker ~pos:24 b in
-    let int () = Packet.unpack_int u in
-    match
-      let magic = word 0 in
-      if magic = data_magic then
-        let seq = int () in
-        Some (Data { seq; payload = Packet.unpack_view u })
-      else if magic = frag_magic then
-        let train = int () in
-        let idx = int () in
-        let nfrags = int () in
-        let payload = Packet.unpack_view u in
-        let trace =
-          if Packet.remaining u = 16 then
-            let tid = int () in
-            Some (tid, int ())
-          else None
-        in
-        if nfrags <= 0 || idx < 0 || idx >= nfrags then None
-        else Some (Frag { train; idx; nfrags; payload; trace })
-      else if magic = ack_magic then Some (Ack (Message, int ()))
-      else if magic = train_ack_magic then Some (Ack (Train, int ()))
-      else if magic = heartbeat_magic then
-        let node = int () in
-        Some (Heartbeat { node; gen = int () })
-      else None
-    with
-    | exception Invalid_argument _ -> None
-    | frame -> if Packet.remaining u = 0 then frame else None
+  let u = Packet.unpacker b in
+  let int () = Packet.unpack_int u in
+  match
+    let magic = int () in
+    let sum = int () in
+    if int () <> n - 24 || Packet.checksum ~pos:24 ~len:(n - 24) b <> sum then None
+    else if magic = data_magic then
+      let seq = int () in
+      Some (Data { seq; payload = Packet.unpack_view u })
+    else if magic = frag_magic then
+      let train = int () in
+      let idx = int () in
+      let nfrags = int () in
+      let payload = Packet.unpack_view u in
+      let trace =
+        if Packet.remaining u = 16 then
+          let tid = int () in
+          Some (tid, int ())
+        else None
+      in
+      if nfrags <= 0 || idx < 0 || idx >= nfrags then None
+      else Some (Frag { train; idx; nfrags; payload; trace })
+    else if magic = ack_magic then Some (Ack (Message, int ()))
+    else if magic = train_ack_magic then Some (Ack (Train, int ()))
+    else if magic = heartbeat_magic then
+      let node = int () in
+      Some (Heartbeat { node; gen = int () })
+    else None
+  with
+  | exception Invalid_argument _ -> None
+  | frame -> if Packet.remaining u = 0 then frame else None
 
 let ack_bytes = Bytes.length (encode (Ack (Message, 0)))
 

@@ -1,4 +1,3 @@
-module Packet = Pm2_net.Packet
 module Layout = Pm2_vmem.Layout
 
 (* One pooled page of content. [refs] counts occurrences across every
@@ -39,21 +38,22 @@ let decref t hash =
     p.refs <- p.refs - 1;
     if p.refs <= 0 then Hashtbl.remove t.pool hash
 
-(* Incref or insert; returns [true] iff the page was new to the pool. *)
-let incref t hash page =
+(* Incref or insert; returns [true] iff the page was new to the pool.
+   Only a new page is read. *)
+let incref t hash read =
   match Hashtbl.find_opt t.pool hash with
   | Some p ->
     p.refs <- p.refs + 1;
     false
   | None ->
-    Hashtbl.replace t.pool hash { page = Bytes.copy page; refs = 1 };
+    Hashtbl.replace t.pool hash { page = read (); refs = 1 };
     true
 
 let save t ~tid ~node ~gen ~at ~frame ~ranges ~pages =
   let new_pages = ref 0 in
   List.iter
-    (fun (hash, page) ->
-      if incref t hash page then incr new_pages else t.dedup_pages <- t.dedup_pages + 1)
+    (fun (hash, read) ->
+      if incref t hash read then incr new_pages else t.dedup_pages <- t.dedup_pages + 1)
     pages;
   (* Supersede the previous snapshot only after the new pages are pinned,
      so shared content never transits through refcount zero. *)
@@ -66,7 +66,7 @@ let save t ~tid ~node ~gen ~at ~frame ~ranges ~pages =
       e_node = node;
       e_gen = gen;
       e_at = at;
-      e_frame = Bytes.copy frame;
+      e_frame = frame;
       e_ranges = ranges;
       e_hashes = List.map fst pages;
     };
@@ -97,107 +97,5 @@ let frame_bytes t =
   Hashtbl.fold (fun _ e acc -> acc + Bytes.length e.e_frame) t.entries 0
 
 let bytes t = pool_bytes t + frame_bytes t
-
-(* -- serialization ------------------------------------------------------ *)
-
-let magic = 0x504D4953 (* "PMIS" *)
-
-let version = 1
-
-let to_bytes t =
-  let p = Packet.packer () in
-  Packet.pack_int p magic;
-  Packet.pack_int p version;
-  Packet.pack_int p t.saves;
-  Packet.pack_int p t.dedup_pages;
-  (* Pool, sorted by hash for a canonical encoding. *)
-  let pages =
-    Hashtbl.fold (fun h pd acc -> (h, pd.page) :: acc) t.pool [] |> List.sort compare
-  in
-  Packet.pack_list p
-    (fun (h, page) ->
-      Packet.pack_int p h;
-      Packet.pack_bytes p page)
-    pages;
-  let es =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> compare a.e_tid b.e_tid)
-  in
-  Packet.pack_list p
-    (fun e ->
-      Packet.pack_int p e.e_tid;
-      Packet.pack_int p e.e_node;
-      Packet.pack_int p e.e_gen;
-      Packet.pack_float p e.e_at;
-      Packet.pack_bytes p e.e_frame;
-      Packet.pack_list p
-        (fun (a, s) ->
-          Packet.pack_int p a;
-          Packet.pack_int p s)
-        e.e_ranges;
-      Packet.pack_list p (Packet.pack_int p) e.e_hashes)
-    es;
-  Packet.contents p
-
-let of_bytes b =
-  match
-    let u = Packet.unpacker b in
-    if Packet.unpack_int u <> magic then Error "image store: bad magic"
-    else if Packet.unpack_int u <> version then Error "image store: bad version"
-    else begin
-      let t = create () in
-      t.saves <- Packet.unpack_int u;
-      t.dedup_pages <- Packet.unpack_int u;
-      let pages =
-        Packet.unpack_list u (fun () ->
-            let h = Packet.unpack_int u in
-            let page = Packet.unpack_bytes u in
-            (h, page))
-      in
-      List.iter
-        (fun (h, page) -> Hashtbl.replace t.pool h { page; refs = 0 })
-        pages;
-      let es =
-        Packet.unpack_list u (fun () ->
-            let e_tid = Packet.unpack_int u in
-            let e_node = Packet.unpack_int u in
-            let e_gen = Packet.unpack_int u in
-            let e_at = Packet.unpack_float u in
-            let e_frame = Packet.unpack_bytes u in
-            let e_ranges =
-              Packet.unpack_list u (fun () ->
-                  let a = Packet.unpack_int u in
-                  let s = Packet.unpack_int u in
-                  (a, s))
-            in
-            let e_hashes = Packet.unpack_list u (fun () -> Packet.unpack_int u) in
-            { e_tid; e_node; e_gen; e_at; e_frame; e_ranges; e_hashes })
-      in
-      if Packet.remaining u <> 0 then Error "image store: trailing bytes"
-      else begin
-        (* Rebuild refcounts from the entries; every referenced hash must
-           resolve, or the image is not self-contained. *)
-        let missing = ref None in
-        List.iter
-          (fun e ->
-            Hashtbl.replace t.entries e.e_tid e;
-            List.iter
-              (fun h ->
-                match Hashtbl.find_opt t.pool h with
-                | Some pd -> pd.refs <- pd.refs + 1
-                | None -> if !missing = None then missing := Some h)
-              e.e_hashes)
-          es;
-        match !missing with
-        | Some h -> Error (Printf.sprintf "image store: dangling page hash %x" h)
-        | None ->
-          if Hashtbl.fold (fun _ pd acc -> acc || pd.refs = 0) t.pool false then
-            Error "image store: unreferenced pooled page"
-          else Ok t
-      end
-    end
-  with
-  | exception Invalid_argument _ -> Error "image store: truncated"
-  | v -> v
 
 let page_size = Layout.page_size

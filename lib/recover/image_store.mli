@@ -28,10 +28,12 @@ type t
 val create : unit -> t
 
 (** [save t ~tid ~node ~gen ~at ~frame ~ranges ~pages] stores a new
-    snapshot for [tid], superseding any previous one. [pages] is the
-    [(hash, content)] list of every non-zero page of the image (content
-    is copied); returns how many of them were new to the pool — the
-    incremental content cost of this checkpoint. *)
+    snapshot for [tid], superseding any previous one. The store keeps
+    [frame] itself: the caller must not write it again. [pages] is the
+    [(hash, read)] list of every non-zero page of the image; [read ()]
+    must return a fresh copy of the page, and is called only for a page
+    whose hash the pool lacks. Returns how many pages were new to the
+    pool — the incremental content cost of this checkpoint. *)
 val save :
   t ->
   tid:int ->
@@ -40,7 +42,7 @@ val save :
   at:float ->
   frame:Bytes.t ->
   ranges:(int * int) list ->
-  pages:(int * Bytes.t) list ->
+  pages:(int * (unit -> Bytes.t)) list ->
   int
 
 val latest : t -> tid:int -> entry option
@@ -68,17 +70,5 @@ val pool_bytes : t -> int
 
 val bytes : t -> int
 (** Total store footprint: pooled content + stored frames. *)
-
-(** {1 Serialization}
-
-    A self-contained durable image of the whole store (pool + snapshots),
-    canonical (sorted) so equal stores encode identically. *)
-
-val to_bytes : t -> Bytes.t
-
-(** Rejects truncation, bad magic/version, trailing bytes, snapshots
-    referencing pages absent from the pool, and unreferenced pool
-    pages. *)
-val of_bytes : Bytes.t -> (t, string) result
 
 val page_size : int

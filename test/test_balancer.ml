@@ -56,10 +56,22 @@ let test_imbalance_metric () =
   Alcotest.(check int) "final imbalance" 0 (Balancer.imbalance cluster)
 
 let test_policy_names () =
-  Alcotest.(check string) "least-loaded" "least-loaded"
-    (Balancer.policy_to_string Balancer.Least_loaded);
-  Alcotest.(check string) "threshold" "threshold(high=2,low=4)"
-    (Balancer.policy_to_string (Balancer.Threshold { high = 2; low = 4 }))
+  (* One printer: the grammar the CLI, the daemon and the protocol parse,
+     and every policy reads back as itself. *)
+  List.iter
+    (fun (policy, name) ->
+      Alcotest.(check string) name name (Balancer.Policy.to_string policy);
+      Alcotest.(check bool) (name ^ " parses back") true
+        (Balancer.Policy.of_string (Balancer.Policy.to_string policy) = Ok policy))
+    Balancer.
+      [
+        (Least_loaded, "least-loaded");
+        (Round_robin_spread, "spread");
+        (Cache_affinity, "cache-affinity");
+        (Threshold { high = 2; low = 4 }, "threshold:2:4");
+        (Group_threshold { high = 2; low = 8; limit = 4 }, "group-threshold:2:8:4");
+        (Access_imbalance { ratio = 1.5; min_pages = 3 }, "access-imbalance:1.5:3");
+      ]
 
 let test_balancer_stops_with_cluster () =
   (* The balancer must not keep the engine alive forever once every thread

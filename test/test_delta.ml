@@ -354,38 +354,29 @@ let test_cache_lru_and_pinning () =
 (* -- RDLT / RFUL messages -- *)
 
 let test_fallback_messages () =
-  let pages = [ (7, 0x1000, 123); (9, 0x2000, 456) ] in
-  (match Migration.parse_delta_request (Migration.delta_request_message ~gid:3 ~pages) with
-   | Some (3, got) -> Alcotest.(check bool) "request roundtrip" true (got = pages)
-   | _ -> Alcotest.fail "RDLT did not parse");
-  let full = [ (7, 0x1000, mk_page 'p'); (9, 0x2000, mk_page 'q') ] in
-  (match Migration.parse_delta_full (Migration.delta_full_message ~gid:3 ~pages:full) with
-   | Ok (3, got) -> Alcotest.(check bool) "full roundtrip" true (got = full)
-   | _ -> Alcotest.fail "RFUL did not parse");
-  Alcotest.(check bool) "garbage request rejected" true
-    (Migration.parse_delta_request (Bytes.of_string "junk") = None);
-  (match Migration.parse_delta_full (Bytes.of_string "junk") with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "garbage RFUL accepted");
+  let roundtrips name m =
+    Alcotest.(check bool) name true (Migration.decode (Migration.encode m) = Ok m)
+  in
+  roundtrips "request roundtrip"
+    (Migration.Delta_request { gid = 3; pages = [ (7, 0x1000, 123); (9, 0x2000, 456) ] });
+  roundtrips "full roundtrip"
+    (Migration.Delta_full
+       { gid = 3; pages = [ (7, 0x1000, mk_page 'p'); (9, 0x2000, mk_page 'q') ] });
+  Alcotest.(check bool) "garbage rejected" true
+    (Result.is_error (Migration.decode (Bytes.of_string "junk")));
   (* a short page inside an otherwise valid RFUL is rejected *)
-  match
-    Migration.parse_delta_full
-      (Migration.delta_full_message ~gid:3 ~pages:[ (7, 0x1000, mk_page 'p') ])
-  with
-  | Ok _ -> (
-    let p = Packet.packer () in
-    Packet.pack_int p 0x5246554c;
-    Packet.pack_int p 3;
-    Packet.pack_list p
-      (fun (tid, addr, page) ->
-        Packet.pack_int p tid;
-        Packet.pack_int p addr;
-        Packet.pack_bytes p page)
-      [ (7, 0x1000, Bytes.make 100 'x') ];
-    match Migration.parse_delta_full (Packet.contents p) with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "short page accepted")
-  | Error e -> Alcotest.failf "valid RFUL rejected: %s" e
+  let p = Packet.packer () in
+  Packet.pack_int p 0x5246554c;
+  Packet.pack_int p 3;
+  Packet.pack_list p
+    (fun (tid, addr, page) ->
+      Packet.pack_int p tid;
+      Packet.pack_int p addr;
+      Packet.pack_bytes p page)
+    [ (7, 0x1000, Bytes.make 100 'x') ];
+  match Migration.decode (Packet.contents p) with
+  | Error reason -> Alcotest.(check string) "reason" "malformed delta full message" reason
+  | Ok _ -> Alcotest.fail "short page accepted"
 
 (* -- end-to-end: the ping-pong -- *)
 
@@ -528,7 +519,7 @@ let test_guest_output_unchanged_with_delta () =
 
 let test_cache_affinity_policy () =
   Alcotest.(check string) "policy name" "cache-affinity"
-    (Balancer.policy_to_string Balancer.Cache_affinity);
+    (Balancer.Policy.to_string Balancer.Cache_affinity);
   (* After one round trip 0 -> 1 -> 0, node 0 knows what node 1 retains
      for the thread: the affinity hint must point at node 1. *)
   let c = cluster ~nodes:3 () in

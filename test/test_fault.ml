@@ -296,25 +296,26 @@ let test_receipt_allocation () =
       ("256 KB train", 256 * 1024, Reliable.send_train ?trace:None);
       ("64 KB message", 64 * 1024, Reliable.send) ]
 
+(* One frame of each kind, a fragment with and without trace words. *)
+let sample_frames () =
+  let view = (Bytes.of_string "..payload..", 2, 7) in
+  Reliable.
+    [ ("RELD", Message, encode (Data { seq = 5; payload = view }));
+      ("RELT", Train,
+        encode (Frag { train = 3; idx = 1; nfrags = 2; payload = view; trace = None }));
+      ("RELT traced", Train,
+        encode (Frag { train = 4; idx = 0; nfrags = 1; payload = view; trace = Some (7, 9) }));
+      ("RELA", Message, encode (Ack (Message, 5)));
+      ("RELK", Train, encode (Ack (Train, 3)));
+      ("HBEA", Message, encode (Heartbeat { node = 1; gen = 2 })) ]
+
 let test_frame_decoder_fuzz () =
-  (* One frame of each kind, a fragment with and without trace words.
-     The decoder is total: flipping any byte (all its bits) or cutting
+  (* The decoder is total: flipping any byte (all its bits) or cutting
      the frame at any length is refused, never raised on; so is any
      single-byte change to the inner region, because FNV-1a over a
      buffer changes under every single-byte change. The receive path
      never acks or delivers a refused frame. *)
-  let view = (Bytes.of_string "..payload..", 2, 7) in
-  let frames =
-    Reliable.
-      [ ("RELD", Message, encode (Data { seq = 5; payload = view }));
-        ("RELT", Train,
-          encode (Frag { train = 3; idx = 1; nfrags = 2; payload = view; trace = None }));
-        ("RELT traced", Train,
-          encode (Frag { train = 4; idx = 0; nfrags = 1; payload = view; trace = Some (7, 9) }));
-        ("RELA", Message, encode (Ack (Message, 5)));
-        ("RELK", Train, encode (Ack (Train, 3)));
-        ("HBEA", Message, encode (Heartbeat { node = 1; gen = 2 })) ]
-  in
+  let frames = sample_frames () in
   let e = Engine.create () in
   let net = Network.create ~faults:(Plan.create ~seed:1 (spec_of "")) e Cm.default ~nodes:2 in
   let rel = Reliable.create net in
@@ -364,6 +365,33 @@ let test_frame_decoder_fuzz () =
   ignore (Engine.run e);
   Alcotest.(check int) "the message and the one-fragment train delivered" 2 !delivered;
   Alcotest.(check int) "and acked" 2 (Network.messages_sent net)
+
+let test_wire_words_keep_bit_63 () =
+  (* Every wire word is written sign-extended from an OCaml int, so its
+     bit 63 equals its bit 62. Flipping bit 63 alone makes a word no
+     packer writes: both decoders refuse it rather than drop the bit. *)
+  let flip_bit_63 b ~word =
+    let c = Bytes.copy b in
+    let i = (8 * word) + 7 in
+    Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor 0x80));
+    c
+  in
+  List.iter
+    (fun (name, _, b) ->
+      List.iter
+        (fun word ->
+          match Reliable.decode (flip_bit_63 b ~word) with
+          | None -> ()
+          | Some _ -> Alcotest.failf "%s: header word %d with bit 63 flipped accepted" name word)
+        [ 0; 1; 2 ])
+    (sample_frames ());
+  (* magic, gid, range count, then the first range's address *)
+  let probe =
+    Migration.encode (Migration.Probe { gid = 3; ranges = [ (0x40000, 65536) ]; trace = None })
+  in
+  match Migration.decode (flip_bit_63 probe ~word:3) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "GPRO: range word with bit 63 flipped accepted"
 
 (* -- guest programs under faults -- *)
 
@@ -639,4 +667,5 @@ let tests =
     Alcotest.test_case "relocating hop under faults" `Quick
       test_relocating_hop_under_faults;
     Alcotest.test_case "reliable: frame decoder fuzz" `Quick test_frame_decoder_fuzz;
+    Alcotest.test_case "wire words keep bit 63" `Quick test_wire_words_keep_bit_63;
   ]

@@ -81,14 +81,17 @@ let test_transfer_parses_in_place () =
   let size = 64 * 1024 in
   let buffer = Codec.frame Codec.V2 (Bytes.make size 'x') in
   let msg =
-    Migration.group_transfer_message ~gid:3 ~ranges:[ (0x40000, 65536) ] ~buffer
+    Migration.encode
+      (Migration.Transfer
+         { gid = 3; ranges = [ (0x40000, 65536) ]; image = (buffer, 0, Bytes.length buffer) })
   in
   Gc.minor ();
   let before = Gc.allocated_bytes () in
-  let parsed = Migration.parse_group_transfer msg in
+  let parsed = Migration.decode msg in
   let allocated = Gc.allocated_bytes () -. before in
   (match parsed with
-   | Ok (3, [ (0x40000, 65536) ], (data, pos, len)) ->
+   | Ok (Migration.Transfer { gid = 3; ranges = [ (0x40000, 65536) ]; image = data, pos, len })
+     ->
      Alcotest.(check bool) "a view into the message" true (data == msg);
      Alcotest.(check bytes) "the image" buffer (Bytes.sub data pos len)
    | Ok _ -> Alcotest.fail "wrong header"
@@ -287,12 +290,13 @@ let test_group_migration () =
 
 (* -- wire parser fuzzing -- *)
 
-(* The five messages of a real two-node group migration of two small
-   threads (a 24 KB train image): the probe (as sent, and with a trace context), both
-   verdicts, the transfer carrying the actual train image, and an
-   RDLT/RFUL pair over the image's pages. The transfer is built from a
-   non-destructive pack just after [migrate_group] starts, and the
-   migration must then complete with a train of exactly that size. *)
+(* The five kinds of message of a real two-node group migration of two
+   small threads (a 24 KB train image): the probe (as sent, and with a
+   trace context), both verdicts, the transfer carrying the actual train
+   image, and an RDLT/RFUL pair over the image's pages. The transfer is
+   built from a non-destructive pack just after [migrate_group] starts,
+   and the migration must then complete with a train of exactly that
+   size. *)
 let group_messages () =
   let c = cluster () in
   let env = Cluster.host_env c 0 in
@@ -312,21 +316,18 @@ let group_messages () =
   let buffer = packed.Migration.g_buffer in
   let tid = (List.hd members).Thread.id and page_addr = fst (List.hd ranges) in
   let messages =
-    [
-      ("probe", Migration.group_probe_message ~gid ~ranges ());
-      ("traced probe", Migration.group_probe_message ~trace:(7, 9) ~gid ~ranges ());
-      ("accept", Migration.group_verdict_message ~gid ~ok:true ~reason:"");
-      ( "reject",
-        Migration.group_verdict_message ~gid ~ok:false
-          ~reason:"destination cannot map the group's slots" );
-      ("transfer", Migration.group_transfer_message ~gid ~ranges ~buffer);
-      ( "delta request",
-        Migration.delta_request_message ~gid ~pages:[ (tid, page_addr, As.page_hash space page_addr) ]
-      );
-      ( "delta full",
-        Migration.delta_full_message ~gid ~pages:[ (tid, page_addr, As.load_bytes space page_addr page) ]
-      );
-    ]
+    Migration.
+      [
+        ("probe", Probe { gid; ranges; trace = None });
+        ("traced probe", Probe { gid; ranges; trace = Some (7, 9) });
+        ("accept", Verdict { gid; ok = true; reason = "" });
+        ("reject", Verdict { gid; ok = false; reason = "destination cannot map the group's slots" });
+        ("transfer", Transfer { gid; ranges; image = (buffer, 0, Bytes.length buffer) });
+        ( "delta request",
+          Delta_request { gid; pages = [ (tid, page_addr, As.page_hash space page_addr) ] } );
+        ( "delta full",
+          Delta_full { gid; pages = [ (tid, page_addr, As.load_bytes space page_addr page) ] } );
+      ]
   in
   ignore (Cluster.run c);
   (match Cluster.group_migrations c with
@@ -334,33 +335,67 @@ let group_messages () =
    | l -> Alcotest.failf "%d group records" (List.length l));
   messages
 
-(* [true] when the matching parser accepts the message. Any exception
-   escapes and fails the test. *)
-let parses name b =
-  match name with
-  | "probe" | "traced probe" -> Migration.parse_group_probe b <> None
-  | "accept" | "reject" -> Migration.parse_group_verdict b <> None
-  | "transfer" -> Result.is_ok (Migration.parse_group_transfer b)
-  | "delta request" -> Migration.parse_delta_request b <> None
-  | _ -> Result.is_ok (Migration.parse_delta_full b)
+let kind = function
+  | Migration.Probe _ -> "probe"
+  | Verdict _ -> "verdict"
+  | Transfer _ -> "transfer"
+  | Delta_request _ -> "delta request"
+  | Delta_full _ -> "delta full"
+
+(* A transfer's image is a view; compare views by the bytes they show. *)
+let detach = function
+  | Migration.Transfer ({ image = data, pos, len; _ } as t) ->
+    Migration.Transfer { t with image = (Bytes.sub data pos len, 0, len) }
+  | m -> m
+
+let test_wire_bytes_pinned () =
+  (* MD5 of each message's encoding: the layouts are on the wire and
+     must not move. *)
+  let pinned =
+    [
+      ("probe", "b56a2c8d92b52c4e663b5985abf7987c");
+      ("traced probe", "955a50363ac25261fd946c056a00b927");
+      ("accept", "9ed1ebaa80f7e80a969ea24a11909fff");
+      ("reject", "2710557bdd4cb90bcc2e6d5b4475ebc2");
+      ("transfer", "91f5c2a0c92a79ee8415e3bd31c251d8");
+      ("delta request", "caa230641f0bb1d28183697b08a37474");
+      ("delta full", "dada5c3fb86700b26470eb4d3f7b4ae5");
+    ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let b = Migration.encode m in
+      Alcotest.(check string) (name ^ " bytes") (List.assoc name pinned)
+        (Digest.to_hex (Digest.bytes b));
+      Alcotest.(check bool) (name ^ " decodes to itself") true
+        (Result.map detach (Migration.decode b) = Ok (detach m)))
+    (group_messages ())
 
 let test_wire_parsers_total () =
   List.iter
-    (fun (name, msg) ->
+    (fun (name, m) ->
+       let msg = Migration.encode m in
        let n = Bytes.length msg in
-       Alcotest.(check bool) (name ^ " parses") true (parses name msg);
+       Alcotest.(check bool) (name ^ " decodes") true (Result.is_ok (Migration.decode msg));
        (* a traced probe cut before its two trailing words is the
           untraced probe, which is well formed *)
        let untraced_prefix len = name = "traced probe" && len = n - 16 in
        for len = 0 to n - 1 do
-         if parses name (Bytes.sub msg 0 len) <> untraced_prefix len then
-           Alcotest.failf "%s truncated to %d bytes: wrong verdict" name len
+         match (Migration.decode (Bytes.sub msg 0 len), m) with
+         | Ok got, Migration.Probe p when untraced_prefix len ->
+           if got <> Migration.Probe { p with trace = None } then
+             Alcotest.failf "%s truncated to %d bytes: not the untraced probe" name len
+         | Ok _, _ -> Alcotest.failf "%s truncated to %d bytes decodes" name len
+         | Error _, _ ->
+           if untraced_prefix len then Alcotest.failf "%s truncated to %d bytes is refused" name len
        done;
        for i = 0 to n - 1 do
          let b = Bytes.copy msg in
          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-         match parses name b with
-         | (_ : bool) -> ()
+         match Migration.decode b with
+         | Ok got when kind got <> kind m ->
+           Alcotest.failf "%s with byte %d flipped decodes as a %s" name i (kind got)
+         | Ok _ | Error _ -> ()
          | exception e -> Alcotest.failf "%s with byte %d flipped: %s" name i (Printexc.to_string e)
        done)
     (group_messages ())
@@ -467,8 +502,8 @@ let test_group_threshold_policy () =
   Alcotest.(check bool) "groups completed" true
     (List.length (Cluster.group_migrations cluster) > 0);
   Alcotest.(check int) "all work done" 0 (Cluster.live_threads cluster);
-  Alcotest.(check string) "policy name" "group-threshold(high=2,low=8,limit=4)"
-    (Balancer.policy_to_string (Balancer.Group_threshold { high = 2; low = 8; limit = 4 }))
+  Alcotest.(check string) "policy name" "group-threshold:2:8:4"
+    (Balancer.Policy.to_string (Balancer.Group_threshold { high = 2; low = 8; limit = 4 }))
 
 let tests =
   [
@@ -489,5 +524,6 @@ let tests =
       test_group_rollback_on_dropped_train;
     Alcotest.test_case "group validation" `Quick test_group_validation;
     Alcotest.test_case "wire parsers are total" `Quick test_wire_parsers_total;
+    Alcotest.test_case "control message bytes pinned" `Quick test_wire_bytes_pinned;
     Alcotest.test_case "group-threshold balancer policy" `Quick test_group_threshold_policy;
   ]

@@ -133,18 +133,13 @@ let test_codec_frame_trace_roundtrip () =
 
 let test_probe_trace_roundtrip () =
   let ranges = [ (0x10000, 2 * page); (0x40000, page) ] in
-  (match
-     Migration.parse_group_probe
-       (Migration.group_probe_message ~trace:(9, 4) ~gid:3 ~ranges ())
-   with
-   | Some (3, r, Some (9, 4)) ->
-     Alcotest.(check (list (pair int int))) "ranges" ranges r
-   | _ -> Alcotest.fail "traced probe did not parse");
-  match
-    Migration.parse_group_probe (Migration.group_probe_message ~gid:3 ~ranges ())
-  with
-  | Some (3, r, None) -> Alcotest.(check (list (pair int int))) "ranges" ranges r
-  | _ -> Alcotest.fail "untraced probe did not parse"
+  List.iter
+    (fun trace ->
+      match Migration.decode (Migration.encode (Migration.Probe { gid = 3; ranges; trace })) with
+      | Ok (Migration.Probe { gid = 3; ranges = r; trace = t }) when t = trace ->
+        Alcotest.(check (list (pair int int))) "ranges" ranges r
+      | _ -> Alcotest.fail "probe did not decode")
+    [ Some (9, 4); None ]
 
 (* -- end to end: a traced group delta migration under faults -- *)
 
