@@ -11,7 +11,7 @@
 
    Experiment ids: e-figs f11-small f11-large t-migration
    t-migration-payload t-host-hop t-migration-batch t-migration-delta t-mvm
-   t-trace-overhead t-negotiation t-crash-sweep
+   t-trace-overhead t-negotiation t-crash-sweep t-balancer-scale
    a-distribution a-packing a-slotcache a-pointers a-slotsize
    bechamel perf-smoke *)
 
@@ -55,6 +55,9 @@ let experiments =
     ( "t-crash-sweep",
       "crash recovery: checkpointed failover, mid-flight crash, double crash, degradation",
       Crash_sweep.run );
+    ( "t-balancer-scale",
+      "balancer rounds: host ns and minor words per event vs workers and nodes",
+      Balancer_scale.run );
     ("bechamel", "host wall-clock microbenchmarks", Bechamel_suite.run_suite);
     ("perf-smoke", "trimmed bechamel suite (the @perf-smoke alias)", Bechamel_suite.run_smoke);
   ]

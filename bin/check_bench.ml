@@ -22,7 +22,10 @@
    round-robin multi-slot search must beat the bit-by-bit reference by
    at least 10x. For "migration"/"host-hop" the page-ownership direct
    hop must beat the buffered pack/unpack image it models by at least
-   2x host time. `--require-suite NAME` (repeatable)
+   2x host time. For "balancer-scale" (Threshold rounds over workers
+   born on one node) 2000 workers may cost at most 1.5x the minor-heap
+   words and 2.5x the host ns per event of 125 workers, both on 4
+   nodes. `--require-suite NAME` (repeatable)
    additionally fails if no entry of suite NAME is present — the @ci
    alias uses it to pin both migration suites into the trajectory. *)
 
@@ -166,6 +169,13 @@ let check_known_suite ~suite ~name metrics =
     if get "speedup_vs_ref" < 10. then
       fail "%s/%s: round-robin find_run %.2fx over the reference, below the 10x bar"
         suite name (get "speedup_vs_ref")
+  | "balancer-scale", "flatness" ->
+    if get "minor_words_per_event_ratio" > 1.5 then
+      fail "%s/%s: 2000 workers allocate %.2fx the minor words per event of 125, above \
+            the 1.5x bar" suite name (get "minor_words_per_event_ratio");
+    if get "ns_per_event_ratio" > 2.5 then
+      fail "%s/%s: 2000 workers cost %.2fx the host ns per event of 125, above the 2.5x \
+            bar" suite name (get "ns_per_event_ratio")
   | "trace-overhead", "telemetry-placement" ->
     if get "heat_imbalance_access" >= get "heat_imbalance_load" then
       fail "%s/%s: access-imbalance did not beat the load policy on node heat" suite

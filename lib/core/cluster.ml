@@ -84,7 +84,7 @@ let rec enqueue t (th : Thread.t) =
      no longer exists; only the recovery supervisor may revive it — or one
      already declared lost. Drop such wakeups on the floor. *)
   if (not (Hashtbl.mem t.stranded th.Thread.id)) && not (Thread.is_exited th) then begin
-    th.state <- Thread.Ready;
+    set_state t th Thread.Ready;
     let node = t.nodes.(th.node) in
     ignore (Dlist.push_back node.Node.queue th);
     schedule_tick t node ~delay:0.;
@@ -101,13 +101,13 @@ and tick t node =
   node.Node.tick_scheduled <- false;
   if not (Dlist.is_empty node.Node.queue) then begin
     let th = Dlist.pop_front node.Node.queue in
-    th.Thread.state <- Thread.Running;
+    start_quantum th;
     if checkpointing t then Hashtbl.replace t.ckpt_dirty th.Thread.id ();
     Node.charge node t.config.cost.Cm.context_switch;
     let outcome = run_quantum t node th in
     (match outcome with
      | Requeue ->
-       th.Thread.state <- Thread.Ready;
+       end_quantum th;
        ignore (Dlist.push_back node.Node.queue th)
      | Left | Dead -> ());
     let dt = Node.take_charges node in
@@ -122,11 +122,11 @@ and run_quantum t node (th : Thread.t) =
      itself never cooperates. *)
   match th.Thread.pending_migration with
   | Some dest when dest <> node.Node.id ->
-    th.Thread.pending_migration <- None;
+    set_pending t th None;
     Cluster_migrate.start t node th ~dest;
     Left
-  | _ ->
-    th.Thread.pending_migration <- None;
+  | pending ->
+    (match pending with Some _ -> set_pending t th None | None -> ());
     let cost = t.config.cost in
     (* Run-until-event: the engine executes whole slices between
        scheduler events instead of bouncing back per instruction. Fuel
@@ -296,7 +296,7 @@ and dispatch t node (th : Thread.t) sc =
            else `Continue
          end
          else begin
-           victim.Thread.pending_migration <- (if dest = node.Node.id then None else Some dest);
+           set_pending t victim (if dest = node.Node.id then None else Some dest);
            r.(0) <- 0;
            `Continue
          end
@@ -317,7 +317,7 @@ and dispatch t node (th : Thread.t) sc =
     | Isa.Sys_join ->
       (match Hashtbl.find_opt t.threads (tid_of_handle r.(1)) with
        | Some target when not (Thread.is_exited target) ->
-         th.Thread.state <- Thread.Blocked;
+         set_state t th Thread.Blocked;
          let parked =
            Option.value ~default:[] (Hashtbl.find_opt t.waiters target.Thread.id)
          in
@@ -348,7 +348,7 @@ and dispatch t node (th : Thread.t) sc =
          sem.count <- sem.count - 1;
          r.(0) <- 0;
          if sem.count < 0 then begin
-           th.Thread.state <- Thread.Blocked;
+           set_state t th Thread.Blocked;
            Queue.push th sem.sem_waiters;
            `Left
          end
@@ -374,7 +374,7 @@ and dispatch t node (th : Thread.t) sc =
          `Continue)
     | Isa.Sys_sleep ->
       let delay = float_of_int (max 0 r.(1)) in
-      th.Thread.state <- Thread.Blocked;
+      set_state t th Thread.Blocked;
       Engine.schedule_after t.engine ~delay (fun () -> enqueue t th);
       `Left
     | Isa.Sys_barrier ->
@@ -386,7 +386,7 @@ and dispatch t node (th : Thread.t) sc =
          r.(0) <- 0;
          bar.arrived <- bar.arrived + 1;
          Network.record_virtual t.net ~src:node.Node.id ~dst:0 ~bytes:64;
-         th.Thread.state <- Thread.Blocked;
+         set_state t th Thread.Blocked;
          bar.parked <- th :: bar.parked;
          if bar.arrived >= bar.participants then begin
            (* every participant is in: release them after one broadcast
@@ -413,7 +413,7 @@ and after_negotiation t th =
   match take_pending_block t with
   | None -> `Continue
   | Some finish ->
-    th.Thread.state <- Thread.Blocked;
+    set_state t th Thread.Blocked;
     Engine.schedule t.engine ~at:(max finish (Engine.now t.engine)) (fun () -> enqueue t th);
     `Left
 
@@ -436,7 +436,7 @@ and rpc t ~src ~dest ~pc ~arg =
      destination node — thread creation stays a purely local operation
      there (§4.1). *)
   let th = new_thread t ~node:dest ~pc in
-  th.Thread.state <- Thread.Blocked;
+  set_state t th Thread.Blocked;
   register t th;
   let request = Bytes.create 96 (* entry + argument + protocol header *) in
   let on_arrival _ =
@@ -513,20 +513,25 @@ let spawn t ~node ~entry ?(arg = 0) () =
 let request_migration t (th : Thread.t) ~dest =
   if not (valid_node t dest) then invalid_arg "Cluster.request_migration: bad destination";
   if not (Thread.is_exited th) then begin
-    th.Thread.pending_migration <- Some dest;
+    set_pending t th (Some dest);
     (* Make sure the node wakes up to honour it even if idle. *)
     schedule_tick t t.nodes.(th.Thread.node) ~delay:0.
   end
 
-(* Rebuild the node's run queue without [th]; true if it was queued. *)
-let dequeue_from_runqueue t (th : Thread.t) =
-  let q = t.nodes.(th.Thread.node).Node.queue in
-  let rec drain acc = if Dlist.is_empty q then List.rev acc else drain (Dlist.pop_front q :: acc) in
-  let found = ref false in
-  List.iter
-    (fun x -> if x == th then found := true else ignore (Dlist.push_back q x))
-    (drain []);
-  !found
+(* Take [ths] off [src]'s run queue in one pass, the others keeping their
+   order; each comes back paired with whether it was queued. *)
+let dequeue_members t ths ~src =
+  let queued = Hashtbl.create 8 in
+  List.iter (fun (th : Thread.t) -> Hashtbl.replace queued th.Thread.id false) ths;
+  Dlist.remove_if
+    (fun (x : Thread.t) ->
+      Hashtbl.mem queued x.Thread.id
+      && begin
+        Hashtbl.replace queued x.Thread.id true;
+        true
+      end)
+    t.nodes.(src).Node.queue;
+  List.map (fun (th : Thread.t) -> (th, Hashtbl.find queued th.Thread.id)) ths
 
 (* Validate the group and prepare its members; {!Cluster_migrate} runs
    the pipeline. *)
@@ -554,15 +559,12 @@ let migrate_group t ths ~dest =
       if src = dest then Error "group already on the destination node"
       else if has_dup ths then Error "duplicate thread in group"
       else begin
-        let members =
-          List.map
-            (fun (th : Thread.t) ->
-              let was_queued = dequeue_from_runqueue t th in
-              th.Thread.pending_migration <- None;
-              th.Thread.state <- Thread.Migrating;
-              (th, was_queued))
-            ths
-        in
+        let members = dequeue_members t ths ~src in
+        List.iter
+          (fun ((th : Thread.t), _) ->
+            set_pending t th None;
+            set_state t th Thread.Migrating)
+          members;
         Ok (Cluster_migrate.start_group t ~src ~dest members)
       end
   end
@@ -625,6 +627,15 @@ let check_invariants t =
     failwith
       (Printf.sprintf "Cluster: %d live threads, counter says %d, index holds %d" live t.live
          indexed);
+  (* The movable index is exactly the residents the balancer may pick. *)
+  Array.iteri
+    (fun n residents ->
+      let scan = Tid_map.filter (fun _ th -> is_movable th) residents in
+      if not (Tid_map.equal ( == ) scan t.movable.(n)) then
+        failwith
+          (Printf.sprintf "Cluster: node %d's movable index holds %d threads, a scan finds %d"
+             n (Tid_map.cardinal t.movable.(n)) (Tid_map.cardinal scan)))
+    t.residents;
   Negotiation.check_global_invariant t.neg;
   Array.iter (fun n -> Slot_manager.check_invariants n.Node.mgr) t.nodes;
   Array.iter Delta_cache.check t.delta;

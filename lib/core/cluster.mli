@@ -137,6 +137,22 @@ val live_threads : t -> int
     prefix, not the size of the thread table. *)
 val node_threads : t -> int -> Thread.t Seq.t
 
+(** [movable_threads t i] is the threads on node [i] a balancer may pick,
+    in id order: those [Ready] or [Running] with no migration pending.
+    [Running] counts as movable, because no thread is running while a
+    balancer round runs; so the scheduler's [Ready]/[Running] flips leave
+    the index alone. The sequence is lazy over a second per-node index,
+    kept next to {!node_threads}': a thread already picked (its migration
+    pending), blocked or migrating is not in it, so a round walks only
+    candidates. The index stays exact because the cluster writes a
+    thread's [state] and [pending_migration] only through its own two
+    setters, which re-file the thread whenever its membership changes
+    (the scheduler's flips between [Ready] and [Running] are plain
+    stores, since they cannot change it); nothing outside the cluster
+    may write those fields. {!check_invariants} compares the index with
+    a scan. *)
+val movable_threads : t -> int -> Thread.t Seq.t
+
 (** [request_migration t th ~dest] marks [th] for preemptive migration to
     [dest]; it happens at [th]'s next quantum boundary. No-op if the
     thread already exited. *)
@@ -370,7 +386,8 @@ val node_alive : t -> int -> bool
 val set_migration_abort_handler : t -> (Thread.t -> failed:int -> unit) -> unit
 
 (** Cross-node invariant sweep: bitmap disjointness, per-node slot-manager
-    coherence, the per-node thread index against the thread table, and
+    coherence, the per-node thread index against the thread table, the
+    per-node movable index against a scan of that node's threads, and
     full [Iso_heap] checks on every live thread.
     @raise Failure on violation. *)
 val check_invariants : t -> unit

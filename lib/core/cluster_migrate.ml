@@ -148,7 +148,7 @@ let take_back t (th : Thread.t) ~dest ~span cargo ~reason =
   end
 
 let start_direct t node (th : Thread.t) ~dest =
-  th.Thread.state <- Thread.Migrating;
+  set_state t th Thread.Migrating;
   let started = Engine.now t.engine in
   let src = node.Node.id in
   let root = Obs.Span.root t.tracer ~at:started ~node:src Obs.Event.Migration in
@@ -249,14 +249,14 @@ let host_migrate t (th : Thread.t) ~dest =
 
 (* [members] is [(thread, was_on_run_queue)]: threads taken off a run
    queue (or preempted mid-quantum) are re-enqueued on arrival (or on
-   rollback); host-driven threads just become Ready again. *)
-let group_release t members ~node =
+   rollback); host-driven threads just become Ready again. Each resumes
+   on the node it is filed at: the source until the group commits, the
+   destination from the moment it unpacks there. *)
+let group_release t members =
   List.iter
     (fun ((th : Thread.t), was_queued) ->
-      if th.Thread.state = Thread.Migrating then begin
-        move_thread t th ~dest:node;
-        if was_queued then t.wake t th else th.Thread.state <- Thread.Ready
-      end)
+      if th.Thread.state = Thread.Migrating then
+        if was_queued then t.wake t th else set_state t th Thread.Ready)
     members
 
 (* True iff the group's source node crashed while the group was in flight
@@ -286,7 +286,7 @@ let group_abort t ~gid ~src ~dest ~span members ~reason =
   let resumed =
     List.filter (fun ((th : Thread.t), _) -> th.Thread.state = Thread.Migrating) members
   in
-  group_release t resumed ~node:src;
+  group_release t resumed;
   List.iter
     (fun ((th : Thread.t), _) ->
       t.aborted_migrations <- t.aborted_migrations + 1;
@@ -400,6 +400,10 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
           end;
           let resume_delay = u.Migration.u_cost +. extra in
           Node.charge dnode resume_delay;
+          (* The members' memory now lives at [dest]: file them there
+             before the resume delay, as the direct hop does, so a crash
+             of [dest] meanwhile strands them with it. *)
+          List.iter (fun ((th : Thread.t), _) -> move_thread t th ~dest) members;
           let bytes = len in
           let n = List.length members in
           let data_pages, zero_pages, cached_pages = pages in
@@ -436,7 +440,7 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
                   g_zero_pages = zero_pages;
                   g_cached_pages = cached_pages;
                 };
-              group_release t members ~node:dest)
+              group_release t members)
         end
       in
       (match u.Migration.u_missing with
@@ -626,8 +630,8 @@ let start_group t ~src ~dest members =
 let start t node (th : Thread.t) ~dest =
   if t.config.scheme = Iso && (delta_enabled t || Fault.Plan.enabled t.config.faults)
   then begin
-    th.Thread.pending_migration <- None;
-    th.Thread.state <- Thread.Migrating;
+    set_pending t th None;
+    set_state t th Thread.Migrating;
     (* was_queued = true: the thread was running, so it must re-enter a
        run queue on arrival (or on rollback). *)
     ignore (start_group t ~src:node.Node.id ~dest [ (th, true) ])

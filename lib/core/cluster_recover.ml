@@ -183,7 +183,7 @@ let restore_thread t ~tid ~gen ~from_node ~dest ~via e =
     Hashtbl.remove t.stranded tid;
     t.restored_count <- t.restored_count + 1;
     move_thread t th ~dest;
-    th.Thread.pending_migration <- None;
+    set_pending t th None;
     Obs.Collector.emit t.obs ~node:dest
       (Obs.Event.Thread_restore { tid; node = dest; from_node; gen });
     Engine.schedule_after t.engine ~delay (fun () -> t.wake t th);
@@ -342,8 +342,8 @@ let crash_node t ~node:n =
   List.iter
     (fun (th : Thread.t) ->
       Hashtbl.replace t.stranded th.Thread.id { s_node = n; s_gen = gen };
-      th.Thread.state <- Thread.Blocked;
-      th.Thread.pending_migration <- None;
+      set_state t th Thread.Blocked;
+      set_pending t th None;
       (* Unexternalized output dies with the node: the restored replay
          will produce it again, exactly once. *)
       Hashtbl.remove t.outbuf th.Thread.id;

@@ -138,8 +138,11 @@ type t = {
          handed out in increasing order, so this is id order *)
   mutable live : int; (* registered threads that have not exited *)
   residents : Thread.t Tid_map.t array;
-      (* per node, its threads that have not exited, by id: the balancer
-         and the crash path walk one node's threads, never the table *)
+      (* per node, its threads that have not exited, by id: the crash
+         path and the heat feed walk one node's threads, never the table *)
+  movable : Thread.t Tid_map.t array;
+      (* per node, the residents the balancer may pick, by id: Ready or
+         Running with no migration pending (see [is_movable]) *)
   waiters : (int, Thread.t list) Hashtbl.t; (* Sys_join: tid -> parked threads *)
   semaphores : (int, sema) Hashtbl.t; (* Marcel-style node-local semaphores *)
   mutable next_sem : int;
@@ -263,6 +266,7 @@ let create ~wake (config : config) program =
     roster = Vec.create ();
     live = 0;
     residents = Array.make config.nodes Tid_map.empty;
+    movable = Array.make config.nodes Tid_map.empty;
     waiters = Hashtbl.create 16;
     semaphores = Hashtbl.create 16;
     next_sem = 1;
@@ -320,21 +324,65 @@ let live_threads t = t.live
 
 let node_threads t i = Seq.map snd (Tid_map.to_seq t.residents.(i))
 
-(* The table, the roster and the per-node index stay in step through
+let movable_threads t i = Seq.map snd (Tid_map.to_seq t.movable.(i))
+
+(* A thread the balancer may pick: runnable, with no migration pending.
+   [Running] counts, because no thread is running while a balancer round
+   runs: the scheduler's Ready/Running flips then never touch the index. *)
+let is_movable (th : Thread.t) =
+  match th.Thread.pending_migration, th.Thread.state with
+  | None, (Thread.Ready | Thread.Running) -> true
+  | _ -> false
+
+(* Bring [th]'s entry in its node's [movable] index in line with
+   [is_movable], given whether it was movable before the write. *)
+let reindex t (th : Thread.t) ~was =
+  let now = is_movable th in
+  if now <> was then begin
+    let n = th.Thread.node and id = th.Thread.id in
+    t.movable.(n) <-
+      (if now then Tid_map.add id th t.movable.(n) else Tid_map.remove id t.movable.(n))
+  end
+
+(* Every write of a thread's [state] or [pending_migration] goes through
+   one of these two, so the [movable] index cannot go stale. *)
+let set_state t (th : Thread.t) state =
+  let was = is_movable th in
+  th.Thread.state <- state;
+  reindex t th ~was
+
+let set_pending t (th : Thread.t) pending =
+  let was = is_movable th in
+  th.Thread.pending_migration <- pending;
+  reindex t th ~was
+
+(* ...except the scheduler's own flips at a quantum's start and end
+   ([Ready] to [Running] and back, the latter only for a thread still
+   running), which cannot change membership: plain stores, so the
+   scheduler's hot path never looks at the index. *)
+let start_quantum (th : Thread.t) = th.Thread.state <- Thread.Running
+let end_quantum (th : Thread.t) = th.Thread.state <- Thread.Ready
+
+(* The table, the roster and the per-node indexes stay in step through
    these three: a thread is registered once, changes node only through
-   [move_thread] and leaves the index only through [retire]. *)
+   [move_thread] and leaves the indexes only through [retire]. *)
 let register t (th : Thread.t) =
   Hashtbl.replace t.threads th.Thread.id th;
   Vec.push t.roster th;
   t.live <- t.live + 1;
-  let n = th.Thread.node in
-  t.residents.(n) <- Tid_map.add th.Thread.id th t.residents.(n)
+  let n = th.Thread.node and id = th.Thread.id in
+  t.residents.(n) <- Tid_map.add id th t.residents.(n);
+  if is_movable th then t.movable.(n) <- Tid_map.add id th t.movable.(n)
 
 let move_thread t (th : Thread.t) ~dest =
   if not (Thread.is_exited th) then begin
     let id = th.Thread.id and src = th.Thread.node in
     t.residents.(src) <- Tid_map.remove id t.residents.(src);
-    t.residents.(dest) <- Tid_map.add id th t.residents.(dest)
+    t.residents.(dest) <- Tid_map.add id th t.residents.(dest);
+    if is_movable th then begin
+      t.movable.(src) <- Tid_map.remove id t.movable.(src);
+      t.movable.(dest) <- Tid_map.add id th t.movable.(dest)
+    end
   end;
   th.Thread.node <- dest
 
@@ -344,7 +392,7 @@ let retire t (th : Thread.t) reason =
     let n = th.Thread.node in
     t.residents.(n) <- Tid_map.remove th.Thread.id t.residents.(n)
   end;
-  th.Thread.state <- Thread.Exited reason
+  set_state t th (Thread.Exited reason)
 
 let drain_charges t i = Node.take_charges t.nodes.(i)
 

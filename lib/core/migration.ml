@@ -360,26 +360,56 @@ type group_packed = {
 let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
     ?(known = fun ~tid:_ _ -> None) ?trace ?(unmap = true) ~cost ~space ~gid
     threads =
-  let p = Pk.packer () in
+  (* Classify every page first: the image's exact size is then known,
+     so the frame header and the payload go straight into one buffer of
+     that size, which becomes the frame without a copy. *)
+  let members =
+    List.map
+      (fun (th : Thread.t) ->
+        let ranges = slot_ranges space th in
+        let plans =
+          List.map
+            (fun (slot, size) ->
+              ( slot,
+                size,
+                Codec.plan_range version space ~addr:slot ~size ~known:(known ~tid:th.Thread.id)
+              ))
+            ranges
+        in
+        (th, ranges, plans))
+      threads
+  in
+  let varint = Pk.varint_size in
+  let payload =
+    List.fold_left
+      (fun acc (th, _, plans) ->
+        let desc = ref 0 in
+        write_descriptor (fun n v -> n := !n + varint v) desc th;
+        List.fold_left
+          (fun acc (slot, size, plan) ->
+            acc + varint slot + varint size + Codec.range_size plan)
+          (acc + !desc + varint (List.length plans))
+          plans)
+      (varint gid + varint (List.length threads))
+      members
+  in
+  let p = Pk.packer ~size:(Codec.header_size ?trace () + payload) () in
+  let at = Codec.open_frame ?trace version p in
   Pk.pack_varint p gid;
   Pk.pack_varint p (List.length threads);
   let nslots = ref 0 and data_pages = ref 0 and zero_pages = ref 0 in
   let cached_pages = ref 0 in
-  let members = List.map (fun th -> (th, slot_ranges space th)) threads in
   List.iter
-    (fun ((th : Thread.t), ranges) ->
+    (fun ((th : Thread.t), _, plans) ->
       write_descriptor Pk.pack_varint p th;
-      Pk.pack_varint p (List.length ranges);
+      Pk.pack_varint p (List.length plans);
       let m_data = ref 0 and m_cached = ref 0 in
       List.iter
-        (fun (slot, size) ->
+        (fun (slot, size, plan) ->
           let before = Pk.packed_size p in
           Pk.pack_varint p slot;
           Pk.pack_varint p size;
-          let d, z, c =
-            Codec.encode_range p version space ~addr:slot ~size
-              ~known:(known ~tid:th.Thread.id)
-          in
+          let d, z, c = Codec.write_range p space plan in
           data_pages := !data_pages + d;
           zero_pages := !zero_pages + z;
           cached_pages := !cached_pages + c;
@@ -389,7 +419,7 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
           emit_slot obs ~node
             (Obs.Event.Pack_slot
                { tid = th.Thread.id; slot; bytes = Pk.packed_size p - before }))
-        ranges;
+        plans;
       if version = Codec.V3 && Obs.Collector.enabled obs then begin
         if !m_cached > 0 then
           Obs.Collector.emit obs ~node
@@ -399,6 +429,7 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
             (Obs.Event.Delta_miss { tid = th.Thread.id; pages = !m_data })
       end)
     members;
+  Codec.close_frame p at;
   (* Free the source memory only after every member is packed: the group
      image either exists in full or the source is untouched. A v3 sender
      keeps every non-zero page it unmaps — taken, not copied: the pinned
@@ -417,12 +448,14 @@ let pack_group ?(obs = Obs.Collector.null) ?(node = 0) ?(version = Codec.V2)
   let kept =
     if unmap then
       List.map
-        (fun ((th : Thread.t), ranges) -> (th.Thread.id, List.concat_map release ranges))
+        (fun ((th : Thread.t), ranges, _) -> (th.Thread.id, List.concat_map release ranges))
         members
     else []
   in
-  let unmapped = if unmap then List.concat_map (fun (_, r) -> range_sizes r) members else [] in
-  let buffer = Codec.frame ?trace version (Pk.contents p) in
+  let unmapped =
+    if unmap then List.concat_map (fun (_, r, _) -> range_sizes r) members else []
+  in
+  let buffer = Pk.contents p in
   {
     g_buffer = buffer;
     g_pack_cost =

@@ -26,6 +26,8 @@ type t = {
   id : int;
   mutable node : int; (* current location *)
   mutable state : state;
+      (* written only by the cluster's setters, with [pending_migration]:
+         the two decide membership in its movable-thread index *)
   mutable ctx : Pm2_mvm.Interp.context;
   mutable slots_head : Pm2_vmem.Layout.addr; (* 0 = no slots *)
   mutable stack_slot : Pm2_vmem.Layout.addr; (* base of the stack slot, 0 = none *)

@@ -105,15 +105,6 @@ let argmin_alive a ok =
   Array.iteri (fun i v -> if ok.(i) && (!best < 0 || v < a.(!best)) then best := i) a;
   if !best < 0 then None else Some !best
 
-(* Runnable threads placed on [node] (ready in its queue), in id order.
-   The sequence is lazy: a policy that needs the first few threads pays
-   for those, not for the node's whole population. *)
-let movable_threads cluster node =
-  Seq.filter
-    (fun (th : Thread.t) ->
-       th.Thread.state = Thread.Ready && th.Thread.pending_migration = None)
-    (Cluster.node_threads cluster node)
-
 let request t th ~dest =
   Cluster.request_migration t.cluster th ~dest;
   t.stats.migrations_requested <- t.stats.migrations_requested + 1
@@ -123,7 +114,7 @@ let request t th ~dest =
    (the batching the v2 wire codec exists for). Returns how many threads
    were actually committed to the group. *)
 let request_group t ~src ~dst n =
-  match List.of_seq (Seq.take n (movable_threads t.cluster src)) with
+  match List.of_seq (Seq.take n (Cluster.movable_threads t.cluster src)) with
   | [] -> 0
   | members ->
     (match Cluster.migrate_group t.cluster members ~dest:dst with
@@ -162,7 +153,7 @@ let balance_once t =
                     shed (excess - 1) rest
                   | _ -> ()
               in
-              shed (load - high) (movable_threads t.cluster src)
+              shed (load - high) (Cluster.movable_threads t.cluster src)
             end)
          l
      | Group_threshold { high; low; limit } ->
@@ -181,7 +172,7 @@ let balance_once t =
      | Least_loaded ->
        (match argmax_alive l ok, argmin_alive l ok with
         | Some src, Some dst when src <> dst && l.(src) - l.(dst) > 1 ->
-          (match Seq.uncons (movable_threads t.cluster src) with
+          (match Seq.uncons (Cluster.movable_threads t.cluster src) with
            | Some (th, _) ->
              request t th ~dest:dst;
              incr requested
@@ -197,7 +188,7 @@ let balance_once t =
                  request t th ~dest:dst;
                  incr requested
                end)
-            (movable_threads t.cluster src)
+            (Cluster.movable_threads t.cluster src)
         | _ -> ())
      | Cache_affinity ->
        (* Like [Least_loaded], but when several destinations are nearly as
@@ -207,7 +198,7 @@ let balance_once t =
           plain least-loaded when delta migration is off. *)
        (match argmax_alive l ok with
         | Some src ->
-          (match Seq.uncons (movable_threads t.cluster src) with
+          (match Seq.uncons (Cluster.movable_threads t.cluster src) with
            | Some (th, _) ->
              (match argmin_alive l ok with
               | Some min_dst ->
@@ -261,7 +252,7 @@ let balance_once t =
                 | Some b when thread_heat b >= thread_heat th -> best
                 | _ -> Some th)
               None
-              (movable_threads t.cluster hot)
+              (Cluster.movable_threads t.cluster hot)
           in
           (match victim with
            | Some th when thread_heat th >= float_of_int min_pages ->

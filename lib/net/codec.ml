@@ -24,10 +24,11 @@ let version_name = function V2 -> "v2" | V3 -> "v3"
    flag off, so untraced frames parse unchanged. *)
 let trace_flag = 8
 
-let frame ?trace version payload =
-  (* Magic, version, the optional trace pair, the payload length. *)
-  let header = if trace = None then 24 else 40 in
-  let p = Packet.packer ~size:(header + Bytes.length payload) () in
+let header_size ?trace () = if trace = None then 24 else 40
+
+(* Magic, version, the optional trace pair, then the payload length as a
+   placeholder word that [close_frame] patches. *)
+let open_frame ?trace version p =
   Packet.pack_int p frame_magic;
   (match trace with
    | None -> Packet.pack_int p (version_to_int version)
@@ -35,7 +36,18 @@ let frame ?trace version payload =
      Packet.pack_int p (version_to_int version lor trace_flag);
      Packet.pack_int p tid;
      Packet.pack_int p parent);
-  Packet.pack_bytes p payload;
+  let at = Packet.packed_size p in
+  Packet.pack_int p 0;
+  at
+
+let close_frame p at = Packet.patch_int p ~pos:at (Packet.packed_size p - at - 8)
+
+let frame ?trace version payload =
+  let len = Bytes.length payload in
+  let p = Packet.packer ~size:(header_size ?trace () + len) () in
+  let at = open_frame ?trace version p in
+  Packet.pack_unprefixed p ~len (fun buf pos -> Bytes.blit payload 0 buf pos len);
+  close_frame p at;
   Packet.contents p
 
 (* Typed decode errors: fault-injected corruption must surface as a value
@@ -129,17 +141,37 @@ let group_runs classes =
   in
   List.map (fun (c, n, hs) -> (c, n, List.rev hs)) (group [] classes)
 
-let encode_range p version space ~addr ~size ~known =
+type range_plan = {
+  r_version : version;
+  r_addr : int;
+  r_runs : (page_class * int * int list) list;
+}
+
+let plan_range version space ~addr ~size ~known =
   let known = match version with V2 -> (fun _ -> None) | V3 -> known in
   let runs = group_runs (delta_manifest space ~addr ~size ~known) in
-  let bits = tag_bits version in
-  Packet.pack_varint p (List.length runs);
+  { r_version = version; r_addr = addr; r_runs = runs }
+
+let range_size { r_version; r_runs; _ } =
+  let bits = tag_bits r_version in
+  List.fold_left
+    (fun acc (c, pages, hashes) ->
+      acc
+      + Packet.varint_size ((pages lsl bits) lor class_tag c)
+      + (8 * List.length hashes)
+      + match c with Data -> pages * Layout.page_size | Zero | Cached _ -> 0)
+    (Packet.varint_size (List.length r_runs))
+    r_runs
+
+let write_range p space { r_version; r_addr; r_runs } =
+  let bits = tag_bits r_version in
+  Packet.pack_varint p (List.length r_runs);
   List.iter
     (fun (c, pages, hashes) ->
       Packet.pack_varint p ((pages lsl bits) lor class_tag c);
       List.iter (Packet.pack_int p) hashes)
-    runs;
-  let pos = ref addr in
+    r_runs;
+  let pos = ref r_addr in
   let data_pages = ref 0 and zero_pages = ref 0 and cached_pages = ref 0 in
   List.iter
     (fun (c, pages, _) ->
@@ -152,8 +184,11 @@ let encode_range p version space ~addr ~size ~known =
          Packet.pack_unprefixed p ~len (fun buf at ->
              As.load_into space ~addr:!pos ~len buf ~pos:at));
       pos := !pos + (pages * Layout.page_size))
-    runs;
+    r_runs;
   (!data_pages, !zero_pages, !cached_pages)
+
+let encode_range p version space ~addr ~size ~known =
+  write_range p space (plan_range version space ~addr ~size ~known)
 
 let read_manifest version u =
   let bits = tag_bits version in

@@ -52,6 +52,17 @@ val version_name : version -> string
     tracing-off runs put exactly the same bytes on the wire. *)
 val frame : ?trace:int * int -> version -> Bytes.t -> Bytes.t
 
+(** Framing in place, for a payload packed straight behind its header:
+    [open_frame ?trace version p] packs the header {!frame} would write
+    (its length word a placeholder) and returns the length word's
+    position; once the payload is packed, [close_frame p at] patches the
+    length in. The bytes are exactly {!frame}'s. [header_size ?trace ()]
+    is the header's size, 24 bytes untraced and 40 traced. *)
+val header_size : ?trace:int * int -> unit -> int
+
+val open_frame : ?trace:int * int -> version -> Packet.packer -> int
+val close_frame : Packet.packer -> int -> unit
+
 (** Typed decode errors. Fault-injected corruption must surface as a
     value the protocol layer can act on (nack, rollback, resend), never
     as an exception escaping the codec. *)
@@ -120,6 +131,25 @@ val encode_range :
   size:int ->
   known:(int -> int option) ->
   int * int * int
+
+(** {!encode_range} in two steps, so a caller can size its buffer before
+    writing: [plan_range] classifies the range's pages (hashing those
+    [known] names) into its manifest runs, [range_size] is the exact
+    number of bytes [write_range] then appends, and [write_range] packs
+    the manifest and the data pages, read from [space] at that moment,
+    returning the page counts. [encode_range] is the two in a row. *)
+type range_plan
+
+val plan_range :
+  version ->
+  Pm2_vmem.Address_space.t ->
+  addr:int ->
+  size:int ->
+  known:(int -> int option) ->
+  range_plan
+
+val range_size : range_plan -> int
+val write_range : Packet.packer -> Pm2_vmem.Address_space.t -> range_plan -> int * int * int
 
 (** [decode_range u version space ~addr ~size ~restore] reads one
     {!encode_range} image of [version] into [space], which must already

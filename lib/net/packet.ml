@@ -66,6 +66,14 @@ let pack_varint p v =
   done;
   Bytes.unsafe_set p.buf (reserve p 1) (Char.unsafe_chr !z)
 
+let varint_size v =
+  let rec bytes z = if z lsr 7 = 0 then 1 else 1 + bytes (z lsr 7) in
+  bytes (zigzag v)
+
+let patch_int p ~pos v =
+  if pos < 0 || pos > p.len - 8 then invalid_arg "Packet.patch_int: not a packed word";
+  Bytes.set_int64_le p.buf pos (Int64.of_int v)
+
 let packed_size p = p.len
 
 let contents p =

@@ -51,6 +51,16 @@ val pack_varint : packer -> int -> unit
     @raise Invalid_argument if [len] is negative. *)
 val pack_unprefixed : packer -> len:int -> (Bytes.t -> int -> unit) -> unit
 
+(** [varint_size v] is the number of bytes {!pack_varint} writes for [v]. *)
+val varint_size : int -> int
+
+(** [patch_int p ~pos v] overwrites the {!pack_int} word already packed
+    at byte [pos] with [v]: a length known only once what follows it is
+    packed.
+    @raise Invalid_argument if [pos .. pos+7] is not inside the packed
+    bytes. *)
+val patch_int : packer -> pos:int -> int -> unit
+
 val packed_size : packer -> int
 
 (** [contents p] is the packed bytes. When the buffer is exactly full (an

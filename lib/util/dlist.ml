@@ -55,6 +55,16 @@ let pop_front t =
   | None -> invalid_arg "Dlist.pop_front: empty"
   | Some n -> remove t n; n.v
 
+let remove_if p t =
+  let rec loop = function
+    | None -> ()
+    | Some n ->
+      let next = n.next in
+      if p n.v then remove t n;
+      loop next
+  in
+  loop t.head
+
 let peek_front t = Option.map (fun n -> n.v) t.head
 
 let iter f t =

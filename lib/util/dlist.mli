@@ -31,6 +31,10 @@ val peek_front : 'a t -> 'a option
     @raise Invalid_argument if the node was already removed. *)
 val remove : 'a t -> 'a node -> unit
 
+(** [remove_if p t] unlinks every value satisfying [p] in one pass from
+    the head; the others keep their order. [p] sees each value once. *)
+val remove_if : ('a -> bool) -> 'a t -> unit
+
 val iter : ('a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
 val exists : ('a -> bool) -> 'a t -> bool

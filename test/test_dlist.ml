@@ -81,6 +81,24 @@ let prop_queue_model =
          ops
        && Dlist.to_list q = List.of_seq (Queue.to_seq model))
 
+let test_remove_if () =
+  (* One pass unlinks the matches anywhere in the list, ends included;
+     the rest keep their order and the list stays usable. *)
+  let q = Dlist.create () in
+  List.iter (fun x -> ignore (Dlist.push_back q x)) [ 1; 2; 3; 4; 5; 6 ];
+  let seen = ref [] in
+  Dlist.remove_if
+    (fun x ->
+      seen := x :: !seen;
+      x = 1 || x mod 3 = 0 || x = 6)
+    q;
+  Alcotest.(check (list int)) "each value seen once, in order" [ 1; 2; 3; 4; 5; 6 ]
+    (List.rev !seen);
+  Alcotest.(check (list int)) "the rest in order" [ 2; 4; 5 ] (Dlist.to_list q);
+  Alcotest.(check int) "length" 3 (Dlist.length q);
+  ignore (Dlist.push_back q 7);
+  Alcotest.(check (list int)) "still a queue" [ 2; 4; 5; 7 ] (Dlist.to_list q)
+
 let tests =
   [
     Alcotest.test_case "FIFO order" `Quick test_fifo;
@@ -91,4 +109,5 @@ let tests =
     Alcotest.test_case "peek and empty pop" `Quick test_peek_empty_pop;
     Alcotest.test_case "exists/value" `Quick test_exists_value;
     QCheck_alcotest.to_alcotest prop_queue_model;
+    Alcotest.test_case "remove_if keeps order" `Quick test_remove_if;
   ]

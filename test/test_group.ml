@@ -41,7 +41,11 @@ let test_varint_compact () =
   Alcotest.(check int) "0 is 1 byte" 1 (size 0);
   Alcotest.(check int) "-1 is 1 byte" 1 (size (-1));
   Alcotest.(check int) "63 is 1 byte" 1 (size 63);
-  Alcotest.(check bool) "64 needs 2 bytes" true (size 64 > 1)
+  Alcotest.(check bool) "64 needs 2 bytes" true (size 64 > 1);
+  List.iter
+    (fun v ->
+      Alcotest.(check int) ("varint_size " ^ string_of_int v) (size v) (Packet.varint_size v))
+    [ 0; -1; 63; 64; -64; -65; 8191; 8192; 1 lsl 40; max_int; min_int ]
 
 (* -- framing -- *)
 
@@ -505,6 +509,39 @@ let test_group_threshold_policy () =
   Alcotest.(check string) "policy name" "group-threshold:2:8:4"
     (Balancer.Policy.to_string (Balancer.Group_threshold { high = 2; low = 8; limit = 4 }))
 
+let test_group_image_framed_in_place () =
+  (* [pack_group] sizes its image before writing it, so header and
+     payload go into one buffer that becomes the frame as is: packing a
+     160 KB image allocates less than its size plus eight pages. The
+     frame is byte-for-byte what [Codec.frame] makes of its payload,
+     traced or not. *)
+  let c = cluster () in
+  let th = Cluster.host_thread c ~node:0 in
+  let space = Cluster.node_space c 0 in
+  let size = 40 * page in
+  let a = Option.get (Iso_heap.isomalloc (Cluster.host_env c 0) th size) in
+  As.fill space ~addr:a ~size 0x5a;
+  List.iter
+    (fun (version, trace) ->
+      let pack () =
+        Migration.pack_group ~version ?trace ~unmap:false ~cost:Pm2_sim.Cost_model.default
+          ~space ~gid:9 [ th ]
+      in
+      ignore (pack ());
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let buffer = (pack ()).Migration.g_buffer in
+      let allocated = Gc.allocated_bytes () -. before in
+      let image = Bytes.length buffer in
+      let what = Codec.version_name version ^ if trace = None then "" else " traced" in
+      if allocated >= float_of_int (image + (8 * page)) then
+        Alcotest.failf "%s: packing a %d-byte image allocated %.0f bytes" what image allocated;
+      match Codec.decode buffer with
+      | Ok (v, tr, u) when v = version && tr = trace ->
+        Alcotest.(check bytes) what (Codec.frame ?trace version (payload_of u)) buffer
+      | _ -> Alcotest.failf "%s: the image is not a frame" what)
+    [ (Codec.V2, None); (Codec.V3, None); (Codec.V2, Some (5, 6)) ]
+
 let tests =
   [
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
@@ -526,4 +563,5 @@ let tests =
     Alcotest.test_case "wire parsers are total" `Quick test_wire_parsers_total;
     Alcotest.test_case "control message bytes pinned" `Quick test_wire_bytes_pinned;
     Alcotest.test_case "group-threshold balancer policy" `Quick test_group_threshold_policy;
+    Alcotest.test_case "group image framed in place" `Quick test_group_image_framed_in_place;
   ]
