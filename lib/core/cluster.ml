@@ -130,10 +130,12 @@ and run_quantum t node (th : Thread.t) =
     let cost = t.config.cost in
     (* Run-until-event: the engine executes whole slices between
        scheduler events instead of bouncing back per instruction. Fuel
-       is an exact instruction budget, and [Node.charge_steps] reproduces
-       the historic one-float-add-per-step accumulation sequence (NOT
-       steps *. instr_cost — float addition is not associative and
-       virtual time must stay byte-identical). The engine's fuel check
+       is an exact instruction budget. Virtual time must keep the bits of
+       one [+. instr_cost] per retired step (NOT steps *. instr_cost —
+       float addition is not associative); [Node.charge_steps] computes
+       that fold a binade at a time, since within one binade every add
+       rounds [instr_cost] to the same multiple of the spacing, and takes
+       a single add at each crossing. The engine's fuel check
        precedes its wild-pc check, preserving the old
        requeue-then-fault-next-quantum ordering. Syscalls return here
        before the Sys instruction is paid for or consumed; the historic

@@ -38,8 +38,16 @@ val create :
 (** Add virtual CPU time to the node's accumulator. *)
 val charge : t -> float -> unit
 
-(** [charge_steps t n c] is [n] calls of [charge t c]: the same [+.]
-    sequence and rounding, which one add of [float n *. c] would not be. *)
+(** [charge_steps t n c] leaves the accumulator with the bits of [n]
+    calls of [charge t c], the left fold [((v +. c) +. c) ... +. c], which
+    one add of [float n *. c] would not. It computes the fold a binade at
+    a time: in [[2^e, 2^(e+1))] the doubles are the multiples of
+    [u = 2^(e-52)], and every add rounds [c] to the same multiple [d*u]
+    (unless [c/u] is a tie, where round-to-even reads the sum's last
+    bit), so [k] adds that stay below [2^(e+1)] are exactly [+ k*d*u]. A
+    single [+. c] is taken at each binade crossing, on a tie, for a zero,
+    subnormal, negative or non-finite sum, for a negative, NaN or huge
+    [c], and when few adds remain. Allocates nothing. *)
 val charge_steps : t -> int -> float -> unit
 
 (** Read and reset the accumulator. *)

@@ -343,9 +343,9 @@ let test_bad_migrate_target_faults () =
    differently from one [float n *. instr_cost]. A guest retires [n]
    straight-line instructions and yields inside one quantum; the tick
    drains the node's charge into the delay of its re-arm, which must
-   carry the fold's exact bits. *)
-let test_charge_is_a_left_fold () =
-  let n = 150 in
+   carry the fold's exact bits. With [n = 150] the fold stays in the
+   binade [1, 2) the context switch starts it in; [n = 190] crosses 2. *)
+let test_charge_is_a_left_fold n () =
   let prog =
     Pm2.build (fun b ->
         proc b "straight" (fun b ->
@@ -360,6 +360,8 @@ let test_charge_is_a_left_fold () =
     config.Cluster.cost
   in
   Alcotest.(check bool) "one quantum" true (n + 5 <= config.Cluster.quantum);
+  Alcotest.(check bool) "binade [1, 2) left iff n > 160" (n > 160)
+    (context_switch +. (float_of_int n *. instr_cost) >= 2.);
   let c = Cluster.create config prog in
   let th = Cluster.spawn c ~node:0 ~entry:"straight" () in
   ignore (Cluster.drain_charges c 0) (* exclude thread-creation cost *);
@@ -436,6 +438,78 @@ let test_step_events_slices () =
   Alcotest.(check (float 0.)) "sliced makespan" whole.makespan sliced.makespan;
   Alcotest.(check int) "sliced wire bytes" whole.wire_bytes sliced.wire_bytes
 
+(* [Node.charge_steps] against the left fold it must reproduce, bit for
+   bit. Starts cover zero, subnormals, the context switch's 1.2, huge,
+   negative and non-finite values; adds cover zero, [instr_cost], random
+   exponents of either sign, ties (an odd multiple of half the start's
+   spacing) and runs that land exactly on the top of their binade. *)
+let reference_fold v n c =
+  let s = ref v in
+  for _ = 1 to n do
+    s := !s +. c
+  done;
+  !s
+
+let bare_node () =
+  Node.create ~id:0 ~cost:Pm2_sim.Cost_model.default ~geometry:Slot.default
+    ~bitmap:(Pm2_util.Bitset.create Slot.default.Slot.count) ~cache_capacity:0 ~seed:1 ()
+
+let prop_charge_steps_exact =
+  let open QCheck2 in
+  let spacing v = Float.succ v -. v in
+  let mantissa = Gen.(map (fun m -> 1. +. (float_of_int m *. 0x1p-30)) (int_bound 0x3fff_ffff)) in
+  let scaled lo hi = Gen.(map2 (fun m e -> Float.ldexp m e) mantissa (int_range lo hi)) in
+  let steps = Gen.(oneof [ int_range 0 20; int_range 0 10_000 ]) in
+  let free =
+    Gen.(
+      let* v =
+        oneof
+          [ pure 0.; map (fun k -> Float.ldexp (float_of_int k) (-1074)) (int_bound 0xf_ffff);
+            pure 1.2; scaled (-40) 40; scaled 900 1023; map Float.neg (scaled (-40) 40);
+            pure infinity; pure nan ]
+      in
+      let* c =
+        oneof
+          [ pure 0.; pure 0.005; scaled (-80) 8; map Float.neg (scaled (-80) 8);
+            map (fun k -> 1.5 *. Float.ldexp 1. k) (int_range (-80) 0);
+            map (fun j -> float_of_int ((2 * j) + 1) *. 0.5 *. spacing (if v > 0. then v else 1.))
+              (int_bound 1000) ]
+      in
+      let* n = steps in
+      return (v, n, c))
+  in
+  (* [k] adds of [d] spacings from [2^(e+1) - k*d*u] end exactly on
+     [2^(e+1)]; a quarter spacing more still rounds to [d]. *)
+  let landing =
+    Gen.(
+      let* e = int_range (-30) 30 and* d = int_range 1 1000 and* k = int_range 1 5000 in
+      let* f = oneofl [ 0.; 0.25 ] and* extra = int_range (-2) 2 in
+      let u = Float.ldexp 1. (e - 52) in
+      let v = Float.ldexp 1. (e + 1) -. (float_of_int (k * d) *. u) in
+      return (v, max 0 (k + extra), (float_of_int d +. f) *. u))
+  in
+  let node = bare_node () in
+  Test.make ~name:"charge_steps is the left fold, bit for bit" ~count:100_000
+    ~print:(fun (v, n, c) -> Printf.sprintf "v=%h n=%d c=%h" v n c)
+    Gen.(frequency [ (3, free); (1, landing) ])
+    (fun (v, n, c) ->
+      ignore (Node.take_charges node);
+      Node.charge node v;
+      Node.charge_steps node n c;
+      Int64.equal (Int64.bits_of_float (Node.take_charges node))
+        (Int64.bits_of_float (reference_fold v n c)))
+
+let test_charge_steps_allocates_nothing () =
+  let node = bare_node () in
+  Node.charge node 1.2;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Node.charge_steps node 200 0.005
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 16. then Alcotest.failf "%.0f minor words over 1000 calls" words
+
 let prop_sliced_run =
   let open QCheck2 in
   let gen =
@@ -501,6 +575,11 @@ let tests =
     Alcotest.test_case "bad migrate target faults" `Quick test_bad_migrate_target_faults;
     Alcotest.test_case "step_events slices equal a run" `Quick test_step_events_slices;
     Alcotest.test_case "charge is a left fold of instruction adds" `Quick
-      test_charge_is_a_left_fold;
+      (test_charge_is_a_left_fold 150);
+    Alcotest.test_case "charge fold crossing a binade" `Quick
+      (test_charge_is_a_left_fold 190);
+    QCheck_alcotest.to_alcotest prop_charge_steps_exact;
+    Alcotest.test_case "charge_steps allocates nothing" `Quick
+      test_charge_steps_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_sliced_run;
   ]

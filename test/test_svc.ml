@@ -6,6 +6,7 @@
 
 module Session = Pm2_svc.Session
 module P = Pm2_svc.Protocol
+module Lines = Pm2_svc.Lines
 module Json = Pm2_obs.Json
 module Plan = Pm2_fault.Plan
 module Balancer = Pm2_loadbal.Balancer
@@ -374,6 +375,46 @@ let test_apply_dispatch () =
    | Error { P.kind = P.Shutting_down; _ } -> ()
    | r -> Alcotest.failf "submit after bye: %s" (kind r))
 
+(* -- the daemon's line splitter -- *)
+
+let feed_string lb s f = Lines.feed lb (Bytes.of_string s) 0 (String.length s) f
+
+(* Two reads cut the stream at every byte position; the lines handed out
+   and the held-back tail must not depend on where. *)
+let test_lines_split_anywhere () =
+  let stream = "{\"v\":\"pm2-ctl/1\",\"id\":1,\"req\":\"status\"}\n\n  \nsecond\r\nthird line\npartial" in
+  let complete = [ "{\"v\":\"pm2-ctl/1\",\"id\":1,\"req\":\"status\"}"; ""; "  "; "second\r"; "third line" ] in
+  let n = String.length stream in
+  for cut = 0 to n do
+    let lb = Lines.create () and got = ref [] in
+    let add l = got := l :: !got in
+    feed_string lb (String.sub stream 0 cut) add;
+    feed_string lb (String.sub stream cut (n - cut)) add;
+    Alcotest.(check (list string)) (Printf.sprintf "lines, cut at %d" cut) complete
+      (List.rev !got);
+    Alcotest.(check int) (Printf.sprintf "tail, cut at %d" cut) (String.length "partial")
+      (Lines.pending lb);
+    feed_string lb "\n" add;
+    Alcotest.(check string) "tail completed" "partial" (List.hd !got)
+  done
+
+(* A line that arrives in many reads is searched once per byte: twice the
+   bytes, at most twice the scanning (re-scanning from the line's start
+   on each read would make it four times). *)
+let test_lines_scan_linear () =
+  let scanned bytes =
+    let lb = Lines.create () in
+    let piece = Bytes.make 64 'x' in
+    for _ = 1 to bytes / 64 do
+      Lines.feed lb piece 0 64 (fun _ -> Alcotest.fail "no newline was sent")
+    done;
+    Alcotest.(check int) "all held back" bytes (Lines.pending lb);
+    Lines.scanned lb
+  in
+  let half = scanned (256 * 1024) and full = scanned (512 * 1024) in
+  if full > 2 * half then
+    Alcotest.failf "512 KiB scanned %d bytes, 256 KiB %d: more than twice" full half
+
 let tests =
   [
     Alcotest.test_case "golden frames" `Quick test_golden_frames;
@@ -393,4 +434,7 @@ let tests =
     Alcotest.test_case "session: two subscribers, one driver" `Quick
       test_session_multi_client;
     Alcotest.test_case "apply: shared dispatcher" `Quick test_apply_dispatch;
+    Alcotest.test_case "lines: a cut anywhere reassembles" `Quick
+      test_lines_split_anywhere;
+    Alcotest.test_case "lines: a long line is scanned once" `Quick test_lines_scan_linear;
   ]
