@@ -11,7 +11,7 @@
 
    Experiment ids: e-figs f11-small f11-large t-migration
    t-migration-payload t-host-hop t-migration-batch t-migration-delta t-mvm
-   t-mvm-scheduler t-trace-overhead t-negotiation t-crash-sweep t-balancer-scale
+   t-trace-overhead t-negotiation t-crash-sweep t-balancer-scale
    a-distribution a-packing a-slotcache a-pointers a-slotsize
    bechamel perf-smoke *)
 
@@ -48,9 +48,6 @@ let experiments =
     ( "t-mvm",
       "MVM engines: host ns/instruction, step vs blocks",
       Mvm_bench.run );
-    ( "t-mvm-scheduler",
-      "one process of t-mvm's scheduler measurement (t-mvm runs it in fresh processes)",
-      Mvm_bench.scheduler_child );
     ( "t-trace-overhead",
       "causal tracing: off byte-identical, on < 5% host, heat-driven placement",
       Trace_overhead.run );
@@ -78,11 +75,9 @@ let () =
   let requested =
     match ids with
     | [] ->
-      (* Everything except the smoke alias and t-mvm's child process for
-         the default full run. *)
+      (* Everything except the smoke alias for the default full run. *)
       List.filter_map
-        (fun (id, _, _) ->
-          if id = "perf-smoke" || id = "t-mvm-scheduler" then None else Some id)
+        (fun (id, _, _) -> if id = "perf-smoke" then None else Some id)
         experiments
     | ids -> ids
   in

@@ -282,8 +282,9 @@ let trace_arg =
 
 (* The major GC's pace follows allocation. A fresh 64 KiB buffer per read
    used to drive it; with one read buffer per daemon the default pace
-   let a session's floating garbage lift peak RSS by about 15% (2.4 MB on
-   the perfbench ctl script). This pace keeps peak RSS where it was. *)
+   let a session's floating garbage lift peak RSS by about 12% (2 MB on
+   the perfbench ctl script). This pace keeps peak RSS within about 1%
+   of where it was. *)
 let space_overhead = 80
 
 let main socket nodes scheme faults seed delta checkpoint_interval trace =

@@ -15,13 +15,14 @@ let feed t bytes pos len f =
     t.buf <- buf
   end;
   Bytes.blit bytes pos t.buf t.len len;
-  let start = ref 0 in
+  let start = ref 0 and scanned = ref 0 in
   for i = t.len to need - 1 do
+    incr scanned;
     if Bytes.unsafe_get t.buf i = '\n' then begin
       f (Bytes.sub_string t.buf !start (i - !start));
       start := i + 1
     end
   done;
-  t.scanned <- t.scanned + len;
+  t.scanned <- t.scanned + !scanned;
   t.len <- need - !start;
   if !start > 0 then Bytes.blit t.buf !start t.buf 0 t.len
