@@ -61,6 +61,11 @@ let restore_cached cache space ~tid ~addr ~hash =
 (* Close [span] now. *)
 let finish t ?note span = Obs.Span.finish t.tracer ~at:(Engine.now t.engine) ?note span
 
+(* A span note is formatted only if its span is live: [Obs.Span.finish]
+   drops the note of {!Obs.Span.none}. *)
+let size_note span ~bytes ~slots =
+  if Obs.Span.is_none span then "" else Printf.sprintf "bytes=%d slots=%d" bytes slots
+
 (* A landed migration resumes at [at]: close its unpack span with
    [note], a zero-length commit span under it, and the root [span]. *)
 let finish_commit t ~at ~node ~note unpack_span span =
@@ -117,7 +122,7 @@ let deliver t (th : Thread.t) ~src ~dest ~started ~slots ~span cargo =
         let resumed = Engine.now t.engine in
         phase ~time:resumed Obs.Event.Restart 0.;
         finish_commit t ~at:resumed ~node:dest
-          ~note:(Printf.sprintf "bytes=%d slots=%d" bytes slots)
+          ~note:(size_note unpack_span ~bytes ~slots)
           unpack_span span;
         Vec.push t.migrations
           { tid = th.Thread.id; src; dst = dest; started; resumed; bytes };
@@ -169,7 +174,7 @@ let start_direct t node (th : Thread.t) ~dest =
     Engine.schedule_after t.engine ~delay:pack_total (fun () ->
         let now = Engine.now t.engine in
         Obs.Span.finish t.tracer ~at:now
-          ~note:(Printf.sprintf "bytes=%d slots=%d" bytes slots)
+          ~note:(size_note pack_span ~bytes ~slots)
           pack_span;
         phase ~time:now Obs.Event.Send (Network.transfer_time t.net ~bytes);
         let train_span =
@@ -224,7 +229,7 @@ let host_migrate t (th : Thread.t) ~dest =
       Obs.Span.child t.tracer ~at:started ~node:src ~parent:root Obs.Event.Pack
     in
     Obs.Span.finish t.tracer ~at:(started +. pack_total)
-      ~note:(Printf.sprintf "bytes=%d slots=%d" bytes slots)
+      ~note:(size_note pack_span ~bytes ~slots)
       pack_span;
     let unpack_span =
       Obs.Span.child t.tracer ~at:(started +. pack_total +. transfer) ~node:dest
@@ -416,7 +421,9 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
                 Obs.Collector.emit t.obs ~node:dest
                   (Obs.Event.Group_migration_commit { gid; dst = dest; members = n; bytes });
               finish_commit t ~at:resumed ~node:dest
-                ~note:(Printf.sprintf "members=%d bytes=%d" n bytes)
+                ~note:
+                  (if Obs.Span.is_none unpack_span then ""
+                   else Printf.sprintf "members=%d bytes=%d" n bytes)
                 unpack_span span;
               (* Per-member records carry an even share of the train so the
                  per-thread latency helpers keep working; the group record
@@ -495,8 +502,10 @@ let group_deliver t ~gid ~src ~dest ~started ~ranges ~slots ~pages ~span members
                            pages
                        in
                        if ok then begin
-                         let note = Printf.sprintf "pages=%d" (List.length pages) in
-                         finish t ~note refetch_span;
+                         if not (Obs.Span.is_none refetch_span) then
+                           finish t
+                             ~note:(Printf.sprintf "pages=%d" (List.length pages))
+                             refetch_span;
                          commit ()
                        end
                        else fail "delta fallback page failed its hash check"
@@ -536,7 +545,7 @@ let group_transfer t ~gid ~src ~dest ~started ~ranges ~span members =
   let phase = group_phase t ~gid ~members:(List.length members) ~bytes ~slots ~node:src in
   phase Obs.Event.Pack pack_total;
   Engine.schedule_after t.engine ~delay:pack_total (fun () ->
-      finish t ~note:(Printf.sprintf "bytes=%d slots=%d" bytes slots) pack_span;
+      finish t ~note:(size_note pack_span ~bytes ~slots) pack_span;
       phase Obs.Event.Send (Network.transfer_time t.net ~bytes);
       let train_span =
         Obs.Span.child t.tracer ~at:(Engine.now t.engine) ~node:src ~parent:span

@@ -20,6 +20,7 @@ type t = {
   faults : Fault.Plan.t;
   lease : float;
   mutable aborted : int;
+  global : Bitset.t; (* the global OR, refilled by each negotiation *)
 }
 
 type grant = {
@@ -53,6 +54,7 @@ let create ?(obs = Obs.Collector.null) ?(faults = Fault.Plan.none)
     faults;
     lease;
     aborted = 0;
+    global = Bitset.create geometry.Slot.count;
   }
 
 let emit t ~node ev = Obs.Collector.emit t.obs ~node ev
@@ -118,13 +120,15 @@ let transfer t ~requester slot =
     true
   end
 
+(* The OR of every node's bitmap, in [t.global]: valid until the next
+   call. *)
 let global_or t =
   let nodes = Array.length t.mgrs in
-  let global = Bitset.copy (Slot_manager.bitmap t.mgrs.(0)) in
+  Bitset.copy_into ~into:t.global (Slot_manager.bitmap t.mgrs.(0));
   for i = 1 to nodes - 1 do
-    Bitset.or_into ~into:global (Slot_manager.bitmap t.mgrs.(i))
+    Bitset.or_into ~into:t.global (Slot_manager.bitmap t.mgrs.(i))
   done;
-  global
+  t.global
 
 (* When the fault plan is live, a requester whose interface dies inside
    the critical-section window cannot complete the protocol: no transfer

@@ -38,6 +38,20 @@ let[@inline] get_word t k =
 let[@inline] set_word t k v =
   set64u t.store (k lsl 3) (if Sys.big_endian then bswap64 v else v)
 
+let init_words bits f =
+  if bits < 0 then invalid_arg "Bitset.init_words";
+  let t = { bits; store = Bytes.create (words_for bits * 8) } in
+  let nwords = word_count t in
+  for k = 0 to nwords - 1 do
+    set_word t k (f k)
+  done;
+  (* Keep the padding above [bits] clear. *)
+  if bits land 63 <> 0 then
+    set_word t (nwords - 1)
+      (Int64.logand (get_word t (nwords - 1))
+         (Int64.pred (Int64.shift_left 1L (bits land 63))));
+  t
+
 let check t i =
   if i < 0 || i >= t.bits then invalid_arg "Bitset: index out of bounds"
 
@@ -216,7 +230,9 @@ let or_into ~into src =
     if s <> 0L then set_word into k (Int64.logor (get_word into k) s)
   done
 
-let copy t = { bits = t.bits; store = Bytes.copy t.store }
+let copy_into ~into src =
+  if into.bits <> src.bits then invalid_arg "Bitset.copy_into: length mismatch";
+  Bytes.blit src.store 0 into.store 0 (Bytes.length src.store)
 
 let equal a b = a.bits = b.bits && Bytes.equal a.store b.store
 

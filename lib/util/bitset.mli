@@ -14,6 +14,13 @@ type t
 (** [create n] is a bitset of [n] bits, all cleared. *)
 val create : int -> t
 
+(** [init_words n f] is the bitset of [n] bits whose bits [64k .. 64k+63]
+    are those of [f k], bit [i] of the word giving bit [64k + i]; bits
+    at or above [n] are dropped. [f] is called once per word, in
+    increasing order: the way to build a map whose pattern is known a
+    word at a time. *)
+val init_words : int -> (int -> int64) -> t
+
 (** Number of bits. *)
 val length : t -> int
 
@@ -49,7 +56,9 @@ val clear_range : t -> int -> int -> unit
     step 2c of the negotiation protocol). Lengths must match. *)
 val or_into : into:t -> t -> unit
 
-val copy : t -> t
+(** [copy_into ~into src] makes [into] a copy of [src] in place,
+    allocating nothing. Lengths must match. *)
+val copy_into : into:t -> t -> unit
 
 (** [equal a b] is structural equality (same length, same bits). *)
 val equal : t -> t -> bool

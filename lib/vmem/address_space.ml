@@ -14,27 +14,34 @@ type page = {
   mutable hash : int;
 }
 
-(* Page indices are non-negative and come in runs, so the index itself
-   spreads them over the buckets: no call to the polymorphic hash per
-   probe. Nothing iterates the table, so its order never shows. *)
-module Pages = Hashtbl.Make (struct
-  type t = int
+(* The table maps chunks of 16 pages, 64 KB: one default slot, so a
+   slot's map, unmap or hop probes it once. *)
+let chunk_shift = 4
 
-  let equal = Int.equal
-  let hash p = p land max_int
-end)
+let chunk_pages = 1 lsl chunk_shift
+
+let chunk_mask = chunk_pages - 1
+
+(* One table entry: the records of the chunk's pages, [absent] where a
+   page is unmapped, and how many are mapped. A chunk leaves the table
+   when its last page is unmapped. *)
+type chunk = {
+  recs : page array;
+  mutable live : int;
+}
 
 type t = {
   node : int;
-  pages : page Pages.t; (* page index -> its record *)
+  dir : chunk array array; (* the table: see [chunk] *)
+  mutable mapped : int;
   mutable mmap_calls : int;
   mutable resident : int; (* mapped pages whose [data] is allocated *)
   (* One-entry page cache: guest word/byte accesses show heavy page
      locality (stack frames, header walks), so memoizing the last-touched
-     page turns most accesses into a compare instead of a Hashtbl probe.
+     page turns most accesses into a compare instead of a table probe.
      [last.data] is always allocated. [-1] = empty. Invalidated whenever
-     a page is removed ([munmap]/[scrub_range]); [mmap] never replaces an
-     existing page so it cannot stale the cache. *)
+     a page is removed ([munmap]/[scrub_range]/[take]); [mmap] never
+     replaces an existing page so it cannot stale the cache. *)
   mutable last_page : int;
   mutable last : page;
   (* Access epochs for placement telemetry: [advance_epoch] opens a new
@@ -55,10 +62,37 @@ let untouched = Bytes.create 0
    Never written. *)
 let fresh = { data = untouched; stored = -1; hash = -1 }
 
+(* The record of an unmapped page, told apart from [fresh] by physical
+   equality. It reads as a page no store has touched, so [page_dirty]
+   and [dirty_in_epoch] need no test for it. Never written. *)
+let absent = { data = untouched; stored = -1; hash = -1 }
+
+(* What a probe for a chunk the table lacks finds: every page [absent].
+   Never written. *)
+let no_chunk = { recs = Array.make chunk_pages absent; live = 0 }
+
+(* The table is a two-level radix tree on the chunk index: a directory
+   of blocks, each the entries of 256 chunks (16 MB). A probe is two
+   array reads, with no hash and no exception. A block is allocated by
+   the first map inside it and kept. The directory spans the layout up
+   to the top of the process stack, so nothing is mapped above it.
+   Nothing iterates the table. *)
+let block_shift = 8
+
+let block_mask = (1 lsl block_shift) - 1
+
+let top_page = Layout.page_of_addr (Layout.stack_base + Layout.stack_size)
+
+let dir_blocks = ((top_page - 1) lsr (chunk_shift + block_shift)) + 1
+
+(* A block no map has reached: every chunk [no_chunk]. Never written. *)
+let no_block = Array.make (1 lsl block_shift) no_chunk
+
 let create ~node () =
   {
     node;
-    pages = Pages.create 1024;
+    dir = Array.make dir_blocks no_block;
+    mapped = 0;
     mmap_calls = 0;
     resident = 0;
     last_page = -1;
@@ -74,18 +108,81 @@ let check_aligned what ~addr ~size =
   if not (Layout.is_page_aligned addr) || not (Layout.is_page_aligned size) || size <= 0 then
     invalid_arg (Printf.sprintf "Address_space.%s: unaligned range (0x%x, %d)" what addr size)
 
+(* Chunk [c]: [no_chunk] if no page of it is mapped. A negative [c]
+   reads as a huge block index, so it misses too. *)
+let[@inline] chunk t c =
+  let b = c lsr block_shift in
+  if b < dir_blocks then Array.unsafe_get (Array.unsafe_get t.dir b) (c land block_mask)
+  else no_chunk
+
+(* Enter [ch] as chunk [c], which lies under the stack top. *)
+let file_chunk t c ch =
+  let b = c lsr block_shift in
+  if t.dir.(b) == no_block then t.dir.(b) <- Array.make (1 lsl block_shift) no_chunk;
+  t.dir.(b).(c land block_mask) <- ch
+
+let remove_chunk t c = t.dir.(c lsr block_shift).(c land block_mask) <- no_chunk
+
+(* The record of page [p]: [absent] if it is unmapped. *)
+let[@inline] lookup t p =
+  Array.unsafe_get (chunk t (p lsr chunk_shift)).recs (p land chunk_mask)
+
+(* The pages of [first .. last] that lie in chunk [c]. *)
+let[@inline] chunk_lo first c = Int.max first (c lsl chunk_shift)
+
+let[@inline] chunk_hi last c = Int.min last ((c lsl chunk_shift) lor chunk_mask)
+
+(* How many pages of [first .. last] are mapped: one probe per chunk, and
+   no page scan where the run spans a whole chunk. *)
+let mapped_in t ~first ~last =
+  let n = ref 0 in
+  for c = first lsr chunk_shift to last lsr chunk_shift do
+    let ch = chunk t c in
+    let lo = chunk_lo first c and hi = chunk_hi last c in
+    if hi - lo = chunk_mask then n := !n + ch.live
+    else
+      for p = lo to hi do
+        if Array.unsafe_get ch.recs (p land chunk_mask) != absent then incr n
+      done
+  done;
+  !n
+
+(* The first page from [p] on whose being mapped is [mapped]: the page an
+   error message names. *)
+let rec first_where t ~mapped p =
+  if (lookup t p != absent) = mapped then p else first_where t ~mapped (p + 1)
+
+let refuse t what ~mapped first =
+  invalid_arg
+    (Printf.sprintf "Address_space.%s: page 0x%x %s" what
+       (Layout.addr_of_page (first_where t ~mapped first))
+       (if mapped then "already mapped" else "not mapped"))
+
+(* Chunk [c], entered in the table if it is not there yet. *)
+let chunk_for_map t c =
+  let ch = chunk t c in
+  if ch != no_chunk then ch
+  else begin
+    let ch = { recs = Array.make chunk_pages absent; live = 0 } in
+    file_chunk t c ch;
+    ch
+  end
+
 let mmap t ~addr ~size =
   check_aligned "mmap" ~addr ~size;
   let first = Layout.page_of_addr addr in
-  let n = size / Layout.page_size in
-  for p = first to first + n - 1 do
-    if Pages.mem t.pages p then
-      invalid_arg (Printf.sprintf "Address_space.mmap: page 0x%x already mapped"
-                     (Layout.addr_of_page p))
+  let last = first + (size / Layout.page_size) - 1 in
+  if last >= top_page then
+    invalid_arg
+      (Printf.sprintf "Address_space.mmap: range (0x%x, %d) above the stack top" addr size);
+  if mapped_in t ~first ~last > 0 then refuse t "mmap" ~mapped:true first;
+  for c = first lsr chunk_shift to last lsr chunk_shift do
+    let ch = chunk_for_map t c in
+    let lo = chunk_lo first c and hi = chunk_hi last c in
+    Array.fill ch.recs (lo land chunk_mask) (hi - lo + 1) fresh;
+    ch.live <- ch.live + (hi - lo + 1)
   done;
-  for p = first to first + n - 1 do
-    Pages.replace t.pages p fresh
-  done;
+  t.mapped <- t.mapped + (last - first + 1);
   t.mmap_calls <- t.mmap_calls + 1
 
 (* Page buffers a space let go of, kept for the next page any space
@@ -114,77 +211,84 @@ let new_buffer () =
     b
   end
 
-let drop_page t p =
-  let r = Pages.find t.pages p in
-  if r.data != untouched then begin
-    t.resident <- t.resident - 1;
-    recycle r.data
-  end;
-  Pages.remove t.pages p
+(* Unmap the pages [lo .. hi] of chunk [c], found as [ch], whichever of
+   them are mapped, and return how many were. *)
+let drop_pages t c ch ~lo ~hi =
+  let n = ref 0 in
+  for p = lo to hi do
+    let i = p land chunk_mask in
+    let r = Array.unsafe_get ch.recs i in
+    if r != absent then begin
+      if r.data != untouched then begin
+        t.resident <- t.resident - 1;
+        recycle r.data
+      end;
+      ch.recs.(i) <- absent;
+      incr n
+    end
+  done;
+  ch.live <- ch.live - !n;
+  if ch.live = 0 then remove_chunk t c;
+  t.mapped <- t.mapped - !n;
+  !n
 
 let munmap t ~addr ~size =
   check_aligned "munmap" ~addr ~size;
   let first = Layout.page_of_addr addr in
-  let n = size / Layout.page_size in
-  for p = first to first + n - 1 do
-    if not (Pages.mem t.pages p) then
-      invalid_arg (Printf.sprintf "Address_space.munmap: page 0x%x not mapped"
-                     (Layout.addr_of_page p))
-  done;
-  for p = first to first + n - 1 do
-    drop_page t p
+  let last = first + (size / Layout.page_size) - 1 in
+  if mapped_in t ~first ~last <> last - first + 1 then refuse t "munmap" ~mapped:false first;
+  for c = first lsr chunk_shift to last lsr chunk_shift do
+    ignore (drop_pages t c (chunk t c) ~lo:(chunk_lo first c) ~hi:(chunk_hi last c))
   done;
   t.last_page <- -1
 
-let is_mapped t a = Pages.mem t.pages (Layout.page_of_addr a)
+let is_mapped t a = lookup t (Layout.page_of_addr a) != absent
 
 let range_mapped t ~addr ~size =
   let first = Layout.page_of_addr addr in
   let last = Layout.page_of_addr (addr + size - 1) in
-  let rec loop p = p > last || (Pages.mem t.pages p && loop (p + 1)) in
-  size = 0 || loop first
+  size = 0 || mapped_in t ~first ~last = last - first + 1
 
 let range_unmapped t ~addr ~size =
-  let first = Layout.page_of_addr addr in
-  let last = Layout.page_of_addr (addr + size - 1) in
-  let rec loop p = p > last || ((not (Pages.mem t.pages p)) && loop (p + 1)) in
-  size = 0 || loop first
+  size = 0
+  || mapped_in t ~first:(Layout.page_of_addr addr) ~last:(Layout.page_of_addr (addr + size - 1))
+     = 0
 
 let scrub_range t ~addr ~size =
-  let first = Layout.page_of_addr addr in
-  let last = Layout.page_of_addr (addr + size - 1) in
-  let n = ref 0 in
-  if size > 0 then begin
-    for p = first to last do
-      if Pages.mem t.pages p then begin
-        drop_page t p;
-        incr n
-      end
+  if size <= 0 then 0
+  else begin
+    let first = Layout.page_of_addr addr in
+    let last = Layout.page_of_addr (addr + size - 1) in
+    let n = ref 0 in
+    for c = first lsr chunk_shift to last lsr chunk_shift do
+      let ch = chunk t c in
+      if ch != no_chunk then
+        n := !n + drop_pages t c ch ~lo:(chunk_lo first c) ~hi:(chunk_hi last c)
     done;
-    t.last_page <- -1
-  end;
-  !n
+    t.last_page <- -1;
+    !n
+  end
 
-let mapped_pages t = Pages.length t.pages
+let mapped_pages t = t.mapped
 
 let resident_pages t = t.resident
 
 let mmap_calls t = t.mmap_calls
 
-(* Page [p]'s record [r] as one that may be written: the shared [fresh]
-   record is swapped for a page-private one. *)
-let[@inline] own t p r =
+(* Record [r], slot [i] of [recs], as one that may be written: the
+   shared [fresh] record is swapped for a page-private one. *)
+let[@inline] own recs i r =
   if r != fresh then r
   else begin
     let r = { data = untouched; stored = -1; hash = -1 } in
-    Pages.replace t.pages p r;
+    Array.unsafe_set recs i r;
     r
   end
 
-(* Page [p], found in the table as [r], becomes the cached page; an
-   untouched one gets its zero-filled buffer first. *)
-let[@inline] materialise t p r =
-  let r = own t p r in
+(* Page [p], found as [r] at slot [i] of its chunk's [recs], becomes the
+   cached page; an untouched one gets its zero-filled buffer first. *)
+let[@inline] materialise t p recs i r =
+  let r = own recs i r in
   if r.data == untouched then begin
     r.data <- new_buffer ();
     t.resident <- t.resident + 1
@@ -196,10 +300,11 @@ let[@inline] materialise t p r =
 let record t what a =
   let p = Layout.page_of_addr a in
   if p = t.last_page then t.last
-  else
-    match Pages.find_opt t.pages p with
-    | Some r -> materialise t p r
-    | None -> segv t a what
+  else begin
+    let recs = (chunk t (p lsr chunk_shift)).recs and i = p land chunk_mask in
+    let r = Array.unsafe_get recs i in
+    if r == absent then segv t a what else materialise t p recs i r
+  end
 
 (* The mark of a store: stamp the current epoch and drop the hash. *)
 let[@inline] mark t r =
@@ -214,10 +319,7 @@ let wpage t what a =
   mark t r;
   r.data
 
-let page_dirty t a =
-  match Pages.find_opt t.pages (Layout.page_of_addr a) with
-  | Some r -> r.stored >= 0
-  | None -> false
+let page_dirty t a = (lookup t (Layout.page_of_addr a)).stored >= 0
 
 let advance_epoch t = t.epoch <- t.epoch + 1
 
@@ -229,10 +331,11 @@ let dirty_in_epoch t ~addr ~size =
     let first = Layout.page_of_addr addr in
     let last = Layout.page_of_addr (addr + size - 1) in
     let n = ref 0 in
-    for p = first to last do
-      match Pages.find_opt t.pages p with
-      | Some r when r.stored = t.epoch -> incr n
-      | _ -> ()
+    for c = first lsr chunk_shift to last lsr chunk_shift do
+      let recs = (chunk t c).recs in
+      for p = chunk_lo first c to chunk_hi last c do
+        if (Array.unsafe_get recs (p land chunk_mask)).stored = t.epoch then incr n
+      done
     done;
     !n
   end
@@ -241,7 +344,7 @@ external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 (* [len] bytes of [b] from [pos] are all zero. Unchecked reads, so the
    caller guarantees the range lies inside [b]. Four words per step, then
-   the odd tail bytes: this scan runs over every zero chunk a migration
+   the odd tail bytes: this scan runs over every zero run a migration
    unpacks, and a bounds-checked word loop ran about 3x slower. *)
 let is_zero_sub b ~pos ~len =
   let stop = pos + len in
@@ -262,9 +365,9 @@ let is_zero_sub b ~pos ~len =
   !zero
 
 let page_is_zero t a =
-  match Pages.find_opt t.pages (Layout.page_of_addr a) with
-  | None -> segv t a "is_zero"
-  | Some r ->
+  let r = lookup t (Layout.page_of_addr a) in
+  if r == absent then segv t a "is_zero"
+  else
     (* Untouched, or never stored to since mapping: still the zero fill
        from [mmap]. A stored page is scanned, so a store of zeros reads
        as zero. *)
@@ -295,12 +398,13 @@ let page_bytes_hash bytes =
 let zero_page_hash = page_bytes_hash (Bytes.make Layout.page_size '\000')
 
 let page_hash t a =
-  match Pages.find_opt t.pages (Layout.page_of_addr a) with
-  | None -> segv t a "page_hash"
-  | Some r when r.data == untouched -> zero_page_hash
-  | Some r ->
+  let r = lookup t (Layout.page_of_addr a) in
+  if r == absent then segv t a "page_hash"
+  else if r.data == untouched then zero_page_hash
+  else begin
     if r.hash < 0 then r.hash <- page_bytes_hash r.data;
     r.hash
+  end
 
 (* ===== moving pages between spaces =====
 
@@ -309,92 +413,127 @@ let page_hash t a =
    taken record is in no table, so each buffer has exactly one owner at
    any time. *)
 
-type pages = { base : addr; recs : page array }
+(* [chunks.(j)] holds the taken records of the [j]th chunk the range
+   spans, laid out as in the table: [absent] outside the range. A chunk
+   the range spans whole is handed over as it was, record array and all. *)
+type pages = { base : addr; size : int; chunks : page array array }
 
 let take t ~addr ~size =
   check_aligned "take" ~addr ~size;
   let first = Layout.page_of_addr addr in
-  let recs =
-    Array.init (size / Layout.page_size) (fun i ->
-        match Pages.find t.pages (first + i) with
-        | r -> r
-        | exception Not_found ->
-          invalid_arg (Printf.sprintf "Address_space.take: page 0x%x not mapped"
-                         (Layout.addr_of_page (first + i))))
-  in
-  Array.iteri
-    (fun i r ->
-      if r.data != untouched then t.resident <- t.resident - 1;
-      Pages.remove t.pages (first + i))
-    recs;
+  let last = first + (size / Layout.page_size) - 1 in
+  if mapped_in t ~first ~last <> last - first + 1 then refuse t "take" ~mapped:false first;
+  let c0 = first lsr chunk_shift in
+  let chunks = Array.make ((last lsr chunk_shift) - c0 + 1) no_chunk.recs in
+  for c = c0 to last lsr chunk_shift do
+    let ch = chunk t c in
+    let lo = chunk_lo first c and hi = chunk_hi last c in
+    let recs =
+      if hi - lo = chunk_mask then begin
+        remove_chunk t c;
+        ch.recs
+      end
+      else begin
+        let recs = Array.make chunk_pages absent in
+        for p = lo to hi do
+          let i = p land chunk_mask in
+          recs.(i) <- ch.recs.(i);
+          ch.recs.(i) <- absent
+        done;
+        ch.live <- ch.live - (hi - lo + 1);
+        if ch.live = 0 then remove_chunk t c;
+        recs
+      end
+    in
+    for p = lo to hi do
+      if (Array.unsafe_get recs (p land chunk_mask)).data != untouched then
+        t.resident <- t.resident - 1
+    done;
+    chunks.(c - c0) <- recs
+  done;
+  t.mapped <- t.mapped - (last - first + 1);
   t.last_page <- -1;
-  { base = addr; recs }
+  { base = addr; size; chunks }
 
-let nonzero_buffers { base; recs } =
+let nonzero_buffers { base; size; chunks } =
+  let first = Layout.page_of_addr base in
   let out = ref [] in
-  for i = Array.length recs - 1 downto 0 do
-    let r = recs.(i) in
+  for p = first + (size / Layout.page_size) - 1 downto first do
+    let r = chunks.((p lsr chunk_shift) - (first lsr chunk_shift)).(p land chunk_mask) in
     if r.data != untouched && r.stored >= 0
        && not (is_zero_sub r.data ~pos:0 ~len:Layout.page_size)
-    then out := (base + (i * Layout.page_size), r.data) :: !out
+    then out := (Layout.addr_of_page p, r.data) :: !out
   done;
   !out
+
+(* [ranges] are ascending, disjoint and end by [limit], from [from] on. *)
+let rec check_ranges ~limit from = function
+  | [] -> ()
+  | (a, len) :: tl ->
+    if len < 0 || a < from || a + len > limit then
+      invalid_arg (Printf.sprintf "Address_space.adopt: bad range (0x%x, %d)" a len);
+    check_ranges ~limit (a + len) tl
+
+(* [ranges] less the empty ones and those ending by [lo]. *)
+let rec drop_done lo = function
+  | (a, len) :: tl when len = 0 || a + len <= lo -> drop_done lo tl
+  | l -> l
+
+(* Zero the bytes of the page [lo, hi), buffer [data], that no range
+   covers, from [from] on. *)
+let rec clear_gaps data ~lo ~hi from = function
+  | (a, len) :: tl when a < hi ->
+    let s = Int.max a lo in
+    if s > from then Bytes.fill data (from - lo) (s - from) '\000';
+    clear_gaps data ~lo ~hi (Int.min (a + len) hi) tl
+  | _ -> if hi > from then Bytes.fill data (from - lo) (hi - from) '\000'
+
+(* What the taken record [r] of the page [lo, hi) is adopted as, given
+   the [ranges] not yet passed. *)
+let landed t r ~lo ~hi ranges =
+  match ranges with
+  | (a, _) :: _ when a < hi ->
+    let r = if r == fresh then { data = untouched; stored = -1; hash = -1 } else r in
+    if r.data != untouched then begin
+      clear_gaps r.data ~lo ~hi lo ranges;
+      t.resident <- t.resident + 1
+    end;
+    mark t r;
+    r
+  | _ ->
+    if r.data != untouched then recycle r.data;
+    fresh
 
 (* [adopt] leaves each page as [mmap] and a [store_sub] of every listed
    range would: bytes outside the ranges read zero, a page a non-empty
    range touches carries the store mark, and any other page is the
    shared untouched record. A taken buffer is kept, with its unlisted
-   bytes cleared, only where a range touches it. *)
-let adopt t ~ranges { base; recs } =
-  let n = Array.length recs in
+   bytes cleared, only where a range touches it. A taken chunk array
+   becomes the table's where no page of its chunk is mapped in [t]. *)
+let adopt t ~ranges { base; size; chunks } =
+  check_ranges ~limit:(base + size) base ranges;
   let first = Layout.page_of_addr base in
-  let limit = base + (n * Layout.page_size) in
-  ignore
-    (List.fold_left
-       (fun from (a, len) ->
-         if len < 0 || a < from || a + len > limit then
-           invalid_arg (Printf.sprintf "Address_space.adopt: bad range (0x%x, %d)" a len);
-         a + len)
-       base ranges);
-  for p = first to first + n - 1 do
-    if Pages.mem t.pages p then
-      invalid_arg (Printf.sprintf "Address_space.adopt: page 0x%x already mapped"
-                     (Layout.addr_of_page p))
+  let last = first + (size / Layout.page_size) - 1 in
+  if mapped_in t ~first ~last > 0 then refuse t "adopt" ~mapped:true first;
+  let c0 = first lsr chunk_shift in
+  let rest = ref ranges in
+  for c = c0 to last lsr chunk_shift do
+    let recs = chunks.(c - c0) in
+    let lo = chunk_lo first c and hi = chunk_hi last c in
+    for p = lo to hi do
+      let i = p land chunk_mask in
+      let plo = Layout.addr_of_page p in
+      rest := drop_done plo !rest;
+      recs.(i) <- landed t recs.(i) ~lo:plo ~hi:(plo + Layout.page_size) !rest
+    done;
+    let ch = chunk t c in
+    if ch == no_chunk then file_chunk t c { recs; live = hi - lo + 1 }
+    else begin
+      Array.blit recs (lo land chunk_mask) ch.recs (lo land chunk_mask) (hi - lo + 1);
+      ch.live <- ch.live + (hi - lo + 1)
+    end
   done;
-  let rest = ref (List.filter (fun (_, len) -> len > 0) ranges) in
-  for i = 0 to n - 1 do
-    let lo = base + (i * Layout.page_size) in
-    let hi = lo + Layout.page_size in
-    (* Ranges ending at or before this page are done with. *)
-    let rec skip = function (a, len) :: tl when a + len <= lo -> skip tl | l -> l in
-    rest := skip !rest;
-    let r = recs.(i) in
-    let shipped = match !rest with (a, _) :: _ -> a < hi | [] -> false in
-    let r =
-      if not shipped then begin
-        if r.data != untouched then recycle r.data;
-        fresh
-      end
-      else begin
-        let r = if r == fresh then { data = untouched; stored = -1; hash = -1 } else r in
-        if r.data != untouched then begin
-          (* Clear the gaps between the ranges' parts inside the page. *)
-          let rec clear from = function
-            | (a, len) :: tl when a < hi ->
-              let s = max a lo in
-              if s > from then Bytes.fill r.data (from - lo) (s - from) '\000';
-              clear (min (a + len) hi) tl
-            | _ -> if hi > from then Bytes.fill r.data (from - lo) (hi - from) '\000'
-          in
-          clear lo !rest;
-          t.resident <- t.resident + 1
-        end;
-        mark t r;
-        r
-      end
-    in
-    Pages.add t.pages (first + i) r
-  done;
+  t.mapped <- t.mapped + (last - first + 1);
   t.mmap_calls <- t.mmap_calls + 1
 
 (* Raw page handles for the MVM execution engine's inlined load/store
@@ -449,10 +588,10 @@ let load_bytes t a len =
   while !pos < len do
     let addr = a + !pos in
     let off = addr land (Layout.page_size - 1) in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
+    let run = min (len - !pos) (Layout.page_size - off) in
     let p = page t "load" addr in
-    Bytes.blit p off out !pos chunk;
-    pos := !pos + chunk
+    Bytes.blit p off out !pos run;
+    pos := !pos + run
   done;
   out
 
@@ -462,13 +601,13 @@ let store_bytes t a b =
   while !pos < len do
     let addr = a + !pos in
     let off = addr land (Layout.page_size - 1) in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
+    let run = min (len - !pos) (Layout.page_size - off) in
     let p = wpage t "store" addr in
-    Bytes.blit b !pos p off chunk;
-    pos := !pos + chunk
+    Bytes.blit b !pos p off run;
+    pos := !pos + run
   done
 
-(* A chunk of zeros stored into an untouched page leaves it unallocated:
+(* A run of zeros stored into an untouched page leaves it unallocated:
    the page already reads as zero. It still takes the store mark, so
    epochs, the v2 manifest and the v3 hashes see the store. The check
    runs only when the one-entry page cache misses. *)
@@ -479,24 +618,25 @@ let store_sub t a b ~pos ~len =
   while !done_ < len do
     let addr = a + !done_ in
     let off = addr land (Layout.page_size - 1) in
-    let chunk = min (len - !done_) (Layout.page_size - off) in
+    let run = min (len - !done_) (Layout.page_size - off) in
     let src = pos + !done_ in
     let p = Layout.page_of_addr addr in
     if p = t.last_page then begin
       mark t t.last;
-      Bytes.blit b src t.last.data off chunk
+      Bytes.blit b src t.last.data off run
     end
     else begin
-      match Pages.find_opt t.pages p with
-      | None -> segv t addr "store"
-      | Some r when r.data == untouched && is_zero_sub b ~pos:src ~len:chunk ->
-        mark t (own t p r)
-      | Some r ->
-        let r = materialise t p r in
+      let recs = (chunk t (p lsr chunk_shift)).recs and i = p land chunk_mask in
+      let r = Array.unsafe_get recs i in
+      if r == absent then segv t addr "store"
+      else if r.data == untouched && is_zero_sub b ~pos:src ~len:run then mark t (own recs i r)
+      else begin
+        let r = materialise t p recs i r in
         mark t r;
-        Bytes.blit b src r.data off chunk
+        Bytes.blit b src r.data off run
+      end
     end;
-    done_ := !done_ + chunk
+    done_ := !done_ + run
   done
 
 (* Reads from an untouched page write zeros into [dst] and leave the
@@ -508,17 +648,18 @@ let load_into t ~addr ~len dst ~pos =
   while !done_ < len do
     let a = addr + !done_ in
     let off = a land (Layout.page_size - 1) in
-    let chunk = min (len - !done_) (Layout.page_size - off) in
+    let run = min (len - !done_) (Layout.page_size - off) in
     let at = pos + !done_ in
     let p = Layout.page_of_addr a in
-    if p = t.last_page then Bytes.blit t.last.data off dst at chunk
+    if p = t.last_page then Bytes.blit t.last.data off dst at run
     else begin
-      match Pages.find_opt t.pages p with
-      | None -> segv t a "load"
-      | Some r when r.data == untouched -> Bytes.fill dst at chunk '\000'
-      | Some r -> Bytes.blit (materialise t p r).data off dst at chunk
+      let recs = (chunk t (p lsr chunk_shift)).recs and i = p land chunk_mask in
+      let r = Array.unsafe_get recs i in
+      if r == absent then segv t a "load"
+      else if r.data == untouched then Bytes.fill dst at run '\000'
+      else Bytes.blit (materialise t p recs i r).data off dst at run
     end;
-    done_ := !done_ + chunk
+    done_ := !done_ + run
   done
 
 
@@ -543,10 +684,10 @@ let fill t ~addr ~size byte =
   while !pos < size do
     let a = addr + !pos in
     let off = a land (Layout.page_size - 1) in
-    let chunk = min (size - !pos) (Layout.page_size - off) in
+    let run = min (size - !pos) (Layout.page_size - off) in
     let p = wpage t "store" a in
-    Bytes.fill p off chunk c;
-    pos := !pos + chunk
+    Bytes.fill p off run c;
+    pos := !pos + run
   done
 
 (* Page-run copy between two (possibly identical) spaces: blit directly
@@ -559,13 +700,13 @@ let blit_disjoint ~src ~src_addr ~dst ~dst_addr ~size =
     let sa = src_addr + !pos and da = dst_addr + !pos in
     let soff = sa land (Layout.page_size - 1) in
     let doff = da land (Layout.page_size - 1) in
-    let chunk =
+    let run =
       min (size - !pos) (min (Layout.page_size - soff) (Layout.page_size - doff))
     in
     let sp = page src "load" sa in
     let dp = wpage dst "store" da in
-    Bytes.blit sp soff dp doff chunk;
-    pos := !pos + chunk
+    Bytes.blit sp soff dp doff run;
+    pos := !pos + run
   done
 
 let copy_within t ~src ~dst ~size =

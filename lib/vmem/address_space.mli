@@ -1,7 +1,10 @@
 (** A simulated per-node virtual address space.
 
-    One table maps each page index to one page record: its contents, the
-    epoch of its last store and its memoized content hash. Pages are
+    A table keyed by 16-page (64 KB) chunk holds, for each mapped page,
+    one page record: its contents, the epoch of its last store and its
+    memoized content hash. A slot's map, unmap or hop probes the table
+    once per chunk, not once per page, and a probe is two array reads.
+    Pages are
     materialised lazily: [mmap] declares a range mapped (and
     zero-filled), [munmap] unmaps it, and any access to an unmapped address
     raises {!Segfault} — exactly the failure mode of the paper's Figs. 2, 4
@@ -34,9 +37,11 @@ val node : t -> int
     on that first access, is taken from a small process-wide cache of
     buffers that {!munmap}, {!scrub_range} and {!adopt} let go of, and
     zero-filled.
-    @raise Invalid_argument if the range is not page aligned or any page in
-    it is already mapped (MAP_FIXED without overwrite — the iso-address
-    discipline must guarantee this never happens across nodes). *)
+    @raise Invalid_argument if the range is not page aligned, reaches
+    above the top of the process stack ({!Layout.stack_base} +
+    {!Layout.stack_size}), or any page in it is already mapped (MAP_FIXED
+    without overwrite — the iso-address discipline must guarantee this
+    never happens across nodes). *)
 val mmap : t -> addr:addr -> size:int -> unit
 
 (** [munmap t ~addr ~size] unmaps the range.

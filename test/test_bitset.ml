@@ -94,11 +94,28 @@ let test_intersects () =
 let test_copy_equal () =
   let a = Bitset.create 9 in
   Bitset.set a 8;
-  let b = Bitset.copy a in
+  let b = Bitset.create 9 in
+  Bitset.copy_into ~into:b a;
   Alcotest.(check bool) "equal" true (Bitset.equal a b);
   Bitset.clear b 8;
   Alcotest.(check bool) "independent" true (Bitset.get a 8);
-  Alcotest.(check bool) "not equal" false (Bitset.equal a b)
+  Alcotest.(check bool) "not equal" false (Bitset.equal a b);
+  Alcotest.(check bool) "length mismatch rejected" true
+    (try Bitset.copy_into ~into:(Bitset.create 10) a; false with Invalid_argument _ -> true)
+
+(* Words land at their bit positions, and bits past the length are
+   dropped, so the word scans still see a clear padding. *)
+let test_init_words () =
+  let b = Bitset.init_words 70 (fun k -> if k = 0 then 0x5L else -1L) in
+  Alcotest.(check int) "count" (2 + 6) (Bitset.count b);
+  Alcotest.(check bool) "bit 2" true (Bitset.get b 2);
+  Alcotest.(check bool) "bit 64" true (Bitset.get b 64);
+  let r = Bitset.create 70 in
+  Bitset.set r 0;
+  Bitset.set r 2;
+  Bitset.set_range r 64 6;
+  Alcotest.(check bool) "equal to bit-wise" true (Bitset.equal r b);
+  Alcotest.(check int) "empty" 0 (Bitset.length (Bitset.init_words 0 (fun _ -> -1L)))
 
 let test_intersects_early_exit () =
   (* Regression for the all-bytes scan: the hit must be found wherever it
@@ -284,6 +301,7 @@ let tests =
     Alcotest.test_case "intersects" `Quick test_intersects;
     Alcotest.test_case "intersects at word boundaries" `Quick test_intersects_early_exit;
     Alcotest.test_case "copy/equal" `Quick test_copy_equal;
+    Alcotest.test_case "init_words" `Quick test_init_words;
     Alcotest.test_case "iter_set" `Quick test_iter_set;
     Alcotest.test_case "scans allocate nothing" `Quick test_scans_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_count;

@@ -90,6 +90,26 @@ let test_populate_partitions_all () =
          [ 1; 2; 3; 7 ])
     [ Distribution.Round_robin; Distribution.Block_cyclic 4; Distribution.Partition ]
 
+(* [populate] builds the maps a word at a time; the reference sets one
+   bit per slot at its [owner]. Slot counts run from 1 to 3584, multiples
+   of 64 or not, against periods from 1 to 700 slots. *)
+let prop_populate_matches_owner =
+  QCheck2.Test.make ~name:"populate agrees with owner slot by slot" ~count:200
+    ~print:(fun (a, b, nodes, k) ->
+        Printf.sprintf "slot_size 4096*2^%d*7^%d, %d nodes, k=%d" a b nodes k)
+    QCheck2.Gen.(quad (int_range 4 17) (int_range 0 1) (int_range 1 10) (int_range 1 70))
+    (fun (a, b, nodes, k) ->
+       let g = Slot.make ~slot_size:(4096 * (1 lsl a) * if b = 1 then 7 else 1) in
+       let slots = g.Slot.count in
+       List.for_all
+         (fun d ->
+            let reference = Array.init nodes (fun _ -> Bitset.create slots) in
+            for slot = 0 to slots - 1 do
+              Bitset.set reference.(Distribution.owner d ~slots ~nodes ~slot) slot
+            done;
+            Array.for_all2 Bitset.equal reference (Distribution.populate d ~geometry:g ~nodes))
+         [ Distribution.Round_robin; Distribution.Block_cyclic k; Distribution.Partition ])
+
 (* -- Slot_header -- *)
 
 let header_space () =
@@ -301,6 +321,7 @@ let tests =
     Alcotest.test_case "partition distribution" `Quick test_partition;
     Alcotest.test_case "custom distribution validated" `Quick test_custom_validation;
     Alcotest.test_case "populate partitions every slot" `Quick test_populate_partitions_all;
+    QCheck_alcotest.to_alcotest prop_populate_matches_owner;
     Alcotest.test_case "slot header fields" `Quick test_header_fields;
     Alcotest.test_case "header corruption detected" `Quick test_header_corruption_detected;
     Alcotest.test_case "slot chain link/unlink" `Quick test_chain_ops;

@@ -232,6 +232,86 @@ let test_blit_across_spaces () =
   As.blit ~src:a ~src_addr:0x10000 ~dst:b ~dst_addr:0x10000 ~size:4096;
   Alcotest.(check int) "iso-address blit" 777 (As.load_word b 0x10010)
 
+(* The table maps 16-page chunks: a page the chunk's other pages keep in
+   the table is still unmapped, and counts as such. *)
+let test_hole_in_live_chunk () =
+  let sp = space () in
+  As.mmap sp ~addr:0x10000 ~size:(4 * Layout.page_size);
+  As.mmap sp ~addr:0x16000 ~size:Layout.page_size;
+  let segv f = match f () with _ -> false | exception As.Segfault _ -> true in
+  Alcotest.(check bool) "load faults" true (segv (fun () -> As.load_word sp 0x14000));
+  Alcotest.(check bool) "store faults" true (segv (fun () -> As.store_word sp 0x15008 1; 0));
+  Alcotest.(check bool) "zero test faults" true
+    (segv (fun () -> Bool.to_int (As.page_is_zero sp 0x14000)));
+  Alcotest.(check bool) "hash faults" true (segv (fun () -> As.page_hash sp 0x1f000));
+  Alcotest.(check bool) "hole unmapped" false (As.is_mapped sp 0x15000);
+  Alcotest.(check bool) "hole clean" false (As.page_dirty sp 0x15000);
+  Alcotest.(check bool) "run over the hole" false
+    (As.range_mapped sp ~addr:0x13000 ~size:(2 * Layout.page_size));
+  Alcotest.(check bool) "hole alone" true
+    (As.range_unmapped sp ~addr:0x14000 ~size:(2 * Layout.page_size));
+  Alcotest.(check int) "mapped pages" 5 (As.mapped_pages sp);
+  Alcotest.(check int) "scrub the chunk" 5
+    (As.scrub_range sp ~addr:0x10000 ~size:(16 * Layout.page_size));
+  Alcotest.(check int) "nothing left" 0 (As.mapped_pages sp)
+
+(* Nothing maps above the stack top, where the table ends; any address
+   at all reads as unmapped. *)
+let test_beyond_the_layout () =
+  let sp = space () in
+  let top = Layout.stack_base + Layout.stack_size in
+  As.mmap sp ~addr:(top - Layout.page_size) ~size:Layout.page_size;
+  Alcotest.(check bool) "above the top rejected" true
+    (try As.mmap sp ~addr:top ~size:Layout.page_size; false with Invalid_argument _ -> true);
+  Alcotest.(check bool) "negative rejected" true
+    (try As.mmap sp ~addr:(-65536) ~size:Layout.page_size; false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "only the last page below the top" 1 (As.mapped_pages sp);
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (Printf.sprintf "0x%x unmapped" a) false (As.is_mapped sp a);
+      Alcotest.(check bool) (Printf.sprintf "0x%x faults" a) true
+        (match As.load_word sp a with _ -> false | exception As.Segfault _ -> true))
+    [ top; max_int land lnot 7; -8 ]
+
+(* Minor words per call of [f], over [calls] calls. *)
+let words_per_call calls f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let slot = 64 * 1024
+
+(* A slot hop moves one table entry: [take] hands over the chunk's
+   records and [adopt] files them, with no per-page work that allocates.
+   Both spaces map 200 other slots, so the table is not trivially small. *)
+let test_hop_allocation () =
+  let a = space () and b = As.create ~node:1 () in
+  for k = 1 to 200 do
+    As.mmap a ~addr:(Layout.iso_base + (k * slot)) ~size:slot;
+    As.mmap b ~addr:(Layout.iso_base + ((k + 200) * slot)) ~size:slot
+  done;
+  let base = Layout.iso_base in
+  As.mmap a ~addr:base ~size:slot;
+  As.fill a ~addr:base ~size:slot 0x5a;
+  let ranges = [ (base, slot) ] in
+  let hop src dst = As.adopt dst ~ranges (As.take src ~addr:base ~size:slot) in
+  hop a b;
+  hop b a;
+  let w = words_per_call 100 (fun () -> hop a b; hop b a) /. 2. in
+  if w > 96. then Alcotest.failf "a slot hop allocates %.1f minor words" w;
+  Alcotest.(check int) "contents travelled" 0x5a (As.load_u8 a (base + slot - 1));
+  Alcotest.(check int) "pages stay resident" 16 (As.resident_pages a);
+  let w =
+    words_per_call 100 (fun () ->
+        As.mmap b ~addr:base ~size:slot;
+        As.munmap b ~addr:base ~size:slot)
+  in
+  if w > 32. then Alcotest.failf "mmap + munmap of a slot allocates %.1f minor words" w
+
 let prop_word_roundtrip =
   QCheck2.Test.make ~name:"store_word/load_word roundtrips at any aligned offset"
     QCheck2.Gen.(pair (int_range 0 4088) int)
@@ -329,9 +409,12 @@ module Model = struct
       ranges
 end
 
-let window = 8
+(* 48 pages from the middle of a 16-page table chunk: the window spans
+   two partial chunks and two whole ones, so runs split, fill and empty
+   chunks. *)
+let window = 48
 let page = Layout.page_size
-let window_base = 0x10000
+let window_base = 0x18000
 
 type op =
   | Mmap of int * int (* first page of the window, page count *)
@@ -384,9 +467,22 @@ let gen_op =
       ]
   in
   let length = oneof [ int_range 0 64; int_range 0 (3 * page) ] in
-  let run = map2 (fun p n -> (p, n)) page_no (int_range 1 3) in
+  (* runs start anywhere or on a chunk edge (window pages 8, 24, 40) and
+     reach 20 pages, a whole chunk and more *)
+  let run =
+    map2
+      (fun p n -> (p, n))
+      (oneof [ page_no; oneofl [ 8; 24; 40 ] ])
+      (oneof [ int_range 1 3; int_range 1 20; pure 16 ])
+  in
   let cut =
-    oneof [ int_range 0 (3 * page); map (fun o -> o * page) (int_range 0 3); oneofl [ 8; 4088; 4104 ] ]
+    oneof
+      [
+        int_range 0 (3 * page);
+        int_range 0 (20 * page);
+        map (fun o -> o * page) (int_range 0 20);
+        oneofl [ 8; 4088; 4104 ];
+      ]
   in
   let one_side =
   frequency
@@ -643,6 +739,9 @@ let tests =
     Alcotest.test_case "cstring loading" `Quick test_cstring;
     Alcotest.test_case "fill and copy_within" `Quick test_fill_and_copy;
     Alcotest.test_case "blit across spaces" `Quick test_blit_across_spaces;
+    Alcotest.test_case "hole in a live chunk" `Quick test_hole_in_live_chunk;
+    Alcotest.test_case "nothing maps above the stack top" `Quick test_beyond_the_layout;
+    Alcotest.test_case "slot hop and map allocate little" `Quick test_hop_allocation;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
     QCheck_alcotest.to_alcotest prop_page_table_model;
   ]
