@@ -94,7 +94,7 @@ let rec enqueue t (th : Thread.t) =
 and schedule_tick t node ~delay =
   if not node.Node.tick_scheduled then begin
     node.Node.tick_scheduled <- true;
-    Engine.schedule_after t.engine ~delay (fun () -> tick t node)
+    Engine.schedule_after t.engine ~delay node.Node.tick
   end
 
 and tick t node =
@@ -483,8 +483,9 @@ let refresh_heat t =
   let node_heat = Array.make (Array.length t.nodes) 0 in
   Array.iteri
     (fun n residents ->
-      Tid_map.iter
-        (fun tid (th : Thread.t) ->
+      Tid_set.iter
+        (fun tid ->
+          let th = thread t tid in
           if th.Thread.state <> Thread.Migrating && not (Hashtbl.mem t.stranded tid) then begin
             let h = thread_heat t th in
             Obs.Feed.set t.feed (Obs.Feed.thread_heat_key tid) (float_of_int h);
@@ -500,7 +501,7 @@ let refresh_heat t =
 (* The scheduler's [enqueue] is the one way migration and recovery hand
    a thread back; recovery is armed before anything runs. *)
 let create config program =
-  let t = Cluster_state.create ~wake:enqueue config program in
+  let t = Cluster_state.create ~wake:enqueue ~tick config program in
   Cluster_recover.arm t;
   t
 
@@ -606,38 +607,43 @@ let host_thread t ~node =
 let host_migrate = Cluster_migrate.host_migrate
 
 let check_invariants t =
-  (* The per-node index holds exactly the threads that have not exited,
-     each under its own node, and the roster is in id order. *)
+  (* Rebuild both per-node indexes from a roster scan: the residents are
+     exactly the threads that have not exited, each under its own node,
+     and the movable ones exactly the residents [is_movable] accepts.
+     The indexes name threads by id, so the table must map each id back
+     to its roster entry; and the roster is in id order. *)
+  let nodes = Array.length t.nodes in
+  let residents = Array.init nodes (fun _ -> Tid_set.create ())
+  and movable = Array.init nodes (fun _ -> Tid_set.create ()) in
   let live, _ =
     Vec.fold_left
       (fun (live, prev) (th : Thread.t) ->
-        if th.Thread.id <= prev then failwith "Cluster: thread roster out of id order";
-        if Thread.is_exited th then (live, th.Thread.id)
+        let id = th.Thread.id in
+        if id <= prev then failwith "Cluster: thread roster out of id order";
+        (match Hashtbl.find_opt t.threads id with
+         | Some th' when th' == th -> ()
+         | _ -> failwith (Printf.sprintf "Cluster: thread %d is not in the thread table" id));
+        if Thread.is_exited th then (live, id)
         else begin
-          (match Tid_map.find_opt th.Thread.id t.residents.(th.Thread.node) with
-           | Some th' when th' == th -> ()
-           | _ ->
-             failwith
-               (Printf.sprintf "Cluster: thread %d missing from node %d's index" th.Thread.id
-                  th.Thread.node));
-          (live + 1, th.Thread.id)
+          Tid_set.add residents.(th.Thread.node) id;
+          if is_movable th then Tid_set.add movable.(th.Thread.node) id;
+          (live + 1, id)
         end)
       (0, -1) t.roster
   in
-  let indexed = Array.fold_left (fun n m -> n + Tid_map.cardinal m) 0 t.residents in
-  if live <> t.live || indexed <> live then
-    failwith
-      (Printf.sprintf "Cluster: %d live threads, counter says %d, index holds %d" live t.live
-         indexed);
-  (* The movable index is exactly the residents the balancer may pick. *)
-  Array.iteri
-    (fun n residents ->
-      let scan = Tid_map.filter (fun _ th -> is_movable th) residents in
-      if not (Tid_map.equal ( == ) scan t.movable.(n)) then
-        failwith
-          (Printf.sprintf "Cluster: node %d's movable index holds %d threads, a scan finds %d"
-             n (Tid_map.cardinal t.movable.(n)) (Tid_map.cardinal scan)))
-    t.residents;
+  if live <> t.live then
+    failwith (Printf.sprintf "Cluster: %d live threads, counter says %d" live t.live);
+  let compare_index what expected actual =
+    Array.iteri
+      (fun n scan ->
+        if not (Tid_set.equal scan actual.(n)) then
+          failwith
+            (Printf.sprintf "Cluster: node %d's %s index holds %d threads, a scan finds %d" n
+               what (Tid_set.cardinal actual.(n)) (Tid_set.cardinal scan)))
+      expected
+  in
+  compare_index "resident" residents t.residents;
+  compare_index "movable" movable t.movable;
   Negotiation.check_global_invariant t.neg;
   Array.iter (fun n -> Slot_manager.check_invariants n.Node.mgr) t.nodes;
   Array.iter Delta_cache.check t.delta;

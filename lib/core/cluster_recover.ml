@@ -330,8 +330,8 @@ let crash_node t ~node:n =
   let old = t.nodes.(n) in
   (* Strand every live thread whose memory lived in the dying space. *)
   let victims =
-    Tid_map.fold
-      (fun tid th acc -> if Hashtbl.mem t.stranded tid then acc else th :: acc)
+    Tid_set.fold
+      (fun tid acc -> if Hashtbl.mem t.stranded tid then acc else thread t tid :: acc)
       t.residents.(n) []
     |> List.rev
   in
@@ -362,6 +362,7 @@ let crash_node t ~node:n =
     boot_node t.obs t.config ~geometry:t.geometry t.program ~id:n
       ~bitmap:(Slot_manager.bitmap old.Node.mgr)
   in
+  arm_tick t fresh;
   t.nodes.(n) <- fresh;
   Negotiation.set_mgr t.neg ~node:n fresh.Node.mgr;
   t.delta.(n) <- empty_delta_cache t.obs t.config n;

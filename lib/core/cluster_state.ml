@@ -18,7 +18,7 @@ module Vec = Pm2_util.Vec
 module Obs = Pm2_obs
 module Image_store = Pm2_recover.Image_store
 module Heartbeat = Pm2_recover.Heartbeat
-module Tid_map = Map.Make (Int)
+module Tid_set = Pm2_util.Tid_set
 
 type scheme =
   | Iso
@@ -137,12 +137,14 @@ type t = {
       (* every thread ever registered, exited ones included; tids are
          handed out in increasing order, so this is id order *)
   mutable live : int; (* registered threads that have not exited *)
-  residents : Thread.t Tid_map.t array;
-      (* per node, its threads that have not exited, by id: the crash
+  residents : Tid_set.t array;
+      (* per node, the ids of its threads that have not exited: the crash
          path and the heat feed walk one node's threads, never the table *)
-  movable : Thread.t Tid_map.t array;
-      (* per node, the residents the balancer may pick, by id: Ready or
-         Running with no migration pending (see [is_movable]) *)
+  movable : Tid_set.t array;
+      (* per node, the ids of the residents the balancer may pick: Ready
+         or Running with no migration pending (see [is_movable]). Both
+         are read in ascending id order, which fixes the balancer's
+         victims and the crash path's victim list *)
   waiters : (int, Thread.t list) Hashtbl.t; (* Sys_join: tid -> parked threads *)
   semaphores : (int, sema) Hashtbl.t; (* Marcel-style node-local semaphores *)
   mutable next_sem : int;
@@ -183,6 +185,9 @@ type t = {
   wake : t -> Thread.t -> unit;
       (* the scheduler's [enqueue]: migration and recovery hand a thread
          back to a run queue only through this *)
+  tick : t -> Node.t -> unit;
+      (* the scheduler's [tick], closed over each node once, at boot, as
+         that node's [Node.tick] *)
 }
 
 (* A node booted empty around a fresh address space holding the
@@ -210,7 +215,10 @@ let on_outage engine ~nodes (k : Fault.Plan.kill) ~down ~up =
     Option.iter (fun r -> Engine.schedule engine ~at:r up) k.restart
   end
 
-let create ~wake (config : config) program =
+(* Give [node] its one tick closure. *)
+let arm_tick t (node : Node.t) = node.Node.tick <- (fun () -> t.tick t node)
+
+let create ~wake ~tick (config : config) program =
   if config.nodes <= 0 then invalid_arg "Cluster.create: nodes <= 0";
   if config.quantum <= 0 then invalid_arg "Cluster.create: quantum <= 0";
   let geometry = Slot.make ~slot_size:config.slot_size in
@@ -247,7 +255,7 @@ let create ~wake (config : config) program =
       (Fault.Plan.spec config.faults).kills;
   let rel = Reliable.create ~obs ~max_attempts:config.net_max_attempts net in
   Reliable.set_tracer rel tracer;
-  {
+  let t = {
     config;
     geometry;
     engine;
@@ -265,8 +273,8 @@ let create ~wake (config : config) program =
     threads = Hashtbl.create 64;
     roster = Vec.create ();
     live = 0;
-    residents = Array.make config.nodes Tid_map.empty;
-    movable = Array.make config.nodes Tid_map.empty;
+    residents = Array.init config.nodes (fun _ -> Tid_set.create ());
+    movable = Array.init config.nodes (fun _ -> Tid_set.create ());
     waiters = Hashtbl.create 16;
     semaphores = Hashtbl.create 16;
     next_sem = 1;
@@ -299,7 +307,10 @@ let create ~wake (config : config) program =
     restored_count = 0;
     lost = [];
     wake;
-  }
+    tick;
+  } in
+  Array.iter (arm_tick t) nodes;
+  t
 
 let config t = t.config
 let engine t = t.engine
@@ -322,9 +333,9 @@ let threads t = Vec.to_list t.roster
 
 let live_threads t = t.live
 
-let node_threads t i = Seq.map snd (Tid_map.to_seq t.residents.(i))
+let node_threads t i = Seq.map (thread t) (Tid_set.to_seq t.residents.(i))
 
-let movable_threads t i = Seq.map snd (Tid_map.to_seq t.movable.(i))
+let movable_threads t i = Seq.map (thread t) (Tid_set.to_seq t.movable.(i))
 
 (* A thread the balancer may pick: runnable, with no migration pending.
    [Running] counts, because no thread is running while a balancer round
@@ -339,9 +350,8 @@ let is_movable (th : Thread.t) =
 let reindex t (th : Thread.t) ~was =
   let now = is_movable th in
   if now <> was then begin
-    let n = th.Thread.node and id = th.Thread.id in
-    t.movable.(n) <-
-      (if now then Tid_map.add id th t.movable.(n) else Tid_map.remove id t.movable.(n))
+    let m = t.movable.(th.Thread.node) in
+    if now then Tid_set.add m th.Thread.id else Tid_set.remove m th.Thread.id
   end
 
 (* Every write of a thread's [state] or [pending_migration] goes through
@@ -371,17 +381,17 @@ let register t (th : Thread.t) =
   Vec.push t.roster th;
   t.live <- t.live + 1;
   let n = th.Thread.node and id = th.Thread.id in
-  t.residents.(n) <- Tid_map.add id th t.residents.(n);
-  if is_movable th then t.movable.(n) <- Tid_map.add id th t.movable.(n)
+  Tid_set.add t.residents.(n) id;
+  if is_movable th then Tid_set.add t.movable.(n) id
 
 let move_thread t (th : Thread.t) ~dest =
   if not (Thread.is_exited th) then begin
     let id = th.Thread.id and src = th.Thread.node in
-    t.residents.(src) <- Tid_map.remove id t.residents.(src);
-    t.residents.(dest) <- Tid_map.add id th t.residents.(dest);
+    Tid_set.remove t.residents.(src) id;
+    Tid_set.add t.residents.(dest) id;
     if is_movable th then begin
-      t.movable.(src) <- Tid_map.remove id t.movable.(src);
-      t.movable.(dest) <- Tid_map.add id th t.movable.(dest)
+      Tid_set.remove t.movable.(src) id;
+      Tid_set.add t.movable.(dest) id
     end
   end;
   th.Thread.node <- dest
@@ -389,8 +399,7 @@ let move_thread t (th : Thread.t) ~dest =
 let retire t (th : Thread.t) reason =
   if not (Thread.is_exited th) then begin
     t.live <- t.live - 1;
-    let n = th.Thread.node in
-    t.residents.(n) <- Tid_map.remove th.Thread.id t.residents.(n)
+    Tid_set.remove t.residents.(th.Thread.node) th.Thread.id
   end;
   set_state t th (Thread.Exited reason)
 

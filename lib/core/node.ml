@@ -9,6 +9,7 @@ type t = {
   mgr : Slot_manager.t;
   queue : Thread.t Pm2_util.Dlist.t;
   mutable tick_scheduled : bool;
+  mutable tick : unit -> unit;
   acc : acc;
   prng : Pm2_util.Prng.t;
 }
@@ -26,6 +27,7 @@ let create ?(obs = Pm2_obs.Collector.null) ~id ~cost ~geometry ~bitmap ~cache_ca
         ~cache_capacity ();
     queue = Pm2_util.Dlist.create ();
     tick_scheduled = false;
+    tick = ignore;
     acc;
     prng = Pm2_util.Prng.create ~seed:(seed + (id * 7919));
   }

@@ -18,6 +18,10 @@ type t = {
   mgr : Slot_manager.t;
   queue : Thread.t Pm2_util.Dlist.t;
   mutable tick_scheduled : bool;
+  mutable tick : unit -> unit;
+      (* the scheduler's event for this node: built once, when the node
+         boots into a cluster, and queued by every [schedule_tick], so
+         waking a node allocates no closure ([ignore] until then) *)
   acc : acc;
   prng : Pm2_util.Prng.t;
 }

@@ -26,9 +26,14 @@ let sinks t = Array.to_list t.sinks
 
 let emitted t = t.emitted
 
+(* A plain loop: [Array.iter] with a closure capturing [time], [node]
+   and [ev] would allocate that closure on every event. *)
 let deliver t ~time ~node ev =
   t.emitted <- t.emitted + 1;
-  Array.iter (fun s -> Sink.emit s ~time ~node ev) t.sinks
+  let sinks = t.sinks in
+  for i = 0 to Array.length sinks - 1 do
+    Sink.emit (Array.unsafe_get sinks i) ~time ~node ev
+  done
 
 let emit t ~node ev = if t.enabled then deliver t ~time:(t.now ()) ~node ev
 

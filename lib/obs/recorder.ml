@@ -1,7 +1,9 @@
 (* The flight recorder: an always-on, bounded ring of recent events per
    node, dumped as JSON when a migration aborts, rolls back, or the
    reliable layer gives up on a message. Constant memory (one ring per
-   node), so it can stay attached on every run without growing. *)
+   node), so it can stay attached on every run without growing, and a
+   recorded event costs an array load and a column store: no lookup, no
+   allocation. *)
 
 type trigger = {
   trig_time : float;
@@ -11,24 +13,36 @@ type trigger = {
 
 type t = {
   capacity : int; (* per-node ring capacity *)
-  rings : (int, Ring.t) Hashtbl.t;
+  mutable rings : Ring.t array;
+      (* indexed by node id; [absent] where no event has been seen yet *)
   mutable triggers : trigger list; (* newest first *)
   mutable on_trigger : (trigger -> unit) option;
 }
 
+let absent = Ring.create ~capacity:0
+
 let create ?(capacity = 256) () =
   if capacity < 0 then invalid_arg "Recorder.create: capacity < 0";
-  { capacity; rings = Hashtbl.create 8; triggers = []; on_trigger = None }
+  { capacity; rings = Array.make 8 absent; triggers = []; on_trigger = None }
 
 let capacity t = t.capacity
 
+(* Node [node]'s ring, made (and the table grown) on its first event. *)
 let ring t node =
-  match Hashtbl.find_opt t.rings node with
-  | Some r -> r
-  | None ->
+  if node < 0 then invalid_arg "Recorder: negative node id";
+  let n = Array.length t.rings in
+  if node >= n then begin
+    let rings = Array.make (max (2 * n) (node + 1)) absent in
+    Array.blit t.rings 0 rings 0 n;
+    t.rings <- rings
+  end;
+  let r = t.rings.(node) in
+  if r != absent then r
+  else begin
     let r = Ring.create ~capacity:t.capacity in
-    Hashtbl.replace t.rings node r;
+    t.rings.(node) <- r;
     r
+  end
 
 let triggers t = List.rev t.triggers
 
@@ -49,7 +63,7 @@ let trigger_reason (ev : Event.t) =
   | _ -> None
 
 let on_event t ~time ~node ev =
-  Ring.push (ring t node) { Ring.time; node; event = ev };
+  Ring.push (ring t node) ~time ~node ev;
   match trigger_reason ev with
   | None -> ()
   | Some reason ->
@@ -59,8 +73,9 @@ let on_event t ~time ~node ev =
 
 let sink t = Sink.make ~name:"recorder" (fun ~time ~node ev -> on_event t ~time ~node ev)
 
+(* Ascending, whatever order the nodes were first seen in. *)
 let node_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.rings [] |> List.sort compare
+  List.filter (fun id -> t.rings.(id) != absent) (List.init (Array.length t.rings) Fun.id)
 
 let dump t =
   let buf = Buffer.create 4096 in

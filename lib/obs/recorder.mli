@@ -2,6 +2,12 @@
     cheap enough to stay attached on every run, dumped as JSON when
     something goes wrong.
 
+    The rings are {!Ring}s, kept in an array indexed by node id and
+    made on a node's first event, so recording an event is an array
+    load and a {!Ring.push}: it allocates nothing. The dump lists the
+    nodes in ascending id order, whatever order they were first seen
+    in.
+
     Trigger conditions: [Migration_abort], [Group_migration_abort],
     [Migration_rollback] and [Net_give_up]. Each trigger is recorded
     (and handed to the {!set_on_trigger} callback, which is where
@@ -15,12 +21,15 @@ type trigger = {
 
 type t
 
-(** [capacity] is per node (default 256 records). *)
+(** [capacity] is per node (default 256 records; 0 keeps nothing and
+    only counts, per node, the events it dropped).
+    @raise Invalid_argument on a negative capacity. *)
 val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-(** The sink to attach to the collector. *)
+(** The sink to attach to the collector. An event stamped with a
+    negative node id raises [Invalid_argument]. *)
 val sink : t -> Sink.t
 
 (** Triggers seen so far, oldest first. *)

@@ -1,7 +1,12 @@
-(** A bounded ring buffer of stamped events — the "flight recorder" sink.
+(** A bounded ring buffer of stamped events: the generic in-memory sink,
+    and the per-node store of the flight recorder ({!Recorder}).
 
     Constant memory: once full, each push overwrites the oldest record
-    (counted in {!dropped}). *)
+    (counted in {!dropped}). The ring is kept as columns (a
+    [Float.Array] of times, an [int array] of nodes and an [Event.t
+    array]), so {!push} allocates nothing: the only heap object an
+    event costs is the [Event.t] the caller built. Records are built
+    only when the ring is read. *)
 
 type record = {
   time : float;
@@ -24,13 +29,16 @@ val length : t -> int
 (** Records overwritten since creation / {!clear}. *)
 val dropped : t -> int
 
-val push : t -> record -> unit
+(** [push t ~time ~node ev] stores one event, overwriting the oldest
+    once the ring is full. Allocates nothing. *)
+val push : t -> time:float -> node:int -> Event.t -> unit
 
 val clear : t -> unit
 
 (** Oldest first. *)
 val to_list : t -> record list
 
+(** Oldest first. *)
 val iter : (record -> unit) -> t -> unit
 
 (** The sink feeding this buffer. *)

@@ -2,7 +2,15 @@
 
     Virtual time is a [float] count of microseconds since simulation start.
     Events are closures ordered by (time, insertion sequence): ties are
-    broken FIFO, so the simulation is fully deterministic. *)
+    broken FIFO, so the simulation is fully deterministic.
+
+    The queue is a binary min-heap kept as columns (a [Float.Array] of
+    times, an [int array] of sequence numbers and an array of closures)
+    and sifted with a hole, and the clock is a flat float cell. So
+    {!schedule_after} and {!step} allocate nothing of their own (the
+    arrays grow by doubling, which is amortised): the closure a caller
+    builds, if it builds one per event, is the event's only heap
+    object. {!now} boxes the clock at most once per value it takes. *)
 
 type t
 
@@ -30,7 +38,8 @@ val pending : t -> int
     payloads. *)
 val next_seq : t -> int
 
-(** [(time, seq)] of the next event to run, or [None] if drained. *)
+(** [(time, seq)] of the next event to run, or [None] if drained. This
+    builds an option and a tuple; {!step} and {!run} never call it. *)
 val peek_next : t -> (time * int) option
 
 (** [run t] processes events until the queue is empty. Returns the final

@@ -260,6 +260,24 @@ let test_movable_index_matches_scan () =
   Alcotest.(check (list int)) "left node 2's index" [] (ids 2);
   Alcotest.(check (list int)) "joined node 3's index" [ host.Thread.id ] (ids 3)
 
+(* Re-filing threads in the movable index allocates nothing: a migration
+   request allocates the [Some dest] it stores (2 words) and no more. The
+   first request also queues the node's tick, whose closure the node
+   built at boot. *)
+let test_index_upkeep_allocates_nothing () =
+  let cluster = Cluster.create (Cluster.default_config ~nodes:2) program in
+  let ths = Array.init 200 (fun _ -> Cluster.host_thread cluster ~node:0) in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for i = 0 to 199 do
+    Cluster.request_migration cluster ths.(i) ~dest:1
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 200 requests" 400. words;
+  Alcotest.(check int) "none movable" 0 (Seq.length (Cluster.movable_threads cluster 0));
+  Alcotest.(check int) "all resident" 200 (Seq.length (Cluster.node_threads cluster 0));
+  Cluster.check_invariants cluster
+
 let tests =
   [
     Alcotest.test_case "node index matches the table" `Quick test_node_index_matches_table;
@@ -270,4 +288,6 @@ let tests =
     Alcotest.test_case "policy names" `Quick test_policy_names;
     Alcotest.test_case "balancer quiesces" `Quick test_balancer_stops_with_cluster;
     Alcotest.test_case "movable index matches a scan" `Quick test_movable_index_matches_scan;
+    Alcotest.test_case "index upkeep allocates nothing" `Quick
+      test_index_upkeep_allocates_nothing;
   ]

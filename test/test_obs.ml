@@ -72,9 +72,8 @@ let test_disabled_collector_emits_nothing () =
 let test_ring_overwrites_oldest () =
   let ring = Obs.Ring.create ~capacity:2 in
   let push i =
-    Obs.Ring.push ring
-      { Obs.Ring.time = float_of_int i; node = 0;
-        event = Obs.Event.Thread_printf { tid = i; text = "" } }
+    Obs.Ring.push ring ~time:(float_of_int i) ~node:0
+      (Obs.Event.Thread_printf { tid = i; text = "" })
   in
   List.iter push [ 1; 2; 3 ];
   Alcotest.(check int) "bounded" 2 (Obs.Ring.length ring);
@@ -86,9 +85,9 @@ let test_ring_overwrites_oldest () =
    exact fill (keep everything), and wraparound past several multiples
    of the capacity. *)
 let test_ring_capacity_boundaries () =
-  let record i =
-    { Obs.Ring.time = float_of_int i; node = 0;
-      event = Obs.Event.Thread_printf { tid = i; text = "" } }
+  let push r i =
+    Obs.Ring.push r ~time:(float_of_int i) ~node:0
+      (Obs.Event.Thread_printf { tid = i; text = "" })
   in
   let times r = List.map (fun x -> x.Obs.Ring.time) (Obs.Ring.to_list r) in
   Alcotest.check_raises "negative capacity"
@@ -96,25 +95,25 @@ let test_ring_capacity_boundaries () =
         ignore (Obs.Ring.create ~capacity:(-1)));
   (* capacity 0: legal, holds nothing, counts every push as dropped *)
   let r0 = Obs.Ring.create ~capacity:0 in
-  List.iter (fun i -> Obs.Ring.push r0 (record i)) [ 1; 2; 3 ];
+  List.iter (push r0) [ 1; 2; 3 ];
   Alcotest.(check int) "cap-0 empty" 0 (Obs.Ring.length r0);
   Alcotest.(check int) "cap-0 drops all" 3 (Obs.Ring.dropped r0);
   Alcotest.(check (list (float 1e-9))) "cap-0 lists nothing" [] (times r0);
   (* capacity 1: always exactly the newest record *)
   let r1 = Obs.Ring.create ~capacity:1 in
-  List.iter (fun i -> Obs.Ring.push r1 (record i)) [ 1; 2; 3 ];
+  List.iter (push r1) [ 1; 2; 3 ];
   Alcotest.(check int) "cap-1 length" 1 (Obs.Ring.length r1);
   Alcotest.(check int) "cap-1 dropped" 2 (Obs.Ring.dropped r1);
   Alcotest.(check (list (float 1e-9))) "cap-1 newest" [ 3. ] (times r1);
   (* exact fill: nothing dropped, order preserved *)
   let r4 = Obs.Ring.create ~capacity:4 in
-  List.iter (fun i -> Obs.Ring.push r4 (record i)) [ 1; 2; 3; 4 ];
+  List.iter (push r4) [ 1; 2; 3; 4 ];
   Alcotest.(check int) "full length" 4 (Obs.Ring.length r4);
   Alcotest.(check int) "full keeps all" 0 (Obs.Ring.dropped r4);
   Alcotest.(check (list (float 1e-9))) "full in order" [ 1.; 2.; 3.; 4. ] (times r4);
   (* wraparound across several multiples of the capacity *)
   for i = 5 to 11 do
-    Obs.Ring.push r4 (record i)
+    push r4 i
   done;
   Alcotest.(check int) "still bounded" 4 (Obs.Ring.length r4);
   Alcotest.(check int) "wraparound drops" 7 (Obs.Ring.dropped r4);
@@ -604,6 +603,84 @@ let test_metrics_json_precision () =
        Obs.Json.to_float);
   Alcotest.(check bool) "no gauges" true (Obs.Json.member "gauges" node0 = None)
 
+(* -- the flight recorder's rings -- *)
+
+(* Feed [r] through its sink, as the collector does. *)
+let recording r =
+  let sink = Obs.Recorder.sink r in
+  fun ~time ~node ev -> Obs.Sink.emit sink ~time ~node ev
+
+let printf i = Obs.Event.Thread_printf { tid = i; text = "" }
+
+(* Per node: (dropped, event times oldest first), in dump order. *)
+let dumped_nodes r =
+  match Obs.Json.parse (Obs.Recorder.dump r) with
+  | Error e -> Alcotest.fail ("dump is not valid JSON: " ^ e)
+  | Ok j -> (
+    match Obs.Json.member "nodes" j with
+    | Some (Obs.Json.Obj fields) ->
+      List.map
+        (fun (name, node) ->
+          let num k = Option.get (Option.bind (Obs.Json.member k node) Obs.Json.to_float) in
+          let times =
+            match Obs.Json.member "events" node with
+            | Some (Obs.Json.Arr evs) ->
+              List.map
+                (fun e -> Option.get (Option.bind (Obs.Json.member "t" e) Obs.Json.to_float))
+                evs
+            | _ -> Alcotest.fail "events is not an array"
+          in
+          (name, int_of_float (num "dropped"), times))
+        fields
+    | _ -> Alcotest.fail "nodes is not an object")
+
+let test_recorder_rings () =
+  (* Nodes first seen out of order, one of them past the initial table:
+     the dump still lists them in ascending id order. Node 3 wraps its
+     ring twice over, node 12 once, node 0 never. *)
+  let r = Obs.Recorder.create ~capacity:3 () in
+  let record = recording r in
+  List.iter
+    (fun (node, i) -> record ~time:(float_of_int i) ~node (printf i))
+    [ (3, 1); (12, 2); (0, 3); (3, 4); (3, 5); (3, 6); (12, 7); (3, 8); (12, 9); (12, 10);
+      (3, 11); (3, 12); (3, 13) ];
+  Alcotest.(check (list (triple string int (list (float 0.)))))
+    "ascending nodes, per-node drops, newest window oldest first"
+    [ ("node0", 0, [ 3. ]); ("node3", 5, [ 11.; 12.; 13. ]); ("node12", 1, [ 7.; 9.; 10. ]) ]
+    (dumped_nodes r);
+  (* Capacity 0 keeps nothing, but every node seen is listed with the
+     events it dropped. *)
+  let r0 = Obs.Recorder.create ~capacity:0 () in
+  let record = recording r0 in
+  List.iter (fun (node, i) -> record ~time:(float_of_int i) ~node (printf i))
+    [ (2, 1); (1, 2); (2, 3) ];
+  Alcotest.(check (list (triple string int (list (float 0.))))) "capacity 0"
+    [ ("node1", 1, []); ("node2", 2, []) ] (dumped_nodes r0);
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Recorder.create: capacity < 0") (fun () ->
+      ignore (Obs.Recorder.create ~capacity:(-1) ()))
+
+(* A push into a ring, directly or through the recorder's sink, stores
+   the event the caller built and allocates nothing else. *)
+let test_push_allocates_nothing () =
+  let ev = printf 1 in
+  let ring = Obs.Ring.create ~capacity:8 in
+  let record = recording (Obs.Recorder.create ~capacity:8 ()) in
+  record ~time:0. ~node:5 ev;
+  let words f =
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "Ring.push" 0.
+    (words (fun () -> Obs.Ring.push ring ~time:2.5 ~node:1 ev));
+  Alcotest.(check (float 0.)) "recorder sink" 0.
+    (words (fun () -> record ~time:2.5 ~node:5 ev));
+  Alcotest.(check int) "ring wrapped" 992 (Obs.Ring.dropped ring)
+
 let tests =
   [
     Alcotest.test_case "stamps match virtual time" `Quick test_stamps_match_virtual_time;
@@ -626,4 +703,6 @@ let tests =
     Alcotest.test_case "golden pm2-ctl/1 event frames" `Quick test_golden_protocol_events;
     Alcotest.test_case "chrome args are the stream fields" `Quick test_golden_chrome_args;
     Alcotest.test_case "metrics json full precision" `Quick test_metrics_json_precision;
+    Alcotest.test_case "recorder rings per node" `Quick test_recorder_rings;
+    Alcotest.test_case "a push allocates nothing" `Quick test_push_allocates_nothing;
   ]

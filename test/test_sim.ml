@@ -87,6 +87,194 @@ let prop_many_events_ordered =
                (fun (ok, prev) t -> (ok && t >= prev, t))
                (true, neg_infinity) fired))
 
+(* -- the event heap against a reference --
+
+   A scenario is a list of events, each with a parent (an earlier
+   event, or none for the ones queued before the run), a delay and
+   whether it is queued with [schedule ~at:(now + delay)] or
+   [schedule_after]. An event logs its id and the clock's bits, then
+   queues its children in index order: so equal times, scheduling from
+   inside a running event and negative delays all occur. The reference
+   is a list searched for the least [(at, seq)] on every pop, with the
+   clock rule of the engine's contract. *)
+
+module Ref_engine = struct
+  type t = {
+    mutable queue : (float * int * (unit -> unit)) list;
+    mutable clock : float;
+    mutable seq : int;
+  }
+
+  let create () = { queue = []; clock = 0.; seq = 0 }
+  let now t = t.clock
+  let pending t = List.length t.queue
+
+  let schedule t ~at f =
+    if at < t.clock then invalid_arg "Ref_engine.schedule";
+    t.queue <- (at, t.seq, f) :: t.queue;
+    t.seq <- t.seq + 1
+
+  let later (a, s, _) (b, s', _) = a > b || (a = b && s > s')
+  let fmax (a : float) b = if a >= b then a else b
+  let schedule_after t ~delay f = schedule t ~at:(t.clock +. fmax 0. delay) f
+
+  let head t =
+    List.fold_left (fun m e -> match m with Some m when later e m -> Some m | _ -> Some e) None
+      t.queue
+
+  let step t =
+    match head t with
+    | None -> false
+    | Some ((at, _, f) as e) ->
+      t.queue <- List.filter (fun e' -> e' != e) t.queue;
+      t.clock <- fmax t.clock at;
+      f ();
+      true
+
+  let run ?until ?(max_events = 200_000_000) t =
+    let count = ref 0 and stop = ref false in
+    while not !stop do
+      match head t, until with
+      | None, _ -> stop := true
+      | Some (at, _, _), Some u when at > u ->
+        t.clock <- fmax t.clock u;
+        stop := true
+      | Some _, _ ->
+        incr count;
+        if !count > max_events then failwith "Ref_engine.run: max_events exceeded";
+        ignore (step t)
+    done;
+    t.clock
+end
+
+type drive =
+  | Run
+  | Until of float
+  | Steps of int
+  | Max_events of int
+
+type ops = {
+  schedule : at:float -> (unit -> unit) -> unit;
+  schedule_after : delay:float -> (unit -> unit) -> unit;
+  now : unit -> float;
+  step : unit -> bool;
+  run : ?until:float -> ?max_events:int -> unit -> float;
+  pending : unit -> int;
+}
+
+let engine_ops () =
+  let e = Engine.create () in
+  {
+    schedule = (fun ~at f -> Engine.schedule e ~at f);
+    schedule_after = (fun ~delay f -> Engine.schedule_after e ~delay f);
+    now = (fun () -> Engine.now e);
+    step = (fun () -> Engine.step e);
+    run = (fun ?until ?max_events () -> Engine.run ?until ?max_events e);
+    pending = (fun () -> Engine.pending e);
+  }
+
+let ref_ops () =
+  let e = Ref_engine.create () in
+  {
+    schedule = (fun ~at f -> Ref_engine.schedule e ~at f);
+    schedule_after = (fun ~delay f -> Ref_engine.schedule_after e ~delay f);
+    now = (fun () -> Ref_engine.now e);
+    step = (fun () -> Ref_engine.step e);
+    run = (fun ?until ?max_events () -> Ref_engine.run ?until ?max_events e);
+    pending = (fun () -> Ref_engine.pending e);
+  }
+
+(* What a driven scenario leaves behind: every pop as (event id, clock
+   bits), then the pending count and the clock's bits at each stop, and
+   whether [max_events] tripped. *)
+let play ops events drive =
+  let log = ref [] in
+  let note x = log := x :: !log in
+  let bits f = Int64.bits_of_float f in
+  let children = Array.make (Array.length events) [] in
+  Array.iteri
+    (fun i (parent, _, _) -> if parent >= 0 then children.(parent) <- i :: children.(parent))
+    events;
+  let rec queue i =
+    let _, delay, at = events.(i) in
+    let f () =
+      note (`Pop (i, bits (ops.now ())));
+      List.iter queue (List.rev children.(i))
+    in
+    if at then ops.schedule ~at:(ops.now () +. Float.abs delay) f
+    else ops.schedule_after ~delay f
+  in
+  Array.iteri (fun i (parent, _, _) -> if parent < 0 then queue i) events;
+  let stop () = note (`Stop (ops.pending (), bits (ops.now ()))) in
+  (match drive with
+   | Run -> ignore (ops.run ())
+   | Until u ->
+     note (`Clock (bits (ops.run ~until:u ())));
+     stop ();
+     ignore (ops.run ())
+   | Steps n ->
+     for _ = 1 to n do
+       note (`Stepped (ops.step ()))
+     done;
+     stop ();
+     ignore (ops.run ())
+   | Max_events n ->
+     (match ops.run ~max_events:n () with
+      | _ -> note `Finished
+      | exception Failure _ -> note `Tripped));
+  stop ();
+  List.rev !log
+
+let gen_scenario =
+  let open QCheck2.Gen in
+  let delay =
+    oneof [ oneofl [ 0.; 0.; 0.5; 1.; 1.; 2.; 3.25; -1. ]; float_range 0. 10.;
+            map (fun k -> float_of_int k *. 0.1) (int_range 0 40) ]
+  in
+  let* n = int_range 1 60 in
+  let* events =
+    flatten_l
+      (List.init n (fun i ->
+           let* parent = if i = 0 then pure (-1) else int_range (-1) (i - 1) in
+           let* d = delay in
+           let* at = bool in
+           pure (parent, d, at)))
+  in
+  let* drive =
+    oneof
+      [ pure Run; map (fun u -> Until u) (oneof [ float_range 0. 20.; oneofl [ 1.; 2.; 3.25 ] ]);
+        map (fun k -> Steps k) (int_range 0 70); map (fun k -> Max_events k) (int_range 0 70) ]
+  in
+  pure (Array.of_list events, drive)
+
+let prop_heap_matches_reference =
+  QCheck2.Test.make ~name:"event heap pops as a sorted (at, seq) reference" ~count:500
+    gen_scenario (fun (events, drive) -> play (engine_ops ()) events drive = play (ref_ops ()) events drive)
+
+(* Queueing and committing an event whose closure already exists
+   allocates nothing: the heap's columns and the flat clock hold it. *)
+let test_heap_allocates_nothing () =
+  let e = Engine.create () in
+  let f () = () in
+  (* Grow the columns past what the loop uses, once. *)
+  for _ = 1 to 100 do
+    Engine.schedule_after e ~delay:1. f
+  done;
+  while Engine.step e do
+    ()
+  done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Engine.schedule_after e ~delay:1.5 f;
+    Engine.schedule_after e ~delay:0.25 f;
+    ignore (Engine.step e);
+    ignore (Engine.step e)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 2000 schedule_after + step" 0. words;
+  Alcotest.(check (float 0.)) "clock" 1501. (Engine.now e)
+
 (* -- Cost model -- *)
 
 let test_cost_derived () =
@@ -131,6 +319,9 @@ let tests =
     Alcotest.test_case "max_events guard" `Quick test_max_events;
     Alcotest.test_case "negative delay clamped" `Quick test_negative_delay_clamped;
     QCheck_alcotest.to_alcotest prop_many_events_ordered;
+    QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+    Alcotest.test_case "schedule_after and step allocate nothing" `Quick
+      test_heap_allocates_nothing;
     Alcotest.test_case "cost model derived costs" `Quick test_cost_derived;
     Alcotest.test_case "cost model zero" `Quick test_cost_zero;
     Alcotest.test_case "trace collection" `Quick test_trace;
