@@ -483,7 +483,7 @@ let refresh_heat t =
   let node_heat = Array.make (Array.length t.nodes) 0 in
   Array.iteri
     (fun n residents ->
-      Tid_set.iter
+      Bitset.iter_set
         (fun tid ->
           let th = thread t tid in
           if th.Thread.state <> Thread.Migrating && not (Hashtbl.mem t.stranded tid) then begin
@@ -612,9 +612,8 @@ let check_invariants t =
      and the movable ones exactly the residents [is_movable] accepts.
      The indexes name threads by id, so the table must map each id back
      to its roster entry; and the roster is in id order. *)
-  let nodes = Array.length t.nodes in
-  let residents = Array.init nodes (fun _ -> Tid_set.create ())
-  and movable = Array.init nodes (fun _ -> Tid_set.create ()) in
+  let blank = Array.map (fun s -> Bitset.create (Bitset.length s)) in
+  let residents = blank t.residents and movable = blank t.movable in
   let live, _ =
     Vec.fold_left
       (fun (live, prev) (th : Thread.t) ->
@@ -625,8 +624,8 @@ let check_invariants t =
          | _ -> failwith (Printf.sprintf "Cluster: thread %d is not in the thread table" id));
         if Thread.is_exited th then (live, id)
         else begin
-          Tid_set.add residents.(th.Thread.node) id;
-          if is_movable th then Tid_set.add movable.(th.Thread.node) id;
+          index_add residents th.Thread.node id;
+          if is_movable th then index_add movable th.Thread.node id;
           (live + 1, id)
         end)
       (0, -1) t.roster
@@ -636,10 +635,10 @@ let check_invariants t =
   let compare_index what expected actual =
     Array.iteri
       (fun n scan ->
-        if not (Tid_set.equal scan actual.(n)) then
+        if not (Bitset.equal scan actual.(n)) then
           failwith
             (Printf.sprintf "Cluster: node %d's %s index holds %d threads, a scan finds %d" n
-               what (Tid_set.cardinal actual.(n)) (Tid_set.cardinal scan)))
+               what (Bitset.count actual.(n)) (Bitset.count scan)))
       expected
   in
   compare_index "resident" residents t.residents;

@@ -330,10 +330,9 @@ let crash_node t ~node:n =
   let old = t.nodes.(n) in
   (* Strand every live thread whose memory lived in the dying space. *)
   let victims =
-    Tid_set.fold
-      (fun tid acc -> if Hashtbl.mem t.stranded tid then acc else thread t tid :: acc)
-      t.residents.(n) []
-    |> List.rev
+    node_threads t n
+    |> Seq.filter (fun (th : Thread.t) -> not (Hashtbl.mem t.stranded th.Thread.id))
+    |> List.of_seq
   in
   Obs.Collector.emit t.obs ~node:n
     (Obs.Event.Node_crash { node = n; threads = List.length victims });

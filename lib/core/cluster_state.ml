@@ -18,7 +18,7 @@ module Vec = Pm2_util.Vec
 module Obs = Pm2_obs
 module Image_store = Pm2_recover.Image_store
 module Heartbeat = Pm2_recover.Heartbeat
-module Tid_set = Pm2_util.Tid_set
+module Bitset = Pm2_util.Bitset
 
 type scheme =
   | Iso
@@ -137,14 +137,15 @@ type t = {
       (* every thread ever registered, exited ones included; tids are
          handed out in increasing order, so this is id order *)
   mutable live : int; (* registered threads that have not exited *)
-  residents : Tid_set.t array;
+  residents : Bitset.t array;
       (* per node, the ids of its threads that have not exited: the crash
          path and the heat feed walk one node's threads, never the table *)
-  movable : Tid_set.t array;
+  movable : Bitset.t array;
       (* per node, the ids of the residents the balancer may pick: Ready
          or Running with no migration pending (see [is_movable]). Both
          are read in ascending id order, which fixes the balancer's
-         victims and the crash path's victim list *)
+         victims and the crash path's victim list. A node's bitset is
+         replaced by one twice as long when an id outgrows it *)
   waiters : (int, Thread.t list) Hashtbl.t; (* Sys_join: tid -> parked threads *)
   semaphores : (int, sema) Hashtbl.t; (* Marcel-style node-local semaphores *)
   mutable next_sem : int;
@@ -215,6 +216,27 @@ let on_outage engine ~nodes (k : Fault.Plan.kill) ~down ~up =
     Option.iter (fun r -> Engine.schedule engine ~at:r up) k.restart
   end
 
+(* A per-node thread index: one bitset of thread ids per node. Filing
+   an id the node's bitset already covers is a store into an existing
+   word and allocates nothing; an id past its end replaces it with a
+   copy twice as long (tids are handed out in increasing order, so this
+   happens a logarithmic number of times). *)
+let index_create nodes = Array.init nodes (fun _ -> Bitset.create 64)
+
+let index_add index n id =
+  let s = index.(n) in
+  let s =
+    if id < Bitset.length s then s
+    else begin
+      let s = Bitset.extend s (max (2 * Bitset.length s) (id + 1)) in
+      index.(n) <- s;
+      s
+    end
+  in
+  Bitset.set s id
+
+let index_remove index n id = if id < Bitset.length index.(n) then Bitset.clear index.(n) id
+
 (* Give [node] its one tick closure. *)
 let arm_tick t (node : Node.t) = node.Node.tick <- (fun () -> t.tick t node)
 
@@ -273,8 +295,8 @@ let create ~wake ~tick (config : config) program =
     threads = Hashtbl.create 64;
     roster = Vec.create ();
     live = 0;
-    residents = Array.init config.nodes (fun _ -> Tid_set.create ());
-    movable = Array.init config.nodes (fun _ -> Tid_set.create ());
+    residents = index_create config.nodes;
+    movable = index_create config.nodes;
     waiters = Hashtbl.create 16;
     semaphores = Hashtbl.create 16;
     next_sem = 1;
@@ -333,9 +355,21 @@ let threads t = Vec.to_list t.roster
 
 let live_threads t = t.live
 
-let node_threads t i = Seq.map (thread t) (Tid_set.to_seq t.residents.(i))
+(* Node [n]'s threads in [index], in ascending id order, read live: each
+   step finds the next id in the node's bitset as it is then, so a
+   balancer that clears the bit of the thread just returned, which lies
+   behind the walk, does not disturb it. *)
+let index_walk t index n =
+  let rec from i () =
+    match Bitset.next_set_from index.(n) i with
+    | -1 -> Seq.Nil
+    | id -> Seq.Cons (thread t id, from (id + 1))
+  in
+  from 0
 
-let movable_threads t i = Seq.map (thread t) (Tid_set.to_seq t.movable.(i))
+let node_threads t n = index_walk t t.residents n
+
+let movable_threads t n = index_walk t t.movable n
 
 (* A thread the balancer may pick: runnable, with no migration pending.
    [Running] counts, because no thread is running while a balancer round
@@ -350,8 +384,8 @@ let is_movable (th : Thread.t) =
 let reindex t (th : Thread.t) ~was =
   let now = is_movable th in
   if now <> was then begin
-    let m = t.movable.(th.Thread.node) in
-    if now then Tid_set.add m th.Thread.id else Tid_set.remove m th.Thread.id
+    if now then index_add t.movable th.Thread.node th.Thread.id
+    else index_remove t.movable th.Thread.node th.Thread.id
   end
 
 (* Every write of a thread's [state] or [pending_migration] goes through
@@ -381,17 +415,17 @@ let register t (th : Thread.t) =
   Vec.push t.roster th;
   t.live <- t.live + 1;
   let n = th.Thread.node and id = th.Thread.id in
-  Tid_set.add t.residents.(n) id;
-  if is_movable th then Tid_set.add t.movable.(n) id
+  index_add t.residents n id;
+  if is_movable th then index_add t.movable n id
 
 let move_thread t (th : Thread.t) ~dest =
   if not (Thread.is_exited th) then begin
     let id = th.Thread.id and src = th.Thread.node in
-    Tid_set.remove t.residents.(src) id;
-    Tid_set.add t.residents.(dest) id;
+    index_remove t.residents src id;
+    index_add t.residents dest id;
     if is_movable th then begin
-      Tid_set.remove t.movable.(src) id;
-      Tid_set.add t.movable.(dest) id
+      index_remove t.movable src id;
+      index_add t.movable dest id
     end
   end;
   th.Thread.node <- dest
@@ -399,7 +433,7 @@ let move_thread t (th : Thread.t) ~dest =
 let retire t (th : Thread.t) reason =
   if not (Thread.is_exited th) then begin
     t.live <- t.live - 1;
-    Tid_set.remove t.residents.(th.Thread.node) th.Thread.id
+    index_remove t.residents th.Thread.node th.Thread.id
   end;
   set_state t th (Thread.Exited reason)
 

@@ -10,8 +10,6 @@ type clock = { mutable now : float }
    once its event has run. *)
 type t = {
   clock : clock;
-  mutable stamp : float; (* a boxed copy of the clock, for [now] *)
-  mutable stale : bool; (* the clock moved since [stamp] was taken *)
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable runs : (unit -> unit) array;
@@ -24,8 +22,6 @@ let initial = 64
 let create () =
   {
     clock = { now = 0. };
-    stamp = 0.;
-    stale = false;
     times = Float.Array.make initial 0.;
     seqs = Array.make initial 0;
     runs = Array.make initial ignore;
@@ -33,19 +29,7 @@ let create () =
     next_seq = 0;
   }
 
-(* A float returned from a function is boxed, so reading the flat clock
-   would box it afresh on every call, and the collector reads it for
-   every event it stamps. [now] boxes it once per value instead. *)
-let now t =
-  if t.stale then begin
-    t.stamp <- t.clock.now;
-    t.stale <- false
-  end;
-  t.stamp
-
-let[@inline] set_clock t v =
-  t.clock.now <- v;
-  t.stale <- true
+let now t = t.clock.now
 
 let grow t =
   let n = Array.length t.runs in
@@ -149,7 +133,7 @@ let step t =
   else begin
     let at = Float.Array.unsafe_get t.times 0 and f = Array.unsafe_get t.runs 0 in
     remove_min t;
-    set_clock t (fmax t.clock.now at);
+    t.clock.now <- fmax t.clock.now at;
     f ();
     true
   end
@@ -162,7 +146,7 @@ let run ?until ?(max_events = 200_000_000) t =
     else
       match until with
       | Some u when Float.Array.unsafe_get t.times 0 > u ->
-        set_clock t (fmax t.clock.now u);
+        t.clock.now <- fmax t.clock.now u;
         stop := true
       | _ ->
         incr count;

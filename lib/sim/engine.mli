@@ -10,7 +10,7 @@
     {!schedule_after} and {!step} allocate nothing of their own (the
     arrays grow by doubling, which is amortised): the closure a caller
     builds, if it builds one per event, is the event's only heap
-    object. {!now} boxes the clock at most once per value it takes. *)
+    object. *)
 
 type t
 

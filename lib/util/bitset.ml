@@ -120,10 +120,10 @@ let count t =
   done;
   !n
 
-let first_set_from t start =
-  if start >= t.bits then None
+let next_set_from t start =
+  let start = if start < 0 then 0 else start in
+  if start >= t.bits then -1
   else begin
-    let start = if start < 0 then 0 else start in
     let nwords = word_count t in
     let k = ref (start lsr 6) and found = ref (-1) in
     let w = Int64.logand (get_word t !k) (Int64.shift_left (-1L) (start land 63)) in
@@ -133,8 +133,13 @@ let first_set_from t start =
       let w = get_word t !k in
       if w <> 0L then found := (!k lsl 6) + ntz64 w
     done;
-    if !found < 0 then None else Some !found
+    !found
   end
+
+let first_set_from t start =
+  match next_set_from t start with
+  | -1 -> None
+  | i -> Some i
 
 let first_set t = first_set_from t 0
 
@@ -233,6 +238,12 @@ let or_into ~into src =
 let copy_into ~into src =
   if into.bits <> src.bits then invalid_arg "Bitset.copy_into: length mismatch";
   Bytes.blit src.store 0 into.store 0 (Bytes.length src.store)
+
+let extend t bits =
+  if bits < t.bits then invalid_arg "Bitset.extend";
+  let u = create bits in
+  Bytes.blit t.store 0 u.store 0 (Bytes.length t.store);
+  u
 
 let equal a b = a.bits = b.bits && Bytes.equal a.store b.store
 

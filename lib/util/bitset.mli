@@ -7,7 +7,9 @@
     [intersects]) operate on whole little-endian words with popcount /
     trailing-zero-count tricks and allocate nothing beyond an [option]
     result; the virtual-time charge accounting (per logical byte) is
-    unchanged. *)
+    unchanged. The cluster's per-node thread indexes are bitsets too,
+    indexed by thread id, walked with {!next_set_from} and grown with
+    {!extend}. *)
 
 type t
 
@@ -43,6 +45,11 @@ val first_set : t -> int option
 (** [first_set_from t i] is the lowest set bit index [>= i], or [None]. *)
 val first_set_from : t -> int -> int option
 
+(** [next_set_from t i] is the lowest set bit index [>= i], or [-1]:
+    {!first_set_from} without the [option], so a loop over the set bits
+    allocates nothing. *)
+val next_set_from : t -> int -> int
+
 (** [find_run t n] is the start of the lowest run of [n] consecutive set
     bits, or [None]. First-fit, as in the paper's multi-slot search. *)
 val find_run : t -> int -> int option
@@ -59,6 +66,11 @@ val or_into : into:t -> t -> unit
 (** [copy_into ~into src] makes [into] a copy of [src] in place,
     allocating nothing. Lengths must match. *)
 val copy_into : into:t -> t -> unit
+
+(** [extend t n] is a fresh bitset of [n] bits holding [t]'s bits, the
+    rest cleared: how a set that outgrows its length is grown.
+    @raise Invalid_argument if [n < length t]. *)
+val extend : t -> int -> t
 
 (** [equal a b] is structural equality (same length, same bits). *)
 val equal : t -> t -> bool

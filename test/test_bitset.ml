@@ -226,6 +226,7 @@ let test_scans_allocate_nothing () =
       ("find_run 2", fun _ -> ignore (Sys.opaque_identity (Bitset.find_run b 2)));
       ("find_run 1", fun _ -> ignore (Sys.opaque_identity (Bitset.find_run b 1)));
       ("first_set_from", fun i -> ignore (Sys.opaque_identity (Bitset.first_set_from b (i * 50))));
+      ("next_set_from", fun i -> ignore (Sys.opaque_identity (Bitset.next_set_from b (i * 50))));
       ("count", fun _ -> ignore (Sys.opaque_identity (Bitset.count b)));
       ("intersects", fun _ -> ignore (Sys.opaque_identity (Bitset.intersects b other)));
       ("iter_set", fun _ -> Bitset.iter_set (fun _ -> ()) b);
@@ -288,8 +289,103 @@ let prop_differential =
        chk (Bitset.first_set w = Bitset_ref.first_set r);
        !ok)
 
+(* Ids filed per node in bitsets that grow by [extend] when an id
+   outgrows them, as the cluster's per-node thread indexes are, against a
+   per-node [Map.Make (Int)] model: adds, removes and moves of ids
+   between nodes, with ids that cross word boundaries and force growth
+   from an empty set. *)
+module Int_map = Map.Make (Int)
+
+type index_op =
+  | Add of int * int (* node, id *)
+  | Remove of int * int
+  | Move of int * int * int (* id, from, to *)
+
+let index_nodes = 3
+
+let print_index_op = function
+  | Add (n, i) -> Printf.sprintf "Add(%d,%d)" n i
+  | Remove (n, i) -> Printf.sprintf "Remove(%d,%d)" n i
+  | Move (i, a, b) -> Printf.sprintf "Move(%d,%d->%d)" i a b
+
+let prop_grown_index =
+  let open QCheck2.Gen in
+  let id = oneof [ int_range 0 40; int_range 0 300; oneofl [ 31; 32; 63; 64; 127; 128; 255; 256 ] ] in
+  let node = int_range 0 (index_nodes - 1) in
+  let op =
+    oneof
+      [ map2 (fun n i -> Add (n, i)) node id; map2 (fun n i -> Remove (n, i)) node id;
+        map3 (fun i a b -> Move (i, a, b)) id node node ]
+  in
+  QCheck2.Test.make ~name:"grown per-node bitsets agree with a Map model" ~count:300
+    ~print:QCheck2.Print.(list print_index_op)
+    (list_size (int_range 0 120) op)
+    (fun ops ->
+       let sets = Array.make index_nodes (Bitset.create 0) in
+       let model = Array.make index_nodes Int_map.empty in
+       let add n i =
+         if i >= Bitset.length sets.(n) then
+           sets.(n) <- Bitset.extend sets.(n) (max (2 * Bitset.length sets.(n)) (i + 1));
+         Bitset.set sets.(n) i;
+         model.(n) <- Int_map.add i () model.(n)
+       and remove n i =
+         if i < Bitset.length sets.(n) then Bitset.clear sets.(n) i;
+         model.(n) <- Int_map.remove i model.(n)
+       in
+       (* Members ascending through [iter_set] and a [next_set_from] walk,
+          [next_set_from] from every start, and [count]. *)
+       let agree n =
+         let s = sets.(n) and m = model.(n) in
+         let keys = List.map fst (Int_map.bindings m) in
+         let iterated = ref [] in
+         Bitset.iter_set (fun i -> iterated := i :: !iterated) s;
+         let rec walk i acc =
+           match Bitset.next_set_from s i with -1 -> List.rev acc | j -> walk (j + 1) (j :: acc)
+         in
+         List.rev !iterated = keys
+         && walk 0 [] = keys
+         && Bitset.count s = Int_map.cardinal m
+         && List.for_all
+              (fun i ->
+                 Bitset.next_set_from s i
+                 = match Int_map.find_first_opt (fun k -> k >= i) m with
+                   | Some (k, ()) -> k
+                   | None -> -1)
+              (List.init 520 (fun i -> i - 2))
+       in
+       List.for_all
+         (fun op ->
+            (match op with
+             | Add (n, i) -> add n i
+             | Remove (n, i) -> remove n i
+             | Move (i, a, b) ->
+               remove a i;
+               add b i);
+            List.for_all agree (List.init index_nodes Fun.id))
+         ops)
+
+let test_extend () =
+  let b = Bitset.create 70 in
+  List.iter (Bitset.set b) [ 0; 63; 64; 69 ];
+  let e = Bitset.extend b 200 in
+  Alcotest.(check int) "length" 200 (Bitset.length e);
+  Alcotest.(check (list int)) "same bits" [ 0; 63; 64; 69 ]
+    (let l = ref [] in
+     Bitset.iter_set (fun i -> l := i :: !l) e;
+     List.rev !l);
+  Bitset.set e 199;
+  Alcotest.(check int) "original untouched" 4 (Bitset.count b);
+  Alcotest.(check int) "next_set_from past the old end" 199 (Bitset.next_set_from e 70);
+  Alcotest.(check int) "next_set_from past the end" (-1) (Bitset.next_set_from e 200);
+  Alcotest.(check bool) "extend to the same length is equal" true
+    (Bitset.equal b (Bitset.extend b 70));
+  Alcotest.check_raises "shrinking" (Invalid_argument "Bitset.extend") (fun () ->
+      ignore (Bitset.extend b 69))
+
 let tests =
   [
+    Alcotest.test_case "extend" `Quick test_extend;
+    QCheck_alcotest.to_alcotest prop_grown_index;
     Alcotest.test_case "create empty" `Quick test_create_empty;
     Alcotest.test_case "set/get/clear" `Quick test_set_get_clear;
     Alcotest.test_case "bounds checking" `Quick test_bounds;

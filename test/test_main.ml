@@ -8,7 +8,6 @@ let () =
       ("util.vec", Test_vec.tests);
       ("util.bitset", Test_bitset.tests);
       ("util.dlist", Test_dlist.tests);
-      ("util.tid_set", Test_tid_set.tests);
       ("util.prng+stats", Test_prng_stats.tests);
       ("vmem", Test_vmem.tests);
       ("sim", Test_sim.tests);
