@@ -11,18 +11,23 @@
    - F11a: the sub-slot isomalloc fast path vs the malloc baseline;
    - F11b: multi-slot isomalloc (negotiation + merged slot) vs malloc;
    - T1:  a full pack/transfer/unpack migration round trip;
-   - T2:  one negotiation protocol execution.
+   - T2:  one negotiation protocol execution;
+   - C1:  the pm2-ctl/1 client's reader: [Json.parse] of a mix of event
+     pushes and replies shaped like a ctl session's, against the
+     [char option] reference reader [Json_ref].
 
    These complement the virtual-time figures: virtual time tells you what
    the modelled 1999 cluster would measure; these tell you what the OCaml
    implementation costs on the host today. Results are recorded into
-   {!Report} (suite "bechamel" / "bitset") for BENCH_results.json. *)
+   {!Report} (suite "bechamel" / "bitset" / "json") for
+   BENCH_results.json. *)
 
 open Bechamel
 open Toolkit
 open Pm2_core
 module Bitset = Pm2_util.Bitset
 module Bitset_ref = Pm2_support.Bitset_ref
+module Json_ref = Pm2_support.Json_ref
 
 (* Each staged function allocates and frees (or migrates back and forth),
    so the simulated state is in steady state across samples. *)
@@ -145,6 +150,47 @@ let test_t2_negotiation () =
   bench "T2: negotiation protocol (4 nodes)" (fun () ->
       ignore (Negotiation.execute neg ~requester:0 ~n:4))
 
+(* -- the pm2-ctl/1 reader -- *)
+
+(* About what a ctl session's client reads, by bytes: seven in ten are
+   event pushes (mostly packet traffic, stamped with non-integral
+   times), the rest replies, mostly thread lists. *)
+let ctl_frame_mix =
+  let module P = Pm2_svc.Protocol in
+  let module E = Pm2_obs.Event in
+  let events =
+    [ E.Packet_send { src = 0; dst = 2; bytes = 4152 };
+      E.Packet_deliver { src = 0; dst = 2; bytes = 4152 };
+      E.Block_alloc { heap = E.Iso; addr = 0x7f3a_2000; bytes = 96 };
+      E.Net_retransmit { src = 1; dst = 3; seq = 118; attempt = 2; bytes = 576 };
+      E.Migration_phase { tid = 37; phase = E.Pack; bytes = 12_800; slots = 3; dur = 18.4 };
+      E.Checkpoint { tid = 41; node = 1; bytes = 2048; full_bytes = 65_536; new_pages = 1 };
+      E.Thread_printf { tid = 33; text = "iteration 12 on node 2" } ]
+  in
+  let pushes =
+    List.concat (List.init 4 (fun _ -> events))
+    |> List.mapi (fun i ev ->
+        P.encode_event ~sub:1 ~time:(1000. +. (float_of_int i *. 12.7)) ~node:(i mod 4) ev)
+  in
+  let threads =
+    List.init 40 (fun i ->
+        { Pm2_svc.Session.ti_tid = 32 + i; ti_node = i mod 4;
+          ti_state = (if i mod 3 = 0 then "blocked" else "ready");
+          ti_pending_dest = None })
+  in
+  pushes
+  @ [ P.encode_reply ~id:7 (Ok (P.Threads threads));
+      P.encode_reply ~id:8 (Ok (P.Stepped { events = 64; time = 1355.6; live = 40; pending = 17 }))
+    ]
+
+let test_c1_parse () =
+  bench "C1: Json.parse, ctl frame mix (new)" (fun () ->
+      List.iter (fun s -> ignore (Pm2_obs.Json.parse s)) ctl_frame_mix)
+
+let test_c1_parse_ref () =
+  bench "C1: Json.parse, ctl frame mix (ref)" (fun () ->
+      List.iter (fun s -> ignore (Json_ref.parse s)) ctl_frame_mix)
+
 (* Run [benches] under bechamel and return [(name, ns_per_op, r2)] rows,
    sorted by name. *)
 let measure ~quota benches =
@@ -187,28 +233,31 @@ let find_ns rows needle =
        if contains then Some ns else None)
     rows
 
-(* Record the rows and the word-vs-ref speedups into the report. *)
+(* Record the rows and each fast-vs-reference speedup into the report. *)
 let record_rows rows =
   List.iter
     (fun (name, ns, r2) ->
        Report.record ~suite:"bechamel" ~name [ ("ns_per_op", ns); ("r_square", r2) ])
     rows;
   List.iter
-    (fun (label, tag) ->
+    (fun (label, fast, suite, tag, params) ->
        match
-         ( find_ns rows (Printf.sprintf "%s (word)" label),
+         ( find_ns rows (Printf.sprintf "%s (%s)" label fast),
            find_ns rows (Printf.sprintf "%s (ref)" label) )
        with
        | Some w, Some r when w > 0. ->
-         Report.record ~suite:"bitset" ~name:tag
-           ~params:[ ("bits", string_of_int bitset_bits) ]
-           [ ("word_ns_per_op", w); ("ref_ns_per_op", r); ("speedup_vs_ref", r /. w) ]
+         Report.record ~suite ~name:tag ~params
+           [ (fast ^ "_ns_per_op", w); ("ref_ns_per_op", r); ("speedup_vs_ref", r /. w) ]
        | _ -> ())
-    [
-      ("B1: Bitset.first_set_from, sparse 57344b", "first_set_from");
-      ("B2: Bitset.find_run 8, scattered 57344b", "find_run");
-      ("B3: Bitset.find_run 2, round-robin 57344b", "find_run_round_robin");
-    ]
+    (let bits = [ ("bits", string_of_int bitset_bits) ] in
+     [
+       ("B1: Bitset.first_set_from, sparse 57344b", "word", "bitset", "first_set_from", bits);
+       ("B2: Bitset.find_run 8, scattered 57344b", "word", "bitset", "find_run", bits);
+       ("B3: Bitset.find_run 2, round-robin 57344b", "word", "bitset", "find_run_round_robin",
+        bits);
+       ( "C1: Json.parse, ctl frame mix", "new", "json", "parse_ctl_mix",
+         [ ("frames", string_of_int (List.length ctl_frame_mix)) ] );
+     ])
 
 let print_rows rows =
   let t = Pm2_support.Table.create [ "benchmark"; "ns/op (host)"; "r^2" ] in
@@ -229,6 +278,8 @@ let full_tests () =
     test_f11b_isomalloc ();
     test_t1_migration ();
     test_t2_negotiation ();
+    test_c1_parse ();
+    test_c1_parse_ref ();
   ]
 
 let run_suite () =
@@ -239,9 +290,9 @@ let run_suite () =
   Harness.note "host wall-clock of the same code paths the virtual-time figures model;";
   Harness.note "they measure this OCaml implementation, not the 1999 testbed"
 
-(* Trimmed variant for the @perf-smoke alias: the bitset pairs (the
-   speedup entries the trajectory tracks) plus the F11a fast path, under
-   a short quota. *)
+(* Trimmed variant for the @perf-smoke alias: the bitset and reader
+   pairs (the speedup entries the trajectory tracks and check_bench
+   gates) plus the F11a fast path, under a short quota. *)
 let run_smoke () =
   Harness.section "Bechamel (smoke): trimmed wall-clock suite";
   let rows =
@@ -255,6 +306,8 @@ let run_smoke () =
         test_bitset_round_robin_ref ();
         test_f11a_malloc ();
         test_f11a_isomalloc ();
+        test_c1_parse ();
+        test_c1_parse_ref ();
       ]
   in
   print_rows rows;

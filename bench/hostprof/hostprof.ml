@@ -3,7 +3,10 @@
      hostprof.exe WORKLOAD [--seconds S]
 
    WORKLOAD is compute, swarm, isochurn or ctl (ctl runs in-process,
-   through the session the daemon would drive, without the socket). The
+   through the session the daemon would drive, without the socket:
+   [Ctl.replay] encodes event pushes but never decodes them, as the
+   socket client does for every push, so this mode understates what
+   the pm2-ctl/1 codec costs a ctl session). The
    workload is run over and over with seed 1, untraced, for S seconds of
    process CPU time while an ITIMER_PROF timer asks for a SIGPROF every
    CPU millisecond (the kernel delivers fewer); each signal records the

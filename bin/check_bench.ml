@@ -22,7 +22,9 @@
    dispatch is recorded, not gated: host state moves it more than the
    charge path does). For "bitset" the
    round-robin multi-slot search must beat the bit-by-bit reference by
-   at least 10x. For "migration"/"host-hop" the page-ownership direct
+   at least 10x; for "json" the cursor reader must parse the ctl frame
+   mix at least 1.5x as fast as the reference reader. For
+   "migration"/"host-hop" the page-ownership direct
    hop must beat the buffered pack/unpack image it models by at least
    2x host time. For "balancer-scale" (Threshold rounds over workers
    born on one node) 2000 workers may cost at most 1.5x the minor-heap
@@ -171,6 +173,10 @@ let check_known_suite ~suite ~name metrics =
   | "bitset", "find_run_round_robin" ->
     if get "speedup_vs_ref" < 10. then
       fail "%s/%s: round-robin find_run %.2fx over the reference, below the 10x bar"
+        suite name (get "speedup_vs_ref")
+  | "json", "parse_ctl_mix" ->
+    if get "speedup_vs_ref" < 1.5 then
+      fail "%s/%s: the cursor reader %.2fx over the reference, below the 1.5x bar"
         suite name (get "speedup_vs_ref")
   | "balancer-scale", "flatness" ->
     if get "minor_words_per_event_ratio" > 1.5 then

@@ -42,6 +42,7 @@ type daemon = {
   clients : (Unix.file_descr, client) Hashtbl.t;
   mutable stopping : bool;
   rbuf : Bytes.t; (* every client's reads land here first *)
+  frame : Buffer.t; (* every outgoing frame is encoded here first *)
 }
 
 (* Bound on a single frame; a client that exceeds it is protocol-broken
@@ -51,13 +52,13 @@ let max_frame = 4 * 1024 * 1024
 
 let queued c = c.out_len - c.out_pos
 
-(* Append in place, so each queued byte is copied O(1) times. The live
-   region moves to the front only once at least as many bytes have been
-   sent as remain queued, which pays for the move; otherwise the buffer
-   doubles. A client over the cap stops queueing here and is dropped by
+(* Append [frame] and a newline in place, so each queued byte is copied
+   O(1) times. The live region moves to the front only once at least as
+   many bytes have been sent as remain queued, which pays for the move;
+   otherwise the buffer doubles. A client over the cap stops queueing here and is dropped by
    the select loop, never from inside an event sink or a table walk. *)
-let enqueue c line =
-  let n = String.length line + 1 in
+let enqueue c frame =
+  let n = Buffer.length frame + 1 in
   if c.over_cap then ()
   else if queued c + n > max_frame then c.over_cap <- true
   else begin
@@ -73,12 +74,19 @@ let enqueue c line =
       c.out_pos <- 0;
       c.out_len <- live
     end;
-    Bytes.blit_string line 0 c.out c.out_len (n - 1);
+    Buffer.blit frame 0 c.out c.out_len (n - 1);
     Bytes.set c.out (c.out_len + n - 1) '\n';
     c.out_len <- c.out_len + n
   end
 
-let reply c ~id result = enqueue c (Protocol.encode_reply ~id result)
+(* Replies and event pushes are encoded into the daemon's one frame
+   buffer, then queued. A reply past 64 KiB (a large threads or metrics
+   list) gives that memory back. *)
+let reply d c ~id result =
+  Buffer.clear d.frame;
+  Protocol.write_reply d.frame ~id result;
+  enqueue c d.frame;
+  if Buffer.length d.frame > 65536 then Buffer.reset d.frame
 
 let drop_client d c =
   List.iter (fun s -> Session.unsubscribe d.session s) c.subs;
@@ -97,7 +105,7 @@ let begin_shutdown d =
         match c.run_id with
         | Some id ->
           c.run_id <- None;
-          reply c ~id (Error (Protocol.err_of_error Session.Shutting_down))
+          reply d c ~id (Error (Protocol.err_of_error Session.Shutting_down))
         | None -> ())
       d.clients
   end
@@ -110,19 +118,21 @@ let handle_request d c ~id req =
     let sub = ref (-1) in
     let s =
       Session.subscribe d.session (fun ~time ~node ev ->
-          enqueue c (Protocol.encode_event ~sub:!sub ~time ~node ev))
+          Buffer.clear d.frame;
+          Protocol.write_event d.frame ~sub:!sub ~time ~node ev;
+          enqueue c d.frame)
     in
     sub := s;
     c.subs <- s :: c.subs;
-    reply c ~id (Ok (Protocol.Subscribed { sub = s }))
+    reply d c ~id (Ok (Protocol.Subscribed { sub = s }))
   | Protocol.Unsubscribe { sub } ->
     if List.mem sub c.subs then begin
       Session.unsubscribe d.session sub;
       c.subs <- List.filter (fun s -> s <> sub) c.subs;
-      reply c ~id (Ok Protocol.Unsubscribed)
+      reply d c ~id (Ok Protocol.Unsubscribed)
     end
     else
-      reply c ~id
+      reply d c ~id
         (Error
            { Protocol.kind = Protocol.Bad_request;
              msg = Printf.sprintf "subscription %d is not owned by this client" sub })
@@ -130,19 +140,19 @@ let handle_request d c ~id req =
     (* Served incrementally: the select loop steps the engine in slices
        and replies when the queue drains, so other clients stay live. *)
     if c.run_id <> None then
-      reply c ~id
+      reply d c ~id
         (Error { Protocol.kind = Protocol.Bad_request; msg = "a run is already in flight" })
     else c.run_id <- Some id
   | Protocol.Shutdown ->
-    reply c ~id (Ok Protocol.Bye);
+    reply d c ~id (Ok Protocol.Bye);
     begin_shutdown d
-  | req -> reply c ~id (Protocol.apply d.session req)
+  | req -> reply d c ~id (Protocol.apply d.session req)
 
 let handle_line d c line =
   if String.trim line <> "" then
     match Protocol.decode_request line with
     | Ok (id, req) -> handle_request d c ~id req
-    | Error (id, err) -> reply c ~id (Error err)
+    | Error (id, err) -> reply d c ~id (Error err)
 
 let read_client d c =
   match Unix.read c.fd d.rbuf 0 (Bytes.length d.rbuf) with
@@ -199,7 +209,7 @@ let step_slice d =
         match c.run_id with
         | Some id ->
           c.run_id <- None;
-          reply c ~id (Ok (Protocol.Ran { time; live }))
+          reply d c ~id (Ok (Protocol.Ran { time; live }))
         | None -> ())
       d.clients
   end
@@ -323,6 +333,7 @@ let main socket nodes scheme faults seed delta checkpoint_interval trace =
       clients = Hashtbl.create 8;
       stopping = false;
       rbuf = Bytes.create 65536;
+      frame = Buffer.create 4096;
     }
 
 let cmd =

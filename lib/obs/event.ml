@@ -105,15 +105,6 @@ and fault_kind =
   | Duplicate
   | Corrupt
 
-let heap_name = function Local -> "local" | Iso -> "iso"
-
-let fault_name = function
-  | Drop_loss -> "drop.loss"
-  | Drop_partition -> "drop.partition"
-  | Drop_dead -> "drop.dead"
-  | Duplicate -> "dup"
-  | Corrupt -> "corrupt"
-
 let phase_name = function
   | Pack -> "pack"
   | Send -> "send"
@@ -131,15 +122,24 @@ let span_kind_name = function
   | Rollback -> "rollback"
   | Delta_refetch -> "delta_refetch"
 
+(* Literals, not concatenations: the metrics sink and every event
+   writer ask for the name of each event. *)
 let name = function
   | Slot_reserve _ -> "slot.reserve"
   | Slot_release _ -> "slot.release"
   | Slot_transfer _ -> "slot.transfer"
-  | Block_alloc { heap; _ } -> "heap." ^ heap_name heap ^ ".alloc"
-  | Block_free { heap; _ } -> "heap." ^ heap_name heap ^ ".free"
-  | Block_split { heap; _ } -> "heap." ^ heap_name heap ^ ".split"
-  | Block_coalesce { heap; _ } -> "heap." ^ heap_name heap ^ ".coalesce"
-  | Migration_phase { phase; _ } -> "migration." ^ phase_name phase
+  | Block_alloc { heap = Local; _ } -> "heap.local.alloc"
+  | Block_alloc { heap = Iso; _ } -> "heap.iso.alloc"
+  | Block_free { heap = Local; _ } -> "heap.local.free"
+  | Block_free { heap = Iso; _ } -> "heap.iso.free"
+  | Block_split { heap = Local; _ } -> "heap.local.split"
+  | Block_split { heap = Iso; _ } -> "heap.iso.split"
+  | Block_coalesce { heap = Local; _ } -> "heap.local.coalesce"
+  | Block_coalesce { heap = Iso; _ } -> "heap.iso.coalesce"
+  | Migration_phase { phase = Pack; _ } -> "migration.pack"
+  | Migration_phase { phase = Send; _ } -> "migration.send"
+  | Migration_phase { phase = Remap; _ } -> "migration.remap"
+  | Migration_phase { phase = Restart; _ } -> "migration.restart"
   | Pack_slot _ -> "migration.pack_slot"
   | Unpack_slot _ -> "migration.unpack_slot"
   | Neg_request _ -> "negotiation.request"
@@ -148,7 +148,11 @@ let name = function
   | Neg_deny _ -> "negotiation.deny"
   | Packet_send _ -> "net.send"
   | Packet_deliver _ -> "net.deliver"
-  | Fault_inject { kind; _ } -> "fault." ^ fault_name kind
+  | Fault_inject { kind = Drop_loss; _ } -> "fault.drop.loss"
+  | Fault_inject { kind = Drop_partition; _ } -> "fault.drop.partition"
+  | Fault_inject { kind = Drop_dead; _ } -> "fault.drop.dead"
+  | Fault_inject { kind = Duplicate; _ } -> "fault.dup"
+  | Fault_inject { kind = Corrupt; _ } -> "fault.corrupt"
   | Node_kill _ -> "node.kill"
   | Node_restart _ -> "node.restart"
   | Net_retransmit _ -> "net.retransmit"
@@ -158,7 +162,10 @@ let name = function
   | Migration_rollback _ -> "migration.rollback"
   | Neg_abort _ -> "negotiation.abort"
   | Group_migration_start _ -> "group_migration.start"
-  | Group_migration_phase { phase; _ } -> "group_migration." ^ phase_name phase
+  | Group_migration_phase { phase = Pack; _ } -> "group_migration.pack"
+  | Group_migration_phase { phase = Send; _ } -> "group_migration.send"
+  | Group_migration_phase { phase = Remap; _ } -> "group_migration.remap"
+  | Group_migration_phase { phase = Restart; _ } -> "group_migration.restart"
   | Group_migration_commit _ -> "group_migration.commit"
   | Group_migration_abort _ -> "group_migration.abort"
   | Train_send _ -> "net.train_send"
@@ -167,7 +174,15 @@ let name = function
   | Delta_hit _ -> "delta.hit"
   | Delta_miss _ -> "delta.miss"
   | Delta_evict _ -> "delta.evict"
-  | Span_end { kind; _ } -> "span." ^ span_kind_name kind
+  | Span_end { kind = Migration; _ } -> "span.migration"
+  | Span_end { kind = Negotiate; _ } -> "span.negotiate"
+  | Span_end { kind = Probe; _ } -> "span.probe"
+  | Span_end { kind = (Pack : span_kind); _ } -> "span.pack"
+  | Span_end { kind = Train; _ } -> "span.train"
+  | Span_end { kind = Unpack; _ } -> "span.unpack"
+  | Span_end { kind = Commit; _ } -> "span.commit"
+  | Span_end { kind = Rollback; _ } -> "span.rollback"
+  | Span_end { kind = Delta_refetch; _ } -> "span.delta_refetch"
   | Thread_printf _ -> "thread.printf"
   | Node_crash _ -> "node.crash"
   | Node_suspected _ -> "node.suspected"
@@ -177,77 +192,79 @@ let name = function
   | Thread_lost _ -> "recover.lost"
   | Delta_invalidate _ -> "delta.invalidate"
 
+let i = Json.int_field
+let f = Json.num_field
+let s = Json.str_field
+let b = Json.bool_field
+
 (* The one definition of each event's wire fields and their order: the
    JSON-lines stream, the flight recorder, pm2-ctl/1 event pushes and the
-   Chrome exporter's [args] all write them through here. *)
+   Chrome exporter's [args] all write them through here. It allocates
+   nothing of its own. *)
 let write_fields w ev =
-  let i k v = Json.int_field w k v in
-  let f k v = Json.num_field w k v in
-  let s k v = Json.str_field w k v in
-  let b k v = Json.bool_field w k v in
   match ev with
   | Slot_reserve { slot; n; cache_hit } ->
-    i "slot" slot; i "n" n; b "cache_hit" cache_hit
-  | Slot_release { slot; cached } -> i "slot" slot; b "cached" cached
+    i w "slot" slot; i w "n" n; b w "cache_hit" cache_hit
+  | Slot_release { slot; cached } -> i w "slot" slot; b w "cached" cached
   | Slot_transfer { slot; seller; buyer } ->
-    i "slot" slot; i "seller" seller; i "buyer" buyer
+    i w "slot" slot; i w "seller" seller; i w "buyer" buyer
   | Block_alloc { addr; bytes; _ } | Block_free { addr; bytes; _ }
   | Block_split { addr; bytes; _ } | Block_coalesce { addr; bytes; _ } ->
-    i "addr" addr; i "bytes" bytes
+    i w "addr" addr; i w "bytes" bytes
   | Migration_phase { tid; bytes; slots; dur; _ } ->
-    i "tid" tid; i "bytes" bytes; i "slots" slots; f "dur" dur
+    i w "tid" tid; i w "bytes" bytes; i w "slots" slots; f w "dur" dur
   | Pack_slot { tid; slot; bytes } | Unpack_slot { tid; slot; bytes } ->
-    i "tid" tid; i "slot" slot; i "bytes" bytes
-  | Neg_request { requester; n } -> i "requester" requester; i "n" n
+    i w "tid" tid; i w "slot" slot; i w "bytes" bytes
+  | Neg_request { requester; n } -> i w "requester" requester; i w "n" n
   | Neg_round { requester; peer; bytes } ->
-    i "requester" requester; i "peer" peer; i "bytes" bytes
+    i w "requester" requester; i w "peer" peer; i w "bytes" bytes
   | Neg_grant { requester; start; n; bought; dur } ->
-    i "requester" requester; i "start" start; i "n" n; i "bought" bought; f "dur" dur
-  | Neg_deny { requester; n; dur } -> i "requester" requester; i "n" n; f "dur" dur
+    i w "requester" requester; i w "start" start; i w "n" n; i w "bought" bought; f w "dur" dur
+  | Neg_deny { requester; n; dur } -> i w "requester" requester; i w "n" n; f w "dur" dur
   | Packet_send { src; dst; bytes } | Packet_deliver { src; dst; bytes }
   | Fault_inject { src; dst; bytes; _ } ->
-    i "src" src; i "dst" dst; i "bytes" bytes
-  | Node_kill { node } | Node_restart { node } -> i "node" node
+    i w "src" src; i w "dst" dst; i w "bytes" bytes
+  | Node_kill { node } | Node_restart { node } -> i w "node" node
   | Net_retransmit { src; dst; seq; attempt; bytes } ->
-    i "src" src; i "dst" dst; i "seq" seq; i "attempt" attempt; i "bytes" bytes
-  | Net_dup_suppress { src; dst; seq } -> i "src" src; i "dst" dst; i "seq" seq
+    i w "src" src; i w "dst" dst; i w "seq" seq; i w "attempt" attempt; i w "bytes" bytes
+  | Net_dup_suppress { src; dst; seq } -> i w "src" src; i w "dst" dst; i w "seq" seq
   | Net_give_up { src; dst; seq; attempts } ->
-    i "src" src; i "dst" dst; i "seq" seq; i "attempts" attempts
+    i w "src" src; i w "dst" dst; i w "seq" seq; i w "attempts" attempts
   | Migration_abort { tid; src; dst; reason } ->
-    i "tid" tid; i "src" src; i "dst" dst; s "reason" reason
-  | Migration_rollback { tid; node; slots } -> i "tid" tid; i "node" node; i "slots" slots
+    i w "tid" tid; i w "src" src; i w "dst" dst; s w "reason" reason
+  | Migration_rollback { tid; node; slots } -> i w "tid" tid; i w "node" node; i w "slots" slots
   | Neg_abort { requester; n; lease_until } ->
-    i "requester" requester; i "n" n; f "lease_until" lease_until
+    i w "requester" requester; i w "n" n; f w "lease_until" lease_until
   | Group_migration_start { gid; src; dst; members } ->
-    i "gid" gid; i "src" src; i "dst" dst; i "members" members
+    i w "gid" gid; i w "src" src; i w "dst" dst; i w "members" members
   | Group_migration_phase { gid; members; bytes; slots; dur; _ } ->
-    i "gid" gid; i "members" members; i "bytes" bytes; i "slots" slots; f "dur" dur
+    i w "gid" gid; i w "members" members; i w "bytes" bytes; i w "slots" slots; f w "dur" dur
   | Group_migration_commit { gid; dst; members; bytes } ->
-    i "gid" gid; i "dst" dst; i "members" members; i "bytes" bytes
+    i w "gid" gid; i w "dst" dst; i w "members" members; i w "bytes" bytes
   | Group_migration_abort { gid; src; dst; reason } ->
-    i "gid" gid; i "src" src; i "dst" dst; s "reason" reason
+    i w "gid" gid; i w "src" src; i w "dst" dst; s w "reason" reason
   | Train_send { src; dst; train; frags; bytes } ->
-    i "src" src; i "dst" dst; i "train" train; i "frags" frags; i "bytes" bytes
+    i w "src" src; i w "dst" dst; i w "train" train; i w "frags" frags; i w "bytes" bytes
   | Train_retransmit { src; dst; train; attempt; bytes } ->
-    i "src" src; i "dst" dst; i "train" train; i "attempt" attempt; i "bytes" bytes
-  | Train_ack { src; dst; train } -> i "src" src; i "dst" dst; i "train" train
-  | Delta_hit { tid; pages } | Delta_miss { tid; pages } -> i "tid" tid; i "pages" pages
-  | Delta_evict { tid; bytes } -> i "tid" tid; i "bytes" bytes
+    i w "src" src; i w "dst" dst; i w "train" train; i w "attempt" attempt; i w "bytes" bytes
+  | Train_ack { src; dst; train } -> i w "src" src; i w "dst" dst; i w "train" train
+  | Delta_hit { tid; pages } | Delta_miss { tid; pages } -> i w "tid" tid; i w "pages" pages
+  | Delta_evict { tid; bytes } -> i w "tid" tid; i w "bytes" bytes
   | Span_end { trace; span; parent; kind; start; dur; host_us; note } ->
-    i "trace" trace; i "span" span; i "parent" parent; s "kind" (span_kind_name kind);
-    f "start" start; f "dur" dur; f "host_us" host_us;
-    if note <> "" then s "note" note
-  | Thread_printf { tid; text } -> i "tid" tid; s "text" text
-  | Node_crash { node; threads } -> i "node" node; i "threads" threads
-  | Node_suspected { node; by } | Node_dead { node; by } -> i "node" node; i "by" by
+    i w "trace" trace; i w "span" span; i w "parent" parent; s w "kind" (span_kind_name kind);
+    f w "start" start; f w "dur" dur; f w "host_us" host_us;
+    if note <> "" then s w "note" note
+  | Thread_printf { tid; text } -> i w "tid" tid; s w "text" text
+  | Node_crash { node; threads } -> i w "node" node; i w "threads" threads
+  | Node_suspected { node; by } | Node_dead { node; by } -> i w "node" node; i w "by" by
   | Checkpoint { tid; node; bytes; full_bytes; new_pages } ->
-    i "tid" tid; i "node" node; i "bytes" bytes; i "full_bytes" full_bytes;
-    i "new_pages" new_pages
+    i w "tid" tid; i w "node" node; i w "bytes" bytes; i w "full_bytes" full_bytes;
+    i w "new_pages" new_pages
   | Thread_restore { tid; node; from_node; gen } ->
-    i "tid" tid; i "node" node; i "from_node" from_node; i "gen" gen
-  | Thread_lost { tid; node; reason } -> i "tid" tid; i "node" node; s "reason" reason
+    i w "tid" tid; i w "node" node; i w "from_node" from_node; i w "gen" gen
+  | Thread_lost { tid; node; reason } -> i w "tid" tid; i w "node" node; s w "reason" reason
   | Delta_invalidate { node; peer; entries } ->
-    i "node" node; i "peer" peer; i "entries" entries
+    i w "node" node; i w "peer" peer; i w "entries" entries
 
 let write w ev =
   Json.str_field w "name" (name ev);

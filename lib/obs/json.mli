@@ -1,7 +1,16 @@
 (** A minimal JSON parser and writer — just enough to emit the
-    exporters' output and round-trip it (the toolchain ships no JSON
-    library, and the smoke tests must not invent a dependency). Numbers are floats; \u escapes
-    are decoded for the BMP only. *)
+    exporters' output and the pm2-ctl/1 frames and read them back (the
+    toolchain ships no JSON library, and the smoke tests must not
+    invent a dependency).
+
+    The reader is a cursor over the input: it reads byte codes, takes
+    a string without an escape as one [String.sub], reads
+    [-?[0-9]{1,15}] as an int (exact below 2^53) and every other number
+    with [float_of_string]. Numbers are floats; a \u escape takes
+    exactly four hex digits and is decoded for the BMP only.
+    Containers nest at most 64 deep: the 65th opening bracket is an
+    error at its offset, so a hostile input cannot grow the parser's
+    stack or heap with its nesting. *)
 
 type t =
   | Null
@@ -13,7 +22,8 @@ type t =
 
 exception Parse_error of string
 
-(** Whole-input parse: trailing non-whitespace is an error. *)
+(** Whole-input parse: trailing non-whitespace is an error. An error
+    reads ["<what> at offset <n>"], or ["trailing characters"]. *)
 val parse : string -> (t, string) result
 
 (** @raise Failure on malformed input. *)
@@ -32,7 +42,8 @@ val escape : string -> string
     events, and {!to_string} renders a tree with the same calls. Commas
     are placed by the writer. Numbers: integral values below 1e15 print
     like [%.0f] (["-0"] for [-0.]), other finite values as [%.17g],
-    non-finite ones as [null]. *)
+    non-finite ones as [null]. The writer allocates nothing of its own
+    but a [%.17g] rendering that differs from the last one. *)
 
 type writer
 

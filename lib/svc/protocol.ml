@@ -1,7 +1,6 @@
-(* pm2-ctl/1 — the versioned line/JSON control-plane codec. Requests and
-   replies are plain Json.Obj construction and event pushes are written
-   straight through the Json writer (field order is part of the golden
-   frame format); decoding is total — every failure, from malformed JSON to a
+(* pm2-ctl/1 — the versioned line/JSON control-plane codec. Requests,
+   replies and event pushes are written straight through the Json writer
+   (field order is part of the golden frame format); decoding is total — every failure, from malformed JSON to a
    bad policy sub-grammar, comes back as a typed [err], never an
    exception. *)
 
@@ -153,115 +152,182 @@ type frame =
 
 (* -- encoding -- *)
 
-let num i = Json.Num (float_of_int i)
-let jstr s = Json.Str s
+(* Every frame is written straight into a buffer through the Json
+   writer; the field order is part of the golden frame format. *)
 
-let line fields = Json.to_string (Json.Obj (("v", jstr version) :: fields))
+let open_frame w =
+  Json.obj_start w;
+  Json.str_field w "v" version
 
-let request_fields = function
-  | Hello -> [ ("req", jstr "hello") ]
-  | Submit { Session.entry; arg; node } ->
-    [ ("req", jstr "submit"); ("entry", jstr entry); ("arg", num arg); ("node", num node) ]
-  | Step { max_events } -> [ ("req", jstr "step"); ("events", num max_events) ]
-  | Run { until } ->
-    ("req", jstr "run")
-    :: (match until with None -> [] | Some u -> [ ("until", Json.Num u) ])
-  | Query_threads -> [ ("req", jstr "threads") ]
-  | Query_metrics -> [ ("req", jstr "metrics") ]
-  | Query_heat -> [ ("req", jstr "heat") ]
-  | Query_status -> [ ("req", jstr "status") ]
-  | Migrate { tid; dest } ->
-    [ ("req", jstr "migrate"); ("tid", num tid); ("dest", num dest) ]
-  | Migrate_group { tids; dest } ->
-    [ ("req", jstr "migrate-group"); ("tids", Json.Arr (List.map num tids)); ("dest", num dest) ]
-  | Inject_faults { spec } ->
-    [ ("req", jstr "inject-faults"); ("spec", jstr (Plan.spec_to_string spec)) ]
-  | Balance { policy; period } ->
-    [ ("req", jstr "balance");
-      ("policy", jstr (Balancer.Policy.to_string policy));
-      ("period", Json.Num period) ]
-  | Checkpoint -> [ ("req", jstr "checkpoint") ]
-  | Subscribe -> [ ("req", jstr "subscribe") ]
-  | Unsubscribe { sub } -> [ ("req", jstr "unsubscribe"); ("sub", num sub) ]
-  | Shutdown -> [ ("req", jstr "shutdown") ]
+let write_request buf ~id req =
+  let w = Json.writer buf in
+  open_frame w;
+  Json.int_field w "id" id;
+  let req_name n = Json.str_field w "req" n in
+  (match req with
+   | Hello -> req_name "hello"
+   | Submit { Session.entry; arg; node } ->
+     req_name "submit";
+     Json.str_field w "entry" entry;
+     Json.int_field w "arg" arg;
+     Json.int_field w "node" node
+   | Step { max_events } ->
+     req_name "step";
+     Json.int_field w "events" max_events
+   | Run { until } -> (
+     req_name "run";
+     match until with None -> () | Some u -> Json.num_field w "until" u)
+   | Query_threads -> req_name "threads"
+   | Query_metrics -> req_name "metrics"
+   | Query_heat -> req_name "heat"
+   | Query_status -> req_name "status"
+   | Migrate { tid; dest } ->
+     req_name "migrate";
+     Json.int_field w "tid" tid;
+     Json.int_field w "dest" dest
+   | Migrate_group { tids; dest } ->
+     req_name "migrate-group";
+     Json.key w "tids";
+     Json.arr_start w;
+     List.iter (Json.int w) tids;
+     Json.arr_end w;
+     Json.int_field w "dest" dest
+   | Inject_faults { spec } ->
+     req_name "inject-faults";
+     Json.str_field w "spec" (Plan.spec_to_string spec)
+   | Balance { policy; period } ->
+     req_name "balance";
+     Json.str_field w "policy" (Balancer.Policy.to_string policy);
+     Json.num_field w "period" period
+   | Checkpoint -> req_name "checkpoint"
+   | Subscribe -> req_name "subscribe"
+   | Unsubscribe { sub } ->
+     req_name "unsubscribe";
+     Json.int_field w "sub" sub
+   | Shutdown -> req_name "shutdown");
+  Json.obj_end w
 
-let encode_request ~id req = line (("id", num id) :: request_fields req)
+let to_line write =
+  let buf = Buffer.create 256 in
+  write buf;
+  Buffer.contents buf
 
-let thread_fields (ti : Session.thread_info) =
-  Json.Obj
-    (("tid", num ti.Session.ti_tid)
-     :: ("node", num ti.Session.ti_node)
-     :: ("state", jstr ti.Session.ti_state)
-     :: (match ti.Session.ti_pending_dest with
-        | None -> []
-        | Some d -> [ ("dest", num d) ]))
+let encode_request ~id req = to_line (fun buf -> write_request buf ~id req)
 
-let status_fields (s : status) =
-  [ ("time", Json.Num s.s_time);
-    ("domains", num s.s_domains);
-    ("live", num s.s_live);
-    ("threads", num s.s_threads);
-    ("migrations", num s.s_migrations);
-    ("groups", num s.s_groups);
-    ("negotiations", num s.s_negotiations);
-    ("aborted", num s.s_aborted) ]
-  @ (match s.s_mean_latency with None -> [] | Some l -> [ ("mean_latency", Json.Num l) ])
-  @ (match s.s_faults with None -> [] | Some f -> [ ("faults", jstr f) ])
-  @ [ ("retransmits", num s.s_retransmits);
-      ("duplicates", num s.s_duplicates);
-      ("give_ups", num s.s_give_ups);
-      ("checkpointing", Json.Bool s.s_checkpointing);
-      ("checkpoints", num s.s_checkpoints);
-      ("page_saves", num s.s_page_saves);
-      ("dedup_pages", num s.s_dedup_pages);
-      ("restored", num s.s_restored);
-      ("stranded", num s.s_stranded);
-      ("lost", Json.Arr (List.map jstr s.s_lost)) ]
+let write_thread w (ti : Session.thread_info) =
+  Json.obj_start w;
+  Json.int_field w "tid" ti.Session.ti_tid;
+  Json.int_field w "node" ti.Session.ti_node;
+  Json.str_field w "state" ti.Session.ti_state;
+  (match ti.Session.ti_pending_dest with None -> () | Some d -> Json.int_field w "dest" d);
+  Json.obj_end w
 
-let response_fields = function
+let write_status w (s : status) =
+  Json.num_field w "time" s.s_time;
+  Json.int_field w "domains" s.s_domains;
+  Json.int_field w "live" s.s_live;
+  Json.int_field w "threads" s.s_threads;
+  Json.int_field w "migrations" s.s_migrations;
+  Json.int_field w "groups" s.s_groups;
+  Json.int_field w "negotiations" s.s_negotiations;
+  Json.int_field w "aborted" s.s_aborted;
+  (match s.s_mean_latency with None -> () | Some l -> Json.num_field w "mean_latency" l);
+  (match s.s_faults with None -> () | Some f -> Json.str_field w "faults" f);
+  Json.int_field w "retransmits" s.s_retransmits;
+  Json.int_field w "duplicates" s.s_duplicates;
+  Json.int_field w "give_ups" s.s_give_ups;
+  Json.bool_field w "checkpointing" s.s_checkpointing;
+  Json.int_field w "checkpoints" s.s_checkpoints;
+  Json.int_field w "page_saves" s.s_page_saves;
+  Json.int_field w "dedup_pages" s.s_dedup_pages;
+  Json.int_field w "restored" s.s_restored;
+  Json.int_field w "stranded" s.s_stranded;
+  Json.key w "lost";
+  Json.arr_start w;
+  List.iter (Json.str w) s.s_lost;
+  Json.arr_end w
+
+let write_response w resp =
+  let ok n = Json.str_field w "ok" n in
+  match resp with
   | Welcome { proto; server; nodes; entries } ->
-    [ ("ok", jstr "welcome");
-      ("proto", jstr proto);
-      ("server", jstr server);
-      ("nodes", num nodes);
-      ("entries", Json.Arr (List.map jstr entries)) ]
-  | Submitted { tid } -> [ ("ok", jstr "submitted"); ("tid", num tid) ]
+    ok "welcome";
+    Json.str_field w "proto" proto;
+    Json.str_field w "server" server;
+    Json.int_field w "nodes" nodes;
+    Json.key w "entries";
+    Json.arr_start w;
+    List.iter (Json.str w) entries;
+    Json.arr_end w
+  | Submitted { tid } ->
+    ok "submitted";
+    Json.int_field w "tid" tid
   | Stepped { events; time; live; pending } ->
-    [ ("ok", jstr "stepped");
-      ("events", num events);
-      ("time", Json.Num time);
-      ("live", num live);
-      ("pending", num pending) ]
-  | Ran { time; live } -> [ ("ok", jstr "ran"); ("time", Json.Num time); ("live", num live) ]
-  | Threads tis -> [ ("ok", jstr "threads"); ("threads", Json.Arr (List.map thread_fields tis)) ]
-  | Metrics m -> [ ("ok", jstr "metrics"); ("metrics", m) ]
+    ok "stepped";
+    Json.int_field w "events" events;
+    Json.num_field w "time" time;
+    Json.int_field w "live" live;
+    Json.int_field w "pending" pending
+  | Ran { time; live } ->
+    ok "ran";
+    Json.num_field w "time" time;
+    Json.int_field w "live" live
+  | Threads tis ->
+    ok "threads";
+    Json.key w "threads";
+    Json.arr_start w;
+    List.iter (write_thread w) tis;
+    Json.arr_end w
+  | Metrics m ->
+    ok "metrics";
+    Json.key w "metrics";
+    Json.value w m
   | Heat gauges ->
-    [ ("ok", jstr "heat");
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) gauges)) ]
-  | Status s -> ("ok", jstr "status") :: status_fields s
-  | Migrating -> [ ("ok", jstr "migrating") ]
-  | Group { gid } -> [ ("ok", jstr "group"); ("gid", num gid) ]
-  | Injected { spec } -> [ ("ok", jstr "injected"); ("spec", jstr spec) ]
-  | Balancing { policy } -> [ ("ok", jstr "balancing"); ("policy", jstr policy) ]
-  | Checkpointed { snapshots } -> [ ("ok", jstr "checkpointed"); ("snapshots", num snapshots) ]
-  | Subscribed { sub } -> [ ("ok", jstr "subscribed"); ("sub", num sub) ]
-  | Unsubscribed -> [ ("ok", jstr "unsubscribed") ]
-  | Bye -> [ ("ok", jstr "bye") ]
+    ok "heat";
+    Json.key w "gauges";
+    Json.obj_start w;
+    List.iter (fun (k, v) -> Json.num_field w k v) gauges;
+    Json.obj_end w
+  | Status s ->
+    ok "status";
+    write_status w s
+  | Migrating -> ok "migrating"
+  | Group { gid } ->
+    ok "group";
+    Json.int_field w "gid" gid
+  | Injected { spec } ->
+    ok "injected";
+    Json.str_field w "spec" spec
+  | Balancing { policy } ->
+    ok "balancing";
+    Json.str_field w "policy" policy
+  | Checkpointed { snapshots } ->
+    ok "checkpointed";
+    Json.int_field w "snapshots" snapshots
+  | Subscribed { sub } ->
+    ok "subscribed";
+    Json.int_field w "sub" sub
+  | Unsubscribed -> ok "unsubscribed"
+  | Bye -> ok "bye"
 
-let encode_reply ~id result =
-  match result with
-  | Ok resp -> line (("id", num id) :: response_fields resp)
-  | Error { kind; msg } ->
-    line [ ("id", num id); ("err", jstr (err_kind_to_string kind)); ("msg", jstr msg) ]
+let write_reply buf ~id result =
+  let w = Json.writer buf in
+  open_frame w;
+  Json.int_field w "id" id;
+  (match result with
+   | Ok resp -> write_response w resp
+   | Error { kind; msg } ->
+     Json.str_field w "err" (err_kind_to_string kind);
+     Json.str_field w "msg" msg);
+  Json.obj_end w
+
+let encode_reply ~id result = to_line (fun buf -> write_reply buf ~id result)
 
 (* The [ev] object is the JSON-lines shape of Pm2_obs.Stream: the event's
-   own fields behind virtual-time and node stamps, written straight into
-   the frame. *)
-let encode_event ~sub ~time ~node ev =
-  let buf = Buffer.create 160 in
+   own fields behind virtual-time and node stamps. *)
+let write_event buf ~sub ~time ~node ev =
   let w = Json.writer buf in
-  Json.obj_start w;
-  Json.str_field w "v" version;
+  open_frame w;
   Json.int_field w "sub" sub;
   Json.key w "ev";
   Json.obj_start w;
@@ -269,132 +335,101 @@ let encode_event ~sub ~time ~node ev =
   Json.int_field w "node" node;
   Pm2_obs.Event.write w ev;
   Json.obj_end w;
-  Json.obj_end w;
-  Buffer.contents buf
+  Json.obj_end w
+
+let encode_event ~sub ~time ~node ev = to_line (fun buf -> write_event buf ~sub ~time ~node ev)
 
 (* -- decoding (total) -- *)
 
-let ( let* ) = Result.bind
+(* The decoders raise [Bad] at the first failure, in field order, and
+   the two entry points turn it into an [Error]: nothing escapes. *)
+exception Bad of err
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Bad (bad msg))) fmt
 
 let as_int name = function
-  | Json.Num f when Float.is_integer f && Float.abs f < 1e15 -> Ok (int_of_float f)
-  | _ -> Error (bad (Printf.sprintf "%s: expected an integer" name))
+  | Json.Num f when Float.is_integer f && Float.abs f < 1e15 -> int_of_float f
+  | _ -> fail "%s: expected an integer" name
 
 let as_float name = function
-  | Json.Num f when Float.is_finite f -> Ok f
-  | _ -> Error (bad (Printf.sprintf "%s: expected a number" name))
+  | Json.Num f when Float.is_finite f -> f
+  | _ -> fail "%s: expected a number" name
 
-let as_str name = function
-  | Json.Str s -> Ok s
-  | _ -> Error (bad (Printf.sprintf "%s: expected a string" name))
+let as_str name = function Json.Str s -> s | _ -> fail "%s: expected a string" name
 
 let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (bad (Printf.sprintf "missing field %S" name))
+  match Json.member name j with Some v -> v | None -> fail "missing field %S" name
 
-let int_field name j = let* v = field name j in as_int name v
-let float_field name j = let* v = field name j in as_float name v
-let str_field name j = let* v = field name j in as_str name v
+let int_field name j = as_int name (field name j)
+let float_field name j = as_float name (field name j)
+let str_field name j = as_str name (field name j)
 
 let opt_field name conv j =
-  match Json.member name j with
-  | None -> Ok None
-  | Some v -> let* x = conv name v in Ok (Some x)
+  match Json.member name j with None -> None | Some v -> Some (conv name v)
 
-let int_field_or name ~default j =
-  let* v = opt_field name as_int j in
-  Ok (Option.value ~default v)
+let int_field_or name ~default j = Option.value ~default (opt_field name as_int j)
 
-let str_list_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Arr xs ->
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* s = as_str name x in
-        Ok (s :: acc))
-      (Ok []) xs
-    |> Result.map List.rev
-  | _ -> Error (bad (Printf.sprintf "%s: expected an array" name))
-
-let int_list_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Arr xs ->
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* i = as_int name x in
-        Ok (i :: acc))
-      (Ok []) xs
-    |> Result.map List.rev
-  | _ -> Error (bad (Printf.sprintf "%s: expected an array" name))
+(* [List.map] applies [conv] front to back, so the first bad element is
+   the one reported. *)
+let list_field name conv j =
+  match field name j with
+  | Json.Arr xs -> List.map (conv name) xs
+  | _ -> fail "%s: expected an array" name
 
 let parse_versioned s =
   match Json.parse s with
-  | Error e -> Error (bad (Printf.sprintf "malformed frame: %s" e))
+  | Error e -> fail "malformed frame: %s" e
   | Ok (Json.Obj _ as j) -> (
     match Json.member "v" j with
-    | Some (Json.Str v) when v = version -> Ok j
-    | Some (Json.Str v) ->
-      Error (bad (Printf.sprintf "unsupported protocol version %S (this is %s)" v version))
-    | _ -> Error (bad (Printf.sprintf "missing protocol version (expected \"v\":%S)" version)))
-  | Ok _ -> Error (bad "frame is not a JSON object")
+    | Some (Json.Str v) when v = version -> j
+    | Some (Json.Str v) -> fail "unsupported protocol version %S (this is %s)" v version
+    | _ -> fail "missing protocol version (expected \"v\":%S)" version)
+  | Ok _ -> fail "frame is not a JSON object"
 
 let decode_req_body j =
-  let* name = str_field "req" j in
-  match name with
-  | "hello" -> Ok Hello
+  match str_field "req" j with
+  | "hello" -> Hello
   | "submit" ->
-    let* entry = str_field "entry" j in
-    let* arg = int_field_or "arg" ~default:0 j in
-    let* node = int_field_or "node" ~default:0 j in
-    Ok (Submit { Session.entry; arg; node })
+    let entry = str_field "entry" j in
+    let arg = int_field_or "arg" ~default:0 j in
+    let node = int_field_or "node" ~default:0 j in
+    Submit { Session.entry; arg; node }
   | "step" ->
-    let* max_events = int_field_or "events" ~default:1000 j in
-    if max_events <= 0 then Error (bad "events: must be > 0")
-    else Ok (Step { max_events })
-  | "run" ->
-    let* until = opt_field "until" as_float j in
-    Ok (Run { until })
-  | "threads" -> Ok Query_threads
-  | "metrics" -> Ok Query_metrics
-  | "heat" -> Ok Query_heat
-  | "status" -> Ok Query_status
+    let max_events = int_field_or "events" ~default:1000 j in
+    if max_events <= 0 then fail "events: must be > 0" else Step { max_events }
+  | "run" -> Run { until = opt_field "until" as_float j }
+  | "threads" -> Query_threads
+  | "metrics" -> Query_metrics
+  | "heat" -> Query_heat
+  | "status" -> Query_status
   | "migrate" ->
-    let* tid = int_field "tid" j in
-    let* dest = int_field "dest" j in
-    Ok (Migrate { tid; dest })
+    let tid = int_field "tid" j in
+    let dest = int_field "dest" j in
+    Migrate { tid; dest }
   | "migrate-group" ->
-    let* tids = int_list_field "tids" j in
-    let* dest = int_field "dest" j in
-    Ok (Migrate_group { tids; dest })
-  | "inject-faults" ->
-    let* spec = str_field "spec" j in
-    (match Plan.spec_of_string spec with
-     | Ok spec -> Ok (Inject_faults { spec })
-     | Error e -> Error (bad (Printf.sprintf "faults spec: %s" e)))
-  | "balance" ->
-    let* policy = str_field "policy" j in
-    (match Balancer.Policy.of_string policy with
-     | Error e -> Error (bad (Printf.sprintf "policy: %s" e))
-     | Ok policy ->
-       let* period = opt_field "period" as_float j in
-       Ok (Balance { policy; period = Option.value ~default:400. period }))
-  | "checkpoint" -> Ok Checkpoint
-  | "subscribe" -> Ok Subscribe
-  | "unsubscribe" ->
-    let* sub = int_field "sub" j in
-    Ok (Unsubscribe { sub })
-  | "shutdown" -> Ok Shutdown
-  | other -> Error (bad (Printf.sprintf "unknown request %S" other))
+    let tids = list_field "tids" as_int j in
+    let dest = int_field "dest" j in
+    Migrate_group { tids; dest }
+  | "inject-faults" -> (
+    match Plan.spec_of_string (str_field "spec" j) with
+    | Ok spec -> Inject_faults { spec }
+    | Error e -> fail "faults spec: %s" e)
+  | "balance" -> (
+    match Balancer.Policy.of_string (str_field "policy" j) with
+    | Error e -> fail "policy: %s" e
+    | Ok policy ->
+      let period = Option.value ~default:400. (opt_field "period" as_float j) in
+      Balance { policy; period })
+  | "checkpoint" -> Checkpoint
+  | "subscribe" -> Subscribe
+  | "unsubscribe" -> Unsubscribe { sub = int_field "sub" j }
+  | "shutdown" -> Shutdown
+  | other -> fail "unknown request %S" other
 
 let decode_request s =
   match parse_versioned s with
-  | Error e -> Error (0, e)
-  | Ok j ->
+  | exception Bad e -> Error (0, e)
+  | j -> (
     (* Recover the correlation id even from otherwise-broken requests so
        the error reply still correlates. *)
     let id =
@@ -402,145 +437,110 @@ let decode_request s =
       | Some (Json.Num f) when Float.is_integer f && Float.abs f < 1e15 -> int_of_float f
       | _ -> 0
     in
-    (match int_field "id" j with
-     | Error e -> Error (0, e)
-     | Ok _ -> (
-       match decode_req_body j with
-       | Ok req -> Ok (id, req)
-       | Error e -> Error (id, e)))
+    match int_field "id" j with
+    | exception Bad e -> Error (0, e)
+    | _ -> ( match decode_req_body j with req -> Ok (id, req) | exception Bad e -> Error (id, e)))
 
 let decode_thread j =
-  let* tid = int_field "tid" j in
-  let* node = int_field "node" j in
-  let* state = str_field "state" j in
-  let* dest = opt_field "dest" as_int j in
-  Ok { Session.ti_tid = tid; ti_node = node; ti_state = state; ti_pending_dest = dest }
+  let tid = int_field "tid" j in
+  let node = int_field "node" j in
+  let state = str_field "state" j in
+  let dest = opt_field "dest" as_int j in
+  { Session.ti_tid = tid; ti_node = node; ti_state = state; ti_pending_dest = dest }
 
 let decode_status j =
-  let* s_time = float_field "time" j in
-  let* s_domains = int_field "domains" j in
-  let* s_live = int_field "live" j in
-  let* s_threads = int_field "threads" j in
-  let* s_migrations = int_field "migrations" j in
-  let* s_groups = int_field "groups" j in
-  let* s_negotiations = int_field "negotiations" j in
-  let* s_aborted = int_field "aborted" j in
-  let* s_mean_latency = opt_field "mean_latency" as_float j in
-  let* s_faults = opt_field "faults" as_str j in
-  let* s_retransmits = int_field "retransmits" j in
-  let* s_duplicates = int_field "duplicates" j in
-  let* s_give_ups = int_field "give_ups" j in
-  let* s_checkpointing =
+  let s_time = float_field "time" j in
+  let s_domains = int_field "domains" j in
+  let s_live = int_field "live" j in
+  let s_threads = int_field "threads" j in
+  let s_migrations = int_field "migrations" j in
+  let s_groups = int_field "groups" j in
+  let s_negotiations = int_field "negotiations" j in
+  let s_aborted = int_field "aborted" j in
+  let s_mean_latency = opt_field "mean_latency" as_float j in
+  let s_faults = opt_field "faults" as_str j in
+  let s_retransmits = int_field "retransmits" j in
+  let s_duplicates = int_field "duplicates" j in
+  let s_give_ups = int_field "give_ups" j in
+  let s_checkpointing =
     match field "checkpointing" j with
-    | Ok (Json.Bool b) -> Ok b
-    | Ok _ -> Error (bad "checkpointing: expected a boolean")
-    | Error e -> Error e
+    | Json.Bool b -> b
+    | _ -> fail "checkpointing: expected a boolean"
   in
-  let* s_checkpoints = int_field "checkpoints" j in
-  let* s_page_saves = int_field "page_saves" j in
-  let* s_dedup_pages = int_field "dedup_pages" j in
-  let* s_restored = int_field "restored" j in
-  let* s_stranded = int_field "stranded" j in
-  let* s_lost = str_list_field "lost" j in
-  Ok
-    (Status
-       { s_time; s_domains; s_live; s_threads; s_migrations; s_groups; s_negotiations;
-         s_aborted; s_mean_latency; s_faults; s_retransmits; s_duplicates;
-         s_give_ups; s_checkpointing; s_checkpoints; s_page_saves;
-         s_dedup_pages; s_restored; s_stranded; s_lost })
+  let s_checkpoints = int_field "checkpoints" j in
+  let s_page_saves = int_field "page_saves" j in
+  let s_dedup_pages = int_field "dedup_pages" j in
+  let s_restored = int_field "restored" j in
+  let s_stranded = int_field "stranded" j in
+  let s_lost = list_field "lost" as_str j in
+  Status
+    { s_time; s_domains; s_live; s_threads; s_migrations; s_groups; s_negotiations;
+      s_aborted; s_mean_latency; s_faults; s_retransmits; s_duplicates;
+      s_give_ups; s_checkpointing; s_checkpoints; s_page_saves;
+      s_dedup_pages; s_restored; s_stranded; s_lost }
 
 let decode_response j =
-  let* name = str_field "ok" j in
-  match name with
+  match str_field "ok" j with
   | "welcome" ->
-    let* proto = str_field "proto" j in
-    let* server = str_field "server" j in
-    let* nodes = int_field "nodes" j in
-    let* entries = str_list_field "entries" j in
-    Ok (Welcome { proto; server; nodes; entries })
-  | "submitted" ->
-    let* tid = int_field "tid" j in
-    Ok (Submitted { tid })
+    let proto = str_field "proto" j in
+    let server = str_field "server" j in
+    let nodes = int_field "nodes" j in
+    let entries = list_field "entries" as_str j in
+    Welcome { proto; server; nodes; entries }
+  | "submitted" -> Submitted { tid = int_field "tid" j }
   | "stepped" ->
-    let* events = int_field "events" j in
-    let* time = float_field "time" j in
-    let* live = int_field "live" j in
-    let* pending = int_field "pending" j in
-    Ok (Stepped { events; time; live; pending })
+    let events = int_field "events" j in
+    let time = float_field "time" j in
+    let live = int_field "live" j in
+    let pending = int_field "pending" j in
+    Stepped { events; time; live; pending }
   | "ran" ->
-    let* time = float_field "time" j in
-    let* live = int_field "live" j in
-    Ok (Ran { time; live })
-  | "threads" ->
-    let* v = field "threads" j in
-    (match v with
-     | Json.Arr xs ->
-       List.fold_left
-         (fun acc x ->
-           let* acc = acc in
-           let* ti = decode_thread x in
-           Ok (ti :: acc))
-         (Ok []) xs
-       |> Result.map (fun tis -> Threads (List.rev tis))
-     | _ -> Error (bad "threads: expected an array"))
-  | "metrics" ->
-    let* m = field "metrics" j in
-    Ok (Metrics m)
-  | "heat" ->
-    let* v = field "gauges" j in
-    (match v with
-     | Json.Obj kvs ->
-       List.fold_left
-         (fun acc (k, x) ->
-           let* acc = acc in
-           let* f = as_float k x in
-           Ok ((k, f) :: acc))
-         (Ok []) kvs
-       |> Result.map (fun gs -> Heat (List.rev gs))
-     | _ -> Error (bad "gauges: expected an object"))
+    let time = float_field "time" j in
+    let live = int_field "live" j in
+    Ran { time; live }
+  | "threads" -> (
+    match field "threads" j with
+    | Json.Arr xs -> Threads (List.map decode_thread xs)
+    | _ -> fail "threads: expected an array")
+  | "metrics" -> Metrics (field "metrics" j)
+  | "heat" -> (
+    match field "gauges" j with
+    | Json.Obj kvs -> Heat (List.map (fun (k, x) -> (k, as_float k x)) kvs)
+    | _ -> fail "gauges: expected an object")
   | "status" -> decode_status j
-  | "migrating" -> Ok Migrating
-  | "group" ->
-    let* gid = int_field "gid" j in
-    Ok (Group { gid })
-  | "injected" ->
-    let* spec = str_field "spec" j in
-    Ok (Injected { spec })
-  | "balancing" ->
-    let* policy = str_field "policy" j in
-    Ok (Balancing { policy })
-  | "checkpointed" ->
-    let* snapshots = int_field "snapshots" j in
-    Ok (Checkpointed { snapshots })
-  | "subscribed" ->
-    let* sub = int_field "sub" j in
-    Ok (Subscribed { sub })
-  | "unsubscribed" -> Ok Unsubscribed
-  | "bye" -> Ok Bye
-  | other -> Error (bad (Printf.sprintf "unknown response %S" other))
+  | "migrating" -> Migrating
+  | "group" -> Group { gid = int_field "gid" j }
+  | "injected" -> Injected { spec = str_field "spec" j }
+  | "balancing" -> Balancing { policy = str_field "policy" j }
+  | "checkpointed" -> Checkpointed { snapshots = int_field "snapshots" j }
+  | "subscribed" -> Subscribed { sub = int_field "sub" j }
+  | "unsubscribed" -> Unsubscribed
+  | "bye" -> Bye
+  | other -> fail "unknown response %S" other
 
 let decode_frame s =
-  let* j = parse_versioned s in
-  match Json.member "id" j with
-  | None -> (
-    (* No correlation id: a subscription push. *)
-    let* sub = int_field "sub" j in
-    let* body = field "ev" j in
-    match body with
-    | Json.Obj _ -> Ok (Event { sub; body })
-    | _ -> Error (bad "ev: expected an object"))
-  | Some _ -> (
-    let* id = int_field "id" j in
-    match Json.member "err" j with
-    | Some kind -> (
-      let* kind = as_str "err" kind in
-      let* msg = str_field "msg" j in
-      match err_kind_of_string kind with
-      | Some kind -> Ok (Reply (id, Error { kind; msg }))
-      | None -> Error (bad (Printf.sprintf "unknown error kind %S" kind)))
-    | None ->
-      let* resp = decode_response j in
-      Ok (Reply (id, Ok resp)))
+  match
+    let j = parse_versioned s in
+    match Json.member "id" j with
+    | None -> (
+      (* No correlation id: a subscription push. *)
+      let sub = int_field "sub" j in
+      match field "ev" j with
+      | Json.Obj _ as body -> Event { sub; body }
+      | _ -> fail "ev: expected an object")
+    | Some _ -> (
+      let id = int_field "id" j in
+      match Json.member "err" j with
+      | Some kind -> (
+        let kind = as_str "err" kind in
+        let msg = str_field "msg" j in
+        match err_kind_of_string kind with
+        | Some kind -> Reply (id, Error { kind; msg })
+        | None -> fail "unknown error kind %S" kind)
+      | None -> Reply (id, Ok (decode_response j)))
+  with
+  | frame -> Ok frame
+  | exception Bad e -> Error e
 
 (* -- the shared dispatcher -- *)
 

@@ -142,6 +142,14 @@ val encode_reply : id:int -> (response, err) result -> string
 val encode_event :
   sub:int -> time:float -> node:int -> Pm2_obs.Event.t -> string
 
+(** [write_reply] and [write_event] append the bytes of {!encode_reply}
+    and {!encode_event} to a buffer the caller reuses. *)
+
+val write_reply : Buffer.t -> id:int -> (response, err) result -> unit
+
+val write_event :
+  Buffer.t -> sub:int -> time:float -> node:int -> Pm2_obs.Event.t -> unit
+
 (** What a client reads: replies interleaved with subscription pushes. *)
 type frame =
   | Reply of int * (response, err) result

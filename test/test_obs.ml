@@ -347,6 +347,199 @@ let prop_json_string_roundtrip =
        | Ok (Obs.Json.Obj [ (k, Obs.Json.Str v) ]) -> k = s && v = s
        | _ -> false)
 
+(* -- the reader against its reference -- *)
+
+module Json = Obs.Json
+module Json_ref = Pm2_support.Json_ref
+
+(* Trees compare with numbers by their bits, so -0. and 0. differ. *)
+let rec same_tree a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys -> List.equal same_tree xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && same_tree v v') xs ys
+  | _ -> a = b
+
+let same_result a b =
+  match (a, b) with
+  | Ok x, Ok y -> same_tree x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let show_result = function Ok v -> "Ok " ^ Json.to_string v | Error e -> "Error " ^ e
+
+let gen_num =
+  QCheck2.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map float_of_int int;
+        map (fun i -> float_of_int i /. 8.) (int_range (-100_000) 100_000);
+        float;
+        oneofl [ -0.; 1e15; 1e15 -. 1.; -1e15; 5e-324; max_float; 0.1; 1e-7; 1e300 ];
+      ])
+
+let gen_str = QCheck2.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 12))
+
+let gen_tree =
+  QCheck2.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [
+              pure Json.Null;
+              map (fun b -> Json.Bool b) bool;
+              map (fun f -> Json.Num f) gen_num;
+              map (fun s -> Json.Str s) gen_str;
+            ]
+        in
+        if n = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n - 1))));
+              ( 1,
+                map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair gen_str (self (n - 1))))
+              );
+            ]))
+
+(* Fragments that reach the reader's corners when spliced in. *)
+let tricky =
+  [ "\\u00_4"; "\\u00e9"; "\\uD83D"; "\\u"; "\\"; "\\x"; "-0"; "1e999"; "007"; "-"; "+1";
+    "1.5e+3"; "123456789012345"; "1234567890123456"; "-123456789012345"; " "; "\n\t";
+    "tru"; "nul"; "fals"; "["; "]"; "{"; "}"; ":"; ","; "\""; String.make 70 '[' ]
+
+(* A rendered tree, or one with a byte flipped, cut short or a fragment
+   spliced in. *)
+let gen_input =
+  QCheck2.Gen.(
+    let* s = map Json.to_string gen_tree in
+    let n = String.length s in
+    oneof
+      [
+        pure s;
+        map2
+          (fun i c -> String.mapi (fun j x -> if j = i then c else x) s)
+          (int_bound (n - 1)) char;
+        map (fun k -> String.sub s 0 k) (int_bound n);
+        map2
+          (fun i frag -> String.sub s 0 i ^ frag ^ String.sub s i (n - i))
+          (int_bound n) (oneofl tricky);
+      ])
+
+let prop_reader_matches_reference =
+  QCheck2.Test.make ~count:5000 ~name:"json reader agrees with the reference reader"
+    ~print:String.escaped gen_input (fun s ->
+      let got = Json.parse s and want = Json_ref.parse s in
+      same_result got want
+      || QCheck2.Test.fail_reportf "new %s, reference %s" (show_result got)
+           (show_result want))
+
+let check_both name input expected =
+  List.iter
+    (fun (reader, parse) ->
+      let got = parse input in
+      if not (same_result got expected) then
+        Alcotest.failf "%s (%s): got %s, expected %s" name reader (show_result got)
+          (show_result expected))
+    [ ("new", Json.parse); ("reference", Json_ref.parse) ]
+
+let test_reader_depth_cap () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  let rec tree d = if d = 1 then Json.Arr [] else Json.Arr [ tree (d - 1) ] in
+  check_both "64 levels" (nest 64) (Ok (tree 64));
+  check_both "65 levels" (nest 65) (Error "nesting deeper than 64 at offset 64");
+  check_both "65 levels of objects"
+    (String.concat "" (List.init 65 (fun _ -> {|{"k":|})))
+    (Error "nesting deeper than 64 at offset 320");
+  check_both "siblings do not add up"
+    ("[" ^ String.concat "," (List.init 100 (fun _ -> nest 63)) ^ "]")
+    (Ok (Json.Arr (List.init 100 (fun _ -> tree 63))))
+
+let test_reader_unicode_escape () =
+  check_both "lower-case hex" {|"\u00e9"|} (Ok (Json.Str "\xc3\xa9"));
+  check_both "upper-case hex" {|"\u00E9\u20AC"|} (Ok (Json.Str "\xc3\xa9\xe2\x82\xac"));
+  check_both "an underscore is not a digit" {|"\u00_4"|} (Error "bad \\u escape at offset 3");
+  check_both "a sign is not a digit" {|"\u+004"|} (Error "bad \\u escape at offset 3");
+  check_both "three digits" {|"\u004"|} (Error "bad \\u escape at offset 3");
+  check_both "cut short" {|"\u00|} (Error "bad \\u escape at offset 3")
+
+let test_reader_numbers () =
+  let num s f = check_both s s (Ok (Json.Num f)) in
+  num "0" 0.;
+  num "-0" (-0.);
+  num "007" 7.;
+  num "999999999999999" 999999999999999.;
+  num "-999999999999999" (-999999999999999.);
+  num "9999999999999999" 9999999999999999.;
+  num "12.5" 12.5;
+  num "+3" 3.;
+  num "1e3" 1000.;
+  check_both "a lone sign" "-" (Error "malformed number at offset 1");
+  check_both "two signs" "--1" (Error "malformed number at offset 3")
+
+(* -- the writer's bytes -- *)
+
+(* What the writer promises for a number: integral values below 1e15
+   as [string_of_int] ("-0" for -0.), other finite ones as [%.17g],
+   the rest as null. *)
+let ref_num v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then
+    if v = 0. && Float.sign_bit v then "-0" else string_of_int (int_of_float v)
+  else Printf.sprintf "%.17g" v
+
+let render write x =
+  let buf = Buffer.create 32 in
+  write (Json.writer buf) x;
+  Buffer.contents buf
+
+let num_edges =
+  [ 0.; -0.; 1.; -1.; 0.5; 1e15 -. 1.; 1e15; 1e15 +. 1.; -.(1e15 -. 1.); -1e15;
+    -.(1e15 +. 1.); 5e-324; -5e-324; 2.2250738585072009e-308; 2.2250738585072014e-308;
+    max_float; -.max_float; 0.1; 1e-7; 9007199254740993.; 1e300; nan; infinity;
+    neg_infinity ]
+
+let int_edges =
+  [ 0; 1; -1; 9; 10; -10; 999_999_999_999_999; 1_000_000_000_000_000;
+    -999_999_999_999_999; -1_000_000_000_000_000; 999_999_999_999_999_999;
+    -999_999_999_999_999_999; max_int; min_int ]
+
+let check_num v =
+  Alcotest.(check string) (Printf.sprintf "num %h" v) (ref_num v) (render Json.num v)
+
+let check_int i =
+  Alcotest.(check string)
+    (Printf.sprintf "int %d" i)
+    (ref_num (float_of_int i))
+    (render Json.int i);
+  if i > -1_000_000_000_000_000 && i < 1_000_000_000_000_000 then
+    Alcotest.(check string) (Printf.sprintf "int %d" i) (string_of_int i) (render Json.int i)
+
+let test_writer_number_edges () =
+  List.iter check_num num_edges;
+  List.iter check_int int_edges
+
+let prop_writer_numbers =
+  QCheck2.Test.make ~count:5000 ~name:"json writer numbers match string_of_int and %.17g"
+    QCheck2.Gen.(pair gen_num int)
+    (fun (v, i) ->
+      render Json.num v = ref_num v
+      && render Json.int i = ref_num (float_of_int i)
+      && (i <= -1_000_000_000_000_000
+         || i >= 1_000_000_000_000_000
+         || render Json.int i = string_of_int i))
+
+(* The one-entry memo of the last [%.17g] rendering: repeats, changes,
+   returns to an older value, and the two zeros. *)
+let test_writer_memo () =
+  List.iter check_num
+    [ 0.5; 0.5; 0.25; 0.5; 0.5; -0.; 0.; -0.; 0.1; 0.30000000000000004; 0.1; 1e300; 1e300;
+      -1e300; 5e-324; -5e-324; 5e-324; 12.5; 12.5 ]
+
 (* -- the legacy trace as a sink -- *)
 
 let test_trace_sink_renders_printf () =
@@ -681,6 +874,34 @@ let test_push_allocates_nothing () =
     (words (fun () -> record ~time:2.5 ~node:5 ev));
   Alcotest.(check int) "ring wrapped" 992 (Obs.Ring.dropped ring)
 
+(* Names are literals and [Event.write] builds no closure: writing an
+   event allocates nothing once its float has been rendered (Span_end
+   carries three floats, which the one-entry memo cannot all hold). *)
+let test_event_writer_allocates_nothing () =
+  let buf = Buffer.create 1024 in
+  let w = Json.writer buf in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (_, _, ev) ->
+      let name = Obs.Event.name ev in
+      Alcotest.(check (float 0.)) ("name " ^ name) 0.
+        (words (fun () -> ignore (Obs.Event.name ev)));
+      match ev with
+      | Obs.Event.Span_end _ -> ()
+      | _ ->
+        Alcotest.(check (float 0.)) ("write " ^ name) 0.
+          (words (fun () ->
+               Buffer.clear buf;
+               Obs.Event.write w ev)))
+    golden_samples
+
 let tests =
   [
     Alcotest.test_case "stamps match virtual time" `Quick test_stamps_match_virtual_time;
@@ -705,4 +926,13 @@ let tests =
     Alcotest.test_case "metrics json full precision" `Quick test_metrics_json_precision;
     Alcotest.test_case "recorder rings per node" `Quick test_recorder_rings;
     Alcotest.test_case "a push allocates nothing" `Quick test_push_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_reader_matches_reference;
+    Alcotest.test_case "json reader depth cap" `Quick test_reader_depth_cap;
+    Alcotest.test_case "json reader \\u escapes" `Quick test_reader_unicode_escape;
+    Alcotest.test_case "json reader numbers" `Quick test_reader_numbers;
+    Alcotest.test_case "json writer number edges" `Quick test_writer_number_edges;
+    QCheck_alcotest.to_alcotest prop_writer_numbers;
+    Alcotest.test_case "json writer %.17g memo" `Quick test_writer_memo;
+    Alcotest.test_case "event writer allocates nothing" `Quick
+      test_event_writer_allocates_nothing;
   ]

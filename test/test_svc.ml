@@ -213,6 +213,263 @@ let prop_fuzz_never_raises =
       (match P.decode_frame s with Ok _ -> () | Error e -> ignore e.P.msg);
       true)
 
+(* A frame nested past the reader's cap is refused at the bracket that
+   passes it: quickly, and without a heap or stack that grows with the
+   line. Two million brackets fit under pm2simd's 4 MiB frame bound;
+   the uncapped reader took seconds and hundreds of MB on them. *)
+let test_deep_nesting_refused () =
+  let line = String.make 2_000_000 '[' in
+  let expect_msg = "malformed frame: nesting deeper than 64 at offset 125" in
+  let frame = {|{"v":"pm2-ctl/1","id":1,"req":"migrate-group","dest":0,"tids":|} ^ line in
+  let cost f =
+    Gc.full_major ();
+    let words () = let s = Gc.quick_stat () in s.Gc.minor_words +. s.Gc.major_words in
+    let w0 = words () and t0 = Sys.time () in
+    let r = f () in
+    (r, words () -. w0, Sys.time () -. t0)
+  in
+  let check name (r, words, secs) =
+    (match r with
+     | Error { P.kind = P.Bad_request; msg } when String.starts_with ~prefix:"malformed frame: nesting deeper than 64" msg -> ()
+     | Error e -> Alcotest.failf "%s: wrong error %s: %s" name (P.err_kind_to_string e.P.kind) e.P.msg
+     | Ok _ -> Alcotest.failf "%s: decoded" name);
+    if words > 10_000. then Alcotest.failf "%s: %.0f words allocated" name words;
+    if secs > 0.5 then Alcotest.failf "%s: %.2f s of CPU" name secs
+  in
+  check "decode_request" (cost (fun () -> Result.map_error snd (P.decode_request line)));
+  check "decode_frame" (cost (fun () -> P.decode_frame line));
+  (match P.decode_request frame with
+   | Error (0, { P.kind = P.Bad_request; msg }) -> Alcotest.(check string) "offset" expect_msg msg
+   | _ -> Alcotest.fail "nested tids accepted")
+
+(* -- the encoders against the field lists they replaced -- *)
+
+(* The frames as [Json.to_string] of [Json.t] field lists, the way the
+   codec built them before it wrote through the Json writer. *)
+module Fields_ref = struct
+  let num i = Json.Num (float_of_int i)
+  let jstr s = Json.Str s
+  let line fields = Json.to_string (Json.Obj (("v", jstr P.version) :: fields))
+
+  let request_fields = function
+    | P.Hello -> [ ("req", jstr "hello") ]
+    | P.Submit { Session.entry; arg; node } ->
+      [ ("req", jstr "submit"); ("entry", jstr entry); ("arg", num arg); ("node", num node) ]
+    | P.Step { max_events } -> [ ("req", jstr "step"); ("events", num max_events) ]
+    | P.Run { until } ->
+      ("req", jstr "run") :: (match until with None -> [] | Some u -> [ ("until", Json.Num u) ])
+    | P.Query_threads -> [ ("req", jstr "threads") ]
+    | P.Query_metrics -> [ ("req", jstr "metrics") ]
+    | P.Query_heat -> [ ("req", jstr "heat") ]
+    | P.Query_status -> [ ("req", jstr "status") ]
+    | P.Migrate { tid; dest } -> [ ("req", jstr "migrate"); ("tid", num tid); ("dest", num dest) ]
+    | P.Migrate_group { tids; dest } ->
+      [ ("req", jstr "migrate-group"); ("tids", Json.Arr (List.map num tids)); ("dest", num dest) ]
+    | P.Inject_faults { spec } ->
+      [ ("req", jstr "inject-faults"); ("spec", jstr (Plan.spec_to_string spec)) ]
+    | P.Balance { policy; period } ->
+      [ ("req", jstr "balance");
+        ("policy", jstr (Balancer.Policy.to_string policy));
+        ("period", Json.Num period) ]
+    | P.Checkpoint -> [ ("req", jstr "checkpoint") ]
+    | P.Subscribe -> [ ("req", jstr "subscribe") ]
+    | P.Unsubscribe { sub } -> [ ("req", jstr "unsubscribe"); ("sub", num sub) ]
+    | P.Shutdown -> [ ("req", jstr "shutdown") ]
+
+  let encode_request ~id req = line (("id", num id) :: request_fields req)
+
+  let thread_fields (ti : Session.thread_info) =
+    Json.Obj
+      (("tid", num ti.Session.ti_tid)
+       :: ("node", num ti.Session.ti_node)
+       :: ("state", jstr ti.Session.ti_state)
+       :: (match ti.Session.ti_pending_dest with None -> [] | Some d -> [ ("dest", num d) ]))
+
+  let status_fields (s : P.status) =
+    [ ("time", Json.Num s.P.s_time);
+      ("domains", num s.P.s_domains);
+      ("live", num s.P.s_live);
+      ("threads", num s.P.s_threads);
+      ("migrations", num s.P.s_migrations);
+      ("groups", num s.P.s_groups);
+      ("negotiations", num s.P.s_negotiations);
+      ("aborted", num s.P.s_aborted) ]
+    @ (match s.P.s_mean_latency with None -> [] | Some l -> [ ("mean_latency", Json.Num l) ])
+    @ (match s.P.s_faults with None -> [] | Some f -> [ ("faults", jstr f) ])
+    @ [ ("retransmits", num s.P.s_retransmits);
+        ("duplicates", num s.P.s_duplicates);
+        ("give_ups", num s.P.s_give_ups);
+        ("checkpointing", Json.Bool s.P.s_checkpointing);
+        ("checkpoints", num s.P.s_checkpoints);
+        ("page_saves", num s.P.s_page_saves);
+        ("dedup_pages", num s.P.s_dedup_pages);
+        ("restored", num s.P.s_restored);
+        ("stranded", num s.P.s_stranded);
+        ("lost", Json.Arr (List.map jstr s.P.s_lost)) ]
+
+  let response_fields = function
+    | P.Welcome { proto; server; nodes; entries } ->
+      [ ("ok", jstr "welcome");
+        ("proto", jstr proto);
+        ("server", jstr server);
+        ("nodes", num nodes);
+        ("entries", Json.Arr (List.map jstr entries)) ]
+    | P.Submitted { tid } -> [ ("ok", jstr "submitted"); ("tid", num tid) ]
+    | P.Stepped { events; time; live; pending } ->
+      [ ("ok", jstr "stepped");
+        ("events", num events);
+        ("time", Json.Num time);
+        ("live", num live);
+        ("pending", num pending) ]
+    | P.Ran { time; live } -> [ ("ok", jstr "ran"); ("time", Json.Num time); ("live", num live) ]
+    | P.Threads tis ->
+      [ ("ok", jstr "threads"); ("threads", Json.Arr (List.map thread_fields tis)) ]
+    | P.Metrics m -> [ ("ok", jstr "metrics"); ("metrics", m) ]
+    | P.Heat gauges ->
+      [ ("ok", jstr "heat");
+        ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) gauges)) ]
+    | P.Status s -> ("ok", jstr "status") :: status_fields s
+    | P.Migrating -> [ ("ok", jstr "migrating") ]
+    | P.Group { gid } -> [ ("ok", jstr "group"); ("gid", num gid) ]
+    | P.Injected { spec } -> [ ("ok", jstr "injected"); ("spec", jstr spec) ]
+    | P.Balancing { policy } -> [ ("ok", jstr "balancing"); ("policy", jstr policy) ]
+    | P.Checkpointed { snapshots } ->
+      [ ("ok", jstr "checkpointed"); ("snapshots", num snapshots) ]
+    | P.Subscribed { sub } -> [ ("ok", jstr "subscribed"); ("sub", num sub) ]
+    | P.Unsubscribed -> [ ("ok", jstr "unsubscribed") ]
+    | P.Bye -> [ ("ok", jstr "bye") ]
+
+  let encode_reply ~id = function
+    | Ok resp -> line (("id", num id) :: response_fields resp)
+    | Error { P.kind; msg } ->
+      line [ ("id", num id); ("err", jstr (P.err_kind_to_string kind)); ("msg", jstr msg) ]
+
+  (* The event push: the [ev] object re-read from the stream writer's
+     own fields, so only the envelope and the stamps are under test. *)
+  let encode_event ~sub ~time ~node ev =
+    let buf = Buffer.create 64 in
+    let w = Json.writer buf in
+    Json.obj_start w;
+    Pm2_obs.Event.write w ev;
+    Json.obj_end w;
+    let fields = match Json.parse (Buffer.contents buf) with Ok (Json.Obj f) -> f | _ -> [] in
+    line [ ("sub", num sub); ("ev", Json.Obj (("t", Json.Num time) :: ("node", num node) :: fields)) ]
+end
+
+let gen_num = Test_obs.gen_num
+let gen_str = Test_obs.gen_str
+
+let gen_request =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [ P.Hello; P.Query_threads; P.Query_metrics; P.Query_heat; P.Query_status;
+            P.Checkpoint; P.Subscribe; P.Shutdown ];
+        map3 (fun entry arg node -> P.Submit { Session.entry; arg; node }) gen_str int int;
+        map (fun max_events -> P.Step { max_events }) int;
+        map (fun until -> P.Run { until }) (opt gen_num);
+        map2 (fun tid dest -> P.Migrate { tid; dest }) int int;
+        map2 (fun tids dest -> P.Migrate_group { tids; dest }) (small_list int) int;
+        map
+          (fun s -> P.Inject_faults { spec = spec_of s })
+          (oneofl [ ""; "loss=0.1,delay=25"; "loss=0.2,dup=0.05,part=0-1@10-90,kill=1@500" ]);
+        map2
+          (fun policy period -> P.Balance { policy; period })
+          (oneofl
+             [ Balancer.Least_loaded; Balancer.Threshold { high = 6; low = 2 };
+               Balancer.Access_imbalance { ratio = 2.5; min_pages = 3 } ])
+          gen_num;
+        map (fun sub -> P.Unsubscribe { sub }) int;
+      ])
+
+let gen_thread =
+  QCheck2.Gen.(
+    map4
+      (fun ti_tid ti_node ti_state ti_pending_dest ->
+        { Session.ti_tid; ti_node; ti_state; ti_pending_dest })
+      int int gen_str (opt int))
+
+let gen_status =
+  QCheck2.Gen.(
+    map2
+      (fun ints (s_time, s_mean_latency, s_faults, s_checkpointing, s_lost) ->
+        match ints with
+        | [ s_domains; s_live; s_threads; s_migrations; s_groups; s_negotiations; s_aborted;
+            s_retransmits; s_duplicates; s_give_ups; s_checkpoints; s_page_saves;
+            s_dedup_pages; s_restored; s_stranded ] ->
+          { P.s_time; s_domains; s_live; s_threads; s_migrations; s_groups; s_negotiations;
+            s_aborted; s_mean_latency; s_faults; s_retransmits; s_duplicates; s_give_ups;
+            s_checkpointing; s_checkpoints; s_page_saves; s_dedup_pages; s_restored;
+            s_stranded; s_lost }
+        | _ -> assert false)
+      (list_repeat 15 int)
+      (tup5 gen_num (opt gen_num) (opt gen_str) bool (small_list gen_str)))
+
+let gen_response =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ P.Migrating; P.Unsubscribed; P.Bye ];
+        map4
+          (fun proto server nodes entries -> P.Welcome { proto; server; nodes; entries })
+          gen_str gen_str int (small_list gen_str);
+        map (fun tid -> P.Submitted { tid }) int;
+        map4
+          (fun events time live pending -> P.Stepped { events; time; live; pending })
+          int gen_num int int;
+        map2 (fun time live -> P.Ran { time; live }) gen_num int;
+        map (fun tis -> P.Threads tis) (small_list gen_thread);
+        map (fun m -> P.Metrics m) Test_obs.gen_tree;
+        map (fun gs -> P.Heat gs) (small_list (pair gen_str gen_num));
+        map (fun s -> P.Status s) gen_status;
+        map (fun gid -> P.Group { gid }) int;
+        map (fun spec -> P.Injected { spec }) gen_str;
+        map (fun policy -> P.Balancing { policy }) gen_str;
+        map (fun snapshots -> P.Checkpointed { snapshots }) int;
+        map (fun sub -> P.Subscribed { sub }) int;
+      ])
+
+let gen_err =
+  QCheck2.Gen.(
+    map2
+      (fun kind msg -> { P.kind; msg })
+      (oneofl
+         [ P.Bad_request; P.Unknown_entry; P.Unknown_thread; P.Bad_node; P.Rejected;
+           P.Unsupported; P.Shutting_down; P.Runtime ])
+      gen_str)
+
+let same_bytes ~expected got =
+  String.equal expected got
+  || QCheck2.Test.fail_reportf "expected %S\n     got %S" expected got
+
+let prop_request_bytes =
+  QCheck2.Test.make ~count:2000 ~name:"request bytes match the field-list encoder"
+    QCheck2.Gen.(pair int gen_request)
+    (fun (id, req) ->
+      same_bytes ~expected:(Fields_ref.encode_request ~id req) (P.encode_request ~id req))
+
+let prop_reply_bytes =
+  QCheck2.Test.make ~count:2000 ~name:"reply bytes match the field-list encoder"
+    QCheck2.Gen.(pair int (oneof [ map Result.ok gen_response; map Result.error gen_err ]))
+    (fun (id, r) ->
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "stale";
+      Buffer.clear buf;
+      P.write_reply buf ~id r;
+      let expected = Fields_ref.encode_reply ~id r in
+      same_bytes ~expected (P.encode_reply ~id r) && same_bytes ~expected (Buffer.contents buf))
+
+let prop_event_bytes =
+  let samples = Array.of_list (List.map (fun (_, _, ev) -> ev) Test_obs.golden_samples) in
+  QCheck2.Test.make ~count:2000 ~name:"event bytes match the field-list encoder"
+    QCheck2.Gen.(quad int gen_num int (int_bound (Array.length samples - 1)))
+    (fun (sub, time, node, i) ->
+      let ev = samples.(i) in
+      same_bytes
+           ~expected:(Fields_ref.encode_event ~sub ~time ~node ev)
+           (P.encode_event ~sub ~time ~node ev))
+
 (* -- the session control plane -- *)
 
 let drive session =
@@ -425,6 +682,10 @@ let tests =
     Alcotest.test_case "truncated frames are typed Bad_request" `Quick
       test_truncated_frames;
     QCheck_alcotest.to_alcotest prop_fuzz_never_raises;
+    Alcotest.test_case "deep nesting refused quickly" `Quick test_deep_nesting_refused;
+    QCheck_alcotest.to_alcotest prop_request_bytes;
+    QCheck_alcotest.to_alcotest prop_reply_bytes;
+    QCheck_alcotest.to_alcotest prop_event_bytes;
     Alcotest.test_case "session: drive and query" `Quick test_session_drive_and_query;
     Alcotest.test_case "session: typed error channel" `Quick test_session_typed_errors;
     Alcotest.test_case "session: status counts delta-on aborts" `Quick
