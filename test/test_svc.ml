@@ -223,15 +223,20 @@ let test_deep_nesting_refused () =
   let frame = {|{"v":"pm2-ctl/1","id":1,"req":"migrate-group","dest":0,"tids":|} ^ line in
   let cost f =
     Gc.full_major ();
-    let words () = let s = Gc.quick_stat () in s.Gc.minor_words +. s.Gc.major_words in
+    let words () =
+      let s = Gc.quick_stat () in
+      s.Gc.minor_words +. s.Gc.major_words
+    in
     let w0 = words () and t0 = Sys.time () in
     let r = f () in
     (r, words () -. w0, Sys.time () -. t0)
   in
   let check name (r, words, secs) =
     (match r with
-     | Error { P.kind = P.Bad_request; msg } when String.starts_with ~prefix:"malformed frame: nesting deeper than 64" msg -> ()
-     | Error e -> Alcotest.failf "%s: wrong error %s: %s" name (P.err_kind_to_string e.P.kind) e.P.msg
+     | Error { P.kind = P.Bad_request; msg }
+       when String.starts_with ~prefix:"malformed frame: nesting deeper than 64" msg -> ()
+     | Error e ->
+       Alcotest.failf "%s: wrong error %s: %s" name (P.err_kind_to_string e.P.kind) e.P.msg
      | Ok _ -> Alcotest.failf "%s: decoded" name);
     if words > 10_000. then Alcotest.failf "%s: %.0f words allocated" name words;
     if secs > 0.5 then Alcotest.failf "%s: %.2f s of CPU" name secs
@@ -239,7 +244,8 @@ let test_deep_nesting_refused () =
   check "decode_request" (cost (fun () -> Result.map_error snd (P.decode_request line)));
   check "decode_frame" (cost (fun () -> P.decode_frame line));
   (match P.decode_request frame with
-   | Error (0, { P.kind = P.Bad_request; msg }) -> Alcotest.(check string) "offset" expect_msg msg
+   | Error (0, { P.kind = P.Bad_request; msg }) ->
+     Alcotest.(check string) "offset" expect_msg msg
    | _ -> Alcotest.fail "nested tids accepted")
 
 (* -- the encoders against the field lists they replaced -- *)
@@ -353,7 +359,9 @@ module Fields_ref = struct
     Pm2_obs.Event.write w ev;
     Json.obj_end w;
     let fields = match Json.parse (Buffer.contents buf) with Ok (Json.Obj f) -> f | _ -> [] in
-    line [ ("sub", num sub); ("ev", Json.Obj (("t", Json.Num time) :: ("node", num node) :: fields)) ]
+    line
+      [ ("sub", num sub);
+        ("ev", Json.Obj (("t", Json.Num time) :: ("node", num node) :: fields)) ]
 end
 
 let gen_num = Test_obs.gen_num
